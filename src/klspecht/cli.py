@@ -4,7 +4,8 @@ Command line front end.
 Compute commands (syt, pr, ev, evk, rsk, rsk-inv, css, klpoly, mu,
 mu-tab, matrix, qr) print their result and exit 0.  The verify command
 runs a theorem sweep and exits 0 when every check passes, 1 otherwise;
-unparseable input exits 2.
+unparseable input exits 2, and a reader closing stdout early exits 141
+without a traceback.
 
 Literals: partitions "3,1,1"; tableaux "1,4,5/2/3" (rows split by "/");
 permutations "8,5,1,6,2,7,3,4" or digit shorthand "85162734" (n <= 9);
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -271,6 +273,9 @@ def _rhoades_reports(seed: int) -> list[CheckReport]:
 
 
 def _sweep(args, family: str) -> list[CheckReport]:
+    if args.max_n is not None and family in ('rhoades', 'counterexample'):
+        raise ValueError(f'verify {family} has a fixed scope; '
+                         f'--max-n does not apply')
     max_n = args.max_n
     if max_n is None:
         env = os.environ.get('KLSPECHT_MAX_N')
@@ -480,7 +485,15 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head`): stop without a traceback,
+        # and point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 128 + signal.SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == '__main__':

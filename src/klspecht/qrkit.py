@@ -8,9 +8,18 @@ the matrices checked here that already rules out a signed-permutation Q,
 whose R = Q^T M would be an integer matrix with perfect-square norms).
 Singular input raises `SingularMatrixError` instead.  The factorization
 (orthonormal Q, upper-triangular R with positive diagonal, QR = M) is
-asserted exactly before returning.
+checked exactly before returning; a violation raises `QRInvariantError`,
+also under `python -O`.
 
-The verifiers factor matrices of the Specht module action:
+thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
+invertible matrix is unique, so that holds exactly when P^T M is upper
+triangular with a positive diagonal, and `pivot_signs` tests this on the
+integer entries of M in O(d^2) without factoring.  The verifiers run
+`exact_qr` only when that test fails, to name the failure; it remains
+the factorization behind the `qr` command, `search_ordering` and
+`verify_counterexample`.
+
+The verifiers check matrices of the Specht module action:
 
 * `verify_thm1`: the long cycle c = (2, ..., n, 1) acts, in any basis
   order weakly increasing in the tableau index, by Q R with Q the signed
@@ -21,7 +30,8 @@ The verifiers factor matrices of the Specht module action:
   generator subsets, w = w_{J_k} ... w_{J_1} acts by Q R with Q the
   signed permutation of the composite partial-evacuation symmetry phi =
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
-  preorder.
+  preorder.  The per-J symmetry and preorder tables are computed once
+  per shape and shared by every chain.
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
@@ -40,6 +50,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations as _permutations
 from math import isqrt
 from random import Random
@@ -49,6 +60,7 @@ from .jdt import partial_evacuate, promote
 from .reports import CheckReport
 from .specht import (
     Matrix,
+    cell,
     identity_matrix,
     mat_eq,
     mat_mul,
@@ -69,18 +81,19 @@ from .tableaux import (
     format_tableau,
     shape_of,
     tableau_index,
-    total_index_key,
 )
 
 __all__ = [
     'IrrationalNormError',
     'QRFactorization',
+    'QRInvariantError',
     'SignedPermutation',
     'SingularMatrixError',
     'all_connected_chains',
     'as_signed_permutation',
     'exact_qr',
     'phi_connected',
+    'pivot_signs',
     'preorder_connected',
     'random_index_monotone_order',
     'search_ordering',
@@ -104,6 +117,11 @@ class IrrationalNormError(ArithmeticError):
         )
         self.column = column
         self.norm2 = norm2
+
+
+class QRInvariantError(AssertionError):
+    """`exact_qr` produced a factorization that fails its own exact
+    check.  Raised rather than asserted, so `python -O` keeps the check."""
 
 
 @dataclass(frozen=True)
@@ -163,12 +181,15 @@ def exact_qr(m: Matrix) -> QRFactorization:
         q_cols.append([a / root for a in u])
     q = [[q_cols[c][r] for c in range(d)] for r in range(d)]
     r_mat = mat_mul(mat_transpose(q), [list(row) for row in m])
-    assert mat_eq(mat_mul(mat_transpose(q), q), identity_matrix(d)), \
-        'Q is not orthonormal'
-    assert mat_eq(mat_mul(q, r_mat), [list(row) for row in m]), 'QR != M'
+    if not mat_eq(mat_mul(mat_transpose(q), q), identity_matrix(d)):
+        raise QRInvariantError('Q is not orthonormal')
+    if not mat_eq(mat_mul(q, r_mat), [list(row) for row in m]):
+        raise QRInvariantError('QR != M')
     for i in range(d):
-        assert r_mat[i][i] > 0, 'R diagonal must be positive'
-        assert all(r_mat[i][j] == 0 for j in range(i)), 'R must be triangular'
+        if not r_mat[i][i] > 0:
+            raise QRInvariantError('R diagonal must be positive')
+        if any(r_mat[i][j] != 0 for j in range(i)):
+            raise QRInvariantError('R must be triangular')
     return QRFactorization(q=q, r=r_mat)
 
 
@@ -197,6 +218,50 @@ def as_signed_permutation(m: Matrix) -> SignedPermutation | None:
     if sorted(target) != list(range(d)):
         return None
     return SignedPermutation(tuple(target), tuple(signs))
+
+
+def pivot_signs(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
+    """Signs s such that the Q of `exact_qr(m)` is the signed permutation
+    sending column c to row target[c] with sign s[c], or None if it is not.
+
+    QR of an invertible matrix is unique, so Q is that signed permutation
+    P exactly when P^T m is upper triangular with a positive diagonal:
+    row target[c] of m vanishes left of column c and is nonzero in column
+    c, with sign s[c].  That already makes m invertible, and it rejects a
+    target (one row index of m per column) that is not a permutation.
+    No factorization is computed.
+
+    >>> pivot_signs([[0, -1], [1, 0]], [1, 0])
+    (1, -1)
+    >>> pivot_signs([[1, 0], [1, 1]], [0, 1]) is None
+    True
+    """
+    signs = []
+    for c, r in enumerate(target):
+        row = m[r]
+        if any(row[:c]) or not row[c]:
+            return None
+        signs.append(1 if row[c] > 0 else -1)
+    return tuple(signs)
+
+
+def _qr_failures(m: Matrix, target: Sequence[int], basis: Sequence[Tableau],
+                 symmetry: str) -> list[str]:
+    """Why QR of m does not realize c -> target[c], once `pivot_signs`
+    has said so: `exact_qr` runs only here, to name the failure."""
+    try:
+        fact = exact_qr(m)
+    except IrrationalNormError as err:
+        return [f'no rational QR: {err}']
+    sp = as_signed_permutation(fact.q)
+    if sp is None:
+        return ['Q is not a signed permutation matrix']
+    for c, r in enumerate(sp.target):
+        if r != target[c]:
+            return [f'Q sends {format_tableau(basis[c])} to row {r}, '
+                    f'but {symmetry} sits at row {target[c]}']
+    raise QRInvariantError('exact_qr realizes a signed permutation '
+                           'that pivot_signs rejected')
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +307,8 @@ def verify_thm1(shape: Partition,
     mat = matrix_of(shape, cyc, basis)
     pos = {t: i for i, t in enumerate(basis)}
     prom = [pos[promote(t)] for t in basis]
-    idx = [tableau_index(t) for t in basis]
+    cl = cell(shape)
+    idx = [cl.indexes[cl.position[t]] for t in basis]
     origin = [0] * len(basis)  # origin[prom[c]] = c
     for c, r in enumerate(prom):
         origin[r] = c
@@ -264,32 +330,16 @@ def verify_thm1(shape: Partition,
                 )
 
     signs: dict[str, int] = {}
-    try:
-        fact = exact_qr(mat)
-    except IrrationalNormError as err:
-        failures.append(f'no rational QR: {err}')
-        fact = None
-    if fact is not None:
-        sp = as_signed_permutation(fact.q)
-        if sp is None:
-            failures.append('Q is not a signed permutation matrix')
-        else:
-            for c, r in enumerate(sp.target):
-                if r != prom[c]:
-                    failures.append(
-                        f'Q sends {format_tableau(basis[c])} to row {r}, '
-                        f'but promotion sits at row {prom[c]}'
-                    )
-                    break
-            else:
-                for c, s in enumerate(sp.signs):
-                    label = str(idx[c])
-                    if label not in signs:
-                        signs[label] = s
-                    elif signs[label] != s:
-                        failures.append(
-                            f'sign flips inside index class {label}'
-                        )
+    q_signs = pivot_signs(mat, prom)
+    if q_signs is None:
+        failures.extend(_qr_failures(mat, prom, basis, 'promotion'))
+    else:
+        for c, s in enumerate(q_signs):
+            label = str(idx[c])
+            if label not in signs:
+                signs[label] = s
+            elif signs[label] != s:
+                failures.append(f'sign flips inside index class {label}')
     return CheckReport(
         theorem='thm1',
         passed=not failures,
@@ -365,6 +415,24 @@ def preorder_connected(j_set: Iterable[int], shape: Partition) -> dict[Tableau, 
     return keys
 
 
+# Per-(J, shape) tables indexed by position in the total index order,
+# shared by every chain through J.
+
+@lru_cache(maxsize=None)
+def _phi_table(j_set: frozenset[int], shape: Partition) -> tuple[int, ...]:
+    """phi_J(tableaux[i]) = tableaux[table[i]]."""
+    cl = cell(shape)
+    return tuple(cl.position[phi_connected(j_set, t)] for t in cl.tableaux)
+
+
+@lru_cache(maxsize=None)
+def _preorder_table(j_set: frozenset[int],
+                    shape: Partition) -> tuple[tuple[int, ...], ...]:
+    """The `preorder_connected` key of tableaux[i], at i."""
+    keys = preorder_connected(j_set, shape)
+    return tuple(keys[t] for t in cell(shape).tableaux)
+
+
 def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
     """Every strictly increasing chain of connected generator subsets."""
     intervals = [
@@ -404,47 +472,36 @@ def verify_thm4_chain(shape: Partition,
     w = tuple(range(1, n + 1))
     for j in js:
         w = multiply(longest_element(j, n), w)
-    key_maps = [preorder_connected(j, shape) for j in js]
-    tabs = total_index_order(shape)
-
-    def composite(t: Tableau) -> tuple:
-        return tuple(km[t] for km in reversed(key_maps))
-
-    basis = tuple(sorted(tabs, key=lambda t: (composite(t), total_index_key(t))))
-    pos = {t: i for i, t in enumerate(basis)}
-    phi = {}
-    for t in tabs:
-        out = t
-        for j in js:
-            out = phi_connected(j, out)
-        phi[t] = out
+    # everything below is indexed by position in the total index order
+    tabs = cell(shape).tableaux
+    key_tables = [_preorder_table(j, shape) for j in js]
+    composite = [tuple(kt[i] for kt in reversed(key_tables))
+                 for i in range(len(tabs))]
+    # the position is the total_index_key tie-break: tabs is sorted by it
+    perm = sorted(range(len(tabs)), key=lambda i: (composite[i], i))
+    basis = tuple(tabs[i] for i in perm)
+    pos = [0] * len(tabs)
+    for c, i in enumerate(perm):
+        pos[i] = c
+    phi = list(range(len(tabs)))
+    for j in js:
+        table = _phi_table(j, shape)
+        phi = [table[i] for i in phi]
+    target = [pos[phi[i]] for i in perm]
     mat = matrix_of(shape, w, basis)
     failures = []
     signs: dict[str, int] = {}
-    try:
-        fact = exact_qr(mat)
-    except IrrationalNormError as err:
-        failures.append(f'no rational QR: {err}')
-        fact = None
-    if fact is not None:
-        sp = as_signed_permutation(fact.q)
-        if sp is None:
-            failures.append('Q is not a signed permutation matrix')
-        else:
-            for c, t in enumerate(basis):
-                if sp.target[c] != pos[phi[t]]:
-                    failures.append(
-                        f'Q sends {format_tableau(t)} to row {sp.target[c]}, '
-                        f'but the composite symmetry sits at row {pos[phi[t]]}'
-                    )
-                    break
-            else:
-                for c, s in enumerate(sp.signs):
-                    label = str(composite(basis[c]))
-                    if label not in signs:
-                        signs[label] = s
-                    elif signs[label] != s:
-                        failures.append(f'sign flips inside class {label}')
+    q_signs = pivot_signs(mat, target)
+    if q_signs is None:
+        failures.extend(
+            _qr_failures(mat, target, basis, 'the composite symmetry'))
+    else:
+        for i, s in zip(perm, q_signs):
+            label = str(composite[i])
+            if label not in signs:
+                signs[label] = s
+            elif signs[label] != s:
+                failures.append(f'sign flips inside class {label}')
     return CheckReport(
         theorem='thm4',
         passed=not failures,
@@ -454,7 +511,8 @@ def verify_thm4_chain(shape: Partition,
             'chain': [sorted(j) for j in js],
             'w': list(w),
             'symmetry': {
-                format_tableau(t): format_tableau(phi[t]) for t in tabs
+                format_tableau(t): format_tableau(tabs[phi[i]])
+                for i, t in enumerate(tabs)
             },
         },
         signs=signs or None,

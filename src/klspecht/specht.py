@@ -202,12 +202,19 @@ def generator_matrix(shape: Partition, j: int,
 
 def matrix_from_generator_word(shape: Partition, word: Sequence[int],
                                order: Sequence[Tableau] | None = None) -> Matrix:
-    """Product of generator matrices along a word (leftmost first)."""
+    """Product of generator matrices along a word (leftmost first).
+
+    The product is taken in the total index order and reindexed to
+    `order` once at the end: reordering a basis conjugates every factor
+    by the same permutation.
+    """
     basis = _resolve_order(shape, order)
     out = identity_matrix(len(basis))
     for j in word:
-        out = mat_mul(out, generator_matrix(shape, j, basis))
-    return out
+        out = mat_mul(out, generator_matrix(shape, j))
+    position = cell(shape).position
+    ids = [position[t] for t in basis]
+    return [[out[r][k] for k in ids] for r in ids]
 
 
 def matrix_of(shape: Partition, w: Perm,

@@ -203,3 +203,26 @@ def test_console_script_entry_point():
         assert proc.returncode == 0
         assert proc.stdout.strip() == '1+q'
         assert proc.stderr == ''
+
+
+def test_max_n_rejected_for_fixed_scope_families(capsys):
+    for family in ('rhoades', 'counterexample'):
+        code, out, err = invoke(capsys, 'verify', family, '--max-n', '3')
+        assert code == 2
+        assert out == ''
+        assert '--max-n does not apply' in err
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the first write, as under `| head -1`
+    # once head has exited; the sweep still writes about 25 KB
+    proc = subprocess.Popen(
+        [sys.executable, '-m', 'klspecht', 'verify', 'thm4', '--max-n', '5'],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b''

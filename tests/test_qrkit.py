@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import klspecht
+from klspecht import qrkit
 from klspecht.jdt import evacuate, promote
 from klspecht.qrkit import (
     IrrationalNormError,
+    QRInvariantError,
     SignedPermutation,
     SingularMatrixError,
     all_connected_chains,
@@ -63,6 +70,56 @@ def test_irrational_norm_reported_with_position():
         exact_qr([[1, 0], [1, 1]])
     assert info.value.column == 0
     assert info.value.norm2 == 2
+
+
+# exact_qr([[0, 1], [1, 0]]) calls mat_mul three times: R = Q^T M, then
+# Q^T Q and Q R for its self-check.  Replacing some of those products
+# breaks exactly one invariant.
+_SWAP = [[0, 1], [1, 0]]
+_BROKEN_PRODUCTS = {
+    'Q is not orthonormal': {2: [[2, 0], [0, 1]]},
+    'QR != M': {3: [[1, 1], [1, 0]]},
+    'R diagonal must be positive': {1: [[-1, 0], [0, 1]], 3: _SWAP},
+    'R must be triangular': {1: [[1, 0], [1, 1]], 3: _SWAP},
+}
+
+
+@pytest.mark.parametrize('message', sorted(_BROKEN_PRODUCTS))
+def test_exact_qr_invariants_raise(monkeypatch, message):
+    replaced = _BROKEN_PRODUCTS[message]
+    real = qrkit.mat_mul
+    calls = []
+
+    def mat_mul(a, b):
+        calls.append(None)
+        return replaced.get(len(calls)) or real(a, b)
+
+    monkeypatch.setattr(qrkit, 'mat_mul', mat_mul)
+    with pytest.raises(QRInvariantError, match=message):
+        exact_qr(_SWAP)
+
+
+def test_exact_qr_invariants_survive_optimize_flag():
+    script = '''
+import sys
+from klspecht import qrkit
+real = qrkit.mat_mul
+calls = []
+def mat_mul(a, b):
+    calls.append(None)
+    return [[2, 0], [0, 1]] if len(calls) == 2 else real(a, b)
+qrkit.mat_mul = mat_mul
+try:
+    qrkit.exact_qr([[0, 1], [1, 0]])
+except qrkit.QRInvariantError as err:
+    print(sys.flags.optimize, err)
+'''
+    src = str(Path(klspecht.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, '-O', '-c', script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '1 Q is not orthonormal'
 
 
 def test_as_signed_permutation():

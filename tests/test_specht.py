@@ -194,6 +194,11 @@ def test_custom_order_permutes_rows_and_columns():
         for a in range(len(base)):
             for b in range(len(base)):
                 assert m2[a][b] == m[sigma[a]][sigma[b]]
+        # the same as multiplying the generator matrices in that order
+        product = identity_matrix(len(base))
+        for j in reduced_word(w):
+            product = mat_mul(product, generator_matrix(shape, j, order))
+        assert product == m2
 
 
 def test_filtration_blocks_are_lower_triangular_by_index():
