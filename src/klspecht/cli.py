@@ -5,7 +5,8 @@ Compute commands (syt, pr, ev, evk, rsk, rsk-inv, css, klpoly, mu,
 mu-tab, matrix, qr) print their result and exit 0.  The verify command
 runs a theorem sweep and exits 0 when every check passes, 1 otherwise;
 unparseable input exits 2, and a reader closing stdout early exits 141
-without a traceback.
+without a traceback.  Commands and sweeps that compute KL polynomials
+exit 2 up front for an n above `hecke.MAX_N`, before any table is built.
 
 Literals: partitions "3,1,1"; tableaux "1,4,5/2/3" (rows split by "/");
 permutations "8,5,1,6,2,7,3,4" or digit shorthand "85162734" (n <= 9);
@@ -52,6 +53,9 @@ _FAMILY_DEFAULT_MAX_N = {
     'thm4': 5,
     'sep-desc': 6,
 }
+
+# sweeps whose checks compute mu, so their --max-n is bounded by hecke.MAX_N
+_KL_FAMILIES = ('thm1', 'branching', 'prop-dmu', 'thm4')
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -280,6 +284,8 @@ def _sweep(args, family: str) -> list[CheckReport]:
     if max_n is None:
         env = os.environ.get('KLSPECHT_MAX_N')
         max_n = int(env) if env else _FAMILY_DEFAULT_MAX_N.get(family, 6)
+    if family in _KL_FAMILIES:
+        hecke.check_affordable(max_n)
     if family == 'counterexample':
         return [verify_counterexample()]
     if family == 'rhoades':
@@ -398,6 +404,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == 'klpoly':
         v, w = _perm_pair(args.v, args.w)
+        hecke.check_affordable(len(v))
         poly = hecke.kl_polynomial(v, w)
         _emit(args,
               {'command': 'klpoly', 'v': list(v), 'w': list(w),
@@ -407,6 +414,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == 'mu':
         v, w = _perm_pair(args.v, args.w)
+        hecke.check_affordable(len(v))
         value = hecke.mu(v, w)
         _emit(args,
               {'command': 'mu', 'v': list(v), 'w': list(w), 'result': value},
@@ -414,6 +422,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == 'mu-tab':
         shape = tableaux.parse_partition(args.shape)
+        hecke.check_affordable(sum(shape))
         t = tableaux.parse_tableau(args.t)
         r = tableaux.parse_tableau(args.r)
         if tableaux.shape_of(t) != shape or tableaux.shape_of(r) != shape:
@@ -427,6 +436,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == 'matrix':
         shape = tableaux.parse_partition(args.shape)
+        hecke.check_affordable(sum(shape))
         w = symgroup.parse_perm(args.w, sum(shape))
         mat = specht.matrix_of(shape, w)
         _emit(args,
@@ -436,6 +446,7 @@ def _dispatch(args) -> int:
         return 0
     if cmd == 'qr':
         shape = tableaux.parse_partition(args.shape)
+        hecke.check_affordable(sum(shape))
         w = symgroup.parse_perm(args.w, sum(shape))
         mat = specht.matrix_of(shape, w)
         try:

@@ -15,7 +15,8 @@ after first raising v through the left and right descents of w
 (P_{v,w} = P_{sv,w} when sw < w < sv, and the mirror image), and
 returning 1 outright when len(w) - len(v) <= 2.  Every returned value is
 checked on the spot: constant term 1 and degree at most
-(len(w) - len(v) - 1)/2.
+(len(w) - len(v) - 1)/2.  A violation raises `KLInvariantError`, also
+under `python -O`.
 
 The independent oracle route `kl_oracle` never touches that recursion.
 It computes R-polynomials by their own descent recursion (s a right
@@ -26,8 +27,12 @@ triangular system
     q^{len(w)-len(x)} P_{x,w}(1/q) = sum_{x <= z <= w} R_{x,z} P_{z,w}
 
 downward in x, reading the answer off the low half and verifying the
-mirror half exactly.  The two routes share only the interned group
-tables (multiplication, lengths, Bruhat bitsets), not the algorithm.
+mirror half exactly (again raising `KLInvariantError`).  The two routes
+share only the interned group tables (multiplication, lengths, Bruhat
+bitsets), not the algorithm.
+
+The tables hold n! x n! Bruhat bitsets, so `tables` refuses n above
+`MAX_N` = 8 before allocating anything: S_9 would need about 16 GB.
 
 mu(v, w) is the coefficient of degree (len(w)-len(v)-1)/2 in P_{v,w},
 symmetrized so the arguments may come in either order; it feeds both the
@@ -48,7 +53,10 @@ from .rsk import column_word
 from .tableaux import Tableau, shape_of
 
 __all__ = [
+    'KLInvariantError',
+    'MAX_N',
     'QPoly',
+    'check_affordable',
     'check_rhoades_insertion',
     'format_qpoly',
     'kl_oracle',
@@ -66,6 +74,8 @@ QPoly = tuple[int, ...]
 
 _ZERO: QPoly = ()
 _ONE: QPoly = (1,)
+
+MAX_N = 8
 
 # interval enumeration recurses along Bruhat chains, which can nest deeply
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
@@ -133,6 +143,11 @@ def format_qpoly(p: QPoly) -> str:
         else:
             parts.append(f'+{body}' if c > 0 else f'-{body}')
     return ''.join(parts)
+
+
+class KLInvariantError(AssertionError):
+    """A KL polynomial failed its exact check on the spot.  Raised rather
+    than asserted, so `python -O` keeps the check."""
 
 
 def _inversions(w: tuple[int, ...]) -> int:
@@ -267,8 +282,10 @@ class _Tables:
                     for i, c in enumerate(self.kl(vid, zid)):
                         buf[i + shift] -= m * c
             p = qp_trim(buf)
-        assert p and p[0] == 1, 'KL constant term must be 1'
-        assert len(p) - 1 <= half, 'KL degree bound violated'
+        if not (p and p[0] == 1):
+            raise KLInvariantError('KL constant term must be 1')
+        if len(p) - 1 > half:
+            raise KLInvariantError('KL degree bound violated')
         self.kl_memo[key] = p
         return p
 
@@ -343,21 +360,31 @@ class _Tables:
         ell = self.lengths[wid] - self.lengths[xid]
         half = (ell - 1) // 2
         p = qp_trim(tuple(-c for c in f[:half + 1]))
-        assert p and p[0] == 1, 'oracle constant term must be 1'
+        if not (p and p[0] == 1):
+            raise KLInvariantError('oracle constant term must be 1')
         # the solution must satisfy the full bar identity, not just its
         # truncation: q^ell * P(1/q) == P + F exactly
         mirror = [0] * (ell + 1)
         for i, c in enumerate(p):
             mirror[ell - i] = c
-        assert qp_trim(mirror) == qp_add(p, f), 'bar-invariance failed'
+        if qp_trim(mirror) != qp_add(p, f):
+            raise KLInvariantError('bar-invariance failed')
         self.oracle_memo[key] = p
         return p
+
+
+def check_affordable(n: int) -> None:
+    """Refuse an n whose tables would not fit in memory (ValueError)."""
+    if n > MAX_N:
+        raise ValueError(f'n = {n} is too large: KL tables stop at n = {MAX_N} '
+                         f'(n = {MAX_N + 1} would need about 16 GB)')
 
 
 @lru_cache(maxsize=None)
 def tables(n: int) -> _Tables:
     if n < 1:
         raise ValueError('n must be positive')
+    check_affordable(n)
     return _Tables(n)
 
 

@@ -25,17 +25,24 @@ The verifiers check matrices of the Specht module action:
   order weakly increasing in the tableau index, by Q R with Q the signed
   permutation matrix of jeu de taquin promotion, signs constant on index
   classes, and the matrix itself supports columns only on promotions of
-  tableaux of weakly smaller index.
+  tableaux of weakly smaller index.  The matrix of c is built once per
+  shape in the total index order and reindexed for each basis order.
 * `verify_thm4_chain`: for a chain J_1 < ... < J_k of connected
   generator subsets, w = w_{J_k} ... w_{J_1} acts by Q R with Q the
   signed permutation of the composite partial-evacuation symmetry phi =
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
-  preorder.  The per-J symmetry and preorder tables are computed once
-  per shape and shared by every chain.
+  preorder.  The per-J tables (the symmetry phi_J, the preorder keys and
+  the matrix of w_J in the total index order) are computed once per
+  shape and shared by every chain; a chain's matrix is the product of
+  its w_J matrices, reindexed once to the chain's basis order.
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
   one that makes QR of [w] a signed permutation.
+
+Reordering a basis conjugates every factor by the same permutation, so
+the reindexed products equal `matrix_of` of w in the checked order
+exactly.
 
 For a connected J = {p, ..., q-1} (positions p..q, block size
 m = q-p+1), the tableau symmetry is phi_J = ev_q ev_m ev_q and the
@@ -50,7 +57,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import permutations as _permutations
 from math import isqrt
 from random import Random
@@ -64,6 +71,7 @@ from .specht import (
     identity_matrix,
     mat_eq,
     mat_mul,
+    mat_reindex,
     mat_transpose,
     matrix_of,
     total_index_order,
@@ -293,6 +301,12 @@ def random_index_monotone_order(shape: Partition, rng: Random) -> tuple[Tableau,
 # ---------------------------------------------------------------------------
 # the long-cycle check
 
+@lru_cache(maxsize=None)
+def _long_cycle_matrix(shape: Partition) -> tuple[tuple[int, ...], ...]:
+    """The matrix of the long cycle in the total index order."""
+    return tuple(map(tuple, matrix_of(shape, long_cycle(sum(shape)))))
+
+
 def verify_thm1(shape: Partition,
                 order: Sequence[Tableau] | None = None) -> CheckReport:
     """QR-factor the long cycle action and compare Q with promotion."""
@@ -304,11 +318,12 @@ def verify_thm1(shape: Partition,
         raise ValueError('order must be weakly increasing in tableau index')
     n = sum(shape)
     cyc = long_cycle(n)
-    mat = matrix_of(shape, cyc, basis)
+    cl = cell(shape)
+    ids = [cl.position[t] for t in basis]
+    mat = mat_reindex(_long_cycle_matrix(shape), ids)
     pos = {t: i for i, t in enumerate(basis)}
     prom = [pos[promote(t)] for t in basis]
-    cl = cell(shape)
-    idx = [cl.indexes[cl.position[t]] for t in basis]
+    idx = [cl.indexes[i] for i in ids]
     origin = [0] * len(basis)  # origin[prom[c]] = c
     for c, r in enumerate(prom):
         origin[r] = c
@@ -344,7 +359,7 @@ def verify_thm1(shape: Partition,
         theorem='thm1',
         passed=not failures,
         shape=tuple(shape),
-        ordering=tuple(format_tableau(t) for t in basis),
+        ordering=tuple(cl.labels[i] for i in ids),
         witness={
             'cycle': list(cyc),
             'promotion': prom,
@@ -433,6 +448,13 @@ def _preorder_table(j_set: frozenset[int],
     return tuple(keys[t] for t in cell(shape).tableaux)
 
 
+@lru_cache(maxsize=None)
+def _longest_matrix(j_set: frozenset[int],
+                    shape: Partition) -> tuple[tuple[int, ...], ...]:
+    """The matrix of w_J in the total index order."""
+    return tuple(map(tuple, matrix_of(shape, longest_element(j_set, sum(shape)))))
+
+
 def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
     """Every strictly increasing chain of connected generator subsets."""
     intervals = [
@@ -473,7 +495,8 @@ def verify_thm4_chain(shape: Partition,
     for j in js:
         w = multiply(longest_element(j, n), w)
     # everything below is indexed by position in the total index order
-    tabs = cell(shape).tableaux
+    cl = cell(shape)
+    tabs = cl.tableaux
     key_tables = [_preorder_table(j, shape) for j in js]
     composite = [tuple(kt[i] for kt in reversed(key_tables))
                  for i in range(len(tabs))]
@@ -488,7 +511,9 @@ def verify_thm4_chain(shape: Partition,
         table = _phi_table(j, shape)
         phi = [table[i] for i in phi]
     target = [pos[phi[i]] for i in perm]
-    mat = matrix_of(shape, w, basis)
+    # M(w) = M(w_{J_k}) ... M(w_{J_1})
+    mat = reduce(mat_mul, [_longest_matrix(j, shape) for j in reversed(js)])
+    mat = mat_reindex(mat, perm)
     failures = []
     signs: dict[str, int] = {}
     q_signs = pivot_signs(mat, target)
@@ -506,13 +531,12 @@ def verify_thm4_chain(shape: Partition,
         theorem='thm4',
         passed=not failures,
         shape=tuple(shape),
-        ordering=tuple(format_tableau(t) for t in basis),
+        ordering=tuple(cl.labels[i] for i in perm),
         witness={
             'chain': [sorted(j) for j in js],
             'w': list(w),
             'symmetry': {
-                format_tableau(t): format_tableau(tabs[phi[i]])
-                for i, t in enumerate(tabs)
+                label: cl.labels[phi[i]] for i, label in enumerate(cl.labels)
             },
         },
         signs=signs or None,
@@ -523,10 +547,6 @@ def verify_thm4_chain(shape: Partition,
 
 # ---------------------------------------------------------------------------
 # the nonseparable counterexample and small searches
-
-def _reindexed(base: Matrix, perm: Sequence[int]) -> Matrix:
-    return [[base[r][c] for c in perm] for r in perm]
-
 
 def verify_counterexample() -> CheckReport:
     """No basis order lets QR work for the pattern 2413 on shape (3, 1).
@@ -546,7 +566,7 @@ def verify_counterexample() -> CheckReport:
     for perm in _permutations(range(len(tabs))):
         label = '|'.join(format_tableau(tabs[i]) for i in perm)
         try:
-            fact = exact_qr(_reindexed(base, perm))
+            fact = exact_qr(mat_reindex(base, perm))
         except IrrationalNormError:
             outcomes[label] = 'irrational norm'
             continue
@@ -596,7 +616,7 @@ def search_ordering(shape: Partition, w: Perm,
     base = matrix_of(shape, w)
     for perm in _permutations(range(len(tabs))):
         try:
-            fact = exact_qr(_reindexed(base, perm))
+            fact = exact_qr(mat_reindex(base, perm))
         except IrrationalNormError:
             continue
         if as_signed_permutation(fact.q) is not None:

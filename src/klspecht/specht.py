@@ -14,6 +14,12 @@ column T holds the coordinates of s_j . C_T; `matrix_of` multiplies the
 generator matrices along a reduced word, so matrix_of(u v) =
 matrix_of(u) matrix_of(v) with the rightmost factor acting first.
 
+The per-shape cell (`cell`) builds each generator matrix once, in the
+total index order, and keeps it as a tuple of tuples; every product is
+taken in that order and reindexed to the requested basis order at the
+end, since reordering a basis conjugates every factor by the same
+permutation.  The public functions always return fresh lists.
+
 Rows and columns follow a basis order, by default the total index order.
 Ordering by index exposes a filtration: for j <= n-2 the action never
 moves a basis vector toward a strictly larger index
@@ -29,7 +35,7 @@ Fraction); nothing here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import hecke
@@ -56,6 +62,7 @@ __all__ = [
     'identity_matrix',
     'mat_eq',
     'mat_mul',
+    'mat_reindex',
     'mat_transpose',
     'matrix_entries',
     'matrix_of',
@@ -98,6 +105,11 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     )
 
 
+def mat_reindex(a: Sequence[Sequence], ids: Sequence[int]) -> Matrix:
+    """Fresh matrix whose row and column c are row and column ids[c] of a."""
+    return [[a[r][k] for k in ids] for r in ids]
+
+
 def mat_transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
@@ -123,7 +135,8 @@ def matrix_entries(a: Matrix) -> list[list[int | str]]:
 # the cell data of a shape
 
 class _Cell:
-    """Tableaux of one shape with descent sets and cached mu values."""
+    """Tableaux of one shape with descent sets, labels, cached mu values
+    and cached generator matrices."""
 
     def __init__(self, shape: Partition):
         check_partition(shape)
@@ -132,7 +145,9 @@ class _Cell:
         self.position = {t: i for i, t in enumerate(self.tableaux)}
         self.descents = [descent_set(t) for t in self.tableaux]
         self.indexes = [tableau_index(t) for t in self.tableaux]
+        self.labels = tuple(format_tableau(t) for t in self.tableaux)
         self._mu: dict[tuple[int, int], int] = {}
+        self._generators: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def mu(self, i: int, j: int) -> int:
         if i == j:
@@ -144,6 +159,30 @@ class _Cell:
         if hit is None:
             hit = hecke.mu_tableaux(self.tableaux[i], self.tableaux[j])
             self._mu[key] = hit
+        return hit
+
+    def generator(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """s_j in the total index order, built once.  Rows are tuples, so
+        no caller can change the cached matrix."""
+        hit = self._generators.get(j)
+        if hit is not None:
+            return hit
+        if not 1 <= j <= sum(self.shape) - 1:
+            raise ValueError(f's_{j} does not act on shape {self.shape}')
+        d = len(self.tableaux)
+        mat = [[0] * d for _ in range(d)]
+        for col in range(d):
+            if j in self.descents[col]:
+                mat[col][col] = -1
+            else:
+                mat[col][col] = 1
+                for row in range(d):
+                    if row != col and j in self.descents[row]:
+                        m = self.mu(col, row)
+                        if m:
+                            mat[row][col] = m
+        hit = tuple(map(tuple, mat))
+        self._generators[j] = hit
         return hit
 
 
@@ -180,41 +219,22 @@ def generator_matrix(shape: Partition, j: int,
     [[1, 0], [1, -1]]
     """
     basis = _resolve_order(shape, order)
-    n = sum(shape)
-    if not 1 <= j <= n - 1:
-        raise ValueError(f's_{j} does not act on shape {shape}')
     c = cell(shape)
-    d = len(basis)
-    ids = [c.position[t] for t in basis]
-    mat = [[0] * d for _ in range(d)]
-    for col, ti in enumerate(ids):
-        if j in c.descents[ti]:
-            mat[col][col] = -1
-        else:
-            mat[col][col] = 1
-            for row, ri in enumerate(ids):
-                if ri != ti and j in c.descents[ri]:
-                    m = c.mu(ti, ri)
-                    if m:
-                        mat[row][col] = m
-    return mat
+    return mat_reindex(c.generator(j), [c.position[t] for t in basis])
 
 
 def matrix_from_generator_word(shape: Partition, word: Sequence[int],
                                order: Sequence[Tableau] | None = None) -> Matrix:
     """Product of generator matrices along a word (leftmost first).
 
-    The product is taken in the total index order and reindexed to
-    `order` once at the end: reordering a basis conjugates every factor
-    by the same permutation.
+    The product of the cell's cached generators is taken in the total
+    index order and reindexed to `order` once at the end.
     """
     basis = _resolve_order(shape, order)
-    out = identity_matrix(len(basis))
-    for j in word:
-        out = mat_mul(out, generator_matrix(shape, j))
-    position = cell(shape).position
-    ids = [position[t] for t in basis]
-    return [[out[r][k] for k in ids] for r in ids]
+    c = cell(shape)
+    factors = [c.generator(j) for j in word]
+    out = reduce(mat_mul, factors) if factors else identity_matrix(len(basis))
+    return mat_reindex(out, [c.position[t] for t in basis])
 
 
 def matrix_of(shape: Partition, w: Perm,

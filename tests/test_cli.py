@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from klspecht import cli, hecke
 from klspecht.cli import run
 
 
@@ -226,3 +227,42 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b''
+
+
+@pytest.fixture
+def no_tables_no_sweeps(monkeypatch):
+    """Fail the test if a KL table is built or a sweep job starts."""
+    def refuse(*args):
+        raise AssertionError('work started before the n bound was checked')
+
+    monkeypatch.setattr(hecke, '_Tables', refuse)
+    for job in ('_thm1_job', '_branching_job', '_dmu_job', '_thm4_job'):
+        monkeypatch.setattr(cli, job, refuse)
+
+
+@pytest.mark.parametrize('argv', [
+    ('klpoly', '123456789', '987654321'),
+    ('mu', '123456789', 'c'),
+    ('mu-tab', '4,3,2', '1,2,3,4/5,6,7/8,9', '1,2,3,4/5,6,7/8,9'),
+    ('matrix', '8,1', 'c'),
+    ('qr', '8,1', 'c'),
+])
+def test_commands_refuse_n_above_the_table_bound(capsys, no_tables_no_sweeps, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ''
+    assert 'too large' in err
+
+
+@pytest.mark.parametrize('family', ['thm1', 'branching', 'prop-dmu', 'thm4'])
+def test_kl_sweeps_refuse_n_above_the_table_bound(capsys, monkeypatch,
+                                                  no_tables_no_sweeps, family):
+    too_big = str(hecke.MAX_N + 1)
+    for flags in (('--jobs', '1'), ('--jobs', '2')):
+        code, out, err = invoke(capsys, *flags, 'verify', family, '--max-n', too_big)
+        assert (code, out) == (2, '')
+        assert 'too large' in err
+    monkeypatch.setenv('KLSPECHT_MAX_N', too_big)
+    code, out, err = invoke(capsys, 'verify', family)
+    assert (code, out) == (2, '')
+    assert 'too large' in err

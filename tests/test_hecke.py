@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import klspecht
+from klspecht import hecke
 from klspecht.hecke import (
+    KLInvariantError,
     check_rhoades_insertion,
     format_qpoly,
     kl_oracle,
@@ -167,3 +175,77 @@ def test_insertion_trivial_case():
 def test_random_pairs_agree_with_the_oracle(v, w):
     v, w = tuple(v), tuple(w)
     assert kl_polynomial(v, w) == kl_oracle(v, w)
+
+
+# ---------------------------------------------------------------------------
+# the on-the-spot invariants raise, and n is bounded before allocation
+
+# P_{1324,3412} = 1+q: the recursion reaches the general branch for it
+_V = (1, 3, 2, 4)
+_W = (3, 4, 1, 2)
+
+
+def _fresh_ids():
+    """Tables of S_4 outside the `tables` cache, so corrupted values never
+    reach the memo that other tests read."""
+    t = hecke._Tables(4)
+    return t, t.index[_V], t.index[_W]
+
+
+@pytest.mark.parametrize('trimmed, message', [
+    ((2,), 'KL constant term must be 1'),
+    ((1, 0, 0, 0, 0, 0, 1), 'KL degree bound violated'),
+])
+def test_kl_invariants_raise(monkeypatch, trimmed, message):
+    t, vid, wid = _fresh_ids()
+    monkeypatch.setattr(hecke, 'qp_trim', lambda coeffs: trimmed)
+    with pytest.raises(KLInvariantError, match=message):
+        t.kl(vid, wid)
+
+
+def test_oracle_constant_term_raises():
+    t, vid, wid = _fresh_ids()
+    t.rpoly = lambda xid, zid: ()
+    with pytest.raises(KLInvariantError, match='oracle constant term must be 1'):
+        t.kl_oracle_ids(vid, wid)
+
+
+def test_oracle_bar_invariance_raises():
+    # R-polynomials off by q^10: the low half that P is read from is
+    # intact, the mirror identity is not
+    t, vid, wid = _fresh_ids()
+    clean = hecke._Tables(4)
+    t.rpoly = lambda xid, zid: qp_add(clean.rpoly(xid, zid), qp_shift((1,), 10))
+    with pytest.raises(KLInvariantError, match='bar-invariance failed'):
+        t.kl_oracle_ids(vid, wid)
+
+
+def test_kl_invariants_survive_optimize_flag():
+    script = f'''
+import sys
+from klspecht import hecke
+t = hecke._Tables(4)
+hecke.qp_trim = lambda coeffs: (2,)
+try:
+    t.kl(t.index[{_V!r}], t.index[{_W!r}])
+except hecke.KLInvariantError as err:
+    print(sys.flags.optimize, err)
+'''
+    src = str(Path(klspecht.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, '-O', '-c', script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '1 KL constant term must be 1'
+
+
+def test_tables_refuses_n_above_the_bound_before_allocating(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f'tables({n}) started allocating')
+
+    monkeypatch.setattr(hecke, '_Tables', refuse)
+    for n in (hecke.MAX_N + 1, 12):
+        with pytest.raises(ValueError, match='too large'):
+            hecke.tables(n)
+    with pytest.raises(ValueError, match='too large'):
+        kl_polynomial(tuple(range(1, 10)), tuple(range(9, 0, -1)))

@@ -264,15 +264,36 @@ def test_thm4_routes_agree(n):
             assert new['passed']
 
 
-def test_routes_agree_on_failing_checks(monkeypatch):
-    """Feed both routes the matrix of the wrong permutation, so checks
-    fail, and compare the failure text."""
+@pytest.fixture
+def cold_factor_caches():
+    """Clear the cached cells and w_J / long-cycle matrices before and
+    after a test that feeds the verifiers wrong generator matrices."""
+    def clear():
+        specht.cell.cache_clear()
+        qrkit._long_cycle_matrix.cache_clear()
+        qrkit._longest_matrix.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_routes_agree_on_failing_checks(monkeypatch, cold_factor_caches):
+    """Feed both routes wrong generator matrices, so checks fail, and
+    compare the failure text.
+
+    s_j is replaced by s_{n-j}: that is still a representation (the twist
+    by the diagram automorphism), so every product of generators for w
+    is one matrix, the matrix of w0 w w0, whether it is built along a
+    reduced word of w, as the reference route does, or from cached
+    factors, as the verifiers do."""
     kinds = set()
+    generator = specht._Cell.generator
 
-    def wrong_matrix(shape, w, order=None):
-        return specht.matrix_of(shape, tuple(reversed(w)), order)
+    def twisted(self, j):
+        return generator(self, sum(self.shape) - j)
 
-    monkeypatch.setattr(qrkit, 'matrix_of', wrong_matrix)
+    monkeypatch.setattr(specht._Cell, 'generator', twisted)
     for n in range(3, 6):
         for shape in partitions(n):
             new = verify_thm1(shape).record()

@@ -29,10 +29,18 @@ from klspecht.qrkit import (
     verify_thm1,
     verify_thm4_chain,
 )
-from klspecht.specht import identity_matrix, mat_eq, mat_mul, mat_transpose
+from klspecht.specht import (
+    identity_matrix,
+    mat_eq,
+    mat_mul,
+    mat_transpose,
+    matrix_of,
+)
+from klspecht.symgroup import long_cycle
 from klspecht.tableaux import (
     count_syt,
     enumerate_syt,
+    parse_tableau,
     partitions,
     tableau_index,
 )
@@ -260,6 +268,47 @@ def test_thm4_rejects_bad_chains():
         verify_thm4_chain((2, 1), [{1, 2}, {2}])  # not increasing
     with pytest.raises(ValueError):
         verify_thm4_chain((2, 1), [])
+
+
+def _checked_matrices(monkeypatch):
+    """Record every matrix the verifiers hand to `pivot_signs`."""
+    seen = []
+    real = qrkit.pivot_signs
+
+    def spy(m, target):
+        seen.append([list(row) for row in m])
+        return real(m, target)
+
+    monkeypatch.setattr(qrkit, 'pivot_signs', spy)
+    return seen
+
+
+def _basis(report):
+    return [parse_tableau(label) for label in report.ordering]
+
+
+def test_thm4_chain_matrix_from_cached_factors(monkeypatch):
+    seen = _checked_matrices(monkeypatch)
+    for n in range(2, 6):
+        for shape in partitions(n):
+            for chain in all_connected_chains(n):
+                report = verify_thm4_chain(shape, chain)
+                w = tuple(report.witness['w'])
+                assert seen.pop() == matrix_of(shape, w, _basis(report))
+    assert not seen
+
+
+def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
+    seen = _checked_matrices(monkeypatch)
+    for n in range(2, 6):
+        for shape in partitions(n):
+            rng = Random(f'factor:{shape}')
+            orders = [None] + [random_index_monotone_order(shape, rng)
+                               for _ in range(5)]
+            for order in orders:
+                report = verify_thm1(shape, order)
+                assert seen.pop() == matrix_of(shape, long_cycle(n), _basis(report))
+    assert not seen
 
 
 def test_counterexample_report():

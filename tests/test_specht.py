@@ -201,6 +201,28 @@ def test_custom_order_permutes_rows_and_columns():
         assert product == m2
 
 
+def test_returned_matrices_are_the_callers_to_change():
+    # the cell caches each generator; what callers get must be a copy
+    shape = (3, 2)
+    order = list(reversed(total_index_order(shape)))
+    calls = [
+        lambda: generator_matrix(shape, 2),
+        lambda: generator_matrix(shape, 2, order),
+        lambda: matrix_of(shape, (1, 3, 2, 4, 5)),  # one letter: s_2
+        lambda: matrix_of(shape, (2, 3, 4, 5, 1)),
+        lambda: matrix_of(shape, (2, 3, 4, 5, 1), order),
+        lambda: matrix_of(shape, identity(5)),
+        lambda: matrix_from_generator_word(shape, [], order),
+    ]
+    for call in calls:
+        first = call()
+        expect = [list(row) for row in first]
+        first[0][0] += 7
+        first[-1].append(1)
+        first.append([0])
+        assert call() == expect
+
+
 def test_filtration_blocks_are_lower_triangular_by_index():
     for n in range(2, 6):
         for shape in partitions(n):
