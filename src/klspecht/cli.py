@@ -163,24 +163,27 @@ def _branching_job(shape: tuple[int, ...]) -> list[CheckReport]:
 
 
 def _dmu_job(shape: tuple[int, ...]) -> list[CheckReport]:
-    tabs = tableaux.enumerate_syt(shape)
+    cl = specht.cell(shape)
     failures = []
     pairs = 0
-    by_index: dict[int, list] = {}
-    for t in tabs:
-        by_index.setdefault(tableaux.tableau_index(t), []).append(t)
+    by_index: dict[int, list[int]] = {}
+    for k, i in enumerate(cl.indexes):
+        by_index.setdefault(i, []).append(k)
     for i, members in sorted(by_index.items()):
+        if len(members) < 2:
+            continue
+        smaller = [tableaux.delete_largest(cl.tableaux[k])[0] for k in members]
+        small = specht.cell(tableaux.shape_of(smaller[0]))
+        below = [small.position[t] for t in smaller]
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
-                t, r = members[a], members[b]
                 pairs += 1
-                before = hecke.mu_tableaux(t, r)
-                after = hecke.mu_tableaux(tableaux.delete_largest(t)[0],
-                                          tableaux.delete_largest(r)[0])
+                before = cl.mu(members[a], members[b])
+                after = small.mu(below[a], below[b])
                 if before != after:
                     failures.append(
                         f'mu changes under deletion for '
-                        f'{tableaux.format_tableau(t)}, {tableaux.format_tableau(r)}'
+                        f'{cl.labels[members[a]]}, {cl.labels[members[b]]}'
                         f' (index {i}): {before} vs {after}'
                     )
     return [CheckReport(theorem='prop-dmu', passed=not failures, shape=shape,
@@ -276,8 +279,39 @@ def _rhoades_reports(seed: int) -> list[CheckReport]:
     return [exhaustive, sampled]
 
 
+def _shape_jobs(args, max_n: int) -> list[tuple[int, ...]]:
+    return [shape
+            for n in range(2, max_n + 1)
+            for shape in tableaux.partitions(n)]
+
+
+def _thm1_jobs(args, max_n: int) -> list[tuple[tuple[int, ...], int]]:
+    return [(shape, args.seed) for shape in _shape_jobs(args, max_n)]
+
+
+def _sep_desc_jobs(args, max_n: int) -> list[int]:
+    return list(range(1, max_n + 1))
+
+
+# swept families: name -> (jobs builder, worker run on each job)
+_SWEEPS = {
+    'thm1': (_thm1_jobs, _thm1_job),
+    'branching': (_shape_jobs, _branching_job),
+    'prop-dmu': (_shape_jobs, _dmu_job),
+    'lemma-pr': (_shape_jobs, _lemma_pr_job),
+    'thm4': (_shape_jobs, _thm4_job),
+    'sep-desc': (_sep_desc_jobs, _sep_desc_job),
+}
+
+# families with a fixed scope, which take no --max-n
+_FIXED = {
+    'counterexample': lambda args: [verify_counterexample()],
+    'rhoades': lambda args: _rhoades_reports(args.seed),
+}
+
+
 def _sweep(args, family: str) -> list[CheckReport]:
-    if args.max_n is not None and family in ('rhoades', 'counterexample'):
+    if args.max_n is not None and family in _FIXED:
         raise ValueError(f'verify {family} has a fixed scope; '
                          f'--max-n does not apply')
     max_n = args.max_n
@@ -286,34 +320,12 @@ def _sweep(args, family: str) -> list[CheckReport]:
         max_n = int(env) if env else _FAMILY_DEFAULT_MAX_N.get(family, 6)
     if family in _KL_FAMILIES:
         hecke.check_affordable(max_n)
-    if family == 'counterexample':
-        return [verify_counterexample()]
-    if family == 'rhoades':
-        return _rhoades_reports(args.seed)
-    if family == 'sep-desc':
-        jobs = list(range(1, max_n + 1))
-        worker = _sep_desc_job
-    else:
-        shapes = [shape
-                  for n in range(2, max_n + 1)
-                  for shape in tableaux.partitions(n)]
-        if family == 'thm1':
-            jobs = [(shape, args.seed) for shape in shapes]
-            worker = _thm1_job
-        elif family == 'branching':
-            jobs = shapes
-            worker = _branching_job
-        elif family == 'prop-dmu':
-            jobs = shapes
-            worker = _dmu_job
-        elif family == 'lemma-pr':
-            jobs = shapes
-            worker = _lemma_pr_job
-        elif family == 'thm4':
-            jobs = shapes
-            worker = _thm4_job
-        else:
-            raise ValueError(f'unknown verify family: {family}')
+    if family in _FIXED:
+        return _FIXED[family](args)
+    if family not in _SWEEPS:
+        raise ValueError(f'unknown verify family: {family}')
+    build, worker = _SWEEPS[family]
+    jobs = build(args, max_n)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             batches = list(pool.map(worker, jobs))

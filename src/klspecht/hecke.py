@@ -47,9 +47,10 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .rsk import column_word
+from .symgroup import length
 from .tableaux import Tableau, shape_of
 
 __all__ = [
@@ -150,10 +151,6 @@ class KLInvariantError(AssertionError):
     than asserted, so `python -O` keeps the check."""
 
 
-def _inversions(w: tuple[int, ...]) -> int:
-    return sum(1 for i, j in combinations(range(len(w)), 2) if w[i] > w[j])
-
-
 class _Tables:
     """Interned S_n: ids sorted by (length, word), generator actions,
     descent bitmasks, Bruhat downsets as bitsets, and memo tables."""
@@ -161,11 +158,11 @@ class _Tables:
     def __init__(self, n: int):
         self.n = n
         perms = sorted(permutations(range(1, n + 1)),
-                       key=lambda w: (_inversions(w), w))
+                       key=lambda w: (length(w), w))
         self.perms = perms
         index = {w: i for i, w in enumerate(perms)}
         self.index = index
-        self.lengths = [_inversions(w) for w in perms]
+        self.lengths = [length(w) for w in perms]
         lengths = self.lengths
 
         lmult = []

@@ -20,6 +20,11 @@ A box is unfixed during step m exactly when it holds a value <= m, so no
 explicit mask is needed.
 
 All three operations preserve standardness and the shape.
+
+The public functions validate their tableau with `check_standard` and
+then call a `_`-prefixed worker (`_promote`, `_partial_evacuate`), which
+assumes a standard tableau and checks nothing.  Per-shape tables built
+from the tableaux of a `specht` cell call the workers directly.
 """
 
 from __future__ import annotations
@@ -41,6 +46,10 @@ def promote(tableau: Tableau) -> Tableau:
     ((1, 2, 5), (3, 4))
     """
     check_standard(tableau)
+    return _promote(tableau)
+
+
+def _promote(tableau: Tableau) -> Tableau:
     n = sum(shape_of(tableau))
     grid = [list(row) for row in tableau]
     r, c = position_of(tableau, n)
@@ -120,6 +129,10 @@ def partial_evacuate(tableau: Tableau, k: int) -> Tableau:
     n = sum(shape_of(tableau))
     if not 1 <= k <= n:
         raise ValueError(f'need 1 <= k <= {n}, got {k}')
+    return _partial_evacuate(tableau, k)
+
+
+def _partial_evacuate(tableau: Tableau, k: int) -> Tableau:
     grid = [list(row) for row in tableau]
     for m in range(k, 1, -1):
         _reverse_slide(grid, m)

@@ -44,6 +44,15 @@ Reordering a basis conjugates every factor by the same permutation, so
 the reindexed products equal `matrix_of` of w in the checked order
 exactly.
 
+Validation happens at the boundary.  `verify_thm1` checks a caller's
+order once, by cell position (it must list every tableau of the shape
+exactly once, weakly increasing in index); `phi_connected` and
+`preorder_connected` check their tableau or shape.  The per-shape tables
+(`_promotion_table`, `_phi_table`, `_preorder_table`) are built from the
+cell's tableaux, which are standard by construction, with the unchecked
+`_` workers of `jdt` and `tableaux`; the verifiers then work on
+positions only.
+
 For a connected J = {p, ..., q-1} (positions p..q, block size
 m = q-p+1), the tableau symmetry is phi_J = ev_q ev_m ev_q and the
 preorder compares, lexicographically, the chain of index labels obtained
@@ -63,7 +72,9 @@ from math import isqrt
 from random import Random
 from typing import Iterable, Sequence
 
-from .jdt import partial_evacuate, promote
+# `promote` and `partial_evacuate` are unused here but stay importable
+# from this module, where perfbench's traced runs patch them
+from .jdt import _partial_evacuate, _promote, partial_evacuate, promote  # noqa: F401
 from .reports import CheckReport
 from .specht import (
     Matrix,
@@ -85,7 +96,9 @@ from .symgroup import (
 from .tableaux import (
     Partition,
     Tableau,
-    delete_largest,
+    _delete_largest,
+    check_partition,
+    check_standard,
     format_tableau,
     shape_of,
     tableau_index,
@@ -253,7 +266,7 @@ def pivot_signs(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(signs)
 
 
-def _qr_failures(m: Matrix, target: Sequence[int], basis: Sequence[Tableau],
+def _qr_failures(m: Matrix, target: Sequence[int], labels: Sequence[str],
                  symmetry: str) -> list[str]:
     """Why QR of m does not realize c -> target[c], once `pivot_signs`
     has said so: `exact_qr` runs only here, to name the failure."""
@@ -266,7 +279,7 @@ def _qr_failures(m: Matrix, target: Sequence[int], basis: Sequence[Tableau],
         return ['Q is not a signed permutation matrix']
     for c, r in enumerate(sp.target):
         if r != target[c]:
-            return [f'Q sends {format_tableau(basis[c])} to row {r}, '
+            return [f'Q sends {labels[c]} to row {r}, '
                     f'but {symmetry} sits at row {target[c]}']
     raise QRInvariantError('exact_qr realizes a signed permutation '
                            'that pivot_signs rejected')
@@ -282,11 +295,11 @@ def is_index_monotone(order: Sequence[Tableau]) -> bool:
 
 def random_index_monotone_order(shape: Partition, rng: Random) -> tuple[Tableau, ...]:
     """Shuffle each index class of the total index order in place."""
+    cl = cell(shape)
     out: list[Tableau] = []
     block: list[Tableau] = []
     current = None
-    for t in total_index_order(shape):
-        i = tableau_index(t)
+    for t, i in zip(cl.tableaux, cl.indexes):
         if i != current and block:
             rng.shuffle(block)
             out.extend(block)
@@ -307,47 +320,55 @@ def _long_cycle_matrix(shape: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, matrix_of(shape, long_cycle(sum(shape)))))
 
 
+@lru_cache(maxsize=None)
+def _promotion_table(shape: Partition) -> tuple[int, ...]:
+    """promote(tableaux[i]) = tableaux[table[i]]."""
+    cl = cell(shape)
+    return tuple(cl.position[_promote(t)] for t in cl.tableaux)
+
+
 def verify_thm1(shape: Partition,
                 order: Sequence[Tableau] | None = None) -> CheckReport:
     """QR-factor the long cycle action and compare Q with promotion."""
     t0 = time.perf_counter()
-    basis = tuple(order) if order is not None else total_index_order(shape)
-    if sorted(basis) != sorted(total_index_order(shape)):
-        raise ValueError(f'order is not a basis order for {shape}')
-    if not is_index_monotone(basis):
-        raise ValueError('order must be weakly increasing in tableau index')
-    n = sum(shape)
-    cyc = long_cycle(n)
     cl = cell(shape)
-    ids = [cl.position[t] for t in basis]
-    mat = mat_reindex(_long_cycle_matrix(shape), ids)
-    pos = {t: i for i, t in enumerate(basis)}
-    prom = [pos[promote(t)] for t in basis]
+    ids = cl.positions(order)
     idx = [cl.indexes[i] for i in ids]
-    origin = [0] * len(basis)  # origin[prom[c]] = c
+    if any(a > b for a, b in zip(idx, idx[1:])):
+        raise ValueError('order must be weakly increasing in tableau index')
+    d = len(ids)
+    cyc = long_cycle(sum(shape))
+    mat = mat_reindex(_long_cycle_matrix(shape), ids)
+    labels = [cl.labels[i] for i in ids]
+    pos = [0] * d  # pos[i] = column of the tableau at cell position i
+    for c, i in enumerate(ids):
+        pos[i] = c
+    table = _promotion_table(shape)
+    prom = [pos[table[i]] for i in ids]
+    origin = [0] * d  # origin[prom[c]] = c
     for c, r in enumerate(prom):
         origin[r] = c
     failures = []
 
     # leading-term shape of the matrix itself: column T is supported on
     # rows pr(R) with index(R) <= index(T), and carries +-1 at pr(T)
-    for c in range(len(basis)):
+    for c in range(d):
         lead = mat[prom[c]][c]
         if lead not in (1, -1):
             failures.append(
-                f'column {format_tableau(basis[c])} has {lead} at its promotion row'
+                f'column {labels[c]} has {lead} at its promotion row'
             )
-        for r in range(len(basis)):
+        for r in range(d):
             if mat[r][c] and idx[origin[r]] > idx[c]:
                 failures.append(
-                    f'column {format_tableau(basis[c])} leaks onto the promotion '
+                    f'column {labels[c]} leaks onto the promotion '
                     f'of a larger-index tableau (row {r})'
                 )
 
     signs: dict[str, int] = {}
     q_signs = pivot_signs(mat, prom)
     if q_signs is None:
-        failures.extend(_qr_failures(mat, prom, basis, 'promotion'))
+        failures.extend(_qr_failures(mat, prom, labels, 'promotion'))
     else:
         for c, s in enumerate(q_signs):
             label = str(idx[c])
@@ -359,7 +380,7 @@ def verify_thm1(shape: Partition,
         theorem='thm1',
         passed=not failures,
         shape=tuple(shape),
-        ordering=tuple(cl.labels[i] for i in ids),
+        ordering=tuple(labels),
         witness={
             'cycle': list(cyc),
             'promotion': prom,
@@ -400,12 +421,15 @@ def phi_connected(j_set: Iterable[int], t: Tableau) -> Tableau:
     With positions p..q (p = min J, q = max J + 1) and block size
     m = q-p+1, this is ev_q ev_m ev_q.
     """
-    n = sum(shape_of(t))
-    p, q = _block(j_set, n)
-    m = q - p + 1
-    out = partial_evacuate(t, q)
-    out = partial_evacuate(out, m)
-    return partial_evacuate(out, q)
+    check_standard(t)
+    p, q = _block(j_set, sum(shape_of(t)))
+    return _phi(t, p, q)
+
+
+def _phi(t: Tableau, p: int, q: int) -> Tableau:
+    out = _partial_evacuate(t, q)
+    out = _partial_evacuate(out, q - p + 1)
+    return _partial_evacuate(out, q)
 
 
 def preorder_connected(j_set: Iterable[int], shape: Partition) -> dict[Tableau, tuple[int, ...]]:
@@ -416,36 +440,38 @@ def preorder_connected(j_set: Iterable[int], shape: Partition) -> dict[Tableau, 
     recording index labels (so J = {1..n-1} has one class, and smaller
     blocks refine down to the total index order).
     """
-    n = sum(shape)
-    p, q = _block(j_set, n)
-    depth = n - (q - p + 1)
-    keys = {}
-    for t in total_index_order(shape):
-        e = partial_evacuate(t, q)
-        key = []
-        for _ in range(depth):
-            e, i = delete_largest(e)
-            key.append(i)
-        keys[t] = tuple(key)
-    return keys
+    check_partition(shape)
+    p, q = _block(j_set, sum(shape))
+    return {t: _preorder_key(t, p, q) for t in total_index_order(shape)}
+
+
+def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
+    e = _partial_evacuate(t, q)
+    key = []
+    for _ in range(sum(shape_of(t)) - (q - p + 1)):
+        e, i = _delete_largest(e)
+        key.append(i)
+    return tuple(key)
 
 
 # Per-(J, shape) tables indexed by position in the total index order,
-# shared by every chain through J.
+# shared by every chain through J.  They read the cell's tableaux, so
+# they call the unchecked workers.
 
 @lru_cache(maxsize=None)
 def _phi_table(j_set: frozenset[int], shape: Partition) -> tuple[int, ...]:
     """phi_J(tableaux[i]) = tableaux[table[i]]."""
     cl = cell(shape)
-    return tuple(cl.position[phi_connected(j_set, t)] for t in cl.tableaux)
+    p, q = _block(j_set, sum(shape))
+    return tuple(cl.position[_phi(t, p, q)] for t in cl.tableaux)
 
 
 @lru_cache(maxsize=None)
 def _preorder_table(j_set: frozenset[int],
                     shape: Partition) -> tuple[tuple[int, ...], ...]:
     """The `preorder_connected` key of tableaux[i], at i."""
-    keys = preorder_connected(j_set, shape)
-    return tuple(keys[t] for t in cell(shape).tableaux)
+    p, q = _block(j_set, sum(shape))
+    return tuple(_preorder_key(t, p, q) for t in cell(shape).tableaux)
 
 
 @lru_cache(maxsize=None)
@@ -502,7 +528,6 @@ def verify_thm4_chain(shape: Partition,
                  for i in range(len(tabs))]
     # the position is the total_index_key tie-break: tabs is sorted by it
     perm = sorted(range(len(tabs)), key=lambda i: (composite[i], i))
-    basis = tuple(tabs[i] for i in perm)
     pos = [0] * len(tabs)
     for c, i in enumerate(perm):
         pos[i] = c
@@ -518,8 +543,8 @@ def verify_thm4_chain(shape: Partition,
     signs: dict[str, int] = {}
     q_signs = pivot_signs(mat, target)
     if q_signs is None:
-        failures.extend(
-            _qr_failures(mat, target, basis, 'the composite symmetry'))
+        failures.extend(_qr_failures(
+            mat, target, [cl.labels[i] for i in perm], 'the composite symmetry'))
     else:
         for i, s in zip(perm, q_signs):
             label = str(composite[i])

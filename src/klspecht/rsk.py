@@ -15,6 +15,11 @@ removable box $i$ (say in row $k$), then $n-1, \\dots, n-k+1$ at the ends
 of rows $k-1, \\dots, 1$, and fill the rest column by column.  Permutations
 whose recording tableau is column superstandard are recovered by reading
 the insertion tableau down columns, bottom to top (`column_word`).
+
+The public functions validate their tableaux with `check_standard`;
+`_column_word` is the unchecked worker behind `column_word`, called on
+tableaux that are standard by construction (the `specht` cell resolves
+each of its tableaux to a KL table id through it, once per shape).
 """
 
 from __future__ import annotations
@@ -138,6 +143,10 @@ def column_word(p: Tableau) -> tuple[int, ...]:
     (8, 5, 1, 6, 2, 7, 3, 4)
     """
     check_standard(p)
+    return _column_word(p)
+
+
+def _column_word(p: Tableau) -> tuple[int, ...]:
     shape = shape_of(p)
     word = []
     for c, height in enumerate(conjugate(shape)):

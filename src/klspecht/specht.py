@@ -14,11 +14,20 @@ column T holds the coordinates of s_j . C_T; `matrix_of` multiplies the
 generator matrices along a reduced word, so matrix_of(u v) =
 matrix_of(u) matrix_of(v) with the rightmost factor acting first.
 
-The per-shape cell (`cell`) builds each generator matrix once, in the
-total index order, and keeps it as a tuple of tuples; every product is
-taken in that order and reindexed to the requested basis order at the
-end, since reordering a basis conjugates every factor by the same
-permutation.  The public functions always return fresh lists.
+The per-shape cell (`cell`) is where the tableaux of a shape are turned
+into numbers, once: their descent sets, indexes and display labels, and,
+on the first `mu` lookup, the `hecke.tables(n)` id of each column word.
+These tableaux come from `enumerate_syt` and are standard by
+construction, so the cell reads them with the unchecked `_` workers of
+`tableaux` and `rsk`; everything downstream works on positions in the
+total index order.  Basis orders passed in by a caller are validated
+once, by cell position.
+
+The cell builds each generator matrix once, in the total index order,
+and keeps it as a tuple of tuples; every product is taken in that order
+and reindexed to the requested basis order at the end, since reordering
+a basis conjugates every factor by the same permutation.  The public
+functions always return fresh lists.
 
 Rows and columns follow a basis order, by default the total index order.
 Ordering by index exposes a filtration: for j <= n-2 the action never
@@ -40,18 +49,19 @@ from typing import Sequence
 
 from . import hecke
 from .reports import CheckReport
+from .rsk import _column_word
 from .symgroup import Perm, check_perm, reduced_word
 from .tableaux import (
     Partition,
     Tableau,
+    _delete_largest,
+    _descent_set,
+    _tableau_index,
     check_partition,
     count_syt,
-    delete_largest,
-    descent_set,
     enumerate_syt,
     format_tableau,
     removable_boxes,
-    tableau_index,
 )
 
 __all__ = [
@@ -135,21 +145,44 @@ def matrix_entries(a: Matrix) -> list[list[int | str]]:
 # the cell data of a shape
 
 class _Cell:
-    """Tableaux of one shape with descent sets, labels, cached mu values
-    and cached generator matrices."""
+    """Tableaux of one shape with descent sets, indexes, labels, cached mu
+    values and cached generator matrices, all by position."""
 
     def __init__(self, shape: Partition):
         check_partition(shape)
         self.shape = shape
         self.tableaux = enumerate_syt(shape)
         self.position = {t: i for i, t in enumerate(self.tableaux)}
-        self.descents = [descent_set(t) for t in self.tableaux]
-        self.indexes = [tableau_index(t) for t in self.tableaux]
+        self.descents = [_descent_set(t) for t in self.tableaux]
+        self.indexes = [_tableau_index(t) for t in self.tableaux]
         self.labels = tuple(format_tableau(t) for t in self.tableaux)
+        self._kl: tuple[hecke._Tables, list[int]] | None = None
         self._mu: dict[tuple[int, int], int] = {}
         self._generators: dict[int, tuple[tuple[int, ...], ...]] = {}
 
+    def positions(self, order: Sequence[Tableau] | None) -> list[int]:
+        """Cell position of each tableau of a basis order (None: the total
+        index order).  This is where a caller's order is validated: it
+        must list every tableau of the shape exactly once."""
+        d = len(self.tableaux)
+        if order is None:
+            return list(range(d))
+        ids = [self.position.get(t, -1) for t in order]
+        if sorted(ids) != list(range(d)):
+            raise ValueError(f'order is not a basis order for {self.shape}')
+        return ids
+
+    def kl_ids(self) -> tuple[hecke._Tables, list[int]]:
+        """`hecke.tables(n)` and the id there of each tableau's column
+        word.  Resolved on first use, so a cell that never needs mu never
+        builds KL tables."""
+        if self._kl is None:
+            tab = hecke.tables(sum(self.shape))
+            self._kl = (tab, [tab.index[_column_word(t)] for t in self.tableaux])
+        return self._kl
+
     def mu(self, i: int, j: int) -> int:
+        """`hecke.mu_tableaux` of the tableaux at positions i and j."""
         if i == j:
             return 0
         if i > j:
@@ -157,7 +190,8 @@ class _Cell:
         key = (i, j)
         hit = self._mu.get(key)
         if hit is None:
-            hit = hecke.mu_tableaux(self.tableaux[i], self.tableaux[j])
+            tab, ids = self.kl_ids()
+            hit = tab.mu_ids(ids[i], ids[j])
             self._mu[key] = hit
         return hit
 
@@ -196,16 +230,6 @@ def total_index_order(shape: Partition) -> tuple[Tableau, ...]:
     return cell(shape).tableaux
 
 
-def _resolve_order(shape: Partition, order: Sequence[Tableau] | None) -> tuple[Tableau, ...]:
-    c = cell(shape)
-    if order is None:
-        return c.tableaux
-    order = tuple(order)
-    if sorted(c.position.get(t, -1) for t in order) != list(range(len(c.tableaux))):
-        raise ValueError(f'order is not a permutation of the tableaux of {shape}')
-    return order
-
-
 # ---------------------------------------------------------------------------
 # matrices of the action
 
@@ -218,9 +242,8 @@ def generator_matrix(shape: Partition, j: int,
     >>> generator_matrix((2, 1), 2)
     [[1, 0], [1, -1]]
     """
-    basis = _resolve_order(shape, order)
     c = cell(shape)
-    return mat_reindex(c.generator(j), [c.position[t] for t in basis])
+    return mat_reindex(c.generator(j), c.positions(order))
 
 
 def matrix_from_generator_word(shape: Partition, word: Sequence[int],
@@ -230,11 +253,11 @@ def matrix_from_generator_word(shape: Partition, word: Sequence[int],
     The product of the cell's cached generators is taken in the total
     index order and reindexed to `order` once at the end.
     """
-    basis = _resolve_order(shape, order)
     c = cell(shape)
+    ids = c.positions(order)
     factors = [c.generator(j) for j in word]
-    out = reduce(mat_mul, factors) if factors else identity_matrix(len(basis))
-    return mat_reindex(out, [c.position[t] for t in basis])
+    out = reduce(mat_mul, factors) if factors else identity_matrix(len(ids))
+    return mat_reindex(out, ids)
 
 
 def matrix_of(shape: Partition, w: Perm,
@@ -318,7 +341,7 @@ def check_branching(shape: Partition) -> CheckReport:
             if len(members) != 1:
                 failures.append(f'index-{i} class has size {len(members)}, expected 1')
             continue
-        image = [delete_largest(t)[0] for t in members]
+        image = [_delete_largest(t)[0] for t in members]
         if image != list(enumerate_syt(small)):
             failures.append(
                 f'index-{i} class does not map onto SYT({small}) in order'

@@ -14,6 +14,14 @@ index, and recursively by the index of the tableau with its largest entry
 deleted, yields the *total index order*; `enumerate_syt` lists tableaux in
 exactly that order and it is the canonical basis order everywhere in this
 package.
+
+Validation happens at the boundary.  The public tableau functions
+(`tableau_index`, `delete_largest`, `descent_set`, ...) check their input
+with `check_standard` and then call a `_`-prefixed worker, which assumes
+a standard tableau and checks nothing.  The workers are for tableaux that
+are standard by construction: those of `enumerate_syt`, held once per
+shape by the `specht` cell, and the images of such tableaux under the
+`jdt` operations.
 """
 
 from __future__ import annotations
@@ -144,6 +152,10 @@ def removable_boxes(shape: Partition) -> list[Box]:
 def tableau_index(tableau: Tableau) -> int:
     """Label of the removable box holding the largest entry."""
     check_standard(tableau)
+    return _tableau_index(tableau)
+
+
+def _tableau_index(tableau: Tableau) -> int:
     n = sum(shape_of(tableau))
     box = position_of(tableau, n)
     return removable_boxes(shape_of(tableau)).index(box) + 1
@@ -155,7 +167,12 @@ def delete_largest(tableau: Tableau) -> tuple[Tableau, int]:
     >>> delete_largest(((1, 3), (2,)))
     (((1,), (2,)), 1)
     """
-    i = tableau_index(tableau)
+    check_standard(tableau)
+    return _delete_largest(tableau)
+
+
+def _delete_largest(tableau: Tableau) -> tuple[Tableau, int]:
+    i = _tableau_index(tableau)
     n = sum(shape_of(tableau))
     r, _ = position_of(tableau, n)
     rows = [row[:-1] if k == r - 1 else row for k, row in enumerate(tableau)]
@@ -168,9 +185,10 @@ def total_index_key(tableau: Tableau) -> tuple[int, ...]:
     Sorting by this key realizes the total index order; the key determines
     the tableau (it records the whole chain of shapes).
     """
+    check_standard(tableau)
     key = []
     while tableau:
-        tableau, i = delete_largest(tableau)
+        tableau, i = _delete_largest(tableau)
         key.append(i)
     return tuple(key)
 
@@ -181,11 +199,13 @@ def total_index_cmp(a: Tableau, b: Tableau) -> int:
     Compares indices, deleting the largest box from both sides on ties.
     Only tableaux of equal shape are comparable.
     """
+    check_standard(a)
+    check_standard(b)
     if shape_of(a) != shape_of(b):
         raise ValueError('tableaux of different shapes are not comparable')
     while a != b:
-        a, ia = delete_largest(a)
-        b, ib = delete_largest(b)
+        a, ia = _delete_largest(a)
+        b, ib = _delete_largest(b)
         if ia != ib:
             return -1 if ia < ib else 1
     return 0
@@ -198,6 +218,10 @@ def descent_set(tableau: Tableau) -> set[int]:
     [1, 4]
     """
     check_standard(tableau)
+    return _descent_set(tableau)
+
+
+def _descent_set(tableau: Tableau) -> set[int]:
     row_of = {}
     for r, row in enumerate(tableau, start=1):
         for entry in row:

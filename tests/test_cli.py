@@ -266,3 +266,57 @@ def test_kl_sweeps_refuse_n_above_the_table_bound(capsys, monkeypatch,
     code, out, err = invoke(capsys, 'verify', family)
     assert (code, out) == (2, '')
     assert 'too large' in err
+
+
+def dmu_reference(shape):
+    """prop-dmu by the public, validated tableau functions, as the sweep
+    computed it before it read mu through the cells."""
+    from klspecht import tableaux
+    from klspecht.reports import CheckReport
+
+    by_index = {}
+    for t in tableaux.enumerate_syt(shape):
+        by_index.setdefault(tableaux.tableau_index(t), []).append(t)
+    failures = []
+    pairs = 0
+    for i, members in sorted(by_index.items()):
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                t, r = members[a], members[b]
+                pairs += 1
+                before = hecke.mu_tableaux(t, r)
+                after = hecke.mu_tableaux(tableaux.delete_largest(t)[0],
+                                          tableaux.delete_largest(r)[0])
+                if before != after:
+                    failures.append(
+                        f'mu changes under deletion for '
+                        f'{tableaux.format_tableau(t)}, {tableaux.format_tableau(r)}'
+                        f' (index {i}): {before} vs {after}'
+                    )
+    return [CheckReport(theorem='prop-dmu', passed=not failures, shape=shape,
+                        witness={'same_index_pairs': pairs},
+                        failures=failures)]
+
+
+@pytest.mark.parametrize('n', range(2, 7))
+def test_dmu_sweep_matches_the_tableau_route(n):
+    from klspecht.tableaux import partitions
+
+    for shape in partitions(n):
+        got = [r.record() for r in cli._dmu_job(shape)]
+        assert got == [r.record() for r in dmu_reference(shape)]
+
+
+def test_every_verify_family_is_dispatched():
+    """Each family the parser offers is either swept or fixed-scope, and
+    a name in neither table is refused."""
+    import argparse
+
+    verify = cli._build_parser()._subparsers._group_actions[0].choices['verify']
+    offered = {name for action in verify._actions if action.dest == 'what'
+               for name in action.choices}
+    assert offered == set(cli._SWEEPS) | set(cli._FIXED)
+    assert not set(cli._SWEEPS) & set(cli._FIXED)
+    args = argparse.Namespace(max_n=2, seed=0, jobs=1)
+    with pytest.raises(ValueError, match='unknown verify family'):
+        cli._sweep(args, 'thm7')
