@@ -4,8 +4,8 @@ Command line front end.
 Compute commands (syt, pr, ev, evk, rsk, rsk-inv, css, klpoly, mu,
 mu-tab, matrix, qr) print their result and exit 0.  The verify command
 runs a theorem sweep and exits 0 when every check passes, 1 otherwise;
-unparseable input exits 2, and a reader closing stdout early exits 141
-without a traceback.  Commands and sweeps that compute KL polynomials
+unparseable input, and a sweep bound that leaves no checks, exit 2, and
+a reader closing stdout early exits 141 without a traceback.  Commands and sweeps that compute KL polynomials
 exit 2 up front for an n above `hecke.MAX_N`, before any table is built.
 
 Literals: partitions "3,1,1"; tableaux "1,4,5/2/3" (rows split by "/");
@@ -44,19 +44,6 @@ from .reports import CheckReport
 from .specht import matrix_entries
 
 __all__ = ['main', 'run']
-
-_FAMILY_DEFAULT_MAX_N = {
-    'thm1': 6,
-    'branching': 6,
-    'prop-dmu': 6,
-    'lemma-pr': 8,
-    'thm4': 5,
-    'sep-desc': 6,
-}
-
-# sweeps whose checks compute mu, so their --max-n is bounded by hecke.MAX_N
-_KL_FAMILIES = ('thm1', 'branching', 'prop-dmu', 'thm4')
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -117,9 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument('w')
 
     p = sub.add_parser('verify', help='run a theorem check or sweep')
-    p.add_argument('what', choices=('thm1', 'branching', 'prop-dmu', 'lemma-pr',
-                                    'thm4', 'rhoades', 'counterexample',
-                                    'sep-desc'))
+    p.add_argument('what', choices=(*_SWEEPS, *_FIXED))
     p.add_argument('--max-n', type=int, default=None,
                    help='largest n to sweep (default per family; '
                         'KLSPECHT_MAX_N overrides the default)')
@@ -293,14 +278,16 @@ def _sep_desc_jobs(args, max_n: int) -> list[int]:
     return list(range(1, max_n + 1))
 
 
-# swept families: name -> (jobs builder, worker run on each job)
+# swept families, which take --max-n: name -> (jobs builder, worker run
+# on each job, default --max-n, whether the checks compute mu, which
+# bounds --max-n by hecke.MAX_N)
 _SWEEPS = {
-    'thm1': (_thm1_jobs, _thm1_job),
-    'branching': (_shape_jobs, _branching_job),
-    'prop-dmu': (_shape_jobs, _dmu_job),
-    'lemma-pr': (_shape_jobs, _lemma_pr_job),
-    'thm4': (_shape_jobs, _thm4_job),
-    'sep-desc': (_sep_desc_jobs, _sep_desc_job),
+    'thm1': (_thm1_jobs, _thm1_job, 6, True),
+    'branching': (_shape_jobs, _branching_job, 6, True),
+    'prop-dmu': (_shape_jobs, _dmu_job, 6, True),
+    'lemma-pr': (_shape_jobs, _lemma_pr_job, 8, False),
+    'thm4': (_shape_jobs, _thm4_job, 5, True),
+    'sep-desc': (_sep_desc_jobs, _sep_desc_job, 6, False),
 }
 
 # families with a fixed scope, which take no --max-n
@@ -311,21 +298,23 @@ _FIXED = {
 
 
 def _sweep(args, family: str) -> list[CheckReport]:
-    if args.max_n is not None and family in _FIXED:
-        raise ValueError(f'verify {family} has a fixed scope; '
-                         f'--max-n does not apply')
-    max_n = args.max_n
-    if max_n is None:
-        env = os.environ.get('KLSPECHT_MAX_N')
-        max_n = int(env) if env else _FAMILY_DEFAULT_MAX_N.get(family, 6)
-    if family in _KL_FAMILIES:
-        hecke.check_affordable(max_n)
     if family in _FIXED:
+        if args.max_n is not None:
+            raise ValueError(f'verify {family} has a fixed scope; '
+                             f'--max-n does not apply')
         return _FIXED[family](args)
     if family not in _SWEEPS:
         raise ValueError(f'unknown verify family: {family}')
-    build, worker = _SWEEPS[family]
+    build, worker, default_max_n, kl = _SWEEPS[family]
+    max_n = args.max_n
+    if max_n is None:
+        env = os.environ.get('KLSPECHT_MAX_N')
+        max_n = int(env) if env else default_max_n
+    if kl:
+        hecke.check_affordable(max_n)
     jobs = build(args, max_n)
+    if not jobs:
+        raise ValueError(f'verify {family} has no checks up to n = {max_n}')
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             batches = list(pool.map(worker, jobs))

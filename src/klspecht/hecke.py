@@ -29,7 +29,13 @@ triangular system
 downward in x, reading the answer off the low half and verifying the
 mirror half exactly (again raising `KLInvariantError`).  The two routes
 share only the interned group tables (multiplication, lengths, Bruhat
-bitsets), not the algorithm.
+bitsets), not the algorithm.  The generator tables are built with
+`symgroup.left_mult_s` and `symgroup.right_mult_s`.
+
+Each recursive call (`kl`, `mu_ids`, `rpoly`, `kl_oracle_ids`) works on
+a strictly shorter Bruhat interval, so the recursion nests at most a few
+frames per unit of len(w0) <= 28 and the interpreter's default limit is
+enough; importing this module leaves that limit alone.
 
 The tables hold n! x n! Bruhat bitsets, so `tables` refuses n above
 `MAX_N` = 8 before allocating anything: S_9 would need about 16 GB.
@@ -45,12 +51,11 @@ one worker (the CLI parallelizes across shapes in separate processes).
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from itertools import permutations
 
 from .rsk import column_word
-from .symgroup import length
+from .symgroup import left_mult_s, length, right_mult_s
 from .tableaux import Tableau, shape_of
 
 __all__ = [
@@ -77,9 +82,6 @@ _ZERO: QPoly = ()
 _ONE: QPoly = (1,)
 
 MAX_N = 8
-
-# interval enumeration recurses along Bruhat chains, which can nest deeply
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 
 def qp_trim(coeffs) -> QPoly:
@@ -174,12 +176,8 @@ class _Tables:
             rrow = []
             lmask = rmask = 0
             for j in range(1, n):
-                left = tuple(
-                    j + 1 if x == j else j if x == j + 1 else x for x in w
-                )
-                right = w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
-                li = index[left]
-                ri = index[right]
+                li = index[left_mult_s(w, j)]
+                ri = index[right_mult_s(w, j)]
                 lrow.append(li)
                 rrow.append(ri)
                 if lengths[li] < lengths[i]:

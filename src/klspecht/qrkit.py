@@ -14,9 +14,10 @@ also under `python -O`.
 thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
 invertible matrix is unique, so that holds exactly when P^T M is upper
 triangular with a positive diagonal, and `pivot_signs` tests this on the
-integer entries of M in O(d^2) without factoring.  The verifiers run
-`exact_qr` only when that test fails, to name the failure; it remains
-the factorization behind the `qr` command, `search_ordering` and
+integer entries of M in O(d^2) without factoring.  Both verifiers decide
+through `_decide`, which runs `exact_qr` only when that test fails, to
+name the failure.  `exact_qr` remains the factorization behind the `qr`
+command and the basis-order loop shared by `search_ordering` and
 `verify_counterexample`.
 
 The verifiers check matrices of the Specht module action:
@@ -25,24 +26,25 @@ The verifiers check matrices of the Specht module action:
   order weakly increasing in the tableau index, by Q R with Q the signed
   permutation matrix of jeu de taquin promotion, signs constant on index
   classes, and the matrix itself supports columns only on promotions of
-  tableaux of weakly smaller index.  The matrix of c is built once per
-  shape in the total index order and reindexed for each basis order.
+  tableaux of weakly smaller index.
 * `verify_thm4_chain`: for a chain J_1 < ... < J_k of connected
   generator subsets, w = w_{J_k} ... w_{J_1} acts by Q R with Q the
   signed permutation of the composite partial-evacuation symmetry phi =
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
-  preorder.  The per-J tables (the symmetry phi_J, the preorder keys and
-  the matrix of w_J in the total index order) are computed once per
-  shape and shared by every chain; a chain's matrix is the product of
-  its w_J matrices, reindexed once to the chain's basis order.
+  preorder.  The per-J tables (the symmetry phi_J and the preorder keys)
+  are computed once per shape and shared by every chain; a chain's
+  matrix is the product of its w_J matrices.
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
   one that makes QR of [w] a signed permutation.
 
-Reordering a basis conjugates every factor by the same permutation, so
-the reindexed products equal `matrix_of` of w in the checked order
-exactly.
+The matrices of the long cycle and of each w_J are built once per
+shape in the total index order (`_matrix`, keyed by (shape, w)) and
+reindexed once per check.  Reordering a basis conjugates every factor by
+the same permutation, so the reindexed products equal `matrix_of` of w
+in the checked order exactly.  `matrix_of` itself is not cached: a
+caller sweeping all of S_n would otherwise keep n! matrices alive.
 
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
@@ -70,7 +72,7 @@ from functools import lru_cache, reduce
 from itertools import permutations as _permutations
 from math import isqrt
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # `promote` and `partial_evacuate` are unused here but stay importable
 # from this module, where perfbench's traced runs patch them
@@ -101,7 +103,6 @@ from .tableaux import (
     check_standard,
     format_tableau,
     shape_of,
-    tableau_index,
 )
 
 __all__ = [
@@ -288,11 +289,6 @@ def _qr_failures(m: Matrix, target: Sequence[int], labels: Sequence[str],
 # ---------------------------------------------------------------------------
 # basis orders
 
-def is_index_monotone(order: Sequence[Tableau]) -> bool:
-    idx = [tableau_index(t) for t in order]
-    return all(a <= b for a, b in zip(idx, idx[1:]))
-
-
 def random_index_monotone_order(shape: Partition, rng: Random) -> tuple[Tableau, ...]:
     """Shuffle each index class of the total index order in place."""
     cl = cell(shape)
@@ -312,13 +308,53 @@ def random_index_monotone_order(shape: Partition, rng: Random) -> tuple[Tableau,
 
 
 # ---------------------------------------------------------------------------
-# the long-cycle check
+# the decision shared by thm1 and thm4
+
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """inv[perm[i]] = i."""
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return inv
+
 
 @lru_cache(maxsize=None)
-def _long_cycle_matrix(shape: Partition) -> tuple[tuple[int, ...], ...]:
-    """The matrix of the long cycle in the total index order."""
-    return tuple(map(tuple, matrix_of(shape, long_cycle(sum(shape)))))
+def _matrix(shape: Partition, w: Perm) -> tuple[tuple[int, ...], ...]:
+    """The matrix of w in the total index order, kept per (shape, w) for
+    the few w the verifiers use (the long cycle and each w_J)."""
+    return tuple(map(tuple, matrix_of(shape, w)))
 
+
+def _decide(shape: Partition, canonical: Sequence[Sequence[int]],
+            ids: Sequence[int], image: Sequence[int], classes: Sequence[str],
+            symmetry: str, class_word: str
+            ) -> tuple[Matrix, list[int], list[str], dict[str, int], list[str]]:
+    """Is Q of `canonical` (total index order), reindexed to the basis
+    order `ids` (cell positions), the signed permutation of the tableau
+    symmetry i -> image[i] (cell positions), with signs constant on
+    `classes` (one label per column)?
+
+    Returns the reindexed matrix, the target row of each column, the
+    column labels, the sign of each class and the failures."""
+    mat = mat_reindex(canonical, ids)
+    pos = _inverse(ids)
+    target = [pos[image[i]] for i in ids]
+    cell_labels = cell(shape).labels
+    labels = [cell_labels[i] for i in ids]
+    signs: dict[str, int] = {}
+    failures = []
+    q_signs = pivot_signs(mat, target)
+    if q_signs is None:
+        failures = _qr_failures(mat, target, labels, symmetry)
+    else:
+        for label, s in zip(classes, q_signs):
+            if signs.setdefault(label, s) != s:
+                failures.append(f'sign flips inside {class_word} {label}')
+    return mat, target, labels, signs, failures
+
+
+# ---------------------------------------------------------------------------
+# the long-cycle check
 
 @lru_cache(maxsize=None)
 def _promotion_table(shape: Partition) -> tuple[int, ...]:
@@ -336,18 +372,12 @@ def verify_thm1(shape: Partition,
     idx = [cl.indexes[i] for i in ids]
     if any(a > b for a, b in zip(idx, idx[1:])):
         raise ValueError('order must be weakly increasing in tableau index')
-    d = len(ids)
     cyc = long_cycle(sum(shape))
-    mat = mat_reindex(_long_cycle_matrix(shape), ids)
-    labels = [cl.labels[i] for i in ids]
-    pos = [0] * d  # pos[i] = column of the tableau at cell position i
-    for c, i in enumerate(ids):
-        pos[i] = c
-    table = _promotion_table(shape)
-    prom = [pos[table[i]] for i in ids]
-    origin = [0] * d  # origin[prom[c]] = c
-    for c, r in enumerate(prom):
-        origin[r] = c
+    mat, prom, labels, signs, sign_failures = _decide(
+        shape, _matrix(shape, cyc), ids, _promotion_table(shape),
+        [str(i) for i in idx], 'promotion', 'index class')
+    d = len(ids)
+    origin = _inverse(prom)  # origin[prom[c]] = c
     failures = []
 
     # leading-term shape of the matrix itself: column T is supported on
@@ -364,18 +394,7 @@ def verify_thm1(shape: Partition,
                     f'column {labels[c]} leaks onto the promotion '
                     f'of a larger-index tableau (row {r})'
                 )
-
-    signs: dict[str, int] = {}
-    q_signs = pivot_signs(mat, prom)
-    if q_signs is None:
-        failures.extend(_qr_failures(mat, prom, labels, 'promotion'))
-    else:
-        for c, s in enumerate(q_signs):
-            label = str(idx[c])
-            if label not in signs:
-                signs[label] = s
-            elif signs[label] != s:
-                failures.append(f'sign flips inside index class {label}')
+    failures.extend(sign_failures)
     return CheckReport(
         theorem='thm1',
         passed=not failures,
@@ -474,13 +493,6 @@ def _preorder_table(j_set: frozenset[int],
     return tuple(_preorder_key(t, p, q) for t in cell(shape).tableaux)
 
 
-@lru_cache(maxsize=None)
-def _longest_matrix(j_set: frozenset[int],
-                    shape: Partition) -> tuple[tuple[int, ...], ...]:
-    """The matrix of w_J in the total index order."""
-    return tuple(map(tuple, matrix_of(shape, longest_element(j_set, sum(shape)))))
-
-
 def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
     """Every strictly increasing chain of connected generator subsets."""
     intervals = [
@@ -517,46 +529,31 @@ def verify_thm4_chain(shape: Partition,
     for a, b in zip(js, js[1:]):
         if not a < b:
             raise ValueError('chain must strictly increase')
+    w_js = [longest_element(j, n) for j in js]
     w = tuple(range(1, n + 1))
-    for j in js:
-        w = multiply(longest_element(j, n), w)
+    for w_j in w_js:
+        w = multiply(w_j, w)
     # everything below is indexed by position in the total index order
     cl = cell(shape)
-    tabs = cl.tableaux
     key_tables = [_preorder_table(j, shape) for j in js]
     composite = [tuple(kt[i] for kt in reversed(key_tables))
-                 for i in range(len(tabs))]
-    # the position is the total_index_key tie-break: tabs is sorted by it
-    perm = sorted(range(len(tabs)), key=lambda i: (composite[i], i))
-    pos = [0] * len(tabs)
-    for c, i in enumerate(perm):
-        pos[i] = c
-    phi = list(range(len(tabs)))
+                 for i in range(len(cl.tableaux))]
+    # the position is the total_index_key tie-break: the cell is sorted by it
+    perm = sorted(range(len(composite)), key=lambda i: (composite[i], i))
+    phi = list(range(len(composite)))
     for j in js:
         table = _phi_table(j, shape)
         phi = [table[i] for i in phi]
-    target = [pos[phi[i]] for i in perm]
     # M(w) = M(w_{J_k}) ... M(w_{J_1})
-    mat = reduce(mat_mul, [_longest_matrix(j, shape) for j in reversed(js)])
-    mat = mat_reindex(mat, perm)
-    failures = []
-    signs: dict[str, int] = {}
-    q_signs = pivot_signs(mat, target)
-    if q_signs is None:
-        failures.extend(_qr_failures(
-            mat, target, [cl.labels[i] for i in perm], 'the composite symmetry'))
-    else:
-        for i, s in zip(perm, q_signs):
-            label = str(composite[i])
-            if label not in signs:
-                signs[label] = s
-            elif signs[label] != s:
-                failures.append(f'sign flips inside class {label}')
+    mat = reduce(mat_mul, [_matrix(shape, w_j) for w_j in reversed(w_js)])
+    _, _, labels, signs, failures = _decide(
+        shape, mat, perm, phi, [str(composite[i]) for i in perm],
+        'the composite symmetry', 'class')
     return CheckReport(
         theorem='thm4',
         passed=not failures,
         shape=tuple(shape),
-        ordering=tuple(cl.labels[i] for i in perm),
+        ordering=tuple(labels),
         witness={
             'chain': [sorted(j) for j in js],
             'w': list(w),
@@ -588,17 +585,10 @@ def verify_counterexample() -> CheckReport:
     tabs = total_index_order(shape)
     failures = []
     outcomes = {}
-    for perm in _permutations(range(len(tabs))):
+    for perm, miss in _qr_outcomes(base):
         label = '|'.join(format_tableau(tabs[i]) for i in perm)
-        try:
-            fact = exact_qr(mat_reindex(base, perm))
-        except IrrationalNormError:
-            outcomes[label] = 'irrational norm'
-            continue
-        if as_signed_permutation(fact.q) is None:
-            outcomes[label] = 'Q not a signed permutation'
-        else:
-            outcomes[label] = 'unexpected signed permutation'
+        outcomes[label] = miss or 'unexpected signed permutation'
+        if miss is None:
             failures.append(
                 f'ordering {label} factors [2413] through a signed permutation'
             )
@@ -638,12 +628,23 @@ def search_ordering(shape: Partition, w: Perm,
         raise ValueError(
             f'dimension {len(tabs)} exceeds the search bound {max_dim}'
         )
-    base = matrix_of(shape, w)
-    for perm in _permutations(range(len(tabs))):
+    for perm, miss in _qr_outcomes(matrix_of(shape, w)):
+        if miss is None:
+            return tuple(tabs[i] for i in perm)
+    return None
+
+
+def _qr_outcomes(base: Matrix) -> Iterator[tuple[tuple[int, ...], str | None]]:
+    """For each basis order (a permutation of base's rows and columns,
+    in lexicographic order), why QR of the reordered matrix does not
+    give a signed-permutation Q, or None when it does."""
+    for perm in _permutations(range(len(base))):
         try:
             fact = exact_qr(mat_reindex(base, perm))
         except IrrationalNormError:
+            yield perm, 'irrational norm'
             continue
-        if as_signed_permutation(fact.q) is not None:
-            return tuple(tabs[i] for i in perm)
-    return None
+        if as_signed_permutation(fact.q) is None:
+            yield perm, 'Q not a signed permutation'
+        else:
+            yield perm, None

@@ -320,3 +320,36 @@ def test_every_verify_family_is_dispatched():
     args = argparse.Namespace(max_n=2, seed=0, jobs=1)
     with pytest.raises(ValueError, match='unknown verify family'):
         cli._sweep(args, 'thm7')
+
+
+@pytest.mark.parametrize('argv', [
+    ('verify', 'thm1', '--max-n', '0'),
+    ('verify', 'thm1', '--max-n', '-3'),
+    ('verify', 'thm1', '--max-n', '1'),
+    ('verify', 'lemma-pr', '--max-n', '1'),
+    ('verify', 'sep-desc', '--max-n', '0'),
+    ('--format', 'structured', '--jobs', '2', 'verify', 'thm4', '--max-n', '1'),
+])
+def test_empty_sweeps_exit_two(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, '')
+    assert 'no checks' in err
+
+
+def test_empty_sweep_from_the_environment_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv('KLSPECHT_MAX_N', '0')
+    for family in ('thm4', 'sep-desc'):
+        code, out, err = invoke(capsys, 'verify', family)
+        assert (code, out) == (2, '')
+        assert 'no checks' in err
+
+
+def test_fixed_scope_families_ignore_the_bound_variable(capsys, monkeypatch):
+    monkeypatch.setenv('KLSPECHT_MAX_N', 'abc')
+    for family in ('rhoades', 'counterexample'):
+        code, out, _ = invoke(capsys, 'verify', family)
+        assert code == 0
+        assert 'checks passed' in out
+    code, _, err = invoke(capsys, 'verify', 'thm1')
+    assert code == 2
+    assert 'abc' in err

@@ -24,7 +24,16 @@ from klspecht.hecke import (
     qp_trim,
 )
 from klspecht.rsk import css, css_i, inverse_rsk
-from klspecht.symgroup import all_perms, bruhat_leq, identity, length
+from klspecht.symgroup import (
+    all_perms,
+    bruhat_leq,
+    identity,
+    left_descents,
+    length,
+    multiply,
+    right_descents,
+    simple,
+)
 from klspecht.tableaux import (
     enumerate_syt,
     partitions,
@@ -249,3 +258,46 @@ def test_tables_refuses_n_above_the_bound_before_allocating(monkeypatch):
             hecke.tables(n)
     with pytest.raises(ValueError, match='too large'):
         kl_polynomial(tuple(range(1, 10)), tuple(range(9, 0, -1)))
+
+
+def test_group_tables_match_direct_definitions():
+    """The generator tables against s_j w and w s_j composed with
+    `simple`, and the descent masks against the descent sets."""
+    for n in range(1, 6):
+        t = hecke._Tables(n)
+        for i, w in enumerate(t.perms):
+            assert t.index[w] == i
+            for j in range(1, n):
+                s = simple(j, n)
+                assert t.perms[t.lmult[i][j - 1]] == multiply(s, w)
+                assert t.perms[t.rmult[i][j - 1]] == multiply(w, s)
+            assert t.ldesc[i] == sum(1 << (j - 1) for j in left_descents(w))
+            assert t.rdesc[i] == sum(1 << (j - 1) for j in right_descents(w))
+
+
+def test_recursion_fits_a_small_limit():
+    """Each recursive route works on a strictly shorter Bruhat interval,
+    so its depth stays below the length of w0: importing the package
+    must not raise the interpreter's limit, and the heaviest routes run
+    under a limit of 200."""
+    script = '''
+import sys
+before = sys.getrecursionlimit()
+import klspecht, klspecht.cli
+from klspecht import hecke, specht, symgroup, tableaux
+print(before, sys.getrecursionlimit())
+sys.setrecursionlimit(200)
+print(hecke.kl_polynomial(symgroup.identity(7), tuple(range(7, 0, -1))))
+for shape in tableaux.partitions(7):
+    specht.matrix_of(shape, symgroup.long_cycle(7))
+print(hecke.kl_oracle(symgroup.identity(6), tuple(range(6, 0, -1))))
+'''
+    src = str(Path(klspecht.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, '-c', script],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    limits, kl, oracle = proc.stdout.split('\n')[:3]
+    before, after = limits.split()
+    assert before == after
+    assert kl == oracle == '(1,)'

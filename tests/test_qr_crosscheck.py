@@ -21,7 +21,6 @@ from klspecht.qrkit import (
     all_connected_chains,
     as_signed_permutation,
     exact_qr,
-    is_index_monotone,
     phi_connected,
     pivot_signs,
     preorder_connected,
@@ -38,6 +37,11 @@ from klspecht.tableaux import (
     total_index_key,
 )
 from klspecht.specht import total_index_order
+
+
+def is_index_monotone(order):
+    idx = [tableau_index(t) for t in order]
+    return all(a <= b for a, b in zip(idx, idx[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +270,11 @@ def test_thm4_routes_agree(n):
 
 @pytest.fixture
 def cold_factor_caches():
-    """Clear the cached cells and w_J / long-cycle matrices before and
+    """Clear the cached cells and per-(shape, w) matrices before and
     after a test that feeds the verifiers wrong generator matrices."""
     def clear():
         specht.cell.cache_clear()
-        qrkit._long_cycle_matrix.cache_clear()
-        qrkit._longest_matrix.cache_clear()
+        qrkit._matrix.cache_clear()
 
     clear()
     yield

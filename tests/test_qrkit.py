@@ -19,7 +19,6 @@ from klspecht.qrkit import (
     all_connected_chains,
     as_signed_permutation,
     exact_qr,
-    is_index_monotone,
     phi_connected,
     preorder_connected,
     random_index_monotone_order,
@@ -44,6 +43,11 @@ from klspecht.tableaux import (
     partitions,
     tableau_index,
 )
+
+
+def is_index_monotone(order):
+    idx = [tableau_index(t) for t in order]
+    return all(a <= b for a, b in zip(idx, idx[1:]))
 
 
 def test_exact_qr_of_a_permutation_matrix():
