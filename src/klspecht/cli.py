@@ -17,6 +17,8 @@ known from a partition or a sibling permutation.
 across runs with the same inputs and seed (timings are nulled there;
 text mode prints them).  --jobs parallelizes verify sweeps across shapes
 in separate processes; output order does not depend on scheduling.
+Either way a sweep's reports are printed, or encoded, as each job's
+batch arrives, so no run holds all of its reports at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import hecke, jdt, rsk, specht, symgroup, tableaux
 from .qrkit import (
@@ -297,30 +299,41 @@ _FIXED = {
 }
 
 
-def _sweep(args, family: str) -> list[CheckReport]:
+def _sweep(args, family: str) -> Iterator[list[CheckReport]]:
+    """The reports of a verify family, one batch per job in job order.
+    The family, the bound and the job list are checked here, before any
+    check runs; the checks run as the batches are drawn."""
     if family in _FIXED:
         if args.max_n is not None:
             raise ValueError(f'verify {family} has a fixed scope; '
                              f'--max-n does not apply')
-        return _FIXED[family](args)
+        return iter([_FIXED[family](args)])
     if family not in _SWEEPS:
         raise ValueError(f'unknown verify family: {family}')
     build, worker, default_max_n, kl = _SWEEPS[family]
     max_n = args.max_n
     if max_n is None:
         env = os.environ.get('KLSPECHT_MAX_N')
-        max_n = int(env) if env else default_max_n
+        try:
+            max_n = int(env) if env else default_max_n
+        except ValueError:
+            raise ValueError(f'KLSPECHT_MAX_N must be an integer, '
+                             f'got {env!r}') from None
     if kl:
         hecke.check_affordable(max_n)
     jobs = build(args, max_n)
     if not jobs:
         raise ValueError(f'verify {family} has no checks up to n = {max_n}')
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            batches = list(pool.map(worker, jobs))
+    return _run_jobs(worker, jobs, args.jobs)
+
+
+def _run_jobs(worker, jobs: list, workers: int) -> Iterator[list[CheckReport]]:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(worker, jobs)
     else:
-        batches = [worker(job) for job in jobs]
-    return [report for batch in batches for report in batch]
+        for job in jobs:
+            yield worker(job)
 
 
 def _report_label(report: CheckReport) -> str:
@@ -469,20 +482,14 @@ def _dispatch(args) -> int:
         return 0
     if cmd == 'verify':
         t0 = time.perf_counter()
-        reports = _sweep(args, args.what)
-        elapsed = time.perf_counter() - t0
-        passed = all(r.passed for r in reports)
+        batches = _sweep(args, args.what)
         if args.format == 'structured':
-            doc = {
-                'command': 'verify',
-                'family': args.what,
-                'seed': args.seed,
-                'passed': passed,
-                'reports': [r.record() for r in reports],
-            }
-            print(json.dumps(doc, sort_keys=True))
-        else:
-            for r in reports:
+            return _print_structured_verify(args, batches)
+        ok = total = 0
+        for batch in batches:
+            for r in batch:
+                total += 1
+                ok += r.passed
                 status = 'PASS' if r.passed else 'FAIL'
                 line = f'{status} {_report_label(r)}'
                 if r.timing is not None:
@@ -490,10 +497,35 @@ def _dispatch(args) -> int:
                 print(line)
                 for failure in r.failures:
                     print(f'  {failure}')
-            ok = sum(1 for r in reports if r.passed)
-            print(f'{ok}/{len(reports)} checks passed in {elapsed:.2f}s')
-        return 0 if passed else 1
+        elapsed = time.perf_counter() - t0
+        print(f'{ok}/{total} checks passed in {elapsed:.2f}s')
+        return 0 if ok == total else 1
     raise ValueError(f'unknown command: {cmd}')
+
+
+def _print_structured_verify(args, batches: Iterator[list[CheckReport]]) -> int:
+    """Print the verify document as `json.dumps(doc, sort_keys=True)`
+    would, without holding every report at once.  Its keys are sorted, so
+    `passed` comes before `reports`: each record is encoded as its batch
+    arrives, and only the encoded text is kept until `passed` is known."""
+    passed = True
+    records = []
+    for batch in batches:
+        for r in batch:
+            passed = passed and r.passed
+            records.append(json.dumps(r.record(), sort_keys=True))
+    head, _, tail = json.dumps(
+        {'command': 'verify', 'family': args.what, 'seed': args.seed,
+         'passed': passed, 'reports': []},
+        sort_keys=True).partition('[]')
+    out = sys.stdout
+    out.write(head + '[')
+    for i, record in enumerate(records):
+        if i:
+            out.write(', ')
+        out.write(record)
+    out.write(']' + tail + '\n')
+    return 0 if passed else 1
 
 
 def main() -> None:

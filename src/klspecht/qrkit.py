@@ -31,9 +31,9 @@ The verifiers check matrices of the Specht module action:
   generator subsets, w = w_{J_k} ... w_{J_1} acts by Q R with Q the
   signed permutation of the composite partial-evacuation symmetry phi =
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
-  preorder.  The per-J tables (the symmetry phi_J and the preorder keys)
-  are computed once per shape and shared by every chain; a chain's
-  matrix is the product of its w_J matrices.
+  preorder.  Everything a check shares with other checks is derived
+  once (see "Shared thm4 state" below); the rest costs one matrix
+  product, one sort of d positions and the decision.
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
@@ -48,12 +48,12 @@ caller sweeping all of S_n would otherwise keep n! matrices alive.
 
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
-exactly once, weakly increasing in index); `phi_connected` and
+exactly once, weakly increasing in index); `verify_thm4_chain` validates
+a chain once per n (`_chain_data`); `phi_connected` and
 `preorder_connected` check their tableau or shape.  The per-shape tables
-(`_promotion_table`, `_phi_table`, `_preorder_table`) are built from the
-cell's tableaux, which are standard by construction, with the unchecked
-`_` workers of `jdt` and `tableaux`; the verifiers then work on
-positions only.
+are built from the cell's tableaux, which are standard by construction,
+with the unchecked `_` workers of `jdt` and `tableaux`; the verifiers
+then work on positions only.
 
 For a connected J = {p, ..., q-1} (positions p..q, block size
 m = q-p+1), the tableau symmetry is phi_J = ev_q ev_m ev_q and the
@@ -61,18 +61,46 @@ preorder compares, lexicographically, the chain of index labels obtained
 by peeling the largest n-m entries off ev_q(T); chains compare their
 members' keys outermost first and break final ties by the total index
 order.
+
+Shared thm4 state.  None of it depends on the order in which chains are
+checked, so a sweep in DFS order and a caller checking single chains in
+any order take the same path and get the same reports.
+
+* Chain data, per (chain, n): the validated chain, each w_J, the
+  product w and the sorted J lists (`_chain_data`).  Reports get fresh
+  lists.
+* Per-shape tables, by position in the total index order: ev_k for
+  k = 2..n (`_evacuation_table`) and the index labels of each tableau
+  peeled down to one box (`_peel_table`).  Per J they compose into
+  phi_J = ev_q ev_m ev_q (`_phi_table`) and the preorder key, the first
+  n-m labels of the peel of ev_q(T) (`_preorder_table`), so each tableau
+  is evacuated n-1 times per shape, whatever the number of J.
+  `phi_connected` and `preorder_connected` evacuate and peel directly,
+  an independent route the tables are tested against.
+* Key ranks, per (J, shape): the dense rank of each preorder key and its
+  str (`_key_ranks`).  A chain's basis order sorts positions on its rank
+  lists, outermost J first; its class labels join the key strings into
+  the str of the composite key.
+* Prefix products: M(chain) = M(w_{J_k}) M(chain without J_k), where the
+  second factor is read from an LRU of the products of chains that
+  extend further (`_prefixes`).  It is bounded by its total count of
+  matrix entries, 2**20: that holds every such product up to n = 6 and a
+  whole shape's DFS subtree at n = 7 and 8, so a DFS sweep always hits
+  and memory stays bounded where all products would not fit (54 M
+  entries at n = 8).
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations as _permutations
 from math import isqrt
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # `promote` and `partial_evacuate` are unused here but stay importable
 # from this module, where perfbench's traced runs patch them
@@ -473,24 +501,60 @@ def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
     return tuple(key)
 
 
-# Per-(J, shape) tables indexed by position in the total index order,
-# shared by every chain through J.  They read the cell's tableaux, so
-# they call the unchecked workers.
+# Per-shape tables indexed by position in the total index order, shared
+# by every chain on the shape.  They read the cell's tableaux, so they
+# call the unchecked workers.  Each tableau is evacuated once per k and
+# peeled once; the per-J tables are compositions of those.
+
+@lru_cache(maxsize=None)
+def _evacuation_table(k: int, shape: Partition) -> tuple[int, ...]:
+    """ev_k(tableaux[i]) = tableaux[table[i]]."""
+    cl = cell(shape)
+    return tuple(cl.position[_partial_evacuate(t, k)] for t in cl.tableaux)
+
+
+@lru_cache(maxsize=None)
+def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
+    """The index labels met while deleting the largest entry of
+    tableaux[i] down to one box, at i."""
+    out = []
+    for t in cell(shape).tableaux:
+        labels = []
+        for _ in range(sum(shape) - 1):
+            t, label = _delete_largest(t)
+            labels.append(label)
+        out.append(tuple(labels))
+    return tuple(out)
+
 
 @lru_cache(maxsize=None)
 def _phi_table(j_set: frozenset[int], shape: Partition) -> tuple[int, ...]:
     """phi_J(tableaux[i]) = tableaux[table[i]]."""
-    cl = cell(shape)
     p, q = _block(j_set, sum(shape))
-    return tuple(cl.position[_phi(t, p, q)] for t in cl.tableaux)
+    evq = _evacuation_table(q, shape)
+    evm = _evacuation_table(q - p + 1, shape)
+    return tuple(evq[evm[e]] for e in evq)
+
+
+def _preorder_table(j_set: frozenset[int],
+                    shape: Partition) -> tuple[tuple[int, ...], ...]:
+    """The `preorder_connected` key of tableaux[i], at i.  Read once per
+    (J, shape), by `_key_ranks`."""
+    n = sum(shape)
+    p, q = _block(j_set, n)
+    peel = _peel_table(shape)
+    cut = n - (q - p + 1)
+    return tuple(peel[e][:cut] for e in _evacuation_table(q, shape))
 
 
 @lru_cache(maxsize=None)
-def _preorder_table(j_set: frozenset[int],
-                    shape: Partition) -> tuple[tuple[int, ...], ...]:
-    """The `preorder_connected` key of tableaux[i], at i."""
-    p, q = _block(j_set, sum(shape))
-    return tuple(_preorder_key(t, p, q) for t in cell(shape).tableaux)
+def _key_ranks(j_set: frozenset[int], shape: Partition
+               ) -> tuple[tuple[int, ...], tuple[str, ...]]:
+    """The dense rank of each `_preorder_table` key among the keys of the
+    shape, and the key's str, at i.  Ranks compare as the keys do."""
+    keys = _preorder_table(j_set, shape)
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return tuple(rank[key] for key in keys), tuple(str(key) for key in keys)
 
 
 def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
@@ -516,12 +580,16 @@ def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
     return chains
 
 
-def verify_thm4_chain(shape: Partition,
-                      chain: Sequence[Iterable[int]]) -> CheckReport:
-    """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry."""
-    t0 = time.perf_counter()
-    n = sum(shape)
-    js = [frozenset(j) for j in chain]
+class _ChainData(NamedTuple):
+    js: tuple[frozenset[int], ...]
+    w_js: tuple[Perm, ...]  # w_{J_1}, ..., w_{J_k}
+    w: Perm  # w_{J_k} ... w_{J_1}
+    members: tuple[tuple[int, ...], ...]  # each J sorted, for the report
+
+
+@lru_cache(maxsize=None)
+def _chain_data(js: tuple[frozenset[int], ...], n: int) -> _ChainData:
+    """The validated chain with its longest elements and their product."""
     if not js:
         raise ValueError('chain must be nonempty')
     for j in js:
@@ -529,25 +597,92 @@ def verify_thm4_chain(shape: Partition,
     for a, b in zip(js, js[1:]):
         if not a < b:
             raise ValueError('chain must strictly increase')
-    w_js = [longest_element(j, n) for j in js]
+    w_js = tuple(longest_element(j, n) for j in js)
     w = tuple(range(1, n + 1))
     for w_j in w_js:
         w = multiply(w_j, w)
+    return _ChainData(js, w_js, w, tuple(tuple(sorted(j)) for j in js))
+
+
+class _EntryBoundedLRU:
+    """Square matrices by key, least recently used first out, holding at
+    most `budget` matrix entries in all."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries = 0
+        self._mats: OrderedDict[object, Matrix] = OrderedDict()
+
+    def get(self, key: object) -> Matrix | None:
+        mat = self._mats.get(key)
+        if mat is not None:
+            self._mats.move_to_end(key)
+        return mat
+
+    def put(self, key: object, mat: Matrix) -> None:
+        """Keep mat under a key the cache does not hold."""
+        size = len(mat) ** 2
+        if size > self.budget:
+            return
+        self._mats[key] = mat
+        self.entries += size
+        while self.entries > self.budget:
+            _, old = self._mats.popitem(last=False)
+            self.entries -= len(old) ** 2
+
+    def clear(self) -> None:
+        self._mats.clear()
+        self.entries = 0
+
+
+# chain products M(w_{J_k}) ... M(w_{J_1}) of the chains that extend
+# further, so that a longer chain costs one product; 2**20 entries cover
+# every such prefix up to n = 6 and bound the memory at n = 8
+_prefixes = _EntryBoundedLRU(1 << 20)
+
+
+def _chain_matrix(shape: Partition, js: tuple[frozenset[int], ...],
+                  w_js: tuple[Perm, ...]) -> Matrix:
+    """M(w_{J_k}) ... M(w_{J_1}) in the total index order, as the product
+    of M(w_{J_k}) with the (cached) matrix of the chain without J_k.  The
+    result is shared with the cache: callers must not change it."""
+    if len(js) == 1:
+        return _matrix(shape, w_js[0])
+    key = (shape, js)
+    mat = _prefixes.get(key)
+    if mat is None:
+        mat = mat_mul(_matrix(shape, w_js[-1]),
+                      _chain_matrix(shape, js[:-1], w_js[:-1]))
+        # a chain ending in J = {1, ..., n-1} is a prefix of no other
+        if len(js[-1]) < sum(shape) - 1:
+            _prefixes.put(key, mat)
+    return mat
+
+
+def verify_thm4_chain(shape: Partition,
+                      chain: Sequence[Iterable[int]]) -> CheckReport:
+    """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry."""
+    t0 = time.perf_counter()
+    js, w_js, w, members = _chain_data(
+        tuple(frozenset(j) for j in chain), sum(shape))
     # everything below is indexed by position in the total index order
     cl = cell(shape)
-    key_tables = [_preorder_table(j, shape) for j in js]
-    composite = [tuple(kt[i] for kt in reversed(key_tables))
-                 for i in range(len(cl.tableaux))]
-    # the position is the total_index_key tie-break: the cell is sorted by it
-    perm = sorted(range(len(composite)), key=lambda i: (composite[i], i))
-    phi = list(range(len(composite)))
+    d = len(cl.tableaux)
+    # the composite key compares its members' keys outermost first; the
+    # position is the total_index_key tie-break: the cell is sorted by it
+    ranks, strs = zip(*[_key_ranks(j, shape) for j in reversed(js)])
+    keys = list(zip(*ranks, range(d)))
+    perm = sorted(range(d), key=keys.__getitem__)
+    # str of the composite key: a tuple of key tuples
+    close = ',)' if len(js) == 1 else ')'
+    parts = list(zip(*strs))
+    classes = ['(' + ', '.join(parts[i]) + close for i in perm]
+    phi: Sequence[int] = range(d)
     for j in js:
         table = _phi_table(j, shape)
         phi = [table[i] for i in phi]
-    # M(w) = M(w_{J_k}) ... M(w_{J_1})
-    mat = reduce(mat_mul, [_matrix(shape, w_j) for w_j in reversed(w_js)])
     _, _, labels, signs, failures = _decide(
-        shape, mat, perm, phi, [str(composite[i]) for i in perm],
+        shape, _chain_matrix(shape, js, w_js), perm, phi, classes,
         'the composite symmetry', 'class')
     return CheckReport(
         theorem='thm4',
@@ -555,7 +690,7 @@ def verify_thm4_chain(shape: Partition,
         shape=tuple(shape),
         ordering=tuple(labels),
         witness={
-            'chain': [sorted(j) for j in js],
+            'chain': [list(j) for j in members],
             'w': list(w),
             'symmetry': {
                 label: cl.labels[phi[i]] for i, label in enumerate(cl.labels)

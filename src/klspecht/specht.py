@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import itemgetter
 from typing import Sequence
 
 from . import hecke
@@ -117,7 +118,10 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 def mat_reindex(a: Sequence[Sequence], ids: Sequence[int]) -> Matrix:
     """Fresh matrix whose row and column c are row and column ids[c] of a."""
-    return [[a[r][k] for k in ids] for r in ids]
+    if len(ids) < 2:  # itemgetter of one item returns the bare item
+        return [[a[r][k] for k in ids] for r in ids]
+    take = itemgetter(*ids)
+    return list(map(list, map(take, take(a))))
 
 
 def mat_transpose(a: Matrix) -> Matrix:

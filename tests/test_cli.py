@@ -353,3 +353,54 @@ def test_fixed_scope_families_ignore_the_bound_variable(capsys, monkeypatch):
     code, _, err = invoke(capsys, 'verify', 'thm1')
     assert code == 2
     assert 'abc' in err
+
+
+def test_non_integer_bound_variable_is_named(capsys, monkeypatch):
+    monkeypatch.setenv('KLSPECHT_MAX_N', 'abc')
+    for argv in (('verify', 'thm1'),
+                 ('--format', 'structured', '--jobs', '2', 'verify', 'thm4')):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, '')
+        assert err == "error: KLSPECHT_MAX_N must be an integer, got 'abc'\n"
+
+
+def _whole_document(family, seed, reports):
+    """The verify document encoded in one piece, as the CLI printed it
+    before it encoded each report as its batch arrived."""
+    return json.dumps({'command': 'verify', 'family': family, 'seed': seed,
+                       'passed': all(r.passed for r in reports),
+                       'reports': [r.record() for r in reports]},
+                      sort_keys=True) + '\n'
+
+
+@pytest.mark.parametrize('jobs', ['1', '2'])
+def test_structured_verify_matches_the_whole_document(capsys, jobs):
+    from klspecht.qrkit import all_connected_chains, verify_thm4_chain
+    from klspecht.tableaux import partitions
+
+    code, out, _ = invoke(capsys, '--format', 'structured', '--jobs', jobs,
+                          '--seed', '4', 'verify', 'thm4', '--max-n', '4')
+    reports = [verify_thm4_chain(shape, chain) for n in range(2, 5)
+               for shape in partitions(n) for chain in all_connected_chains(n)]
+    assert code == 0
+    assert out == _whole_document('thm4', 4, reports)
+    code, out, _ = invoke(capsys, '--format', 'structured', 'verify', 'rhoades')
+    assert code == 0
+    assert out == _whole_document('rhoades', 0, cli._rhoades_reports(0))
+
+
+def test_structured_verify_with_a_failing_check(capsys, monkeypatch):
+    from klspecht.reports import CheckReport
+
+    def worker(n):
+        return [CheckReport(theorem='sep-desc', passed=n != 2,
+                            witness={'n': n}, failures=['x'] * (n == 2))]
+
+    build, _, default, kl = cli._SWEEPS['sep-desc']
+    monkeypatch.setitem(cli._SWEEPS, 'sep-desc', (build, worker, default, kl))
+    code, out, _ = invoke(capsys, '--format', 'structured',
+                          'verify', 'sep-desc', '--max-n', '3')
+    assert code == 1
+    assert out == _whole_document('sep-desc', 0, [r for n in (1, 2, 3)
+                                                  for r in worker(n)])
+    assert json.loads(out)['passed'] is False

@@ -315,6 +315,64 @@ def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
     assert not seen
 
 
+# ---------------------------------------------------------------------------
+# thm4 state shared between checks: chain data and prefix products
+
+def _thm4_checks(max_n):
+    return [(shape, chain) for n in range(2, max_n + 1)
+            for shape in partitions(n) for chain in all_connected_chains(n)]
+
+
+def test_thm4_prefix_eviction_keeps_the_records(monkeypatch):
+    """A prefix budget of a few hundred entries holds only a handful of
+    chain products, so a shuffled order keeps evicting products that later
+    checks need.  Every record must still equal the one of the DFS order
+    at the full budget, and the cache must never hold more entries than
+    its budget."""
+    checks = _thm4_checks(5)
+    qrkit._prefixes.clear()
+    want = [verify_thm4_chain(shape, chain).record() for shape, chain in checks]
+
+    budget = 300
+    cache = qrkit._prefixes
+    monkeypatch.setattr(cache, 'budget', budget)
+    stored = []
+
+    def put(key, mat):
+        type(cache).put(cache, key, mat)
+        stored.append(len(mat) ** 2)
+        assert cache.entries <= budget
+        assert cache.entries == sum(len(m) ** 2 for m in cache._mats.values())
+
+    monkeypatch.setattr(cache, 'put', put)
+    cache.clear()
+    order = list(range(len(checks)))
+    Random(6).shuffle(order)
+    got = {}
+    try:
+        for i in order:
+            got[i] = verify_thm4_chain(*checks[i]).record()
+    finally:
+        cache.clear()
+    assert [got[i] for i in range(len(checks))] == want
+    assert sum(stored) > 10 * budget  # the eviction path ran, often
+
+
+def test_thm4_reports_get_fresh_witness_lists():
+    """The chain data is cached per chain; a caller changing one report's
+    witness must not change the next report for the same chain."""
+    import copy
+
+    shape, chain = (3, 2), [{2}, {1, 2, 3}]
+    first = verify_thm4_chain(shape, chain)
+    want = copy.deepcopy(first.record())
+    first.witness['chain'][0].append(9)
+    first.witness['chain'].append([7])
+    first.witness['w'].reverse()
+    first.witness['w'].append(0)
+    assert verify_thm4_chain(shape, chain).record() == want
+
+
 def test_counterexample_report():
     report = verify_counterexample()
     assert report.passed, report.failures

@@ -67,14 +67,36 @@ def test_promotion_table_matches_promote(shape):
     assert [tabs[i] for i in table] == [promote(t) for t in tabs]
 
 
-@pytest.mark.parametrize('shape', SHAPES)
+@pytest.mark.parametrize('shape', SHAPES + list(partitions(7)))
 def test_thm4_tables_match_phi_and_preorder(shape):
+    """The per-J tables, composed from the evacuation and peel tables,
+    against `phi_connected`/`preorder_connected`, which evacuate and peel
+    each tableau themselves; and the ranks and strings of the keys."""
     tabs = specht.cell(shape).tableaux
     for j_set in connected_sets(sum(shape)):
         phi = qrkit._phi_table(j_set, shape)
         assert [tabs[i] for i in phi] == [phi_connected(j_set, t) for t in tabs]
         keys = preorder_connected(j_set, shape)
-        assert qrkit._preorder_table(j_set, shape) == tuple(keys[t] for t in tabs)
+        want = tuple(keys[t] for t in tabs)
+        assert qrkit._preorder_table(j_set, shape) == want
+        ranks, strs = qrkit._key_ranks(j_set, shape)
+        assert strs == tuple(str(key) for key in want)
+        for a in range(len(tabs)):
+            for b in range(len(tabs)):
+                assert (ranks[a] < ranks[b]) == (want[a] < want[b])
+                assert (ranks[a] == ranks[b]) == (want[a] == want[b])
+        assert sorted(set(ranks)) == list(range(len(set(want))))
+
+
+@pytest.mark.parametrize('shape', SHAPES)
+def test_evacuation_and_peel_tables(shape):
+    tabs = specht.cell(shape).tableaux
+    n = sum(shape)
+    for k in range(1, n + 1):
+        table = qrkit._evacuation_table(k, shape)
+        assert [tabs[i] for i in table] == [partial_evacuate(t, k) for t in tabs]
+    # the peel to one box is the total index key without its last label
+    assert qrkit._peel_table(shape) == tuple(total_index_key(t)[:-1] for t in tabs)
 
 
 def test_random_orders_read_the_cell_indexes():
@@ -146,8 +168,8 @@ def test_hot_paths_call_no_validation(monkeypatch):
     for mod in (tableaux, jdt, rsk):
         monkeypatch.setattr(mod, 'check_standard', counting)
     specht.cell.cache_clear()
-    for cache in (qrkit._promotion_table, qrkit._phi_table,
-                  qrkit._preorder_table):
+    for cache in (qrkit._promotion_table, qrkit._evacuation_table,
+                  qrkit._peel_table, qrkit._phi_table, qrkit._key_ranks):
         cache.cache_clear()
     try:
         for shape in partitions(5):
