@@ -4,9 +4,10 @@ Command line front end.
 Compute commands (syt, pr, ev, evk, rsk, rsk-inv, css, klpoly, mu,
 mu-tab, matrix, qr) print their result and exit 0.  The verify command
 runs a theorem sweep and exits 0 when every check passes, 1 otherwise;
-unparseable input, and a sweep bound that leaves no checks, exit 2, and
-a reader closing stdout early exits 141 without a traceback.  Commands and sweeps that compute KL polynomials
-exit 2 up front for an n above `hecke.MAX_N`, before any table is built.
+unparseable input, a --jobs below 1 and a sweep bound that leaves no
+checks exit 2, and a reader closing stdout early exits 141 without a
+traceback.  Commands and sweeps that compute KL polynomials exit 2 up
+front for an n above `hecke.MAX_N`, before any table is built.
 
 Literals: partitions "3,1,1"; tableaux "1,4,5/2/3" (rows split by "/");
 permutations "8,5,1,6,2,7,3,4" or digit shorthand "85162734" (n <= 9);
@@ -16,7 +17,8 @@ known from a partition or a sibling permutation.
 --format structured emits a single JSON document that is byte-identical
 across runs with the same inputs and seed (timings are nulled there;
 text mode prints them).  --jobs parallelizes verify sweeps across shapes
-in separate processes; output order does not depend on scheduling.
+in separate processes, starting no more of them than the sweep has
+jobs; output order does not depend on scheduling.
 Either way a sweep's reports are printed, or encoded, as each job's
 batch arrives, so no run holds all of its reports at once.
 """
@@ -153,10 +155,7 @@ def _dmu_job(shape: tuple[int, ...]) -> list[CheckReport]:
     cl = specht.cell(shape)
     failures = []
     pairs = 0
-    by_index: dict[int, list[int]] = {}
-    for k, i in enumerate(cl.indexes):
-        by_index.setdefault(i, []).append(k)
-    for i, members in sorted(by_index.items()):
+    for i, members in cl.classes.items():
         if len(members) < 2:
             continue
         smaller = [tableaux.delete_largest(cl.tableaux[k])[0] for k in members]
@@ -182,10 +181,7 @@ def _lemma_pr_job(shape: tuple[int, ...]) -> list[CheckReport]:
     n = sum(shape)
     failures = []
     for t in tableaux.enumerate_syt(shape):
-        if n == 1:
-            expected = t
-        else:
-            expected = jdt.evacuate(jdt.partial_evacuate(t, n - 1))
+        expected = jdt.evacuate(jdt.partial_evacuate(t, n - 1))
         if jdt.promote(t) != expected:
             failures.append(
                 f'promotion differs from double evacuation on '
@@ -328,6 +324,8 @@ def _sweep(args, family: str) -> Iterator[list[CheckReport]]:
 
 
 def _run_jobs(worker, jobs: list, workers: int) -> Iterator[list[CheckReport]]:
+    # a fork-started pool forks all of its workers at the first submit
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(worker, jobs)
@@ -341,9 +339,8 @@ def _report_label(report: CheckReport) -> str:
     if report.shape is not None:
         bits.append(f'shape={tableaux.format_partition(report.shape)}')
     if 'chain' in report.witness:
-        chain = report.witness['chain']
         bits.append('chain=' + '<'.join(
-            '{' + ','.join(str(x) for x in j) + '}' for j in chain))
+            symgroup.format_subset(j) for j in report.witness['chain']))
     if 'n' in report.witness:
         bits.append(f'n={report.witness["n"]}')
     if 'scope' in report.witness:
@@ -355,6 +352,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f'argument --jobs: must be at least 1, got {args.jobs}')
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:

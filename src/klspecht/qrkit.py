@@ -71,12 +71,14 @@ any order take the same path and get the same reports.
   lists.
 * Per-shape tables, by position in the total index order: ev_k for
   k = 2..n (`_evacuation_table`) and the index labels of each tableau
-  peeled down to one box (`_peel_table`).  Per J they compose into
+  peeled down to one box (`_peel_table`, the `tableaux` peel worker's
+  total index key without its last label).  Per J they compose into
   phi_J = ev_q ev_m ev_q (`_phi_table`) and the preorder key, the first
   n-m labels of the peel of ev_q(T) (`_preorder_table`), so each tableau
   is evacuated n-1 times per shape, whatever the number of J.
   `phi_connected` and `preorder_connected` evacuate and peel directly,
-  an independent route the tables are tested against.
+  with a peel loop of their own (`_preorder_key`): an independent route
+  the tables are tested against.
 * Key ranks, per (J, shape): the dense rank of each preorder key and its
   str (`_key_ranks`).  A chain's basis order sorts positions on its rank
   lists, outermost J first; its class labels join the key strings into
@@ -102,9 +104,7 @@ from math import isqrt
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-# `promote` and `partial_evacuate` are unused here but stay importable
-# from this module, where perfbench's traced runs patch them
-from .jdt import _partial_evacuate, _promote, partial_evacuate, promote  # noqa: F401
+from .jdt import _partial_evacuate, _promote
 from .reports import CheckReport
 from .specht import (
     Matrix,
@@ -127,6 +127,7 @@ from .tableaux import (
     Partition,
     Tableau,
     _delete_largest,
+    _total_index_key,
     check_partition,
     check_standard,
     format_tableau,
@@ -321,17 +322,10 @@ def random_index_monotone_order(shape: Partition, rng: Random) -> tuple[Tableau,
     """Shuffle each index class of the total index order in place."""
     cl = cell(shape)
     out: list[Tableau] = []
-    block: list[Tableau] = []
-    current = None
-    for t, i in zip(cl.tableaux, cl.indexes):
-        if i != current and block:
-            rng.shuffle(block)
-            out.extend(block)
-            block = []
-        current = i
-        block.append(t)
-    rng.shuffle(block)
-    out.extend(block)
+    for members in cl.classes.values():
+        block = [cl.tableaux[k] for k in members]
+        rng.shuffle(block)
+        out.extend(block)
     return tuple(out)
 
 
@@ -517,14 +511,7 @@ def _evacuation_table(k: int, shape: Partition) -> tuple[int, ...]:
 def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
     """The index labels met while deleting the largest entry of
     tableaux[i] down to one box, at i."""
-    out = []
-    for t in cell(shape).tableaux:
-        labels = []
-        for _ in range(sum(shape) - 1):
-            t, label = _delete_largest(t)
-            labels.append(label)
-        out.append(tuple(labels))
-    return tuple(out)
+    return tuple(_total_index_key(t)[:-1] for t in cell(shape).tableaux)
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,10 @@ generator matrices along a reduced word, so matrix_of(u v) =
 matrix_of(u) matrix_of(v) with the rightmost factor acting first.
 
 The per-shape cell (`cell`) is where the tableaux of a shape are turned
-into numbers, once: their descent sets, indexes and display labels, and,
-on the first `mu` lookup, the `hecke.tables(n)` id of each column word.
+into numbers, once: their descent sets, indexes, index classes (the
+positions of each index, in index order) and display labels, and, on the
+first `mu` lookup, the `hecke.tables(n)` id of each column word.  `mu` is
+memoized once, in `hecke`; the cell only maps positions to KL ids.
 These tableaux come from `enumerate_syt` and are standard by
 construction, so the cell reads them with the unchecked `_` workers of
 `tableaux` and `rsk`; everything downstream works on positions in the
@@ -149,8 +151,8 @@ def matrix_entries(a: Matrix) -> list[list[int | str]]:
 # the cell data of a shape
 
 class _Cell:
-    """Tableaux of one shape with descent sets, indexes, labels, cached mu
-    values and cached generator matrices, all by position."""
+    """Tableaux of one shape with descent sets, indexes, index classes,
+    labels, KL ids and cached generator matrices, all by position."""
 
     def __init__(self, shape: Partition):
         check_partition(shape)
@@ -159,9 +161,13 @@ class _Cell:
         self.position = {t: i for i, t in enumerate(self.tableaux)}
         self.descents = [_descent_set(t) for t in self.tableaux]
         self.indexes = [_tableau_index(t) for t in self.tableaux]
+        # index -> cell positions of that index; the tableaux are in total
+        # index order, so the keys ascend
+        self.classes: dict[int, list[int]] = {}
+        for k, i in enumerate(self.indexes):
+            self.classes.setdefault(i, []).append(k)
         self.labels = tuple(format_tableau(t) for t in self.tableaux)
         self._kl: tuple[hecke._Tables, list[int]] | None = None
-        self._mu: dict[tuple[int, int], int] = {}
         self._generators: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def positions(self, order: Sequence[Tableau] | None) -> list[int]:
@@ -187,17 +193,8 @@ class _Cell:
 
     def mu(self, i: int, j: int) -> int:
         """`hecke.mu_tableaux` of the tableaux at positions i and j."""
-        if i == j:
-            return 0
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        hit = self._mu.get(key)
-        if hit is None:
-            tab, ids = self.kl_ids()
-            hit = tab.mu_ids(ids[i], ids[j])
-            self._mu[key] = hit
-        return hit
+        tab, ids = self.kl_ids()
+        return tab.mu_ids(ids[i], ids[j])
 
     def generator(self, j: int) -> tuple[tuple[int, ...], ...]:
         """s_j in the total index order, built once.  Rows are tuples, so
@@ -286,7 +283,7 @@ def check_filtration_invariance(shape: Partition) -> CheckReport:
     n = sum(shape)
     failures = []
     for j in range(1, n - 1):
-        mat = generator_matrix(shape, j)
+        mat = c.generator(j)
         for col in range(len(mat)):
             for row in range(len(mat)):
                 if mat[row][col] and c.indexes[row] > c.indexes[col]:
@@ -311,12 +308,12 @@ def quotient_matrices(shape: Partition, i: int) -> list[Matrix]:
     """
     c = cell(shape)
     n = sum(shape)
-    members = [k for k, idx in enumerate(c.indexes) if idx == i]
+    members = c.classes.get(i)
     if not members:
         raise ValueError(f'shape {shape} has no removable box labelled {i}')
     out = []
     for j in range(1, n - 1):
-        mat = generator_matrix(shape, j)
+        mat = c.generator(j)
         out.append([[mat[r][col] for col in members] for r in members])
     return out
 
@@ -340,7 +337,7 @@ def check_branching(shape: Partition) -> CheckReport:
         parts[r - 1] -= 1
         small = tuple(p for p in parts if p)
         reduced.append(small)
-        members = [t for t, idx in zip(c.tableaux, c.indexes) if idx == i]
+        members = [c.tableaux[k] for k in c.classes.get(i, ())]
         if not small:
             if len(members) != 1:
                 failures.append(f'index-{i} class has size {len(members)}, expected 1')

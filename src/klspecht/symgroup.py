@@ -23,6 +23,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import Iterable
 
 __all__ = [
     'Perm',
@@ -90,7 +91,7 @@ def format_perm(w: Perm) -> str:
     return ','.join(str(v) for v in w)
 
 
-def format_subset(j: frozenset[int] | set[int]) -> str:
+def format_subset(j: Iterable[int]) -> str:
     return '{' + ','.join(str(x) for x in sorted(j)) + '}'
 
 

@@ -22,6 +22,10 @@ a standard tableau and checks nothing.  The workers are for tableaux that
 are standard by construction: those of `enumerate_syt`, held once per
 shape by the `specht` cell, and the images of such tableaux under the
 `jdt` operations.
+
+The peel behind the total index order (delete the largest entry until
+nothing is left) is written once, in `_total_index_key`, which
+`total_index_key`, `total_index_cmp` and the `qrkit` peel table read.
 """
 
 from __future__ import annotations
@@ -186,6 +190,10 @@ def total_index_key(tableau: Tableau) -> tuple[int, ...]:
     the tableau (it records the whole chain of shapes).
     """
     check_standard(tableau)
+    return _total_index_key(tableau)
+
+
+def _total_index_key(tableau: Tableau) -> tuple[int, ...]:
     key = []
     while tableau:
         tableau, i = _delete_largest(tableau)
@@ -196,19 +204,15 @@ def total_index_key(tableau: Tableau) -> tuple[int, ...]:
 def total_index_cmp(a: Tableau, b: Tableau) -> int:
     """Three-way comparison in the total index order (-1, 0, or +1).
 
-    Compares indices, deleting the largest box from both sides on ties.
-    Only tableaux of equal shape are comparable.
+    Compares the `total_index_key`s.  Only tableaux of equal shape are
+    comparable.
     """
     check_standard(a)
     check_standard(b)
     if shape_of(a) != shape_of(b):
         raise ValueError('tableaux of different shapes are not comparable')
-    while a != b:
-        a, ia = _delete_largest(a)
-        b, ib = _delete_largest(b)
-        if ia != ib:
-            return -1 if ia < ib else 1
-    return 0
+    ka, kb = _total_index_key(a), _total_index_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 def descent_set(tableau: Tableau) -> set[int]:

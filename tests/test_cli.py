@@ -156,6 +156,45 @@ def test_jobs_do_not_change_structured_output(capsys):
     assert out_a == out_b
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count asked
+    for and maps in this process."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_jobs_start_no_more_workers_than_jobs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, 'ProcessPoolExecutor', _SerialPool)
+    monkeypatch.setattr(_SerialPool, 'requested', [])
+    base = ('--format', 'structured', 'verify', 'thm1', '--max-n', '3')
+    code_one, out_one, _ = invoke(capsys, '--jobs', '1', *base)
+    assert _SerialPool.requested == []
+    code_many, out_many, _ = invoke(capsys, '--jobs', '64', *base)
+    # the shapes of n = 2 and 3 are five jobs
+    assert _SerialPool.requested == [5]
+    assert code_one == code_many == 0
+    assert out_many == out_one
+
+
+@pytest.mark.parametrize('jobs', ['0', '-3', 'abc'])
+def test_jobs_below_one_exit_two(capsys, no_tables_no_sweeps, jobs):
+    code, out, err = invoke(capsys, '--jobs', jobs, 'verify', 'thm1')
+    assert (code, out) == (2, '')
+    assert 'argument --jobs' in err
+
+
 def test_seed_changes_sampled_orderings(capsys):
     args_a = ('--format', 'structured', '--seed', '1',
               'verify', 'thm1', '--max-n', '4')

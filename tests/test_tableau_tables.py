@@ -51,6 +51,10 @@ def test_cell_tables_match_the_public_functions(shape):
     assert cl.tableaux == enumerate_syt(shape)
     assert cl.descents == [descent_set(t) for t in cl.tableaux]
     assert cl.indexes == [tableau_index(t) for t in cl.tableaux]
+    classes: dict[int, list[int]] = {}
+    for k, t in enumerate(cl.tableaux):
+        classes.setdefault(tableau_index(t), []).append(k)
+    assert list(cl.classes.items()) == sorted(classes.items())
     tab, ids = cl.kl_ids()
     assert tab is hecke.tables(sum(shape))
     assert ids == [tab.index[column_word(t)] for t in cl.tableaux]
