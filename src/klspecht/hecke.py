@@ -13,10 +13,14 @@ for the KL basis: with s a left descent of w and u = sw,
 
 after first raising v through the left and right descents of w
 (P_{v,w} = P_{sv,w} when sw < w < sv, and the mirror image), and
-returning 1 outright when len(w) - len(v) <= 2.  Every returned value is
-checked on the spot: constant term 1 and degree at most
-(len(w) - len(v) - 1)/2.  A violation raises `KLInvariantError`, also
-under `python -O`.
+returning 1 outright when len(w) - len(v) <= 2.  The correction sum is
+a masked, shifted scan: `down[u] & smask[s] & parity[(len(u) + 1) % 2]`
+keeps exactly the z below u with s as a left descent and odd
+len(u) - len(z), and shifting it right by id(v) starts the scan at
+z = v (ids ascend by length, so every z >= v has id(z) >= id(v)); only
+v <= z is tested per candidate.  Every returned value is checked on the
+spot: constant term 1 and degree at most (len(w) - len(v) - 1)/2.  A
+violation raises `KLInvariantError`, also under `python -O`.
 
 The independent oracle route `kl_oracle` never touches that recursion.
 It computes R-polynomials by their own descent recursion (s a right
@@ -155,17 +159,29 @@ class KLInvariantError(AssertionError):
 
 class _Tables:
     """Interned S_n: ids sorted by (length, word), generator actions,
-    descent bitmasks, Bruhat downsets as bitsets, and memo tables."""
+    descent bitmasks, Bruhat downsets as bitsets, and memo tables.
+
+    Two id masks feed the masked, shifted correction scan of `kl`:
+    `smask[j - 1]` has bit i set iff s_j is a left descent of perms[i],
+    and `parity[p]` has bit i set iff len(perms[i]) = p mod 2."""
 
     def __init__(self, n: int):
         self.n = n
-        perms = sorted(permutations(range(1, n + 1)),
-                       key=lambda w: (length(w), w))
-        self.perms = perms
+        ranked = sorted((length(w), w) for w in permutations(range(1, n + 1)))
+        self.perms = perms = [w for _, w in ranked]
+        self.lengths = lengths = [ell for ell, _ in ranked]
         index = {w: i for i, w in enumerate(perms)}
         self.index = index
-        self.lengths = [length(w) for w in perms]
-        lengths = self.lengths
+
+        # parity[p] has bit i set iff lengths[i] is congruent to p mod 2;
+        # each length fills one contiguous id range
+        parity = [0, 0]
+        start = 0
+        for i in range(1, len(perms) + 1):
+            if i == len(perms) or lengths[i] != lengths[start]:
+                parity[lengths[start] & 1] |= (1 << i) - (1 << start)
+                start = i
+        self.parity = parity
 
         lmult = []
         rmult = []
@@ -192,6 +208,12 @@ class _Tables:
         self.rmult = rmult
         self.ldesc = ldesc
         self.rdesc = rdesc
+        # smask[j - 1] has bit i set iff s_j is a left descent of perms[i],
+        # read off as one base-2 string per generator: or-ing 1 << i into
+        # an n!-bit int per descent would copy that int every time
+        self.smask = [int(''.join('1' if (m >> j) & 1 else '0'
+                                  for m in reversed(ldesc)), 2)
+                      for j in range(n - 1)]
 
         # down[i] has bit v set iff v <= perms[i]; any swap of an inverted
         # pair lowers length, and every x < w lies below some such swap,
@@ -259,21 +281,19 @@ class _Tables:
                 buf[i] += c
             for i, c in enumerate(self.kl(vid, uid)):
                 buf[i + 1] += c
-            rest = self.down[uid]
+            # the correction z: s a left descent, odd len(u) - len(z) and
+            # v <= z, so id(z) >= id(v); bit k of the scan is id(v) + k
+            down = self.down
+            rest = (down[uid] & self.smask[s] & self.parity[(lu + 1) & 1]) >> vid
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                zid = bit.bit_length() - 1
-                if not (ldesc[zid] >> s) & 1:
-                    continue
-                lz = lengths[zid]
-                if not (lu - lz) & 1:
-                    continue
-                if not (self.down[zid] >> vid) & 1:
+                zid = vid + bit.bit_length() - 1
+                if not (down[zid] >> vid) & 1:
                     continue
                 m = self.mu_ids(zid, uid)
                 if m:
-                    shift = (lengths[wid] - lz) // 2
+                    shift = (lengths[wid] - lengths[zid]) // 2
                     for i, c in enumerate(self.kl(vid, zid)):
                         buf[i + shift] -= m * c
             p = qp_trim(buf)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +274,35 @@ def test_group_tables_match_direct_definitions():
                 assert t.perms[t.rmult[i][j - 1]] == multiply(w, s)
             assert t.ldesc[i] == sum(1 << (j - 1) for j in left_descents(w))
             assert t.rdesc[i] == sum(1 << (j - 1) for j in right_descents(w))
+            for j in range(1, n):
+                assert (t.smask[j - 1] >> i) & 1 == (j in left_descents(w))
+            for p in (0, 1):
+                assert (t.parity[p] >> i) & 1 == (length(w) % 2 == p)
+        # no bit beyond the last id
+        for mask in t.smask + t.parity:
+            assert mask >> len(t.perms) == 0
+
+
+def test_kl_agrees_with_the_oracle_on_seeded_pairs_of_s6():
+    """Seeded Bruhat-comparable pairs of S_6, half of them with an even
+    length gap of at least 4, where the recursion's z = v correction
+    term cancels the q^{d/2} coefficient.  Fresh tables, so no pair is
+    answered from a memo another test filled."""
+    t = hecke._Tables(6)
+    rng = random.Random(806)
+    even, other = [], []
+    while len(even) < 100 or len(other) < 100:
+        vid, wid = rng.randrange(720), rng.randrange(720)
+        if vid == wid or not t.leq(vid, wid):
+            continue
+        d = t.lengths[wid] - t.lengths[vid]
+        bucket = even if d >= 4 and d % 2 == 0 else other
+        if len(bucket) < 100:
+            bucket.append((vid, wid))
+    for vid, wid in even + other:
+        assert t.kl(vid, wid) == t.kl_oracle_ids(vid, wid), (
+            t.perms[vid], t.perms[wid])
+    assert any(len(t.kl(vid, wid)) > 1 for vid, wid in even)
 
 
 def test_recursion_fits_a_small_limit():
