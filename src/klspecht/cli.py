@@ -158,7 +158,7 @@ def _dmu_job(shape: tuple[int, ...]) -> list[CheckReport]:
     for i, members in cl.classes.items():
         if len(members) < 2:
             continue
-        smaller = [tableaux.delete_largest(cl.tableaux[k])[0] for k in members]
+        smaller = [tableaux._delete_largest(cl.tableaux[k])[0] for k in members]
         small = specht.cell(tableaux.shape_of(smaller[0]))
         below = [small.position[t] for t in smaller]
         for a in range(len(members)):
@@ -180,15 +180,16 @@ def _dmu_job(shape: tuple[int, ...]) -> list[CheckReport]:
 def _lemma_pr_job(shape: tuple[int, ...]) -> list[CheckReport]:
     n = sum(shape)
     failures = []
-    for t in tableaux.enumerate_syt(shape):
-        expected = jdt.evacuate(jdt.partial_evacuate(t, n - 1))
-        if jdt.promote(t) != expected:
+    tabs = tableaux.enumerate_syt(shape)
+    for t in tabs:
+        expected = jdt._partial_evacuate(jdt._partial_evacuate(t, n - 1), n)
+        if jdt._promote(t) != expected:
             failures.append(
                 f'promotion differs from double evacuation on '
                 f'{tableaux.format_tableau(t)}'
             )
     return [CheckReport(theorem='lemma-pr', passed=not failures, shape=shape,
-                        witness={'tableaux': len(tableaux.enumerate_syt(shape))},
+                        witness={'tableaux': len(tabs)},
                         failures=failures)]
 
 
@@ -231,35 +232,31 @@ def _sep_desc_job(n: int) -> list[CheckReport]:
                         failures=failures)]
 
 
+def _rhoades_report(scope: str,
+                    cases: list[tuple[symgroup.Perm, symgroup.Perm, int]]) -> CheckReport:
+    """One report over (u, v, slot) cases of the insertion theorem."""
+    failures = [f'mu not preserved for {u}, {v}, slot {k}'
+                for u, v, k in cases if not hecke.check_rhoades_insertion(u, v, k)]
+    return CheckReport(theorem='rhoades', passed=not failures,
+                       witness={'scope': scope, 'checked': len(cases)},
+                       failures=failures)
+
+
 def _rhoades_reports(seed: int) -> list[CheckReport]:
-    failures = []
-    checked = 0
-    for u in symgroup.all_perms(3):
-        for v in symgroup.all_perms(3):
-            for k in range(4):
-                checked += 1
-                if not hecke.check_rhoades_insertion(u, v, k):
-                    failures.append(f'mu not preserved for {u}, {v}, slot {k}')
-    exhaustive = CheckReport(theorem='rhoades', passed=not failures,
-                             witness={'scope': 'exhaustive S_3', 'checked': checked},
-                             failures=list(failures))
-    failures = []
+    s3 = symgroup.all_perms(3)
     rng = Random(f'{seed}:rhoades')
-    base = list(range(1, 5))
-    checked = 0
+    samples = []
     for _ in range(1000):
-        u = base[:]
-        v = base[:]
+        u = list(range(1, 5))
+        v = list(range(1, 5))
         rng.shuffle(u)
         rng.shuffle(v)
-        k = rng.randint(0, 4)
-        checked += 1
-        if not hecke.check_rhoades_insertion(tuple(u), tuple(v), k):
-            failures.append(f'mu not preserved for {tuple(u)}, {tuple(v)}, slot {k}')
-    sampled = CheckReport(theorem='rhoades', passed=not failures,
-                          witness={'scope': 'seeded S_4 samples', 'checked': checked},
-                          failures=failures)
-    return [exhaustive, sampled]
+        samples.append((tuple(u), tuple(v), rng.randint(0, 4)))
+    return [
+        _rhoades_report('exhaustive S_3',
+                        [(u, v, k) for u in s3 for v in s3 for k in range(4)]),
+        _rhoades_report('seeded S_4 samples', samples),
+    ]
 
 
 def _shape_jobs(args, max_n: int) -> list[tuple[int, ...]]:

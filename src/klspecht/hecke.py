@@ -36,8 +36,8 @@ share only the interned group tables (multiplication, lengths, Bruhat
 bitsets), not the algorithm.  The generator tables are built with
 `symgroup.left_mult_s` and `symgroup.right_mult_s`.
 
-Each recursive call (`kl`, `mu_ids`, `rpoly`, `kl_oracle_ids`) works on
-a strictly shorter Bruhat interval, so the recursion nests at most a few
+Each recursive call (`kl`, `rpoly`, `kl_oracle_ids`) works on a
+strictly shorter Bruhat interval, so the recursion nests at most a few
 frames per unit of len(w0) <= 28 and the interpreter's default limit is
 enough; importing this module leaves that limit alone.
 
@@ -47,6 +47,13 @@ The tables hold n! x n! Bruhat bitsets, so `tables` refuses n above
 mu(v, w) is the coefficient of degree (len(w)-len(v)-1)/2 in P_{v,w},
 symmetrized so the arguments may come in either order; it feeds both the
 W-graph edges and the Specht module matrices built on top of this module.
+`mu_ids` puts its arguments in Bruhat order and reads 0 (incomparable or
+even length gap), 1 (gap 1) or the top coefficient of the memoized
+`kl`; it keeps no memo of its own and does not call itself.
+
+Memo tables, one set per n: `kl_memo` holds the production polynomials,
+keyed by (v, w) after the descent raising; `r_memo` and `oracle_memo`
+hold the oracle's R-polynomials and polynomials.
 
 Thread note: the per-n memo tables are plain dicts, safe for concurrent
 readers under the GIL; writers are not synchronized, so confine each n to
@@ -159,7 +166,8 @@ class KLInvariantError(AssertionError):
 
 class _Tables:
     """Interned S_n: ids sorted by (length, word), generator actions,
-    descent bitmasks, Bruhat downsets as bitsets, and memo tables.
+    descent bitmasks, Bruhat downsets as bitsets, and the memo tables of
+    both routes (see the module docstring).
 
     Two id masks feed the masked, shifted correction scan of `kl`:
     `smask[j - 1]` has bit i set iff s_j is a left descent of perms[i],
@@ -231,7 +239,6 @@ class _Tables:
         self.down = down
 
         self.kl_memo: dict[tuple[int, int], QPoly] = {}
-        self.mu_memo: dict[tuple[int, int], int] = {}
         self.r_memo: dict[tuple[int, int], QPoly] = {}
         self.oracle_memo: dict[tuple[int, int], QPoly] = {}
 
@@ -305,26 +312,16 @@ class _Tables:
         return p
 
     def mu_ids(self, vid: int, wid: int) -> int:
-        if vid == wid:
+        if self.leq(wid, vid):
+            vid, wid = wid, vid
+        elif not self.leq(vid, wid):
             return 0
-        key = (vid, wid)
-        hit = self.mu_memo.get(key)
-        if hit is not None:
-            return hit
-        if self.leq(vid, wid):
-            d = self.lengths[wid] - self.lengths[vid]
-            if not d & 1:
-                m = 0
-            elif d == 1:
-                m = 1
-            else:
-                m = qp_coeff(self.kl(vid, wid), (d - 1) // 2)
-        elif self.leq(wid, vid):
-            m = self.mu_ids(wid, vid)
-        else:
-            m = 0
-        self.mu_memo[key] = m
-        return m
+        d = self.lengths[wid] - self.lengths[vid]
+        if not d & 1:
+            return 0
+        if d == 1:
+            return 1
+        return qp_coeff(self.kl(vid, wid), (d - 1) // 2)
 
     # oracle route ------------------------------------------------------
 

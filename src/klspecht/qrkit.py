@@ -72,17 +72,16 @@ any order take the same path and get the same reports.
 * Per-shape tables, by position in the total index order: ev_k for
   k = 2..n (`_evacuation_table`) and the index labels of each tableau
   peeled down to one box (`_peel_table`, the `tableaux` peel worker's
-  total index key without its last label).  Per J they compose into
-  phi_J = ev_q ev_m ev_q (`_phi_table`) and the preorder key, the first
-  n-m labels of the peel of ev_q(T) (`_preorder_table`), so each tableau
-  is evacuated n-1 times per shape, whatever the number of J.
-  `phi_connected` and `preorder_connected` evacuate and peel directly,
-  with a peel loop of their own (`_preorder_key`): an independent route
-  the tables are tested against.
-* Key ranks, per (J, shape): the dense rank of each preorder key and its
-  str (`_key_ranks`).  A chain's basis order sorts positions on its rank
-  lists, outermost J first; its class labels join the key strings into
-  the str of the composite key.
+  total index key without its last label).  Each tableau is evacuated
+  n-1 times per shape, whatever the number of J.
+* Per (J, shape), one table composed from those (`_j_table`): phi_J =
+  ev_q ev_m ev_q, and the dense rank and str of the preorder key, the
+  first n-m labels of the peel of ev_q(T).  A chain reads it once per J:
+  its basis order sorts positions on the rank lists, outermost J first,
+  and its class labels join the key strings into the str of the
+  composite key.  `phi_connected` and `preorder_connected` evacuate and
+  peel directly, with a peel loop of their own (`_preorder_key`): an
+  independent route the tables are tested against.
 * Prefix products: M(chain) = M(w_{J_k}) M(chain without J_k), where the
   second factor is read from an LRU of the products of chains that
   extend further (`_prefixes`).  It is bounded by its total count of
@@ -498,7 +497,7 @@ def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
 # Per-shape tables indexed by position in the total index order, shared
 # by every chain on the shape.  They read the cell's tableaux, so they
 # call the unchecked workers.  Each tableau is evacuated once per k and
-# peeled once; the per-J tables are compositions of those.
+# peeled once; the per-J table is composed from those.
 
 @lru_cache(maxsize=None)
 def _evacuation_table(k: int, shape: Partition) -> tuple[int, ...]:
@@ -515,33 +514,21 @@ def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _phi_table(j_set: frozenset[int], shape: Partition) -> tuple[int, ...]:
-    """phi_J(tableaux[i]) = tableaux[table[i]]."""
-    p, q = _block(j_set, sum(shape))
-    evq = _evacuation_table(q, shape)
-    evm = _evacuation_table(q - p + 1, shape)
-    return tuple(evq[evm[e]] for e in evq)
-
-
-def _preorder_table(j_set: frozenset[int],
-                    shape: Partition) -> tuple[tuple[int, ...], ...]:
-    """The `preorder_connected` key of tableaux[i], at i.  Read once per
-    (J, shape), by `_key_ranks`."""
+def _j_table(j_set: frozenset[int], shape: Partition
+             ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[str, ...]]:
+    """For connected J, at i: the position of phi_J(tableaux[i]), and the
+    dense rank and str of its `preorder_connected` key among the keys of
+    the shape.  Ranks compare as the keys do."""
     n = sum(shape)
     p, q = _block(j_set, n)
+    evq = _evacuation_table(q, shape)
+    evm = _evacuation_table(q - p + 1, shape)
     peel = _peel_table(shape)
-    cut = n - (q - p + 1)
-    return tuple(peel[e][:cut] for e in _evacuation_table(q, shape))
-
-
-@lru_cache(maxsize=None)
-def _key_ranks(j_set: frozenset[int], shape: Partition
-               ) -> tuple[tuple[int, ...], tuple[str, ...]]:
-    """The dense rank of each `_preorder_table` key among the keys of the
-    shape, and the key's str, at i.  Ranks compare as the keys do."""
-    keys = _preorder_table(j_set, shape)
+    keys = [peel[e][:n - (q - p + 1)] for e in evq]
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return tuple(rank[key] for key in keys), tuple(str(key) for key in keys)
+    return (tuple(evq[evm[e]] for e in evq),
+            tuple(rank[key] for key in keys),
+            tuple(str(key) for key in keys))
 
 
 def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
@@ -657,7 +644,8 @@ def verify_thm4_chain(shape: Partition,
     d = len(cl.tableaux)
     # the composite key compares its members' keys outermost first; the
     # position is the total_index_key tie-break: the cell is sorted by it
-    ranks, strs = zip(*[_key_ranks(j, shape) for j in reversed(js)])
+    tables = [_j_table(j, shape) for j in js]
+    _, ranks, strs = zip(*reversed(tables))
     keys = list(zip(*ranks, range(d)))
     perm = sorted(range(d), key=keys.__getitem__)
     # str of the composite key: a tuple of key tuples
@@ -665,8 +653,7 @@ def verify_thm4_chain(shape: Partition,
     parts = list(zip(*strs))
     classes = ['(' + ', '.join(parts[i]) + close for i in perm]
     phi: Sequence[int] = range(d)
-    for j in js:
-        table = _phi_table(j, shape)
+    for table, _, _ in tables:
         phi = [table[i] for i in phi]
     _, _, labels, signs, failures = _decide(
         shape, _chain_matrix(shape, js, w_js), perm, phi, classes,

@@ -17,18 +17,23 @@ matrix_of(u) matrix_of(v) with the rightmost factor acting first.
 The per-shape cell (`cell`) is where the tableaux of a shape are turned
 into numbers, once: their descent sets, indexes, index classes (the
 positions of each index, in index order) and display labels, and, on the
-first `mu` lookup, the `hecke.tables(n)` id of each column word.  `mu` is
-memoized once, in `hecke`; the cell only maps positions to KL ids.
+first `mu` lookup, the `hecke.tables(n)` id of each column word.  `mu`
+is read off the polynomials `hecke` memoizes; the cell only maps
+positions to KL ids, one pair per lookup.
 These tableaux come from `enumerate_syt` and are standard by
 construction, so the cell reads them with the unchecked `_` workers of
 `tableaux` and `rsk`; everything downstream works on positions in the
 total index order.  Basis orders passed in by a caller are validated
 once, by cell position.
 
-The cell builds each generator matrix once, in the total index order,
-and keeps it as a tuple of tuples; every product is taken in that order
-and reindexed to the requested basis order at the end, since reordering
-a basis conjugates every factor by the same permutation.  The public
+The cell builds s_1, ..., s_{n-1} together, once, in the total index
+order: one pass over the unordered pairs of tableaux, with one `mu`
+lookup for each pair whose descent sets differ (a pair with equal
+descent sets has no entry in any s_j).  A one-dimensional module has no
+pairs, so it never builds KL tables.  Each matrix is kept as a tuple
+of tuples; every product is taken in that order and reindexed to the
+requested basis order at the end, since reordering a basis conjugates
+every factor by the same permutation.  The public
 functions always return fresh lists.
 
 Rows and columns follow a basis order, by default the total index order.
@@ -168,7 +173,7 @@ class _Cell:
             self.classes.setdefault(i, []).append(k)
         self.labels = tuple(format_tableau(t) for t in self.tableaux)
         self._kl: tuple[hecke._Tables, list[int]] | None = None
-        self._generators: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._generators: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
     def positions(self, order: Sequence[Tableau] | None) -> list[int]:
         """Cell position of each tableau of a basis order (None: the total
@@ -197,28 +202,31 @@ class _Cell:
         return tab.mu_ids(ids[i], ids[j])
 
     def generator(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """s_j in the total index order, built once.  Rows are tuples, so
-        no caller can change the cached matrix."""
-        hit = self._generators.get(j)
-        if hit is not None:
-            return hit
+        """s_j in the total index order.  The first call builds s_1, ...,
+        s_{n-1} together, in one pass over the unordered pairs of
+        tableaux: a pair with different descent sets costs one `mu`
+        lookup, and a nonzero mu(T, R) lands in s_j[R][T] for each j in
+        D(R) but not in D(T).  Rows are tuples, so no caller can change
+        the cached matrices."""
         if not 1 <= j <= sum(self.shape) - 1:
             raise ValueError(f's_{j} does not act on shape {self.shape}')
-        d = len(self.tableaux)
-        mat = [[0] * d for _ in range(d)]
-        for col in range(d):
-            if j in self.descents[col]:
-                mat[col][col] = -1
-            else:
-                mat[col][col] = 1
-                for row in range(d):
-                    if row != col and j in self.descents[row]:
-                        m = self.mu(col, row)
+        if self._generators is None:
+            d = len(self.tableaux)
+            mats = [[[0] * d for _ in range(d)] for _ in range(sum(self.shape) - 1)]
+            for t, dt in enumerate(self.descents):
+                for k, mat in enumerate(mats, start=1):
+                    mat[t][t] = -1 if k in dt else 1
+                for r in range(t + 1, d):
+                    dr = self.descents[r]
+                    if dt != dr:
+                        m = self.mu(t, r)
                         if m:
-                            mat[row][col] = m
-        hit = tuple(map(tuple, mat))
-        self._generators[j] = hit
-        return hit
+                            for k in dr - dt:
+                                mats[k - 1][r][t] = m
+                            for k in dt - dr:
+                                mats[k - 1][t][r] = m
+            self._generators = tuple(tuple(map(tuple, mat)) for mat in mats)
+        return self._generators[j - 1]
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
 
-from klspecht import cli, hecke
+from klspecht import cli, hecke, specht, symgroup
 from klspecht.cli import run
 
 
@@ -291,6 +292,22 @@ def test_commands_refuse_n_above_the_table_bound(capsys, no_tables_no_sweeps, ar
     assert code == 2
     assert out == ''
     assert 'too large' in err
+
+
+def test_one_dimensional_modules_build_no_kl_tables(capsys, monkeypatch):
+    """The trivial and sign modules have no pair of tableaux, so their
+    matrices need no mu and no KL table is built or even asked for."""
+    def refuse(*args):
+        raise AssertionError('KL tables asked for by a one-dimensional module')
+
+    monkeypatch.setattr(hecke, '_Tables', refuse)
+    monkeypatch.setattr(hecke, 'tables', refuse)
+    monkeypatch.setattr(specht, 'cell', lru_cache(maxsize=None)(specht._Cell))
+    for j in range(1, 8):
+        assert specht.generator_matrix((8,), j) == [[1]]
+    assert specht.matrix_of((1,) * 8, symgroup.long_cycle(8)) == [[-1]]
+    code, out, err = invoke(capsys, 'matrix', '8', 'c')
+    assert (code, out, err) == (0, '1\n', '')
 
 
 @pytest.mark.parametrize('family', ['thm1', 'branching', 'prop-dmu', 'thm4'])

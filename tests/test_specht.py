@@ -1,9 +1,13 @@
 """Matrices of the symmetric group action on the canonical tableau basis."""
 
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
+from klspecht import specht
+from klspecht.hecke import mu_tableaux
 from klspecht.jdt import evacuate
 from klspecht.specht import (
     check_branching,
@@ -28,6 +32,7 @@ from klspecht.symgroup import (
 )
 from klspecht.tableaux import (
     count_syt,
+    descent_set,
     enumerate_syt,
     partitions,
     removable_boxes,
@@ -51,6 +56,51 @@ def test_generator_out_of_range():
         generator_matrix((2, 1), 3)
     with pytest.raises(ValueError):
         generator_matrix((2, 1), 0)
+
+
+@pytest.mark.parametrize('n', range(2, 6))
+def test_generators_follow_the_w_graph_rule(n):
+    """Column T of s_j is -C_T for j in D(T), and otherwise C_T plus
+    mu(T, R) C_R for each R with j in D(R), read one j at a time with
+    the public `mu_tableaux`."""
+    for shape in partitions(n):
+        tabs = enumerate_syt(shape)
+        d = len(tabs)
+        for j in range(1, n):
+            want = [[0] * d for _ in range(d)]
+            for c, t in enumerate(tabs):
+                if j in descent_set(t):
+                    want[c][c] = -1
+                    continue
+                want[c][c] = 1
+                for r, other in enumerate(tabs):
+                    if j in descent_set(other):
+                        want[r][c] = mu_tableaux(t, other)
+            assert generator_matrix(shape, j) == want
+
+
+def test_generators_look_up_mu_once_per_pair(monkeypatch):
+    """Building every generator of a shape asks `_Cell.mu` at most once
+    per unordered pair of tableaux, and never for a pair whose descent
+    sets are equal (such a pair has no entry in any s_j)."""
+    seen = Counter()
+    real = specht._Cell.mu
+
+    def spy(cl, i, j):
+        seen[cl.shape, frozenset((i, j))] += 1
+        return real(cl, i, j)
+
+    monkeypatch.setattr(specht._Cell, 'mu', spy)
+    monkeypatch.setattr(specht, 'cell', lru_cache(maxsize=None)(specht._Cell))
+    for n in range(1, 8):
+        for shape in partitions(n):
+            for j in range(1, n):
+                generator_matrix(shape, j)
+    assert seen and max(seen.values()) == 1
+    for shape, pair in seen:
+        a, b = pair
+        descents = specht.cell(shape).descents
+        assert descents[a] != descents[b]
 
 
 def test_coxeter_relations():

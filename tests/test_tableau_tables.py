@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from klspecht import hecke, jdt, qrkit, rsk, specht, tableaux
+from klspecht import cli, hecke, jdt, qrkit, rsk, specht, tableaux
 from klspecht.hecke import mu_tableaux
 from klspecht.jdt import inverse_promote, partial_evacuate, promote
 from klspecht.qrkit import (
@@ -73,17 +73,16 @@ def test_promotion_table_matches_promote(shape):
 
 @pytest.mark.parametrize('shape', SHAPES + list(partitions(7)))
 def test_thm4_tables_match_phi_and_preorder(shape):
-    """The per-J tables, composed from the evacuation and peel tables,
+    """The per-J table, composed from the evacuation and peel tables,
     against `phi_connected`/`preorder_connected`, which evacuate and peel
-    each tableau themselves; and the ranks and strings of the keys."""
+    each tableau themselves: phi, and the ranks and strings of the keys
+    (the strings pin the keys themselves)."""
     tabs = specht.cell(shape).tableaux
     for j_set in connected_sets(sum(shape)):
-        phi = qrkit._phi_table(j_set, shape)
+        phi, ranks, strs = qrkit._j_table(j_set, shape)
         assert [tabs[i] for i in phi] == [phi_connected(j_set, t) for t in tabs]
         keys = preorder_connected(j_set, shape)
         want = tuple(keys[t] for t in tabs)
-        assert qrkit._preorder_table(j_set, shape) == want
-        ranks, strs = qrkit._key_ranks(j_set, shape)
         assert strs == tuple(str(key) for key in want)
         for a in range(len(tabs)):
             for b in range(len(tabs)):
@@ -161,7 +160,8 @@ def test_preorder_connected_rejects_a_non_partition(bad):
 
 def test_hot_paths_call_no_validation(monkeypatch):
     """Once a caller's order is accepted, the verifiers, the cell and the
-    per-shape tables work on positions and never re-check a tableau."""
+    per-shape tables work on positions and never re-check a tableau; nor
+    do the prop-dmu and lemma-pr sweep workers, which read cell tableaux."""
     calls = []
     real = tableaux.check_standard
 
@@ -173,13 +173,15 @@ def test_hot_paths_call_no_validation(monkeypatch):
         monkeypatch.setattr(mod, 'check_standard', counting)
     specht.cell.cache_clear()
     for cache in (qrkit._promotion_table, qrkit._evacuation_table,
-                  qrkit._peel_table, qrkit._phi_table, qrkit._key_ranks):
+                  qrkit._peel_table, qrkit._j_table):
         cache.cache_clear()
     try:
         for shape in partitions(5):
             assert all(r.passed for r in thm1_shape_reports(shape, seed=1))
             for chain in all_connected_chains(5)[::7]:
                 assert verify_thm4_chain(shape, chain).passed
+            for job in (cli._dmu_job, cli._lemma_pr_job):
+                assert all(r.passed for r in job(shape))
     finally:
         specht.cell.cache_clear()
     assert calls == []
