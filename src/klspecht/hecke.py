@@ -18,9 +18,11 @@ a masked, shifted scan: `down[u] & smask[s] & parity[(len(u) + 1) % 2]`
 keeps exactly the z below u with s as a left descent and odd
 len(u) - len(z), and shifting it right by id(v) starts the scan at
 z = v (ids ascend by length, so every z >= v has id(z) >= id(v)); only
-v <= z is tested per candidate.  Every returned value is checked on the
-spot: constant term 1 and degree at most (len(w) - len(v) - 1)/2.  A
-violation raises `KLInvariantError`, also under `python -O`.
+v <= z is tested per candidate, and mu(z, u) is read in place (1 for a
+gap of 1, else the top coefficient of P_{z,u}).  Every returned value
+is checked on the spot: constant term 1 and degree at most
+(len(w) - len(v) - 1)/2.  A violation raises `KLInvariantError`, also
+under `python -O`.
 
 The independent oracle route `kl_oracle` never touches that recursion.
 It computes R-polynomials by their own descent recursion (s a right
@@ -33,8 +35,11 @@ triangular system
 downward in x, reading the answer off the low half and verifying the
 mirror half exactly (again raising `KLInvariantError`).  The two routes
 share only the interned group tables (multiplication, lengths, Bruhat
-bitsets), not the algorithm.  The generator tables are built with
-`symgroup.left_mult_s` and `symgroup.right_mult_s`.
+bitsets), not the algorithm.  The tables are built in one pass over
+S_n: lengths from Lehmer digits, the right generator table with
+`symgroup.right_mult_s`, the left one from it through the inverse ids
+(s w = (w^-1 s)^-1), and the Bruhat downsets as unions over covers (see
+`_Tables`).
 
 Each recursive call (`kl`, `rpoly`, `kl_oracle_ids`) works on a
 strictly shorter Bruhat interval, so the recursion nests at most a few
@@ -66,7 +71,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .rsk import column_word
-from .symgroup import left_mult_s, length, right_mult_s
+from .symgroup import inverse, right_mult_s
 from .tableaux import Tableau, shape_of
 
 __all__ = [
@@ -169,15 +174,33 @@ class _Tables:
     descent bitmasks, Bruhat downsets as bitsets, and the memo tables of
     both routes (see the module docstring).
 
+    Lengths are sums of Lehmer digits, listed in the lex order that
+    `permutations` yields and stably sorted into id order.  `rmult` and
+    `rdesc` come from `right_mult_s`; `lmult` and `ldesc` are read
+    through the inverse ids, since s_j w = (w^-1 s_j)^-1.  `down[i]` is
+    the union of the downsets of the Bruhat covers of perms[i]
+    (Bjorner-Brenti, GTM 231, section 2.1).
+
     Two id masks feed the masked, shifted correction scan of `kl`:
     `smask[j - 1]` has bit i set iff s_j is a left descent of perms[i],
     and `parity[p]` has bit i set iff len(perms[i]) = p mod 2."""
 
     def __init__(self, n: int):
         self.n = n
-        ranked = sorted((length(w), w) for w in permutations(range(1, n + 1)))
-        self.perms = perms = [w for _, w in ranked]
-        self.lengths = lengths = [ell for ell, _ in ranked]
+        # permutations() yields the words in lex order, and a word's length
+        # is the sum of its Lehmer digits.  The first digit, w[0] - 1,
+        # counts the later letters below w[0], and the words of S_m with
+        # one first letter run through S_{m-1} in lex order (relabelled),
+        # so the lex-order lengths of S_m are those of S_{m-1} repeated
+        # m times, raised by 0 .. m-1.  A stable sort by length keeps lex
+        # order inside each length, which is the (length, word) id order
+        words = list(permutations(range(1, n + 1)))
+        lex_lengths = [0]
+        for m in range(2, n + 1):
+            lex_lengths = [d + x for d in range(m) for x in lex_lengths]
+        order = sorted(range(len(words)), key=lex_lengths.__getitem__)
+        self.perms = perms = [words[k] for k in order]
+        self.lengths = lengths = [lex_lengths[k] for k in order]
         index = {w: i for i, w in enumerate(perms)}
         self.index = index
 
@@ -191,30 +214,20 @@ class _Tables:
                 start = i
         self.parity = parity
 
-        lmult = []
-        rmult = []
-        ldesc = []
+        rmult = [[index[right_mult_s(w, j)] for j in range(1, n)] for w in perms]
         rdesc = []
-        for i, w in enumerate(perms):
-            lrow = []
-            rrow = []
-            lmask = rmask = 0
-            for j in range(1, n):
-                li = index[left_mult_s(w, j)]
-                ri = index[right_mult_s(w, j)]
-                lrow.append(li)
-                rrow.append(ri)
-                if lengths[li] < lengths[i]:
-                    lmask |= 1 << (j - 1)
+        for i, row in enumerate(rmult):
+            mask = 0
+            for j, ri in enumerate(row):
                 if lengths[ri] < lengths[i]:
-                    rmask |= 1 << (j - 1)
-            lmult.append(lrow)
-            rmult.append(rrow)
-            ldesc.append(lmask)
-            rdesc.append(rmask)
-        self.lmult = lmult
+                    mask |= 1 << j
+            rdesc.append(mask)
+        # s_j w = (w^-1 s_j)^-1, so the left tables are the right ones
+        # read through the inverse ids
+        inv = [index[inverse(w)] for w in perms]
+        self.lmult = [[inv[k] for k in rmult[x]] for x in inv]
+        self.ldesc = ldesc = [rdesc[k] for k in inv]
         self.rmult = rmult
-        self.ldesc = ldesc
         self.rdesc = rdesc
         # smask[j - 1] has bit i set iff s_j is a left descent of perms[i],
         # read off as one base-2 string per generator: or-ing 1 << i into
@@ -223,17 +236,27 @@ class _Tables:
                                   for m in reversed(ldesc)), 2)
                       for j in range(n - 1)]
 
-        # down[i] has bit v set iff v <= perms[i]; any swap of an inverted
-        # pair lowers length, and every x < w lies below some such swap,
-        # so the union over all of them (plus w itself) is the downset
+        # down[i] has bit v set iff v <= perms[i].  Every x < w lies below
+        # some element that w covers, so down[w] is w itself and the union
+        # of down[v] over the Bruhat covers v of w.  Those are the swaps
+        # w t_{ab} of positions a < b with w[a] > w[b] and no position c
+        # between them with w[b] < w[c] < w[a] (Bjorner-Brenti,
+        # Combinatorics of Coxeter Groups, GTM 231, section 2.1).  For
+        # fixed a, scanning b to the right, they are the values below
+        # w[a] that exceed every earlier such value: each covered v has
+        # length len(w) - 1, so a smaller id, and is already built
         down = [0] * len(perms)
         for i, w in enumerate(perms):
             d = 1 << i
             for a in range(n - 1):
+                top = w[a]
+                floor = 0
                 for b in range(a + 1, n):
-                    if w[a] > w[b]:
+                    x = w[b]
+                    if floor < x < top:
+                        floor = x
                         v = list(w)
-                        v[a], v[b] = v[b], v[a]
+                        v[a], v[b] = x, top
                         d |= down[index[tuple(v)]]
             down[i] = d
         self.down = down
@@ -289,7 +312,9 @@ class _Tables:
             for i, c in enumerate(self.kl(vid, uid)):
                 buf[i + 1] += c
             # the correction z: s a left descent, odd len(u) - len(z) and
-            # v <= z, so id(z) >= id(v); bit k of the scan is id(v) + k
+            # v <= z, so id(z) >= id(v); bit k of the scan is id(v) + k.
+            # The scan already has z < u with an odd gap, so mu(z, u) is
+            # 1 for gap 1 and otherwise the top coefficient of P_{z,u}
             down = self.down
             rest = (down[uid] & self.smask[s] & self.parity[(lu + 1) & 1]) >> vid
             while rest:
@@ -298,7 +323,8 @@ class _Tables:
                 zid = vid + bit.bit_length() - 1
                 if not (down[zid] >> vid) & 1:
                     continue
-                m = self.mu_ids(zid, uid)
+                gap = lu - lengths[zid]
+                m = 1 if gap == 1 else qp_coeff(self.kl(zid, uid), gap >> 1)
                 if m:
                     shift = (lengths[wid] - lengths[zid]) // 2
                     for i, c in enumerate(self.kl(vid, zid)):

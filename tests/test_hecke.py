@@ -30,9 +30,11 @@ from klspecht.symgroup import (
     bruhat_leq,
     identity,
     left_descents,
+    left_mult_s,
     length,
     multiply,
     right_descents,
+    right_mult_s,
     simple,
 )
 from klspecht.tableaux import (
@@ -262,12 +264,17 @@ def test_tables_refuses_n_above_the_bound_before_allocating(monkeypatch):
 
 
 def test_group_tables_match_direct_definitions():
-    """The generator tables against s_j w and w s_j composed with
-    `simple`, and the descent masks against the descent sets."""
+    """The id order and lengths against `length`, the generator tables
+    against s_j w and w s_j composed with `simple`, the descent masks
+    against the descent sets, and the downsets against `bruhat_leq`."""
     for n in range(1, 6):
         t = hecke._Tables(n)
+        assert t.perms == sorted(all_perms(n), key=lambda w: (length(w), w))
         for i, w in enumerate(t.perms):
             assert t.index[w] == i
+            assert t.lengths[i] == length(w)
+            for v, x in enumerate(t.perms):
+                assert (t.down[i] >> v) & 1 == bruhat_leq(x, w), (x, w)
             for j in range(1, n):
                 s = simple(j, n)
                 assert t.perms[t.lmult[i][j - 1]] == multiply(s, w)
@@ -281,6 +288,49 @@ def test_group_tables_match_direct_definitions():
         # no bit beyond the last id
         for mask in t.smask + t.parity:
             assert mask >> len(t.perms) == 0
+
+
+def _reference_tables(n):
+    """The group tables built the slow, direct way: ids by sorting
+    (length, word) pairs, both generator tables with `left_mult_s` and
+    `right_mult_s`, and each downset as the union over the swaps of every
+    inverted pair, not only the Bruhat covers."""
+    perms = sorted(all_perms(n), key=lambda w: (length(w), w))
+    lengths = [length(w) for w in perms]
+    index = {w: i for i, w in enumerate(perms)}
+    lmult = [[index[left_mult_s(w, j)] for j in range(1, n)] for w in perms]
+    rmult = [[index[right_mult_s(w, j)] for j in range(1, n)] for w in perms]
+
+    def descents(mult):
+        return [sum(1 << j for j, k in enumerate(row) if lengths[k] < lengths[i])
+                for i, row in enumerate(mult)]
+
+    ldesc = descents(lmult)
+    smask = [sum(1 << i for i, m in enumerate(ldesc) if (m >> j) & 1)
+             for j in range(n - 1)]
+    parity = [sum(1 << i for i, ell in enumerate(lengths) if ell % 2 == p)
+              for p in (0, 1)]
+    down = []
+    for i, w in enumerate(perms):
+        d = 1 << i
+        for a in range(n - 1):
+            for b in range(a + 1, n):
+                if w[a] > w[b]:
+                    v = list(w)
+                    v[a], v[b] = v[b], v[a]
+                    d |= down[index[tuple(v)]]
+        down.append(d)
+    return {'perms': perms, 'lengths': lengths, 'index': index,
+            'parity': parity, 'lmult': lmult, 'rmult': rmult,
+            'ldesc': ldesc, 'rdesc': descents(rmult), 'smask': smask,
+            'down': down}
+
+
+@pytest.mark.parametrize('n', [6, 7])
+def test_group_tables_match_the_direct_construction(n):
+    t = hecke._Tables(n)
+    for field, want in _reference_tables(n).items():
+        assert getattr(t, field) == want, field
 
 
 def test_kl_agrees_with_the_oracle_on_seeded_pairs_of_s6():
