@@ -20,7 +20,9 @@ text mode prints them).  --jobs parallelizes verify sweeps across shapes
 in separate processes, starting no more of them than the sweep has
 jobs; output order does not depend on scheduling.
 Either way a sweep's reports are printed, or encoded, as each job's
-batch arrives, so no run holds all of its reports at once.
+batch arrives, so no run holds all of its reports at once; structured
+output spools the encoded reports to an anonymous temporary file until
+the document's `passed` is known.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import sys
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from random import Random
@@ -503,24 +507,25 @@ def _print_structured_verify(args, batches: Iterator[list[CheckReport]]) -> int:
     """Print the verify document as `json.dumps(doc, sort_keys=True)`
     would, without holding every report at once.  Its keys are sorted, so
     `passed` comes before `reports`: each record is encoded as its batch
-    arrives, and only the encoded text is kept until `passed` is known."""
+    arrives and spooled to an anonymous temporary file, which is copied
+    out once `passed` is known."""
     passed = True
-    records = []
-    for batch in batches:
-        for r in batch:
-            passed = passed and r.passed
-            records.append(json.dumps(r.record(), sort_keys=True))
-    head, _, tail = json.dumps(
-        {'command': 'verify', 'family': args.what, 'seed': args.seed,
-         'passed': passed, 'reports': []},
-        sort_keys=True).partition('[]')
-    out = sys.stdout
-    out.write(head + '[')
-    for i, record in enumerate(records):
-        if i:
-            out.write(', ')
-        out.write(record)
-    out.write(']' + tail + '\n')
+    with tempfile.TemporaryFile('w+', encoding='utf-8', newline='') as spool:
+        sep = ''
+        for batch in batches:
+            for r in batch:
+                passed = passed and r.passed
+                spool.write(sep + json.dumps(r.record(), sort_keys=True))
+                sep = ', '
+        head, _, tail = json.dumps(
+            {'command': 'verify', 'family': args.what, 'seed': args.seed,
+             'passed': passed, 'reports': []},
+            sort_keys=True).partition('[]')
+        out = sys.stdout
+        out.write(head + '[')
+        spool.seek(0)
+        shutil.copyfileobj(spool, out)
+        out.write(']' + tail + '\n')
     return 0 if passed else 1
 
 

@@ -15,10 +15,10 @@ thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
 invertible matrix is unique, so that holds exactly when P^T M is upper
 triangular with a positive diagonal, and `pivot_signs` tests this on the
 integer entries of M in O(d^2) without factoring.  Both verifiers decide
-through `_decide`, which runs `exact_qr` only when that test fails, to
-name the failure.  `exact_qr` remains the factorization behind the `qr`
-command and the basis-order loop shared by `search_ordering` and
-`verify_counterexample`.
+through `_decide`, which runs the same test on packed rows (below) and
+unpacks M and runs `exact_qr` only when it fails, to name the failure.
+`exact_qr` remains the factorization behind the `qr` command and the
+basis-order loop shared by `search_ordering` and `verify_counterexample`.
 
 The verifiers check matrices of the Specht module action:
 
@@ -32,19 +32,38 @@ The verifiers check matrices of the Specht module action:
   signed permutation of the composite partial-evacuation symmetry phi =
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
   preorder.  Everything a check shares with other checks is derived
-  once (see "Shared thm4 state" below); the rest costs one matrix
-  product, one sort of d positions and the decision.
+  once (see "Shared thm4 state" below); the rest costs one extension of
+  the state of the chain without J_k and the decision.
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
   one that makes QR of [w] a signed permutation.
 
 The matrices of the long cycle and of each w_J are built once per
-shape in the total index order (`_matrix`, keyed by (shape, w)) and
-reindexed once per check.  Reordering a basis conjugates every factor by
-the same permutation, so the reindexed products equal `matrix_of` of w
-in the checked order exactly.  `matrix_of` itself is not cached: a
-caller sweeping all of S_n would otherwise keep n! matrices alive.
+shape in the total index order, keyed by (shape, w): as the nonzero
+entries a product reads on its left (`_factor`) and, when first needed,
+as packed rows (`_packed`).  They are never reindexed on a passing
+check: reordering a basis conjugates every factor by the same
+permutation, so a check reads the total index order through its basis
+order, and a failing check reindexes its matrix once, to exactly
+`matrix_of` of w in the checked order.  `matrix_of` itself is not
+cached: a caller sweeping all of S_n would otherwise keep n! matrices
+alive.
+
+Packed rows.  The verifiers decide on matrices kept as one Python int
+per row (`_Packed`): entry (i, j) is a signed digit in the W-bit slot at
+bit j * W.  A product A B adds one packed row of B, its negative or a
+multiple of it per nonzero entry of A (`_times`).  Adding a bias word
+with 2**(W-1) in every slot and xoring it back leaves each slot zero
+exactly where its entry is, so the pivot test of a column is one and,
+one extract and one compare (`_pivot_test`), and thm1's leading-term
+test is one mask per index class, whatever the basis order
+(`_leading_terms_hold`).  Every matrix the verifiers decide on uses
+W = `_SLOT_WIDTH` = 32 and carries a bound on its entries; a product
+takes the bound |A B| <= rowabs(A) max|B|, and one whose bound would
+reach 2**(W-1) raises `QRInvariantError`, also under `python -O`,
+instead of truncating.  Over every chain that bound needs at most 9 bits
+at n = 6, 15 at n = 7 and 22 at n = 8.
 
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
@@ -82,13 +101,19 @@ any order take the same path and get the same reports.
   composite key.  `phi_connected` and `preorder_connected` evacuate and
   peel directly, with a peel loop of their own (`_preorder_key`): an
   independent route the tables are tested against.
-* Prefix products: M(chain) = M(w_{J_k}) M(chain without J_k), where the
-  second factor is read from an LRU of the products of chains that
-  extend further (`_prefixes`).  It is bounded by its total count of
-  matrix entries, 2**20: that holds every such product up to n = 6 and a
-  whole shape's DFS subtree at n = 7 and 8, so a DFS sweep always hits
-  and memory stays bounded where all products would not fit (54 M
-  entries at n = 8).
+* Chain states: per (shape, chain), the packed rows of M(chain), the
+  basis order, the str of each position's composite key and the
+  composite phi, all by position (`_ChainState`).  A chain's state grows
+  from the state of the chain without J_k, read from an LRU of the
+  states of chains that extend further (`_chain_states`), in
+  O(nnz(M(w_{J_k}))) big-int additions and O(d) small steps: the order
+  is the prefix order sorted stably on the rank of J_k, each key str is
+  J_k's key str before the prefix's, and phi is phi_{J_k} after the
+  prefix's phi.  The LRU is bounded by its total count of matrix
+  slots, 2**20: that holds every such state up to n = 6 and a whole
+  shape's DFS subtree at n = 7 and 8, so a DFS sweep always hits and
+  memory stays bounded where all states would not fit (54 M slots at
+  n = 8).
 """
 
 from __future__ import annotations
@@ -98,8 +123,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _permutations
+from itertools import permutations as _permutations, repeat
 from math import isqrt
+from operator import neg
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -170,8 +196,10 @@ class IrrationalNormError(ArithmeticError):
 
 
 class QRInvariantError(AssertionError):
-    """`exact_qr` produced a factorization that fails its own exact
-    check.  Raised rather than asserted, so `python -O` keeps the check."""
+    """An exact invariant of the QR route fails: `exact_qr` produced a
+    factorization that fails its own check, or a matrix entry might not
+    fit its packed slot.  Raised rather than asserted, so `python -O`
+    keeps the check."""
 
 
 @dataclass(frozen=True)
@@ -279,25 +307,173 @@ def pivot_signs(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
     row target[c] of m vanishes left of column c and is nonzero in column
     c, with sign s[c].  That already makes m invertible, and it rejects a
     target (one row index of m per column) that is not a permutation.
-    No factorization is computed.
+    No factorization is computed.  m must have integer entries: it is
+    packed and decided by the test the verifiers use (`_pivot_test`).
 
     >>> pivot_signs([[0, -1], [1, 0]], [1, 0])
     (1, -1)
     >>> pivot_signs([[1, 0], [1, 1]], [0, 1]) is None
     True
     """
+    if not m:
+        return ()
+    terms = _terms(m)
+    signs = _pivot_test(_pack(terms, _width(terms.maxabs)), range(len(target)),
+                        target)
+    return None if signs is None else tuple(signs)
+
+
+# ---------------------------------------------------------------------------
+# packed rows: one int per row of an integer matrix
+
+class _Packed(NamedTuple):
+    """A square integer matrix with one int per row: entry (i, j) sits in
+    the `width`-bit slot at bit j * width of rows[i], as a signed digit,
+    so rows[i] = sum of m[i][j] << (j * width).  Every entry has
+    |entry| <= bound < 2**(width - 1)."""
+
+    rows: Sequence[int]
+    width: int
+    bound: int
+
+
+# the slot width of the matrices the verifiers decide on: with its sign,
+# the entry bound of every chain product up to n = 8 fits in 23 bits
+_SLOT_WIDTH = 32
+
+
+def _width(bound: int) -> int:
+    """The slot width that holds every entry of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+class _SlotWords(NamedTuple):
+    """Words over d slots of one width."""
+
+    bias: int  # 2**(width - 1) in every slot
+    slots: tuple[int, ...]  # the mask of each slot
+    tops: tuple[int, ...]  # 2**(width - 1) in each slot
+    units: tuple[int, ...]  # 1 in each slot: the rows of the identity
+
+
+@lru_cache(maxsize=None)
+def _words(d: int, width: int) -> _SlotWords:
+    """Adding the bias to a packed row turns each signed digit v into the
+    plain digit v + 2**(width - 1), and xoring it back leaves v mod
+    2**width: zero exactly where v is."""
+    mask, top = (1 << width) - 1, 1 << (width - 1)
+    tops = tuple(top << j * width for j in range(d))
+    return _SlotWords(sum(tops), tuple(mask << j * width for j in range(d)),
+                      tops, tuple(1 << j * width for j in range(d)))
+
+
+def _check_fits(bound: int, width: int) -> None:
+    """Raise `QRInvariantError` unless entries of absolute value <= bound
+    fit `width`-bit slots: a truncated entry would decide a different
+    matrix, also under `python -O`."""
+    if bound >> (width - 1):
+        raise QRInvariantError(
+            f'entries up to {bound} overflow {width}-bit slots')
+
+
+def _unpack(p: _Packed) -> Matrix:
+    """The matrix of packed rows, as fresh lists."""
+    width, d = p.width, len(p.rows)
+    top, mask = 1 << (width - 1), (1 << width) - 1
+    bias = _words(d, width).bias
+    return [[((row >> j * width) & mask) - top for j in range(d)]
+            for row in (r + bias for r in p.rows)]
+
+
+class _Terms(NamedTuple):
+    """The nonzero entries of a d x d integer matrix A, as `_times` reads
+    them: row i of A B is the sum of the operands picks[i], where operand
+    k is row k of B, operand d + k is its negative, and operand 2d + e is
+    x times row k of B for the e-th pair (k, x) of `scaled`.  The entries
+    of the matrices multiplied here are almost all +-1, which then cost
+    one addition each and no multiplication."""
+
+    picks: tuple[tuple[int, ...], ...]
+    scaled: tuple[tuple[int, int], ...]  # (k, x) for each |x| > 1
+    rowabs: int  # the largest sum of |entry| over a row of A
+    maxabs: int  # the largest |entry| of A
+
+
+def _terms(m: Sequence[Sequence[int]]) -> _Terms:
+    d = len(m)
+    picks = []
+    scaled: list[tuple[int, int]] = []
+    for row in m:
+        pick = [k if x == 1 else d + k
+                for k, x in enumerate(row) if x == 1 or x == -1]
+        if len(pick) + row.count(0) < d:  # some |x| > 1
+            for k, x in enumerate(row):
+                if x not in (0, 1, -1):
+                    pick.append(2 * d + len(scaled))
+                    scaled.append((k, x))
+        picks.append(tuple(pick))
+    if scaled:
+        rowabs = max(sum(map(abs, row)) for row in m)
+        maxabs = max(abs(x) for _, x in scaled)
+    else:
+        rowabs = max(map(len, picks))
+        maxabs = min(rowabs, 1)
+    return _Terms(tuple(picks), tuple(scaled), rowabs, maxabs)
+
+
+def _times(terms: _Terms, b: _Packed) -> _Packed:
+    """A B in the slots of B, from the `_terms` of A, with one addition
+    per nonzero entry of A.  |A B| <= rowabs(A) max|B| entrywise; a
+    product whose bound would not fit the slots raises instead."""
+    bound = terms.rowabs * b.bound
+    _check_fits(bound, b.width)
+    return _Packed(_combine(terms, b.rows), b.width, bound)
+
+
+def _combine(terms: _Terms, rows: Sequence[int]) -> list[int]:
+    """The rows of A B, unchecked."""
+    operands = [*rows, *map(neg, rows)]
+    if terms.scaled:
+        operands += [x * rows[k] for k, x in terms.scaled]
+    return list(map(sum, map(map, repeat(operands.__getitem__), terms.picks)))
+
+
+def _pack(terms: _Terms, width: int) -> _Packed:
+    """The matrix of `terms` in packed rows: it times the identity."""
+    _check_fits(terms.maxabs, width)
+    units = _words(len(terms.picks), width).units
+    return _Packed(_combine(terms, units), width, terms.maxabs)
+
+
+def _pivot_test(p: _Packed, ids: Sequence[int],
+                image: Sequence[int]) -> list[int] | None:
+    """`pivot_signs` of p reindexed to the basis order ids, with column
+    c sent to the row of image[ids[c]], read off the packed rows: row
+    image[i] must vanish on the columns ids[:c] before c and not on i."""
+    bias, slots, tops, _ = _words(len(p.rows), p.width)
+    rows = p.rows
+    before = 0
     signs = []
-    for c, r in enumerate(target):
-        row = m[r]
-        if any(row[:c]) or not row[c]:
+    for i in ids:
+        biased = rows[image[i]] + bias
+        if (biased ^ bias) & before:
             return None
-        signs.append(1 if row[c] > 0 else -1)
-    return tuple(signs)
+        v, top = biased & slots[i], tops[i]
+        if v == top:  # a zero pivot
+            return None
+        signs.append(1 if v > top else -1)
+        before |= slots[i]
+    return signs
+
+
+def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
+    """The packed matrix with row and column c taken from ids[c]."""
+    return mat_reindex(_unpack(p), ids)
 
 
 def _qr_failures(m: Matrix, target: Sequence[int], labels: Sequence[str],
                  symmetry: str) -> list[str]:
-    """Why QR of m does not realize c -> target[c], once `pivot_signs`
+    """Why QR of m does not realize c -> target[c], once the pivot test
     has said so: `exact_qr` runs only here, to name the failure."""
     try:
         fact = exact_qr(m)
@@ -311,7 +487,7 @@ def _qr_failures(m: Matrix, target: Sequence[int], labels: Sequence[str],
             return [f'Q sends {labels[c]} to row {r}, '
                     f'but {symmetry} sits at row {target[c]}']
     raise QRInvariantError('exact_qr realizes a signed permutation '
-                           'that pivot_signs rejected')
+                           'that the pivot test rejected')
 
 
 # ---------------------------------------------------------------------------
@@ -340,38 +516,42 @@ def _inverse(perm: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _matrix(shape: Partition, w: Perm) -> tuple[tuple[int, ...], ...]:
+def _factor(shape: Partition, w: Perm) -> _Terms:
     """The matrix of w in the total index order, kept per (shape, w) for
-    the few w the verifiers use (the long cycle and each w_J)."""
-    return tuple(map(tuple, matrix_of(shape, w)))
+    the few w the verifiers use (the long cycle and each w_J), as the
+    `_terms` a product reads on its left."""
+    return _terms(matrix_of(shape, w))
 
 
-def _decide(shape: Partition, canonical: Sequence[Sequence[int]],
-            ids: Sequence[int], image: Sequence[int], classes: Sequence[str],
-            symmetry: str, class_word: str
-            ) -> tuple[Matrix, list[int], list[str], dict[str, int], list[str]]:
-    """Is Q of `canonical` (total index order), reindexed to the basis
-    order `ids` (cell positions), the signed permutation of the tableau
-    symmetry i -> image[i] (cell positions), with signs constant on
-    `classes` (one label per column)?
+@lru_cache(maxsize=None)
+def _packed(shape: Partition, w: Perm) -> _Packed:
+    """The matrix of w in packed rows."""
+    return _pack(_factor(shape, w), _SLOT_WIDTH)
 
-    Returns the reindexed matrix, the target row of each column, the
-    column labels, the sign of each class and the failures."""
-    mat = mat_reindex(canonical, ids)
-    pos = _inverse(ids)
-    target = [pos[image[i]] for i in ids]
-    cell_labels = cell(shape).labels
-    labels = [cell_labels[i] for i in ids]
+
+def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
+            image: Sequence[int], classes: Sequence[str], symmetry: str,
+            class_word: str) -> tuple[tuple[str, ...], dict[str, int], list[str]]:
+    """Is Q of the packed matrix p (total index order), reindexed to the
+    basis order `ids` (cell positions), the signed permutation of the
+    tableau symmetry i -> image[i] (cell positions), with signs constant
+    on `classes` (one label per column)?
+
+    Returns the column labels, the sign of each class and the failures.
+    Only a failing check unpacks p, to name its failure."""
+    labels = tuple(map(cell(shape).labels.__getitem__, ids))
     signs: dict[str, int] = {}
     failures = []
-    q_signs = pivot_signs(mat, target)
+    q_signs = _pivot_test(p, ids, image)
     if q_signs is None:
-        failures = _qr_failures(mat, target, labels, symmetry)
+        pos = _inverse(ids)
+        target = [pos[image[i]] for i in ids]
+        failures = _qr_failures(_reindexed(p, ids), target, labels, symmetry)
     else:
         for label, s in zip(classes, q_signs):
             if signs.setdefault(label, s) != s:
                 failures.append(f'sign flips inside {class_word} {label}')
-    return mat, target, labels, signs, failures
+    return labels, signs, failures
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +574,59 @@ def verify_thm1(shape: Partition,
     if any(a > b for a, b in zip(idx, idx[1:])):
         raise ValueError('order must be weakly increasing in tableau index')
     cyc = long_cycle(sum(shape))
-    mat, prom, labels, signs, sign_failures = _decide(
-        shape, _matrix(shape, cyc), ids, _promotion_table(shape),
-        [str(i) for i in idx], 'promotion', 'index class')
-    d = len(ids)
+    packed = _packed(shape, cyc)
+    table = _promotion_table(shape)
+    labels, signs, sign_failures = _decide(
+        shape, packed, ids, table, [str(i) for i in idx], 'promotion',
+        'index class')
+    pos = _inverse(ids)
+    prom = [pos[table[i]] for i in ids]
+    failures = []
+    if not _leading_terms_hold(shape, packed, table):
+        failures = _leading_term_failures(_reindexed(packed, ids), prom, idx,
+                                          labels)
+    failures.extend(sign_failures)
+    return CheckReport(
+        theorem='thm1',
+        passed=not failures,
+        shape=tuple(shape),
+        ordering=labels,
+        witness={
+            'cycle': list(cyc),
+            'promotion': prom,
+        },
+        signs=signs or None,
+        failures=failures,
+        timing=time.perf_counter() - t0,
+    )
+
+
+def _leading_terms_hold(shape: Partition, p: _Packed,
+                        prom: Sequence[int]) -> bool:
+    """The leading-term shape of the long cycle's matrix, read off its
+    packed rows in the total index order: column T is supported on rows
+    pr(R) with index(R) <= index(T), and carries +-1 at pr(T).  So row
+    pr(R) vanishes on the columns of index below index(R), which precede
+    the first position of that index, whatever the basis order."""
+    cl = cell(shape)
+    width = p.width
+    mask = (1 << width) - 1
+    bias = _words(len(p.rows), width).bias
+    for i, r in enumerate(prom):
+        digits = (p.rows[r] + bias) ^ bias
+        if (digits & (1 << cl.classes[cl.indexes[i]][0] * width) - 1
+                or (digits >> i * width) & mask not in (1, mask)):
+            return False
+    return True
+
+
+def _leading_term_failures(mat: Matrix, prom: Sequence[int],
+                           idx: Sequence[int], labels: Sequence[str]) -> list[str]:
+    """What breaks the leading-term shape of the long cycle's matrix in
+    the checked basis order, column by column."""
+    d = len(mat)
     origin = _inverse(prom)  # origin[prom[c]] = c
     failures = []
-
-    # leading-term shape of the matrix itself: column T is supported on
-    # rows pr(R) with index(R) <= index(T), and carries +-1 at pr(T)
     for c in range(d):
         lead = mat[prom[c]][c]
         if lead not in (1, -1):
@@ -415,20 +639,7 @@ def verify_thm1(shape: Partition,
                     f'column {labels[c]} leaks onto the promotion '
                     f'of a larger-index tableau (row {r})'
                 )
-    failures.extend(sign_failures)
-    return CheckReport(
-        theorem='thm1',
-        passed=not failures,
-        shape=tuple(shape),
-        ordering=tuple(labels),
-        witness={
-            'cycle': list(cyc),
-            'promotion': prom,
-        },
-        signs=signs or None,
-        failures=failures,
-        timing=time.perf_counter() - t0,
-    )
+    return failures
 
 
 def thm1_shape_reports(shape: Partition, seed: int = 0,
@@ -578,59 +789,81 @@ def _chain_data(js: tuple[frozenset[int], ...], n: int) -> _ChainData:
     return _ChainData(js, w_js, w, tuple(tuple(sorted(j)) for j in js))
 
 
-class _EntryBoundedLRU:
-    """Square matrices by key, least recently used first out, holding at
-    most `budget` matrix entries in all."""
+class _ChainState(NamedTuple):
+    """What a chain's check reads, by position in the total index order.
+    A chain's state grows from the state of the chain without its
+    outermost member (see "Shared thm4 state")."""
+
+    m: _Packed  # M(w_{J_k} ... w_{J_1})
+    perm: list[int]  # the basis order
+    text: Sequence[str]  # str of the composite key, without its parentheses
+    phi: Sequence[int]  # the composite symmetry
+
+
+class _SlotBoundedLRU:
+    """Chain states by key, least recently used first out, holding at
+    most `budget` matrix slots (d**2 for a state of dimension d) in all."""
 
     def __init__(self, budget: int):
         self.budget = budget
-        self.entries = 0
-        self._mats: OrderedDict[object, Matrix] = OrderedDict()
+        self.slots = 0
+        self._states: OrderedDict[object, _ChainState] = OrderedDict()
 
-    def get(self, key: object) -> Matrix | None:
-        mat = self._mats.get(key)
-        if mat is not None:
-            self._mats.move_to_end(key)
-        return mat
+    def get(self, key: object) -> _ChainState | None:
+        state = self._states.get(key)
+        if state is not None:
+            self._states.move_to_end(key)
+        return state
 
-    def put(self, key: object, mat: Matrix) -> None:
-        """Keep mat under a key the cache does not hold."""
-        size = len(mat) ** 2
+    def put(self, key: object, state: _ChainState) -> None:
+        """Keep state under a key the cache does not hold."""
+        size = len(state.perm) ** 2
         if size > self.budget:
             return
-        self._mats[key] = mat
-        self.entries += size
-        while self.entries > self.budget:
-            _, old = self._mats.popitem(last=False)
-            self.entries -= len(old) ** 2
+        self._states[key] = state
+        self.slots += size
+        while self.slots > self.budget:
+            _, old = self._states.popitem(last=False)
+            self.slots -= len(old.perm) ** 2
 
     def clear(self) -> None:
-        self._mats.clear()
-        self.entries = 0
+        self._states.clear()
+        self.slots = 0
 
 
-# chain products M(w_{J_k}) ... M(w_{J_1}) of the chains that extend
-# further, so that a longer chain costs one product; 2**20 entries cover
-# every such prefix up to n = 6 and bound the memory at n = 8
-_prefixes = _EntryBoundedLRU(1 << 20)
+# the states of the chains that extend further, so that a longer chain
+# costs one extension; 2**20 slots cover every such state up to n = 6 and
+# bound the memory at n = 8
+_chain_states = _SlotBoundedLRU(1 << 20)
 
 
-def _chain_matrix(shape: Partition, js: tuple[frozenset[int], ...],
-                  w_js: tuple[Perm, ...]) -> Matrix:
-    """M(w_{J_k}) ... M(w_{J_1}) in the total index order, as the product
-    of M(w_{J_k}) with the (cached) matrix of the chain without J_k.  The
-    result is shared with the cache: callers must not change it."""
-    if len(js) == 1:
-        return _matrix(shape, w_js[0])
+def _chain_state(shape: Partition, js: tuple[frozenset[int], ...],
+                 w_js: tuple[Perm, ...]) -> _ChainState:
+    """The state of the chain js, grown from the (cached) state of the
+    chain without J_k: M(w_{J_k}) times its packed rows, its order sorted
+    stably on the rank of J_k, J_k's key text before its text and phi_{J_k}
+    after its phi.  The result is shared with the cache: callers must not
+    change it."""
     key = (shape, js)
-    mat = _prefixes.get(key)
-    if mat is None:
-        mat = mat_mul(_matrix(shape, w_js[-1]),
-                      _chain_matrix(shape, js[:-1], w_js[:-1]))
-        # a chain ending in J = {1, ..., n-1} is a prefix of no other
-        if len(js[-1]) < sum(shape) - 1:
-            _prefixes.put(key, mat)
-    return mat
+    state = _chain_states.get(key)
+    if state is not None:
+        return state
+    phi_k, rank_k, str_k = _j_table(js[-1], shape)
+    if len(js) == 1:
+        state = _ChainState(_packed(shape, w_js[0]),
+                            sorted(range(len(phi_k)), key=rank_k.__getitem__),
+                            str_k, phi_k)
+    else:
+        prefix = _chain_state(shape, js[:-1], w_js[:-1])
+        state = _ChainState(
+            _times(_factor(shape, w_js[-1]), prefix.m),
+            sorted(prefix.perm, key=rank_k.__getitem__),
+            [f'{s}, {t}' for s, t in zip(str_k, prefix.text)],
+            list(map(phi_k.__getitem__, prefix.phi)))
+    # a chain ending in J = {1, ..., n-1} is a prefix of no other
+    if len(js[-1]) < sum(shape) - 1:
+        _chain_states.put(key, state)
+    return state
 
 
 def verify_thm4_chain(shape: Partition,
@@ -638,37 +871,26 @@ def verify_thm4_chain(shape: Partition,
     """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry."""
     t0 = time.perf_counter()
     js, w_js, w, members = _chain_data(
-        tuple(frozenset(j) for j in chain), sum(shape))
-    # everything below is indexed by position in the total index order
+        tuple(map(frozenset, chain)), sum(shape))
     cl = cell(shape)
-    d = len(cl.tableaux)
-    # the composite key compares its members' keys outermost first; the
-    # position is the total_index_key tie-break: the cell is sorted by it
-    tables = [_j_table(j, shape) for j in js]
-    _, ranks, strs = zip(*reversed(tables))
-    keys = list(zip(*ranks, range(d)))
-    perm = sorted(range(d), key=keys.__getitem__)
+    state = _chain_state(shape, js, w_js)
     # str of the composite key: a tuple of key tuples
     close = ',)' if len(js) == 1 else ')'
-    parts = list(zip(*strs))
-    classes = ['(' + ', '.join(parts[i]) + close for i in perm]
-    phi: Sequence[int] = range(d)
-    for table, _, _ in tables:
-        phi = [table[i] for i in phi]
-    _, _, labels, signs, failures = _decide(
-        shape, _chain_matrix(shape, js, w_js), perm, phi, classes,
+    text = state.text
+    classes = [f'({text[i]}{close}' for i in state.perm]
+    labels, signs, failures = _decide(
+        shape, state.m, state.perm, state.phi, classes,
         'the composite symmetry', 'class')
+    phi = state.phi
     return CheckReport(
         theorem='thm4',
         passed=not failures,
         shape=tuple(shape),
-        ordering=tuple(labels),
+        ordering=labels,
         witness={
             'chain': [list(j) for j in members],
             'w': list(w),
-            'symmetry': {
-                label: cl.labels[phi[i]] for i, label in enumerate(cl.labels)
-            },
+            'symmetry': dict(zip(cl.labels, map(cl.labels.__getitem__, phi))),
         },
         signs=signs or None,
         failures=failures,

@@ -270,13 +270,14 @@ def test_thm4_routes_agree(n):
 
 @pytest.fixture
 def cold_factor_caches():
-    """Clear the cached cells, per-(shape, w) matrices and chain prefix
-    products before and after a test that feeds the verifiers wrong
-    generator matrices."""
+    """Clear the cached cells, per-(shape, w) matrices and chain states
+    before and after a test that feeds the verifiers wrong generator
+    matrices."""
     def clear():
         specht.cell.cache_clear()
-        qrkit._matrix.cache_clear()
-        qrkit._prefixes.clear()
+        qrkit._factor.cache_clear()
+        qrkit._packed.cache_clear()
+        qrkit._chain_states.clear()
 
     clear()
     yield

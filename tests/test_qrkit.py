@@ -32,6 +32,7 @@ from klspecht.specht import (
     identity_matrix,
     mat_eq,
     mat_mul,
+    mat_reindex,
     mat_transpose,
     matrix_of,
 )
@@ -275,15 +276,16 @@ def test_thm4_rejects_bad_chains():
 
 
 def _checked_matrices(monkeypatch):
-    """Record every matrix the verifiers hand to `pivot_signs`."""
+    """Record every matrix the verifiers decide on: the packed input of
+    `_decide`, unpacked and reindexed to the checked basis order."""
     seen = []
-    real = qrkit.pivot_signs
+    real = qrkit._decide
 
-    def spy(m, target):
-        seen.append([list(row) for row in m])
-        return real(m, target)
+    def spy(shape, packed, ids, *rest):
+        seen.append(mat_reindex(qrkit._unpack(packed), ids))
+        return real(shape, packed, ids, *rest)
 
-    monkeypatch.setattr(qrkit, 'pivot_signs', spy)
+    monkeypatch.setattr(qrkit, '_decide', spy)
     return seen
 
 
@@ -316,7 +318,7 @@ def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# thm4 state shared between checks: chain data and prefix products
+# thm4 state shared between checks: chain data and chain states
 
 def _thm4_checks(max_n):
     return [(shape, chain) for n in range(2, max_n + 1)
@@ -324,25 +326,26 @@ def _thm4_checks(max_n):
 
 
 def test_thm4_prefix_eviction_keeps_the_records(monkeypatch):
-    """A prefix budget of a few hundred entries holds only a handful of
-    chain products, so a shuffled order keeps evicting products that later
-    checks need.  Every record must still equal the one of the DFS order
-    at the full budget, and the cache must never hold more entries than
-    its budget."""
+    """A budget of a few hundred slots holds only a handful of chain
+    states, so a shuffled order keeps evicting states that later checks
+    extend.  Every record must still equal the one of the DFS order at the
+    full budget, and the cache must never hold more slots than its
+    budget."""
     checks = _thm4_checks(5)
-    qrkit._prefixes.clear()
+    qrkit._chain_states.clear()
     want = [verify_thm4_chain(shape, chain).record() for shape, chain in checks]
 
     budget = 300
-    cache = qrkit._prefixes
+    cache = qrkit._chain_states
     monkeypatch.setattr(cache, 'budget', budget)
     stored = []
 
-    def put(key, mat):
-        type(cache).put(cache, key, mat)
-        stored.append(len(mat) ** 2)
-        assert cache.entries <= budget
-        assert cache.entries == sum(len(m) ** 2 for m in cache._mats.values())
+    def put(key, state):
+        type(cache).put(cache, key, state)
+        stored.append(len(state.m.rows) ** 2)
+        assert cache.slots <= budget
+        assert cache.slots == sum(len(s.m.rows) ** 2
+                                  for s in cache._states.values())
 
     monkeypatch.setattr(cache, 'put', put)
     cache.clear()
@@ -356,6 +359,52 @@ def test_thm4_prefix_eviction_keeps_the_records(monkeypatch):
         cache.clear()
     assert [got[i] for i in range(len(checks))] == want
     assert sum(stored) > 10 * budget  # the eviction path ran, often
+
+
+def test_narrow_slots_raise_instead_of_truncating(monkeypatch):
+    """With slots too narrow for the entry bounds of (3, 2, 1), which
+    reach 360 along its chains, a check raises rather than deciding on
+    truncated entries; a check whose bound fits keeps its record."""
+    shape = (3, 2, 1)
+    chains = all_connected_chains(6)
+    want = [verify_thm4_chain(shape, chain).record() for chain in chains]
+    monkeypatch.setattr(qrkit, '_SLOT_WIDTH', 5)
+    qrkit._packed.cache_clear()
+    qrkit._chain_states.clear()
+    raised = 0
+    try:
+        for chain, record in zip(chains, want):
+            try:
+                got = verify_thm4_chain(shape, chain).record()
+            except QRInvariantError as err:
+                assert '5-bit slots' in str(err)
+                raised += 1
+            else:
+                assert got == record
+    finally:
+        qrkit._packed.cache_clear()
+        qrkit._chain_states.clear()
+    assert 0 < raised < len(chains)
+
+
+def test_narrow_slots_raise_under_optimize_flag():
+    script = '''
+import sys
+from klspecht import qrkit
+qrkit._SLOT_WIDTH = 5
+try:
+    for chain in qrkit.all_connected_chains(6):
+        qrkit.verify_thm4_chain((3, 2, 1), chain)
+except qrkit.QRInvariantError as err:
+    print(sys.flags.optimize, err)
+'''
+    src = str(Path(klspecht.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, '-O', '-c', script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith('1 entries up to ')
+    assert proc.stdout.strip().endswith('overflow 5-bit slots')
 
 
 def test_thm4_reports_get_fresh_witness_lists():
@@ -440,3 +489,96 @@ def test_qr_recovers_signed_permutation_factors(parts):
     assert mat_eq(fact.q, s)
     assert mat_eq(fact.r, upper)
     assert as_signed_permutation(fact.q) is not None
+
+
+# ---------------------------------------------------------------------------
+# packed rows against the list routines they replace
+
+def list_pivot_signs(m, target):
+    """The list loop `pivot_signs` ran before it read packed rows."""
+    signs = []
+    for c, r in enumerate(target):
+        row = m[r]
+        if any(row[:c]) or not row[c]:
+            return None
+        signs.append(1 if row[c] > 0 else -1)
+    return tuple(signs)
+
+
+def _max_abs(m):
+    return max(abs(x) for row in m for x in row)
+
+
+@st.composite
+def square_pairs(draw, max_d=6):
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    return ([[draw(entries) for _ in range(d)] for _ in range(d)],
+            [[draw(entries) for _ in range(d)] for _ in range(d)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_pairs())
+def test_packed_product_equals_mat_mul(pair):
+    a, b = pair
+    bound = max(sum(map(abs, row)) for row in a) * _max_abs(b)
+    width = qrkit._width(max(bound, _max_abs(b)))
+    packed_b = qrkit._pack(qrkit._terms(b), width)
+    assert qrkit._unpack(packed_b) == b
+    assert qrkit._unpack(qrkit._times(qrkit._terms(a), packed_b)) == mat_mul(a, b)
+
+
+@st.composite
+def pivot_cases(draw, max_d=6):
+    """A matrix, a basis order ids and a symmetry image, as `_decide`
+    receives them.  Half the matrices are a signed permutation times an
+    upper-triangular matrix in the order ids, some perturbed in one entry,
+    so that both verdicts occur."""
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    small = st.integers(min_value=-3, max_value=3)
+    ids = draw(st.permutations(range(d)))
+    image = draw(st.permutations(range(d)))
+    if draw(st.booleans()):
+        m = [[0] * d for _ in range(d)]
+        for c, i in enumerate(ids):
+            # row image[i] vanishes on the columns ids[:c]
+            row = m[image[i]]
+            for k in ids[c + 1:]:
+                row[k] = draw(small)
+            row[i] = draw(st.sampled_from((-2, -1, 1, 2)))
+        if draw(st.booleans()):
+            r, k = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            m[r][k] += draw(st.sampled_from((-1, 1)))
+    else:
+        m = [[draw(small) for _ in range(d)] for _ in range(d)]
+    return m, ids, image
+
+
+@settings(max_examples=300, deadline=None)
+@given(pivot_cases())
+def test_packed_pivot_test_equals_the_list_loop(case):
+    m, ids, image = case
+    pos = [0] * len(ids)
+    for c, i in enumerate(ids):
+        pos[i] = c
+    target = [pos[image[i]] for i in ids]
+    want = list_pivot_signs(mat_reindex(m, ids), target)
+    packed = qrkit._pack(qrkit._terms(m), qrkit._width(_max_abs(m)))
+    got = qrkit._pivot_test(packed, ids, image)
+    assert (None if got is None else tuple(got)) == want
+    assert qrkit.pivot_signs(m, list(range(len(m)))) \
+        == list_pivot_signs(m, list(range(len(m))))
+    assert qrkit.pivot_signs(m, image) == list_pivot_signs(m, image)
+
+
+def test_pack_refuses_entries_beyond_the_slots():
+    def pack(m, width):
+        return qrkit._pack(qrkit._terms(m), width)
+
+    assert pack([[7, -7], [0, 1]], 4).rows == [7 - (7 << 4), 1 << 4]
+    assert pack([[0, -1], [1, 0]], 4).rows == [-(1 << 4), 1]
+    assert pack([[7, -7], [0, 1]], 4).bound == 7
+    with pytest.raises(QRInvariantError):
+        pack([[8, 0], [0, 1]], 4)
+    with pytest.raises(QRInvariantError):
+        pack([[1, 0], [-8, 1]], 4)
