@@ -26,7 +26,11 @@ The verifiers check matrices of the Specht module action:
   order weakly increasing in the tableau index, by Q R with Q the signed
   permutation matrix of jeu de taquin promotion, signs constant on index
   classes, and the matrix itself supports columns only on promotions of
-  tableaux of weakly smaller index.
+  tableaux of weakly smaller index.  In such an order the pivot test
+  implies that support: row pr(T) vanishes on every column before T,
+  which includes every column of smaller index, and the lead entry of T
+  is its pivot.  So the leading terms are read column by column only
+  when the pivot test fails or some pivot is not +-1.
 * `verify_thm4_chain`: for a chain J_1 < ... < J_k of connected
   generator subsets, w = w_{J_k} ... w_{J_1} acts by Q R with Q the
   signed permutation of the composite partial-evacuation symmetry phi =
@@ -55,15 +59,14 @@ per row (`_Packed`): entry (i, j) is a signed digit in the W-bit slot at
 bit j * W.  A product A B adds one packed row of B, its negative or a
 multiple of it per nonzero entry of A (`_times`).  Adding a bias word
 with 2**(W-1) in every slot and xoring it back leaves each slot zero
-exactly where its entry is, so the pivot test of a column is one and,
-one extract and one compare (`_pivot_test`), and thm1's leading-term
-test is one mask per index class, whatever the basis order
-(`_leading_terms_hold`).  Every matrix the verifiers decide on uses
-W = `_SLOT_WIDTH` = 32 and carries a bound on its entries; a product
-takes the bound |A B| <= rowabs(A) max|B|, and one whose bound would
-reach 2**(W-1) raises `QRInvariantError`, also under `python -O`,
-instead of truncating.  Over every chain that bound needs at most 9 bits
-at n = 6, 15 at n = 7 and 22 at n = 8.
+exactly where its entry is, so a column's pivot test is one and with
+the mask of the columns before it, and its pivot is one extract, one
+subtraction and one shift (`_pivot_test`).  Every matrix the verifiers
+decide on uses W = `_SLOT_WIDTH` = 32 and carries a bound on its
+entries; a product takes the bound |A B| <= rowabs(A) max|B|, and one
+whose bound would reach 2**(W-1) raises `QRInvariantError`, also under
+`python -O`, instead of truncating.  Over every chain that bound needs
+at most 9 bits at n = 6, 15 at n = 7 and 22 at n = 8.
 
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
@@ -89,10 +92,11 @@ any order take the same path and get the same reports.
   product w and the sorted J lists (`_chain_data`).  Reports get fresh
   lists.
 * Per-shape tables, by position in the total index order: ev_k for
-  k = 2..n (`_evacuation_table`) and the index labels of each tableau
-  peeled down to one box (`_peel_table`, the `tableaux` peel worker's
-  total index key without its last label).  Each tableau is evacuated
-  n-1 times per shape, whatever the number of J.
+  k = 2..n (`_position_map`, which also maps promotion for thm1) and
+  the index labels of each tableau peeled down to one box
+  (`_peel_table`, the `tableaux` peel worker's total index key without
+  its last label).  Each tableau is evacuated n-1 times per shape,
+  whatever the number of J.
 * Per (J, shape), one table composed from those (`_j_table`): phi_J =
   ev_q ev_m ev_q, and the dense rank and str of the preorder key, the
   first n-m labels of the peel of ev_q(T).  A chain reads it once per J:
@@ -127,7 +131,7 @@ from itertools import permutations as _permutations, repeat
 from math import isqrt
 from operator import neg
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .jdt import _partial_evacuate, _promote
 from .reports import CheckReport
@@ -318,9 +322,9 @@ def pivot_signs(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
     if not m:
         return ()
     terms = _terms(m)
-    signs = _pivot_test(_pack(terms, _width(terms.maxabs)), range(len(target)),
-                        target)
-    return None if signs is None else tuple(signs)
+    pivots = _pivot_test(_pack(terms, _width(terms.maxabs)),
+                         range(len(target)), target)
+    return None if pivots is None else tuple(1 if v > 0 else -1 for v in pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +451,25 @@ def _pack(terms: _Terms, width: int) -> _Packed:
 
 def _pivot_test(p: _Packed, ids: Sequence[int],
                 image: Sequence[int]) -> list[int] | None:
-    """`pivot_signs` of p reindexed to the basis order ids, with column
-    c sent to the row of image[ids[c]], read off the packed rows: row
-    image[i] must vanish on the columns ids[:c] before c and not on i."""
-    bias, slots, tops, _ = _words(len(p.rows), p.width)
+    """The pivots of p reindexed to the basis order ids, with column c
+    sent to the row of image[ids[c]], read off the packed rows: row
+    image[i] must vanish on the columns ids[:c] before c and not on i,
+    and its entry on i is the pivot.  None if some row fails."""
+    width = p.width
+    bias, slots, tops, _ = _words(len(p.rows), width)
     rows = p.rows
     before = 0
-    signs = []
+    pivots = []
     for i in ids:
         biased = rows[image[i]] + bias
         if (biased ^ bias) & before:
             return None
-        v, top = biased & slots[i], tops[i]
-        if v == top:  # a zero pivot
+        v = ((biased & slots[i]) - tops[i]) >> i * width
+        if not v:
             return None
-        signs.append(1 if v > top else -1)
+        pivots.append(v)
         before |= slots[i]
-    return signs
+    return pivots
 
 
 def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
@@ -531,38 +537,43 @@ def _packed(shape: Partition, w: Perm) -> _Packed:
 
 def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
             image: Sequence[int], classes: Sequence[str], symmetry: str,
-            class_word: str) -> tuple[tuple[str, ...], dict[str, int], list[str]]:
+            class_word: str
+            ) -> tuple[tuple[str, ...], dict[str, int], list[str], list[int] | None]:
     """Is Q of the packed matrix p (total index order), reindexed to the
     basis order `ids` (cell positions), the signed permutation of the
     tableau symmetry i -> image[i] (cell positions), with signs constant
     on `classes` (one label per column)?
 
-    Returns the column labels, the sign of each class and the failures.
-    Only a failing check unpacks p, to name its failure."""
+    Returns the column labels, the sign of each class, the failures and
+    the pivots (None when the pivot test fails).  Only a failing check
+    unpacks p, to name its failure."""
     labels = tuple(map(cell(shape).labels.__getitem__, ids))
     signs: dict[str, int] = {}
     failures = []
-    q_signs = _pivot_test(p, ids, image)
-    if q_signs is None:
+    pivots = _pivot_test(p, ids, image)
+    if pivots is None:
         pos = _inverse(ids)
         target = [pos[image[i]] for i in ids]
         failures = _qr_failures(_reindexed(p, ids), target, labels, symmetry)
     else:
-        for label, s in zip(classes, q_signs):
+        for label, v in zip(classes, pivots):
+            s = 1 if v > 0 else -1
             if signs.setdefault(label, s) != s:
                 failures.append(f'sign flips inside {class_word} {label}')
-    return labels, signs, failures
+    return labels, signs, failures, pivots
+
+
+@lru_cache(maxsize=None)
+def _position_map(shape: Partition, op: Callable[..., Tableau],
+                  *args: int) -> tuple[int, ...]:
+    """op(tableaux[i], *args) = tableaux[table[i]], for a map op of the
+    shape's tableaux (promotion, ev_k) that does not check its input."""
+    cl = cell(shape)
+    return tuple(cl.position[op(t, *args)] for t in cl.tableaux)
 
 
 # ---------------------------------------------------------------------------
 # the long-cycle check
-
-@lru_cache(maxsize=None)
-def _promotion_table(shape: Partition) -> tuple[int, ...]:
-    """promote(tableaux[i]) = tableaux[table[i]]."""
-    cl = cell(shape)
-    return tuple(cl.position[_promote(t)] for t in cl.tableaux)
-
 
 def verify_thm1(shape: Partition,
                 order: Sequence[Tableau] | None = None) -> CheckReport:
@@ -575,17 +586,17 @@ def verify_thm1(shape: Partition,
         raise ValueError('order must be weakly increasing in tableau index')
     cyc = long_cycle(sum(shape))
     packed = _packed(shape, cyc)
-    table = _promotion_table(shape)
-    labels, signs, sign_failures = _decide(
+    table = _position_map(shape, _promote)
+    labels, signs, failures, pivots = _decide(
         shape, packed, ids, table, [str(i) for i in idx], 'promotion',
         'index class')
     pos = _inverse(ids)
     prom = [pos[table[i]] for i in ids]
-    failures = []
-    if not _leading_terms_hold(shape, packed, table):
+    # in an index-monotone order, passing pivots of +-1 imply the
+    # leading terms (see the module docstring)
+    if pivots is None or any(v != 1 and v != -1 for v in pivots):
         failures = _leading_term_failures(_reindexed(packed, ids), prom, idx,
-                                          labels)
-    failures.extend(sign_failures)
+                                          labels) + failures
     return CheckReport(
         theorem='thm1',
         passed=not failures,
@@ -599,25 +610,6 @@ def verify_thm1(shape: Partition,
         failures=failures,
         timing=time.perf_counter() - t0,
     )
-
-
-def _leading_terms_hold(shape: Partition, p: _Packed,
-                        prom: Sequence[int]) -> bool:
-    """The leading-term shape of the long cycle's matrix, read off its
-    packed rows in the total index order: column T is supported on rows
-    pr(R) with index(R) <= index(T), and carries +-1 at pr(T).  So row
-    pr(R) vanishes on the columns of index below index(R), which precede
-    the first position of that index, whatever the basis order."""
-    cl = cell(shape)
-    width = p.width
-    mask = (1 << width) - 1
-    bias = _words(len(p.rows), width).bias
-    for i, r in enumerate(prom):
-        digits = (p.rows[r] + bias) ^ bias
-        if (digits & (1 << cl.classes[cl.indexes[i]][0] * width) - 1
-                or (digits >> i * width) & mask not in (1, mask)):
-            return False
-    return True
 
 
 def _leading_term_failures(mat: Matrix, prom: Sequence[int],
@@ -711,13 +703,6 @@ def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
 # peeled once; the per-J table is composed from those.
 
 @lru_cache(maxsize=None)
-def _evacuation_table(k: int, shape: Partition) -> tuple[int, ...]:
-    """ev_k(tableaux[i]) = tableaux[table[i]]."""
-    cl = cell(shape)
-    return tuple(cl.position[_partial_evacuate(t, k)] for t in cl.tableaux)
-
-
-@lru_cache(maxsize=None)
 def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
     """The index labels met while deleting the largest entry of
     tableaux[i] down to one box, at i."""
@@ -732,8 +717,8 @@ def _j_table(j_set: frozenset[int], shape: Partition
     the shape.  Ranks compare as the keys do."""
     n = sum(shape)
     p, q = _block(j_set, n)
-    evq = _evacuation_table(q, shape)
-    evm = _evacuation_table(q - p + 1, shape)
+    evq = _position_map(shape, _partial_evacuate, q)
+    evm = _position_map(shape, _partial_evacuate, q - p + 1)
     peel = _peel_table(shape)
     keys = [peel[e][:n - (q - p + 1)] for e in evq]
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
@@ -878,7 +863,7 @@ def verify_thm4_chain(shape: Partition,
     close = ',)' if len(js) == 1 else ')'
     text = state.text
     classes = [f'({text[i]}{close}' for i in state.perm]
-    labels, signs, failures = _decide(
+    labels, signs, failures, _ = _decide(
         shape, state.m, state.perm, state.phi, classes,
         'the composite symmetry', 'class')
     phi = state.phi

@@ -260,12 +260,14 @@ def matrix_from_generator_word(shape: Partition, word: Sequence[int],
     """Product of generator matrices along a word (leftmost first).
 
     The product of the cell's cached generators is taken in the total
-    index order and reindexed to `order` once at the end.
+    index order, right to left so that each sparse generator is the left
+    factor of `mat_mul`, and reindexed to `order` once at the end.
     """
     c = cell(shape)
     ids = c.positions(order)
-    factors = [c.generator(j) for j in word]
-    out = reduce(mat_mul, factors) if factors else identity_matrix(len(ids))
+    factors = [c.generator(j) for j in reversed(word)]
+    out = (reduce(lambda acc, s: mat_mul(s, acc), factors) if factors
+           else identity_matrix(len(ids)))
     return mat_reindex(out, ids)
 
 

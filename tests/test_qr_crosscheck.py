@@ -268,20 +268,21 @@ def test_thm4_routes_agree(n):
             assert new['passed']
 
 
+def _clear_factor_caches():
+    specht.cell.cache_clear()
+    qrkit._factor.cache_clear()
+    qrkit._packed.cache_clear()
+    qrkit._chain_states.clear()
+
+
 @pytest.fixture
 def cold_factor_caches():
     """Clear the cached cells, per-(shape, w) matrices and chain states
     before and after a test that feeds the verifiers wrong generator
     matrices."""
-    def clear():
-        specht.cell.cache_clear()
-        qrkit._factor.cache_clear()
-        qrkit._packed.cache_clear()
-        qrkit._chain_states.clear()
-
-    clear()
+    _clear_factor_caches()
     yield
-    clear()
+    _clear_factor_caches()
 
 
 def test_routes_agree_on_failing_checks(monkeypatch, cold_factor_caches):
@@ -310,6 +311,46 @@ def test_routes_agree_on_failing_checks(monkeypatch, cold_factor_caches):
                 assert new == qr_route_thm4_chain(shape, chain).record()
                 kinds.update(f.split(' ')[0] for f in new['failures'])
     assert {'no', 'Q'} <= kinds
+
+
+def test_thm1_routes_agree_on_failing_checks_in_shuffled_orders(
+        monkeypatch, cold_factor_caches):
+    """thm1 in the canonical order and 5 seeded index-monotone orders,
+    under two faults: the twisted generators above, and a `matrix_of`
+    that doubles the entry of M(c) at (pr(T), T) for the last tableau T
+    of the total index order.  For thm1 both routes build M(c) along the
+    reduced word of c, so both see one matrix.  The doubled entry keeps
+    the pivot test passing with a pivot of +-2, which only the
+    leading-term check names."""
+    generator = specht._Cell.generator
+    matrix_of = qrkit.matrix_of
+
+    def twisted(self, j):
+        return generator(self, sum(self.shape) - j)
+
+    def doubled_pivot(shape, w, order=None):
+        m = matrix_of(shape, w, order)
+        if w == long_cycle(sum(shape)):
+            basis = list(order or total_index_order(shape))
+            t = total_index_order(shape)[-1]
+            m[basis.index(promote(t))][basis.index(t)] *= 2
+        return m
+
+    failures = []
+    for owner, name, fault in ((specht._Cell, 'generator', twisted),
+                               (qrkit, 'matrix_of', doubled_pivot)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fault)
+            for n in range(2, 6):
+                for shape in partitions(n):
+                    for order in _thm1_orders(shape, shuffles=5):
+                        new = verify_thm1(shape, order).record()
+                        assert new == qr_route_thm1(shape, order).record()
+                        failures += new['failures']
+        _clear_factor_caches()
+    for text in ('has 2 at its promotion row', 'leaks onto'):
+        assert any(text in f for f in failures), text
+    assert any(f.startswith(('no rational QR', 'Q ')) for f in failures)
 
 
 def test_passing_checks_do_not_factor(monkeypatch):

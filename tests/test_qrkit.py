@@ -494,15 +494,21 @@ def test_qr_recovers_signed_permutation_factors(parts):
 # ---------------------------------------------------------------------------
 # packed rows against the list routines they replace
 
-def list_pivot_signs(m, target):
-    """The list loop `pivot_signs` ran before it read packed rows."""
-    signs = []
+def list_pivots(m, target):
+    """The list loop `pivot_signs` ran before it read packed rows, keeping
+    the pivots m[target[c]][c] instead of their signs."""
+    pivots = []
     for c, r in enumerate(target):
         row = m[r]
         if any(row[:c]) or not row[c]:
             return None
-        signs.append(1 if row[c] > 0 else -1)
-    return tuple(signs)
+        pivots.append(row[c])
+    return pivots
+
+
+def list_pivot_signs(m, target):
+    pivots = list_pivots(m, target)
+    return None if pivots is None else tuple(1 if v > 0 else -1 for v in pivots)
 
 
 def _max_abs(m):
@@ -562,10 +568,9 @@ def test_packed_pivot_test_equals_the_list_loop(case):
     for c, i in enumerate(ids):
         pos[i] = c
     target = [pos[image[i]] for i in ids]
-    want = list_pivot_signs(mat_reindex(m, ids), target)
     packed = qrkit._pack(qrkit._terms(m), qrkit._width(_max_abs(m)))
-    got = qrkit._pivot_test(packed, ids, image)
-    assert (None if got is None else tuple(got)) == want
+    assert qrkit._pivot_test(packed, ids, image) \
+        == list_pivots(mat_reindex(m, ids), target)
     assert qrkit.pivot_signs(m, list(range(len(m)))) \
         == list_pivot_signs(m, list(range(len(m))))
     assert qrkit.pivot_signs(m, image) == list_pivot_signs(m, image)

@@ -67,7 +67,7 @@ def test_cell_tables_match_the_public_functions(shape):
 @pytest.mark.parametrize('shape', SHAPES)
 def test_promotion_table_matches_promote(shape):
     tabs = specht.cell(shape).tableaux
-    table = qrkit._promotion_table(shape)
+    table = qrkit._position_map(shape, jdt._promote)
     assert [tabs[i] for i in table] == [promote(t) for t in tabs]
 
 
@@ -96,7 +96,7 @@ def test_evacuation_and_peel_tables(shape):
     tabs = specht.cell(shape).tableaux
     n = sum(shape)
     for k in range(1, n + 1):
-        table = qrkit._evacuation_table(k, shape)
+        table = qrkit._position_map(shape, jdt._partial_evacuate, k)
         assert [tabs[i] for i in table] == [partial_evacuate(t, k) for t in tabs]
     # the peel to one box is the total index key without its last label
     assert qrkit._peel_table(shape) == tuple(total_index_key(t)[:-1] for t in tabs)
@@ -172,8 +172,7 @@ def test_hot_paths_call_no_validation(monkeypatch):
     for mod in (tableaux, jdt, rsk):
         monkeypatch.setattr(mod, 'check_standard', counting)
     specht.cell.cache_clear()
-    for cache in (qrkit._promotion_table, qrkit._evacuation_table,
-                  qrkit._peel_table, qrkit._j_table):
+    for cache in (qrkit._position_map, qrkit._peel_table, qrkit._j_table):
         cache.cache_clear()
     try:
         for shape in partitions(5):
