@@ -1,15 +1,14 @@
 """
 Exact QR factorization over Q and the theorem verifiers built on it.
 
-`exact_qr` runs Gram-Schmidt in Fraction arithmetic, normalizing only
-when every squared column norm is the square of a rational; otherwise Q
-would have irrational entries and `IrrationalNormError` is raised (for
-the matrices checked here that already rules out a signed-permutation Q,
-whose R = Q^T M would be an integer matrix with perfect-square norms).
-Singular input raises `SingularMatrixError` instead.  The factorization
-(orthonormal Q, upper-triangular R with positive diagonal, QR = M) is
-checked exactly before returning; a violation raises `QRInvariantError`,
-also under `python -O`.
+`exact_qr` is one integer elimination: Bareiss without pivoting on the
+rows of [M'^T M' | M'^T], M' = L M free of denominators (`_bareiss`),
+leaves row k as [D_k u_k^T M' | D_k u_k^T], with u_k column k of M' less
+its projection on the earlier columns and pivot D_{k+1} = D_k |u_k|^2
+(D_0 = 1), zero only for singular M (`SingularMatrixError`).  Q and R are
+the right and left halves over s_k = sqrt(D_k D_{k+1}) and s_k L; an
+irrational s_k (`IrrationalNormError`) rules out a signed-permutation Q.
+`QRInvariantError` (also under `python -O`) names a failed self-check.
 
 thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
 invertible matrix is unique, so that holds exactly when P^T M is upper
@@ -128,8 +127,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations, repeat
-from math import isqrt
-from operator import neg
+from math import isqrt, lcm
+from operator import mul, neg
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -138,11 +137,7 @@ from .reports import CheckReport
 from .specht import (
     Matrix,
     cell,
-    identity_matrix,
-    mat_eq,
-    mat_mul,
     mat_reindex,
-    mat_transpose,
     matrix_of,
     total_index_order,
 )
@@ -221,12 +216,28 @@ class SignedPermutation:
     signs: tuple[int, ...]
 
 
-def _rational_sqrt(x: Fraction) -> Fraction | None:
-    num = isqrt(x.numerator)
-    den = isqrt(x.denominator)
-    if num * num == x.numerator and den * den == x.denominator:
-        return Fraction(num, den)
-    return None
+def _cleared(m: Matrix) -> tuple[int, list[list[int]]]:
+    """L = lcm of the denominators of m's int or Fraction entries, and L m."""
+    scale = lcm(*(x.denominator for row in m for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in m]
+
+
+def _bareiss(cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Bareiss without pivoting on [M^T M | M^T], M of these columns."""
+    rows = [[sum(map(mul, a, b)) for b in cols] + list(a) for a in cols]
+    prev = 1
+    for k, top in enumerate(rows):
+        p = top[k]
+        if not p:
+            raise SingularMatrixError(f'column {k} depends linearly on '
+                                      'earlier columns')
+        for row in rows[k + 1:]:
+            f = row[k]
+            if f or p != prev:  # else the row stays as it is
+                row[:] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+        prev = p
+    return rows
 
 
 def exact_qr(m: Matrix) -> QRFactorization:
@@ -239,40 +250,33 @@ def exact_qr(m: Matrix) -> QRFactorization:
     d = len(m)
     if d == 0 or any(len(row) != d for row in m):
         raise ValueError('exact_qr needs a nonempty square matrix')
-    cols = [[Fraction(m[r][c]) for r in range(d)] for c in range(d)]
-    us: list[list[Fraction]] = []
-    norms2: list[Fraction] = []
-    for k, col in enumerate(cols):
-        u = list(col)
-        for prev, n2 in zip(us, norms2):
-            coeff = sum(a * b for a, b in zip(u, prev)) / n2
-            if coeff:
-                u = [a - coeff * b for a, b in zip(u, prev)]
-        n2 = sum(a * a for a in u)
-        if n2 == 0:
-            raise SingularMatrixError(
-                f'column {k} depends linearly on earlier columns'
-            )
-        us.append(u)
-        norms2.append(n2)
-    q_cols = []
-    for k, (u, n2) in enumerate(zip(us, norms2)):
-        root = _rational_sqrt(n2)
-        if root is None:
-            raise IrrationalNormError(k, n2)
-        q_cols.append([a / root for a in u])
-    q = [[q_cols[c][r] for c in range(d)] for r in range(d)]
-    r_mat = mat_mul(mat_transpose(q), [list(row) for row in m])
-    if not mat_eq(mat_mul(mat_transpose(q), q), identity_matrix(d)):
-        raise QRInvariantError('Q is not orthonormal')
-    if not mat_eq(mat_mul(q, r_mat), [list(row) for row in m]):
-        raise QRInvariantError('QR != M')
-    for i in range(d):
-        if not r_mat[i][i] > 0:
+    scale, cols = _cleared(list(zip(*m)))
+    rows = _bareiss(cols)
+    us = [row[d:] for row in rows]
+    q_cols, r, det = [], [], 1  # det = D_k
+    for k, (row, u) in enumerate(zip(rows, us)):
+        s2 = det * row[k]
+        if [sum(map(mul, u, v)) for v in us[:k + 1]] != [0] * k + [s2]:
+            raise QRInvariantError('Q is not orthonormal')
+        if row[:d] != [sum(map(mul, u, col)) for col in cols]:
+            raise QRInvariantError('QR != M')
+        if not row[k] > 0:
             raise QRInvariantError('R diagonal must be positive')
-        if any(r_mat[i][j] != 0 for j in range(i)):
+        if any(row[:k]):
             raise QRInvariantError('R must be triangular')
-    return QRFactorization(q=q, r=r_mat)
+        s = isqrt(s2)
+        if s * s != s2:
+            raise IrrationalNormError(k, Fraction(row[k], det * scale * scale))
+        q_cols.append(_over(u, s))
+        r.append(_over(row[:d], s * scale))
+        det = row[k]
+    return QRFactorization(q=[list(row) for row in zip(*q_cols)], r=r)
+
+
+def _over(xs: Sequence[int], s: int) -> list[Fraction]:
+    """Each x / s, as one shared Fraction per distinct x."""
+    value = {x: Fraction(x, s) for x in set(xs)}
+    return list(map(value.__getitem__, xs))
 
 
 def as_signed_permutation(m: Matrix) -> SignedPermutation | None:
@@ -311,19 +315,26 @@ def pivot_signs(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
     row target[c] of m vanishes left of column c and is nonzero in column
     c, with sign s[c].  That already makes m invertible, and it rejects a
     target (one row index of m per column) that is not a permutation.
-    No factorization is computed.  m must have integer entries: it is
-    packed and decided by the test the verifiers use (`_pivot_test`).
+    No factorization is computed.  m is square, with int or Fraction
+    entries; clearing its denominators scales it by a positive integer,
+    which leaves Q unchanged.  The integer matrix is packed and decided
+    by the test the verifiers use (`_pivot_test`).  A target of the wrong
+    length or with an index outside range(d) raises `ValueError`.
 
     >>> pivot_signs([[0, -1], [1, 0]], [1, 0])
     (1, -1)
     >>> pivot_signs([[1, 0], [1, 1]], [0, 1]) is None
     True
     """
+    d = len(m)
+    if any(len(row) != d for row in m):
+        raise ValueError('pivot_signs needs a square matrix')
+    if len(target) != d or not all(0 <= r < d for r in target):
+        raise ValueError(f'target must be {d} row indexes in range({d})')
     if not m:
         return ()
-    terms = _terms(m)
-    pivots = _pivot_test(_pack(terms, _width(terms.maxabs)),
-                         range(len(target)), target)
+    terms = _terms(_cleared(m)[1])
+    pivots = _pivot_test(_pack(terms, _width(terms.maxabs)), range(d), target)
     return None if pivots is None else tuple(1 if v > 0 else -1 for v in pivots)
 
 
@@ -931,18 +942,21 @@ def verify_counterexample() -> CheckReport:
     )
 
 
-def search_ordering(shape: Partition, w: Perm,
-                    max_dim: int = 7) -> tuple[Tableau, ...] | None:
+# the largest module `search_ordering` searches: it tries d! orders
+_SEARCH_MAX_DIM = 7
+
+
+def search_ordering(shape: Partition, w: Perm) -> tuple[Tableau, ...] | None:
     """First basis order making QR of [w] a signed permutation, or None.
 
     Orders are tried in lexicographic position order against the total
     index order, so the result is deterministic.  Modules larger than
-    `max_dim` are refused (the search is factorial).
+    `_SEARCH_MAX_DIM` are refused (the search is factorial).
     """
     tabs = total_index_order(shape)
-    if len(tabs) > max_dim:
+    if len(tabs) > _SEARCH_MAX_DIM:
         raise ValueError(
-            f'dimension {len(tabs)} exceeds the search bound {max_dim}'
+            f'dimension {len(tabs)} exceeds the search bound {_SEARCH_MAX_DIM}'
         )
     for perm, miss in _qr_outcomes(matrix_of(shape, w)):
         if miss is None:

@@ -81,7 +81,6 @@ __all__ = [
     'mat_eq',
     'mat_mul',
     'mat_reindex',
-    'mat_transpose',
     'matrix_entries',
     'matrix_of',
     'matrix_from_generator_word',
@@ -129,10 +128,6 @@ def mat_reindex(a: Sequence[Sequence], ids: Sequence[int]) -> Matrix:
         return [[a[r][k] for k in ids] for r in ids]
     take = itemgetter(*ids)
     return list(map(list, map(take, take(a))))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 def matrix_entries(a: Matrix) -> list[list[int | str]]:

@@ -77,28 +77,41 @@ def test_matrix_command_with_long_cycle_literal(capsys):
     assert out.splitlines() == ['0 -1', '-1 0']
 
 
+# The whole output of `qr`, Q and R blocks included, pinned byte for byte.
+_QR_M = ['0 0 0 1 0 0', '0 0 0 0 1 0', '1 0 0 -1 1 0',
+         '0 0 0 0 0 1', '0 1 0 -1 0 1', '0 0 1 0 -1 1']
+_QR_Q = ['0 0 0 1 0 0', '0 0 0 0 1 0', '1 0 0 0 0 0',
+         '0 0 0 0 0 1', '0 1 0 0 0 0', '0 0 1 0 0 0']
+_QR_R = ['1 0 0 -1 1 0', '0 1 0 -1 0 1', '0 0 1 0 -1 1',
+         '0 0 0 1 0 0', '0 0 0 0 1 0', '0 0 0 0 0 1']
+
+
 def test_qr_command_prints_all_three_matrices(capsys):
     code, out, _ = invoke(capsys, 'qr', '3,1,1', 'c')
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0] == 'M'
-    assert 'Q' in lines
-    assert 'R' in lines
-    q_at = lines.index('Q')
-    assert lines[1:q_at] == [
-        '0 0 0 1 0 0',
-        '0 0 0 0 1 0',
-        '1 0 0 -1 1 0',
-        '0 0 0 0 0 1',
-        '0 1 0 -1 0 1',
-        '0 0 1 0 -1 1',
-    ]
+    assert out == '\n'.join(['M', *_QR_M, 'Q', *_QR_Q, 'R', *_QR_R, ''])
+    code, out, _ = invoke(capsys, '--format', 'structured', 'qr', '3,1,1', 'c')
+    assert code == 0
+    assert out == (
+        '{"command": "qr", "result": {'
+        '"m": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [1, 0, 0, -1, 1, 0], '
+        '[0, 0, 0, 0, 0, 1], [0, 1, 0, -1, 0, 1], [0, 0, 1, 0, -1, 1]], '
+        '"q": [[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 0, 0], '
+        '[0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], '
+        '"r": [[1, 0, 0, -1, 1, 0], [0, 1, 0, -1, 0, 1], [0, 0, 1, 0, -1, 1], '
+        '[0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1]]}, '
+        '"shape": [3, 1, 1], "w": [2, 3, 4, 5, 1]}\n')
 
 
 def test_qr_failure_exits_one(capsys):
-    code, out, err = invoke(capsys, 'qr', '3,1', '2,4,1,3')
+    error = 'column 0: squared norm 2 is not a rational square'
+    for w in ('2,4,1,3', '2413'):
+        code, out, err = invoke(capsys, 'qr', '3,1', w)
+        assert (code, out, err) == (1, f'no rational QR: {error}\n', '')
+    code, out, _ = invoke(capsys, '--format', 'structured', 'qr', '3,1', '2413')
     assert code == 1
-    assert 'not a rational square' in out + err
+    assert out == (f'{{"command": "qr", "error": "{error}", "result": null, '
+                   '"shape": [3, 1], "w": [2, 4, 1, 3]}\n')
 
 
 def test_verify_counterexample(capsys):

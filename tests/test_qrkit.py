@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from random import Random
 
@@ -33,7 +34,6 @@ from klspecht.specht import (
     mat_eq,
     mat_mul,
     mat_reindex,
-    mat_transpose,
     matrix_of,
 )
 from klspecht.symgroup import long_cycle
@@ -64,7 +64,8 @@ def test_exact_qr_defining_identities():
     ]
     fact = exact_qr(m)
     assert mat_eq(mat_mul(fact.q, fact.r), m)
-    assert mat_eq(mat_mul(mat_transpose(fact.q), fact.q), identity_matrix(2))
+    q_t = [list(col) for col in zip(*fact.q)]
+    assert mat_eq(mat_mul(q_t, fact.q), identity_matrix(2))
     for i in range(2):
         assert fact.r[i][i] > 0
         for j in range(i):
@@ -85,45 +86,51 @@ def test_irrational_norm_reported_with_position():
     assert info.value.norm2 == 2
 
 
-# exact_qr([[0, 1], [1, 0]]) calls mat_mul three times: R = Q^T M, then
-# Q^T Q and Q R for its self-check.  Replacing some of those products
-# breaks exactly one invariant.
-_SWAP = [[0, 1], [1, 0]]
-_BROKEN_PRODUCTS = {
-    'Q is not orthonormal': {2: [[2, 0], [0, 1]]},
-    'QR != M': {3: [[1, 1], [1, 0]]},
-    'R diagonal must be positive': {1: [[-1, 0], [0, 1]], 3: _SWAP},
-    'R must be triangular': {1: [[1, 0], [1, 1]], 3: _SWAP},
+# exact_qr(25 I) reads its factorization off the integer rows
+# [D_k u_k^T M | D_k u_k^T] of `_bareiss`, [[625, 0, 25, 0], [0, 390625, 0,
+# 15625]], with s_k = sqrt(D_k D_{k+1}) = 25, 15625.  Each replacement
+# below breaks exactly one invariant.  The last one is the rotation Q with
+# columns (3, 4)/5 and (-4, 3)/5 and R = Q^T M, which is not triangular.
+_M25 = [[25, 0], [0, 25]]
+_BROKEN_ROWS = {
+    'Q is not orthonormal': [[625, 0, 25, 1], [0, 390625, 0, 15625]],
+    'QR != M': [[625, 1, 25, 0], [0, 390625, 0, 15625]],
+    'R diagonal must be positive': [[0, 0, 0, 0], [0, 0, 0, 0]],
+    'R must be triangular': [[225, 300, 9, 12],
+                             [-67500, 50625, -2700, 2025]],
 }
 
 
-@pytest.mark.parametrize('message', sorted(_BROKEN_PRODUCTS))
+def test_exact_qr_reads_the_elimination_rows():
+    assert qrkit._bareiss(list(zip(*_M25))) == [[625, 0, 25, 0],
+                                                [0, 390625, 0, 15625]]
+    fact = exact_qr(_M25)
+    assert fact.q == [[1, 0], [0, 1]] and fact.r == _M25
+
+
+@pytest.mark.parametrize('message', sorted(_BROKEN_ROWS))
 def test_exact_qr_invariants_raise(monkeypatch, message):
-    replaced = _BROKEN_PRODUCTS[message]
-    real = qrkit.mat_mul
-    calls = []
-
-    def mat_mul(a, b):
-        calls.append(None)
-        return replaced.get(len(calls)) or real(a, b)
-
-    monkeypatch.setattr(qrkit, 'mat_mul', mat_mul)
+    monkeypatch.setattr(qrkit, '_bareiss', lambda cols: _BROKEN_ROWS[message])
     with pytest.raises(QRInvariantError, match=message):
-        exact_qr(_SWAP)
+        exact_qr(_M25)
+
+
+def test_exact_qr_checks_columns_of_q_pairwise(monkeypatch):
+    """Column 1 of Q tilted onto column 0, every squared norm D_k D_{k+1}
+    kept: only the pairwise check sees it (R would not be triangular)."""
+    tilted = [[625, 0, 25, 0], [187500, 250000, 7500, 10000]]
+    monkeypatch.setattr(qrkit, '_bareiss', lambda cols: tilted)
+    with pytest.raises(QRInvariantError, match='Q is not orthonormal'):
+        exact_qr(_M25)
 
 
 def test_exact_qr_invariants_survive_optimize_flag():
     script = '''
 import sys
 from klspecht import qrkit
-real = qrkit.mat_mul
-calls = []
-def mat_mul(a, b):
-    calls.append(None)
-    return [[2, 0], [0, 1]] if len(calls) == 2 else real(a, b)
-qrkit.mat_mul = mat_mul
+qrkit._bareiss = lambda cols: [[625, 0, 25, 1], [0, 390625, 0, 15625]]
 try:
-    qrkit.exact_qr([[0, 1], [1, 0]])
+    qrkit.exact_qr([[25, 0], [0, 25]])
 except qrkit.QRInvariantError as err:
     print(sys.flags.optimize, err)
 '''
@@ -489,6 +496,136 @@ def test_qr_recovers_signed_permutation_factors(parts):
     assert mat_eq(fact.q, s)
     assert mat_eq(fact.r, upper)
     assert as_signed_permutation(fact.q) is not None
+
+
+# ---------------------------------------------------------------------------
+# exact_qr against Fraction Gram-Schmidt
+
+def gram_schmidt_qr(m):
+    """Gram-Schmidt in Fractions, the independent reference for
+    `exact_qr`: ('qr', Q, R) with R = Q^T m, ('irrational', column,
+    squared norm) for the first column whose squared norm is no rational
+    square, or ('singular', message) for the first column that depends
+    on earlier ones."""
+    d = len(m)
+    cols = [[Fraction(m[r][c]) for r in range(d)] for c in range(d)]
+    us, norms2 = [], []
+    for k, col in enumerate(cols):
+        u = list(col)
+        for prev, n2 in zip(us, norms2):
+            coeff = sum(a * b for a, b in zip(u, prev)) / n2
+            u = [a - coeff * b for a, b in zip(u, prev)]
+        n2 = sum(a * a for a in u)
+        if n2 == 0:
+            return 'singular', f'column {k} depends linearly on earlier columns'
+        us.append(u)
+        norms2.append(n2)
+    q_cols = []
+    for k, (u, n2) in enumerate(zip(us, norms2)):
+        num, den = isqrt(n2.numerator), isqrt(n2.denominator)
+        if num * num != n2.numerator or den * den != n2.denominator:
+            return 'irrational', k, n2
+        q_cols.append([a * den / num for a in u])
+    r = [[sum(a * m[i][j] for i, a in enumerate(q_col)) for j in range(d)]
+         for q_col in q_cols]
+    return 'qr', [list(row) for row in zip(*q_cols)], r
+
+
+def qr_outcome(m):
+    """exact_qr(m) in the shape of `gram_schmidt_qr`."""
+    try:
+        fact = exact_qr(m)
+    except SingularMatrixError as err:
+        return 'singular', str(err)
+    except IrrationalNormError as err:
+        return 'irrational', err.column, err.norm2
+    return 'qr', fact.q, fact.r
+
+
+_ROTATIONS = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+
+
+@st.composite
+def square_matrices(draw, max_d=5):
+    """Small integer or rational matrices, some of them Q R with Q a
+    signed permutation times a Pythagorean rotation in one plane and R
+    upper triangular with a positive diagonal, so that QR is rational."""
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    entries = st.integers(-3, 3)
+    if draw(st.booleans()):
+        entries = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    m = [[draw(entries) for _ in range(d)] for _ in range(d)]
+    if d == 1 or draw(st.booleans()):
+        return m
+    for i in range(d):
+        m[i][:i] = [0] * i
+        m[i][i] = draw(st.sampled_from((1, 2, 3, Fraction(1, 2))))
+    x, y, h = draw(st.sampled_from(_ROTATIONS))
+    i, j = draw(st.permutations(range(d)))[:2]
+    rot = identity_matrix(d)
+    rot[i][i] = rot[j][j] = Fraction(x, h)
+    rot[i][j], rot[j][i] = Fraction(-y, h), Fraction(y, h)
+    perm = draw(st.permutations(range(d)))
+    signed = [[draw(st.sampled_from((1, -1))) if perm[c] == r else 0
+               for c in range(d)] for r in range(d)]
+    return mat_mul(mat_mul(signed, rot), m)
+
+
+@settings(max_examples=250, deadline=None)
+@given(square_matrices())
+def test_exact_qr_equals_gram_schmidt(m):
+    assert qr_outcome(m) == gram_schmidt_qr(m)
+
+
+def n6_chain_matrices(count=40, seed=13):
+    """M(w_{J_k} ... w_{J_1}) for a seeded sample of n = 6 shapes and
+    chains, in the chain's basis order and in the total index order."""
+    rng = Random(seed)
+    pairs = [(shape, chain) for shape in partitions(6)
+             for chain in all_connected_chains(6)]
+    for shape, chain in rng.sample(pairs, count):
+        js, w_js, w, _ = qrkit._chain_data(chain, 6)
+        state = qrkit._chain_state(shape, js, w_js)
+        yield qrkit._reindexed(state.m, state.perm)
+        yield matrix_of(shape, w)
+
+
+def test_exact_qr_equals_gram_schmidt_on_chain_matrices():
+    kinds = set()
+    for m in n6_chain_matrices():
+        outcome = qr_outcome(m)
+        assert outcome == gram_schmidt_qr(m)
+        kinds.add(outcome[0])
+    assert kinds == {'qr', 'irrational'}
+
+
+# ---------------------------------------------------------------------------
+# pivot_signs at its boundary
+
+def test_pivot_signs_rejects_malformed_input():
+    eye = [[1, 0], [0, 1]]
+    for target in ([0], [0, 1, 0], [0, -1], [0, 2]):
+        with pytest.raises(ValueError):
+            qrkit.pivot_signs(eye, target)
+    with pytest.raises(ValueError):
+        qrkit.pivot_signs([[1, 0, 0], [0, 1, 0]], [0, 1])
+    with pytest.raises(ValueError):
+        qrkit.pivot_signs([], [0])
+    assert qrkit.pivot_signs([], []) == ()
+    assert qrkit.pivot_signs(eye, [0, 0]) is None
+
+
+def test_pivot_signs_clears_rational_entries():
+    assert qrkit.pivot_signs([[Fraction(2)]], [0]) == (1,)
+    m = [[0, -1, 3], [2, 1, 0], [0, 0, -1]]
+    for scale in (Fraction(1, 3), Fraction(5, 2)):
+        scaled = [[x * scale for x in row] for row in m]
+        for target in ([1, 0, 2], [0, 1, 2]):
+            assert qrkit.pivot_signs(scaled, target) \
+                == qrkit.pivot_signs(m, target)
+    assert qrkit.pivot_signs(m, [1, 0, 2]) == (1, -1, -1)
+    half = [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-1, 6)]]
+    assert qrkit.pivot_signs(half, [0, 1]) == (1, -1)
 
 
 # ---------------------------------------------------------------------------
