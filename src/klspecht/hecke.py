@@ -36,8 +36,9 @@ downward in x, reading the answer off the low half and verifying the
 mirror half exactly (again raising `KLInvariantError`).  The two routes
 share only the interned group tables (multiplication, lengths, Bruhat
 bitsets), not the algorithm.  The tables are built in one pass over
-S_n: lengths from Lehmer digits, the right generator table with
-`symgroup.right_mult_s`, the left one from it through the inverse ids
+S_n, on lex ranks rather than words: lengths from Lehmer digits, the
+right generator table from one fixed permutation of lex-rank blocks per
+generator, the left one from it through the inverse ids
 (s w = (w^-1 s)^-1), and the Bruhat downsets as unions over covers (see
 `_Tables`).
 
@@ -69,9 +70,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
+from typing import Iterable
 
 from .rsk import column_word
-from .symgroup import inverse, right_mult_s
 from .tableaux import Tableau, shape_of
 
 __all__ = [
@@ -169,15 +171,99 @@ class KLInvariantError(AssertionError):
     than asserted, so `python -O` keeps the check."""
 
 
+def _swap_first_two(m: int) -> list[int]:
+    """pi_m for m >= 2: the lex rank of each word of S_m is sent to the
+    lex rank of that word with its first two letters swapped.
+
+    A rank is a (m-1)! + b (m-2)! + r: the first letter is the a-th
+    smallest (from 0), the second the b-th smallest of the rest, and r
+    ranks the tail among its own letters.  After the swap the first
+    letter is the u-th smallest, u = b + [b >= a], the second is the
+    (a - [a > u])-th smallest of the rest, and the tail keeps r.  So
+    pi_m is a run of (m-2)! consecutive ranks for each (a, b)."""
+    f1, f2 = factorial(m - 1), factorial(m - 2)
+    pi = []
+    for a in range(m):
+        for b in range(m - 1):
+            u = b + (b >= a)
+            start = u * f1 + (a - (a > u)) * f2
+            pi.extend(range(start, start + f2))
+    return pi
+
+
+def _lex_inverse(n: int) -> list[int]:
+    """The lex rank of w^-1 for each lex rank of w in S_n.
+
+    The word of rank a (n-1)! + r is a + 1 followed by the word x of
+    rank r in S_{n-1}, its letters from a + 1 up raised by one.  Its
+    inverse is x^-1 raised by one with the letter 1 inserted at
+    position a.  In S_m, `insert[a][y]` is the rank of the word of rank
+    y in S_{m-1}, raised by one, with 1 inserted at position a.  At
+    a = 0 that rank is y.  At a > 0 the first letter stays in front with
+    one more smaller letter after it, so its Lehmer digit
+    c = y // (m-2)! grows by one, and the tail of rank y mod (m-2)! takes
+    the insertion at a - 1."""
+    ranks = [0]
+    insert = [[0]]  # S_1: the letter 1 into the empty word
+    for m in range(2, n + 1):
+        f1 = factorial(m - 1)
+        insert = [list(range(f1))] + [
+            [(c + 1) * f1 + t for c in range(m - 1) for t in tail]
+            for tail in insert]
+        ranks = [x for row in insert for x in map(row.__getitem__, ranks)]
+    return ranks
+
+
+def _rows(cols: list[Iterable[int]]) -> list[list[int]]:
+    """The rows of a table given by its columns; S_1 has one empty row."""
+    return [list(row) for row in zip(*cols)] if cols else [[]]
+
+
+def _generator_tables(n: int, order: list[int]) -> tuple[
+        list[list[int]], list[int], list[list[int]], list[int]]:
+    """`rmult`, `rdesc`, `lmult` and `ldesc` of `_Tables(n)`, where
+    order[i] is the lex rank of the word of id i.  Its n!-long
+    temporaries are freed on return, before the downsets, which set the
+    peak memory of the build, are made."""
+    # rank[k] is the id of the word of lex rank k, and cols[j - 1][i] is
+    # the id of perms[i] s_j: the lex blocks of m = n - j + 1 letters
+    # permuted by pi_m (see `_Tables`)
+    size = len(order)
+    rank = [0] * size
+    for i, k in enumerate(order):
+        rank[k] = i
+    cols = []
+    for m in range(n, 1, -1):
+        pi = _swap_first_two(m)
+        lex = [rank[start + p] for start in range(0, size, len(pi)) for p in pi]
+        cols.append(list(map(lex.__getitem__, order)))
+    # ids ascend by length and s_j changes the length by one, so s_j is a
+    # right descent of perms[i] iff perms[i] s_j has a smaller id
+    rdesc = [0] * size
+    for j, col in enumerate(cols):
+        bit = 1 << j
+        rdesc = [d | bit if c < i else d
+                 for i, d, c in zip(range(size), rdesc, col)]
+    # s_j w = (w^-1 s_j)^-1, so the left tables are the right ones read
+    # through the inverse ids
+    inv = list(map(rank.__getitem__, map(_lex_inverse(n).__getitem__, order)))
+    lmult = _rows([map(inv.__getitem__, map(col.__getitem__, inv))
+                   for col in cols])
+    return _rows(cols), rdesc, lmult, [rdesc[k] for k in inv]
+
+
 class _Tables:
     """Interned S_n: ids sorted by (length, word), generator actions,
     descent bitmasks, Bruhat downsets as bitsets, and the memo tables of
     both routes (see the module docstring).
 
     Lengths are sums of Lehmer digits, listed in the lex order that
-    `permutations` yields and stably sorted into id order.  `rmult` and
-    `rdesc` come from `right_mult_s`; `lmult` and `ldesc` are read
-    through the inverse ids, since s_j w = (w^-1 s_j)^-1.  `down[i]` is
+    `permutations` yields and stably sorted into id order.  `rmult` is
+    lex-rank arithmetic read through that order: w s_j swaps the first
+    two letters of w's tail of length m = n - j + 1, which permutes each
+    block of m! consecutive lex ranks by `_swap_first_two(m)`.  `rdesc`
+    compares ids, and `lmult` and `ldesc` are read through the inverse
+    ids (`_lex_inverse`), since s_j w = (w^-1 s_j)^-1.  `down[i]` is
     the union of the downsets of the Bruhat covers of perms[i]
     (Bjorner-Brenti, GTM 231, section 2.1).
 
@@ -214,26 +300,13 @@ class _Tables:
                 start = i
         self.parity = parity
 
-        rmult = [[index[right_mult_s(w, j)] for j in range(1, n)] for w in perms]
-        rdesc = []
-        for i, row in enumerate(rmult):
-            mask = 0
-            for j, ri in enumerate(row):
-                if lengths[ri] < lengths[i]:
-                    mask |= 1 << j
-            rdesc.append(mask)
-        # s_j w = (w^-1 s_j)^-1, so the left tables are the right ones
-        # read through the inverse ids
-        inv = [index[inverse(w)] for w in perms]
-        self.lmult = [[inv[k] for k in rmult[x]] for x in inv]
-        self.ldesc = ldesc = [rdesc[k] for k in inv]
-        self.rmult = rmult
-        self.rdesc = rdesc
+        self.rmult, self.rdesc, self.lmult, self.ldesc = \
+            _generator_tables(n, order)
         # smask[j - 1] has bit i set iff s_j is a left descent of perms[i],
         # read off as one base-2 string per generator: or-ing 1 << i into
         # an n!-bit int per descent would copy that int every time
         self.smask = [int(''.join('1' if (m >> j) & 1 else '0'
-                                  for m in reversed(ldesc)), 2)
+                                  for m in reversed(self.ldesc)), 2)
                       for j in range(n - 1)]
 
         # down[i] has bit v set iff v <= perms[i].  Every x < w lies below

@@ -123,7 +123,6 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations, repeat
@@ -201,14 +200,12 @@ class QRInvariantError(AssertionError):
     keeps the check."""
 
 
-@dataclass(frozen=True)
-class QRFactorization:
+class QRFactorization(NamedTuple):
     q: Matrix
     r: Matrix
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(NamedTuple):
     """Q with exactly one entry +-1 per row and column: column c carries
     sign signs[c] into row target[c]."""
 

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from klspecht.symgroup import (
     all_perms,
     bruhat_leq,
     identity,
+    inverse,
     left_descents,
     left_mult_s,
     length,
@@ -331,6 +333,21 @@ def test_group_tables_match_the_direct_construction(n):
     t = hecke._Tables(n)
     for field, want in _reference_tables(n).items():
         assert getattr(t, field) == want, field
+
+
+def test_lex_rank_arithmetic_up_to_s8():
+    """The rank arithmetic behind `rmult` and the inverse ids, checked on
+    words up to S_8 without building a second `tables(8)`: at n = 8,
+    right multiplication by s_j permutes each lex block of m! ranks,
+    m = 9 - j, by pi_m, so pi_m for every m <= 8 covers its whole
+    generator table, and the inverse ids are `_lex_inverse(8)`."""
+    for m in range(2, 9):
+        words = list(permutations(range(1, m + 1)))
+        rank = {w: k for k, w in enumerate(words)}
+        assert hecke._swap_first_two(m) == [rank[right_mult_s(w, 1)]
+                                            for w in words], m
+        assert hecke._lex_inverse(m) == [rank[inverse(w)] for w in words], m
+    assert hecke._lex_inverse(1) == [0]
 
 
 def test_kl_agrees_with_the_oracle_on_seeded_pairs_of_s6():
