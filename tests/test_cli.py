@@ -114,6 +114,66 @@ def test_qr_failure_exits_one(capsys):
                    '"shape": [3, 1], "w": [2, 4, 1, 3]}\n')
 
 
+# Each compute command's whole output in text and structured mode, pinned
+# byte for byte: (argv, text stdout, structured stdout); each exits 0 and
+# writes nothing to stderr.
+_PINNED = [
+    (('syt', '3,1'), '1,3,4/2\n1,2,4/3\n1,2,3/4\n',
+     '{"command": "syt", "result": ["1,3,4/2", "1,2,4/3", "1,2,3/4"], '
+     '"shape": [3, 1]}\n'),
+    (('pr', '1,3,4/2,5'), '1,2,5/3,4\n',
+     '{"command": "pr", "result": "1,2,5/3,4", "tableau": "1,3,4/2,5"}\n'),
+    (('ev', '1,3,4/2,5'), '1,3,4/2,5\n',
+     '{"command": "ev", "result": "1,3,4/2,5", "tableau": "1,3,4/2,5"}\n'),
+    (('evk', '1,3,4/2,5', '4'), '1,2,3/4,5\n',
+     '{"command": "evk", "k": 4, "result": "1,2,3/4,5", '
+     '"tableau": "1,3,4/2,5"}\n'),
+    (('rsk', '85162734'), 'P: 1,2,3,4/5,6,7/8\nQ: 1,4,6,8/2,5,7/3\n',
+     '{"command": "rsk", "result": {"p": "1,2,3,4/5,6,7/8", '
+     '"q": "1,4,6,8/2,5,7/3"}, "word": [8, 5, 1, 6, 2, 7, 3, 4]}\n'),
+    (('rsk-inv', '1,2,3,4/5,6,7/8', '1,4,6,8/2,5,7/3'), '8,5,1,6,2,7,3,4\n',
+     '{"command": "rsk-inv", "result": [8, 5, 1, 6, 2, 7, 3, 4]}\n'),
+    (('css', '4,3,1'), '1,4,6,8/2,5,7/3\n',
+     '{"command": "css", "i": null, "result": "1,4,6,8/2,5,7/3", '
+     '"shape": [4, 3, 1]}\n'),
+    (('css', '4,3,1', '2'), '1,4,6,7/2,5,8/3\n',
+     '{"command": "css", "i": 2, "result": "1,4,6,7/2,5,8/3", '
+     '"shape": [4, 3, 1]}\n'),
+    (('klpoly', 'c', '3412'), '0\n',
+     '{"coefficients": [], "command": "klpoly", "result": "0", '
+     '"v": [2, 3, 4, 1], "w": [3, 4, 1, 2]}\n'),
+    (('mu', '1324', '3412'), '1\n',
+     '{"command": "mu", "result": 1, "v": [1, 3, 2, 4], '
+     '"w": [3, 4, 1, 2]}\n'),
+    (('mu-tab', '2,1', '1,2/3', '1,3/2'), '1\n',
+     '{"command": "mu-tab", "r": "1,3/2", "result": 1, "shape": [2, 1], '
+     '"t": "1,2/3"}\n'),
+    (('matrix', '2,1', 'c'), '0 -1\n1 -1\n',
+     '{"command": "matrix", "result": [[0, -1], [1, -1]], "shape": [2, 1], '
+     '"w": [2, 3, 1]}\n'),
+]
+
+
+@pytest.mark.parametrize('argv, text, structured', _PINNED,
+                         ids=[' '.join(case[0]) for case in _PINNED])
+def test_compute_command_output_is_pinned(capsys, argv, text, structured):
+    assert invoke(capsys, *argv) == (0, text, '')
+    assert invoke(capsys, '--format', 'structured', *argv) == (0, structured, '')
+
+
+def test_unknown_command_lists_the_commands_in_parser_order(capsys, monkeypatch):
+    monkeypatch.setenv('COLUMNS', '80')
+    assert invoke(capsys, 'no-such-command') == (2, '', (
+        'usage: klspecht [-h] [--format {text,structured}] [--seed SEED] '
+        '[--jobs JOBS]\n'
+        '                {syt,pr,ev,evk,rsk,rsk-inv,css,klpoly,mu,mu-tab,'
+        'matrix,qr,verify}\n'
+        '                ...\n'
+        "klspecht: error: argument command: invalid choice: 'no-such-command' "
+        "(choose from 'syt', 'pr', 'ev', 'evk', 'rsk', 'rsk-inv', 'css', "
+        "'klpoly', 'mu', 'mu-tab', 'matrix', 'qr', 'verify')\n"))
+
+
 def test_verify_counterexample(capsys):
     code, out, _ = invoke(capsys, 'verify', 'counterexample')
     assert code == 0
