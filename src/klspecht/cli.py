@@ -2,7 +2,10 @@
 Command line front end.
 
 Compute commands (syt, pr, ev, evk, rsk, rsk-inv, css, klpoly, mu,
-mu-tab, matrix, qr) print their result and exit 0.  The verify command
+mu-tab, matrix, qr) print their result and exit 0, except that qr exits
+1 when a squared norm is not a rational square.  Each compute command is
+one function, attached to its subparser as `func`, that returns its exit
+code, its structured document and its text lines.  The verify command
 runs a theorem sweep and exits 0 when every check passes, 1 otherwise;
 unparseable input, a --jobs below 1 and a sweep bound that leaves no
 checks exit 2, and a reader closing stdout early exits 141 without a
@@ -67,49 +70,33 @@ def _build_parser() -> argparse.ArgumentParser:
                         help='worker processes for verify sweeps')
     sub = parser.add_subparsers(dest='command', required=True)
 
-    p = sub.add_parser('syt', help='list the tableaux of a shape in total index order')
-    p.add_argument('shape')
-
-    for name, text in (('pr', 'jeu de taquin promotion'),
-                       ('ev', 'evacuation')):
+    def command(name, func, text, *params, **defaults):
         p = sub.add_parser(name, help=text)
-        p.add_argument('tableau')
+        for param in params:
+            p.add_argument(param)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser('evk', help='partial evacuation of the top k entries')
-    p.add_argument('tableau')
-    p.add_argument('k', type=int)
-
-    p = sub.add_parser('rsk', help='insertion and recording tableaux of a word')
-    p.add_argument('word')
-
-    p = sub.add_parser('rsk-inv', help='permutation with given insertion and recording tableaux')
-    p.add_argument('p')
-    p.add_argument('q')
-
-    p = sub.add_parser('css', help='column superstandard tableau (optionally of index i)')
-    p.add_argument('shape')
-    p.add_argument('i', type=int, nargs='?')
-
-    p = sub.add_parser('klpoly', help='Kazhdan-Lusztig polynomial P_{v,w}')
-    p.add_argument('v')
-    p.add_argument('w')
-
-    p = sub.add_parser('mu', help='top KL coefficient mu(v, w)')
-    p.add_argument('v')
-    p.add_argument('w')
-
-    p = sub.add_parser('mu-tab', help='mu between column-word preimages of two tableaux')
-    p.add_argument('shape')
-    p.add_argument('t')
-    p.add_argument('r')
-
-    p = sub.add_parser('matrix', help='matrix of w on the Specht module of a shape')
-    p.add_argument('shape')
-    p.add_argument('w')
-
-    p = sub.add_parser('qr', help='matrix of w with its exact QR factorization')
-    p.add_argument('shape')
-    p.add_argument('w')
+    command('syt', _syt, 'list the tableaux of a shape in total index order',
+            'shape')
+    command('pr', _move_tableau, 'jeu de taquin promotion', 'tableau',
+            move=jdt.promote)
+    command('ev', _move_tableau, 'evacuation', 'tableau', move=jdt.evacuate)
+    command('evk', _evk, 'partial evacuation of the top k entries',
+            'tableau').add_argument('k', type=int)
+    command('rsk', _rsk, 'insertion and recording tableaux of a word', 'word')
+    command('rsk-inv', _rsk_inv,
+            'permutation with given insertion and recording tableaux', 'p', 'q')
+    command('css', _css, 'column superstandard tableau (optionally of index i)',
+            'shape').add_argument('i', type=int, nargs='?')
+    command('klpoly', _klpoly, 'Kazhdan-Lusztig polynomial P_{v,w}', 'v', 'w')
+    command('mu', _mu, 'top KL coefficient mu(v, w)', 'v', 'w')
+    command('mu-tab', _mu_tab, 'mu between column-word preimages of two tableaux',
+            'shape', 't', 'r')
+    command('matrix', _matrix, 'matrix of w on the Specht module of a shape',
+            'shape', 'w')
+    command('qr', _qr, 'matrix of w with its exact QR factorization',
+            'shape', 'w')
 
     p = sub.add_parser('verify', help='run a theorem check or sweep')
     p.add_argument('what', choices=(*_SWEEPS, *_FIXED))
@@ -117,6 +104,49 @@ def _build_parser() -> argparse.ArgumentParser:
                    help='largest n to sweep (default per family; '
                         'KLSPECHT_MAX_N overrides the default)')
     return parser
+
+
+# ---------------------------------------------------------------------------
+# compute commands: each returns (exit code, structured document without
+# its 'command' key, text lines)
+
+def _syt(args):
+    shape = tableaux.parse_partition(args.shape)
+    tabs = [tableaux.format_tableau(t) for t in tableaux.enumerate_syt(shape)]
+    return 0, {'shape': list(shape), 'result': tabs}, tabs
+
+
+def _move_tableau(args):
+    t = tableaux.parse_tableau(args.tableau)
+    out = tableaux.format_tableau(args.move(t))
+    return 0, {'tableau': tableaux.format_tableau(t), 'result': out}, [out]
+
+
+def _evk(args):
+    t = tableaux.parse_tableau(args.tableau)
+    out = tableaux.format_tableau(jdt.partial_evacuate(t, args.k))
+    return (0, {'tableau': tableaux.format_tableau(t), 'k': args.k,
+                'result': out}, [out])
+
+
+def _rsk(args):
+    w = symgroup.parse_perm(args.word)
+    p, q = (tableaux.format_tableau(t) for t in rsk.rsk(w))
+    return (0, {'word': list(w), 'result': {'p': p, 'q': q}},
+            [f'P: {p}', f'Q: {q}'])
+
+
+def _rsk_inv(args):
+    w = rsk.inverse_rsk(tableaux.parse_tableau(args.p),
+                        tableaux.parse_tableau(args.q))
+    return 0, {'result': list(w)}, [symgroup.format_perm(w)]
+
+
+def _css(args):
+    shape = tableaux.parse_partition(args.shape)
+    out = tableaux.format_tableau(
+        rsk.css(shape) if args.i is None else rsk.css_i(shape, args.i))
+    return 0, {'shape': list(shape), 'i': args.i, 'result': out}, [out]
 
 
 def _perm_pair(vtext: str, wtext: str) -> tuple[symgroup.Perm, symgroup.Perm]:
@@ -130,16 +160,71 @@ def _perm_pair(vtext: str, wtext: str) -> tuple[symgroup.Perm, symgroup.Perm]:
     return v, symgroup.parse_perm(wtext, len(v))
 
 
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
-    if args.format == 'structured':
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+# klpoly and mu are refused above hecke.MAX_N by hecke.tables itself,
+# before it allocates anything
+def _klpoly(args):
+    v, w = _perm_pair(args.v, args.w)
+    poly = hecke.kl_polynomial(v, w)
+    text = hecke.format_qpoly(poly)
+    return (0, {'v': list(v), 'w': list(w), 'result': text,
+                'coefficients': list(poly)}, [text])
+
+
+def _mu(args):
+    v, w = _perm_pair(args.v, args.w)
+    value = hecke.mu(v, w)
+    return 0, {'v': list(v), 'w': list(w), 'result': value}, [str(value)]
+
+
+def _kl_shape(args) -> tuple[int, ...]:
+    """The shape argument, refused above hecke.MAX_N before the other
+    arguments are read."""
+    shape = tableaux.parse_partition(args.shape)
+    hecke.check_affordable(sum(shape))
+    return shape
+
+
+def _mu_tab(args):
+    shape = _kl_shape(args)
+    t = tableaux.parse_tableau(args.t)
+    r = tableaux.parse_tableau(args.r)
+    if tableaux.shape_of(t) != shape or tableaux.shape_of(r) != shape:
+        raise ValueError('tableaux do not have the stated shape')
+    value = hecke.mu_tableaux(t, r)
+    return (0, {'shape': list(shape), 't': tableaux.format_tableau(t),
+                'r': tableaux.format_tableau(r), 'result': value},
+            [str(value)])
+
+
+def _shape_matrix(args) -> tuple[dict, list]:
+    """The document's shape and w, and the matrix of w on the shape."""
+    shape = _kl_shape(args)
+    w = symgroup.parse_perm(args.w, sum(shape))
+    return {'shape': list(shape), 'w': list(w)}, specht.matrix_of(shape, w)
 
 
 def _matrix_lines(mat) -> list[str]:
     return [' '.join(str(tok) for tok in row) for row in matrix_entries(mat)]
+
+
+def _matrix(args):
+    doc, mat = _shape_matrix(args)
+    return 0, {**doc, 'result': matrix_entries(mat)}, _matrix_lines(mat)
+
+
+def _qr(args):
+    doc, mat = _shape_matrix(args)
+    try:
+        fact = exact_qr(mat)
+    except IrrationalNormError as err:
+        return (1, {**doc, 'result': None, 'error': str(err)},
+                [f'no rational QR: {err}'])
+    return (0, {**doc, 'result': {'m': matrix_entries(mat),
+                                  'q': matrix_entries(fact.q),
+                                  'r': matrix_entries(fact.r)}},
+            ['M'] + _matrix_lines(mat)
+            + ['Q'] + _matrix_lines(fact.q)
+            + ['R'] + _matrix_lines(fact.r))
 
 
 # ---------------------------------------------------------------------------
@@ -365,142 +450,37 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == 'syt':
-        shape = tableaux.parse_partition(args.shape)
-        tabs = tableaux.enumerate_syt(shape)
-        _emit(args,
-              {'command': 'syt', 'shape': list(shape),
-               'result': [tableaux.format_tableau(t) for t in tabs]},
-              [tableaux.format_tableau(t) for t in tabs])
-        return 0
-    if cmd in ('pr', 'ev'):
-        t = tableaux.parse_tableau(args.tableau)
-        out = jdt.promote(t) if cmd == 'pr' else jdt.evacuate(t)
-        _emit(args,
-              {'command': cmd, 'tableau': tableaux.format_tableau(t),
-               'result': tableaux.format_tableau(out)},
-              [tableaux.format_tableau(out)])
-        return 0
-    if cmd == 'evk':
-        t = tableaux.parse_tableau(args.tableau)
-        out = jdt.partial_evacuate(t, args.k)
-        _emit(args,
-              {'command': cmd, 'tableau': tableaux.format_tableau(t),
-               'k': args.k, 'result': tableaux.format_tableau(out)},
-              [tableaux.format_tableau(out)])
-        return 0
-    if cmd == 'rsk':
-        w = symgroup.parse_perm(args.word)
-        p, q = rsk.rsk(w)
-        _emit(args,
-              {'command': 'rsk', 'word': list(w),
-               'result': {'p': tableaux.format_tableau(p),
-                          'q': tableaux.format_tableau(q)}},
-              [f'P: {tableaux.format_tableau(p)}',
-               f'Q: {tableaux.format_tableau(q)}'])
-        return 0
-    if cmd == 'rsk-inv':
-        p = tableaux.parse_tableau(args.p)
-        q = tableaux.parse_tableau(args.q)
-        w = rsk.inverse_rsk(p, q)
-        _emit(args,
-              {'command': 'rsk-inv', 'result': list(w)},
-              [symgroup.format_perm(w)])
-        return 0
-    if cmd == 'css':
-        shape = tableaux.parse_partition(args.shape)
-        out = rsk.css(shape) if args.i is None else rsk.css_i(shape, args.i)
-        _emit(args,
-              {'command': 'css', 'shape': list(shape), 'i': args.i,
-               'result': tableaux.format_tableau(out)},
-              [tableaux.format_tableau(out)])
-        return 0
-    if cmd == 'klpoly':
-        v, w = _perm_pair(args.v, args.w)
-        hecke.check_affordable(len(v))
-        poly = hecke.kl_polynomial(v, w)
-        _emit(args,
-              {'command': 'klpoly', 'v': list(v), 'w': list(w),
-               'result': hecke.format_qpoly(poly),
-               'coefficients': list(poly)},
-              [hecke.format_qpoly(poly)])
-        return 0
-    if cmd == 'mu':
-        v, w = _perm_pair(args.v, args.w)
-        hecke.check_affordable(len(v))
-        value = hecke.mu(v, w)
-        _emit(args,
-              {'command': 'mu', 'v': list(v), 'w': list(w), 'result': value},
-              [str(value)])
-        return 0
-    if cmd == 'mu-tab':
-        shape = tableaux.parse_partition(args.shape)
-        hecke.check_affordable(sum(shape))
-        t = tableaux.parse_tableau(args.t)
-        r = tableaux.parse_tableau(args.r)
-        if tableaux.shape_of(t) != shape or tableaux.shape_of(r) != shape:
-            raise ValueError('tableaux do not have the stated shape')
-        value = hecke.mu_tableaux(t, r)
-        _emit(args,
-              {'command': 'mu-tab', 'shape': list(shape),
-               't': tableaux.format_tableau(t), 'r': tableaux.format_tableau(r),
-               'result': value},
-              [str(value)])
-        return 0
-    if cmd == 'matrix':
-        shape = tableaux.parse_partition(args.shape)
-        hecke.check_affordable(sum(shape))
-        w = symgroup.parse_perm(args.w, sum(shape))
-        mat = specht.matrix_of(shape, w)
-        _emit(args,
-              {'command': 'matrix', 'shape': list(shape), 'w': list(w),
-               'result': matrix_entries(mat)},
-              _matrix_lines(mat))
-        return 0
-    if cmd == 'qr':
-        shape = tableaux.parse_partition(args.shape)
-        hecke.check_affordable(sum(shape))
-        w = symgroup.parse_perm(args.w, sum(shape))
-        mat = specht.matrix_of(shape, w)
-        try:
-            fact = exact_qr(mat)
-        except IrrationalNormError as err:
-            _emit(args,
-                  {'command': 'qr', 'shape': list(shape), 'w': list(w),
-                   'result': None, 'error': str(err)},
-                  [f'no rational QR: {err}'])
-            return 1
-        _emit(args,
-              {'command': 'qr', 'shape': list(shape), 'w': list(w),
-               'result': {'m': matrix_entries(mat),
-                          'q': matrix_entries(fact.q),
-                          'r': matrix_entries(fact.r)}},
-              ['M'] + _matrix_lines(mat)
-              + ['Q'] + _matrix_lines(fact.q)
-              + ['R'] + _matrix_lines(fact.r))
-        return 0
-    if cmd == 'verify':
-        t0 = time.perf_counter()
-        batches = _sweep(args, args.what)
-        if args.format == 'structured':
-            return _print_structured_verify(args, batches)
-        ok = total = 0
-        for batch in batches:
-            for r in batch:
-                total += 1
-                ok += r.passed
-                status = 'PASS' if r.passed else 'FAIL'
-                line = f'{status} {_report_label(r)}'
-                if r.timing is not None:
-                    line += f' ({r.timing:.3f}s)'
-                print(line)
-                for failure in r.failures:
-                    print(f'  {failure}')
-        elapsed = time.perf_counter() - t0
-        print(f'{ok}/{total} checks passed in {elapsed:.2f}s')
-        return 0 if ok == total else 1
-    raise ValueError(f'unknown command: {cmd}')
+    if args.command == 'verify':
+        return _verify(args)
+    code, doc, lines = args.func(args)
+    if args.format == 'structured':
+        print(json.dumps({'command': args.command, **doc}, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
+
+
+def _verify(args) -> int:
+    t0 = time.perf_counter()
+    batches = _sweep(args, args.what)
+    if args.format == 'structured':
+        return _print_structured_verify(args, batches)
+    ok = total = 0
+    for batch in batches:
+        for r in batch:
+            total += 1
+            ok += r.passed
+            status = 'PASS' if r.passed else 'FAIL'
+            line = f'{status} {_report_label(r)}'
+            if r.timing is not None:
+                line += f' ({r.timing:.3f}s)'
+            print(line)
+            for failure in r.failures:
+                print(f'  {failure}')
+    elapsed = time.perf_counter() - t0
+    print(f'{ok}/{total} checks passed in {elapsed:.2f}s')
+    return 0 if ok == total else 1
 
 
 def _print_structured_verify(args, batches: Iterator[list[CheckReport]]) -> int:

@@ -342,15 +342,17 @@ def test_closed_stdout_exits_quietly():
     assert err == b''
 
 
+def _refuse(*args):
+    raise AssertionError('work started before the n bound was checked')
+
+
 @pytest.fixture
 def no_tables_no_sweeps(monkeypatch):
-    """Fail the test if a KL table is built or a sweep job starts."""
-    def refuse(*args):
-        raise AssertionError('work started before the n bound was checked')
-
-    monkeypatch.setattr(hecke, '_Tables', refuse)
-    for job in ('_thm1_job', '_branching_job', '_dmu_job', '_thm4_job'):
-        monkeypatch.setattr(cli, job, refuse)
+    """Fail the test if a KL table is built or a sweep job starts.  The
+    refusing worker is module level, so a --jobs pool can pickle it."""
+    monkeypatch.setattr(hecke, '_Tables', _refuse)
+    for family, (build, _, default, kl) in list(cli._SWEEPS.items()):
+        monkeypatch.setitem(cli._SWEEPS, family, (build, _refuse, default, kl))
 
 
 @pytest.mark.parametrize('argv', [

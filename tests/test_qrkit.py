@@ -195,13 +195,13 @@ def test_thm1_rejects_non_monotone_orders():
 
 
 def test_thm1_shape_reports_are_seeded_and_counted():
-    reports_a = thm1_shape_reports((2, 2, 1), seed=3, shuffles=4)
-    reports_b = thm1_shape_reports((2, 2, 1), seed=3, shuffles=4)
-    assert len(reports_a) == 5
+    reports_a = thm1_shape_reports((2, 2, 1), seed=3)
+    reports_b = thm1_shape_reports((2, 2, 1), seed=3)
+    assert len(reports_a) == 11
     assert [r.ordering for r in reports_a] == [r.ordering for r in reports_b]
     for r in reports_a:
         assert r.passed
-    reports_c = thm1_shape_reports((2, 2, 1), seed=4, shuffles=4)
+    reports_c = thm1_shape_reports((2, 2, 1), seed=4)
     assert [r.ordering for r in reports_c] != [r.ordering for r in reports_a]
 
 
