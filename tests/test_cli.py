@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from klspecht import cli, hecke, specht, symgroup
 from klspecht.cli import run
+from klspecht.tableaux import partitions
 
 
 def invoke(capsys, *argv):
@@ -112,6 +114,23 @@ def test_qr_failure_exits_one(capsys):
     assert code == 1
     assert out == (f'{{"command": "qr", "error": "{error}", "result": null, '
                    '"shape": [3, 1], "w": [2, 4, 1, 3]}\n')
+
+
+def test_matrix_and_qr_of_c_and_w0_are_pinned(capsys):
+    """One sha256 over the exit code and structured output of `matrix` and
+    `qr` for every shape of 2 <= n <= 7, at the long cycle and at w0."""
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        w0 = ''.join(map(str, range(n, 0, -1)))
+        for shape in partitions(n):
+            for w in ('c', w0):
+                for command in ('matrix', 'qr'):
+                    code, out, err = invoke(capsys, '--format', 'structured',
+                                            command, ','.join(map(str, shape)), w)
+                    assert err == ''
+                    digest.update(f'{code}\n{out}'.encode())
+    assert digest.hexdigest() == (
+        'c350183e499d54408d9e45af7e1dd803741a238a9b9d43f8aaad7ac0d7f985e7')
 
 
 # Each compute command's whole output in text and structured mode, pinned
