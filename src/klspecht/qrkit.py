@@ -53,19 +53,13 @@ order, and a failing check reindexes its matrix once, to exactly
 cached: a caller sweeping all of S_n would otherwise keep n! matrices
 alive.
 
-Packed rows.  The verifiers decide on matrices kept as one Python int
-per row (`_Packed`): entry (i, j) is a signed digit in the W-bit slot at
-bit j * W.  A product A B adds one packed row of B, its negative or a
-multiple of it per nonzero entry of A (`_times`).  Adding a bias word
-with 2**(W-1) in every slot and xoring it back leaves each slot zero
-exactly where its entry is, so a column's pivot test is one and with
-the mask of the columns before it, and its pivot is one extract, one
-subtraction and one shift (`_pivot_test`).  Every matrix the verifiers
-decide on uses W = `_SLOT_WIDTH` = 32 and carries a bound on its
-entries; a product takes the bound |A B| <= rowabs(A) max|B|, and one
-whose bound would reach 2**(W-1) raises `QRInvariantError`, also under
-`python -O`, instead of truncating.  Over every chain that bound needs
-at most 9 bits at n = 6, 15 at n = 7 and 22 at n = 8.
+Packed rows.  The verifiers decide on `specht`'s packed rows (see its
+docstring) with W = `_SLOT_WIDTH` = 32 bits per slot; a product whose
+entry bound would not fit raises `QRInvariantError`.  Over every chain
+that bound needs at most 9 bits at n = 6, 15 at n = 7 and 22 at n = 8.
+With the bias word, a column's pivot test is one and with the mask of
+the columns before it, and its pivot is one extract, one subtraction
+and one shift (`_pivot_test`).
 
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
@@ -125,16 +119,27 @@ import time
 from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _permutations, repeat
+from itertools import permutations as _permutations
 from math import isqrt, lcm
-from operator import mul, neg
+from operator import mul
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .jdt import _partial_evacuate, _promote
 from .reports import CheckReport
 from .specht import (
+    _SLOT_WIDTH,
     Matrix,
+    QRInvariantError,
+    _pack,
+    _Packed,
+    _reindexed,
+    _terms,
+    _Terms,
+    _times,
+    _unpack,
+    _width,
+    _words,
     cell,
     mat_reindex,
     matrix_of,
@@ -191,13 +196,6 @@ class IrrationalNormError(ArithmeticError):
         )
         self.column = column
         self.norm2 = norm2
-
-
-class QRInvariantError(AssertionError):
-    """An exact invariant of the QR route fails: `exact_qr` produced a
-    factorization that fails its own check, or a matrix entry might not
-    fit its packed slot.  Raised rather than asserted, so `python -O`
-    keeps the check."""
 
 
 class QRFactorization(NamedTuple):
@@ -336,126 +334,7 @@ def pivot_signs(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
 
 
 # ---------------------------------------------------------------------------
-# packed rows: one int per row of an integer matrix
-
-class _Packed(NamedTuple):
-    """A square integer matrix with one int per row: entry (i, j) sits in
-    the `width`-bit slot at bit j * width of rows[i], as a signed digit,
-    so rows[i] = sum of m[i][j] << (j * width).  Every entry has
-    |entry| <= bound < 2**(width - 1)."""
-
-    rows: Sequence[int]
-    width: int
-    bound: int
-
-
-# the slot width of the matrices the verifiers decide on: with its sign,
-# the entry bound of every chain product up to n = 8 fits in 23 bits
-_SLOT_WIDTH = 32
-
-
-def _width(bound: int) -> int:
-    """The slot width that holds every entry of absolute value <= bound."""
-    return bound.bit_length() + 1
-
-
-class _SlotWords(NamedTuple):
-    """Words over d slots of one width."""
-
-    bias: int  # 2**(width - 1) in every slot
-    slots: tuple[int, ...]  # the mask of each slot
-    tops: tuple[int, ...]  # 2**(width - 1) in each slot
-    units: tuple[int, ...]  # 1 in each slot: the rows of the identity
-
-
-@lru_cache(maxsize=None)
-def _words(d: int, width: int) -> _SlotWords:
-    """Adding the bias to a packed row turns each signed digit v into the
-    plain digit v + 2**(width - 1), and xoring it back leaves v mod
-    2**width: zero exactly where v is."""
-    mask, top = (1 << width) - 1, 1 << (width - 1)
-    tops = tuple(top << j * width for j in range(d))
-    return _SlotWords(sum(tops), tuple(mask << j * width for j in range(d)),
-                      tops, tuple(1 << j * width for j in range(d)))
-
-
-def _check_fits(bound: int, width: int) -> None:
-    """Raise `QRInvariantError` unless entries of absolute value <= bound
-    fit `width`-bit slots: a truncated entry would decide a different
-    matrix, also under `python -O`."""
-    if bound >> (width - 1):
-        raise QRInvariantError(
-            f'entries up to {bound} overflow {width}-bit slots')
-
-
-def _unpack(p: _Packed) -> Matrix:
-    """The matrix of packed rows, as fresh lists."""
-    width, d = p.width, len(p.rows)
-    top, mask = 1 << (width - 1), (1 << width) - 1
-    bias = _words(d, width).bias
-    return [[((row >> j * width) & mask) - top for j in range(d)]
-            for row in (r + bias for r in p.rows)]
-
-
-class _Terms(NamedTuple):
-    """The nonzero entries of a d x d integer matrix A, as `_times` reads
-    them: row i of A B is the sum of the operands picks[i], where operand
-    k is row k of B, operand d + k is its negative, and operand 2d + e is
-    x times row k of B for the e-th pair (k, x) of `scaled`.  The entries
-    of the matrices multiplied here are almost all +-1, which then cost
-    one addition each and no multiplication."""
-
-    picks: tuple[tuple[int, ...], ...]
-    scaled: tuple[tuple[int, int], ...]  # (k, x) for each |x| > 1
-    rowabs: int  # the largest sum of |entry| over a row of A
-    maxabs: int  # the largest |entry| of A
-
-
-def _terms(m: Sequence[Sequence[int]]) -> _Terms:
-    d = len(m)
-    picks = []
-    scaled: list[tuple[int, int]] = []
-    for row in m:
-        pick = [k if x == 1 else d + k
-                for k, x in enumerate(row) if x == 1 or x == -1]
-        if len(pick) + row.count(0) < d:  # some |x| > 1
-            for k, x in enumerate(row):
-                if x not in (0, 1, -1):
-                    pick.append(2 * d + len(scaled))
-                    scaled.append((k, x))
-        picks.append(tuple(pick))
-    if scaled:
-        rowabs = max(sum(map(abs, row)) for row in m)
-        maxabs = max(abs(x) for _, x in scaled)
-    else:
-        rowabs = max(map(len, picks))
-        maxabs = min(rowabs, 1)
-    return _Terms(tuple(picks), tuple(scaled), rowabs, maxabs)
-
-
-def _times(terms: _Terms, b: _Packed) -> _Packed:
-    """A B in the slots of B, from the `_terms` of A, with one addition
-    per nonzero entry of A.  |A B| <= rowabs(A) max|B| entrywise; a
-    product whose bound would not fit the slots raises instead."""
-    bound = terms.rowabs * b.bound
-    _check_fits(bound, b.width)
-    return _Packed(_combine(terms, b.rows), b.width, bound)
-
-
-def _combine(terms: _Terms, rows: Sequence[int]) -> list[int]:
-    """The rows of A B, unchecked."""
-    operands = [*rows, *map(neg, rows)]
-    if terms.scaled:
-        operands += [x * rows[k] for k, x in terms.scaled]
-    return list(map(sum, map(map, repeat(operands.__getitem__), terms.picks)))
-
-
-def _pack(terms: _Terms, width: int) -> _Packed:
-    """The matrix of `terms` in packed rows: it times the identity."""
-    _check_fits(terms.maxabs, width)
-    units = _words(len(terms.picks), width).units
-    return _Packed(_combine(terms, units), width, terms.maxabs)
-
+# the pivot test on packed rows
 
 def _pivot_test(p: _Packed, ids: Sequence[int],
                 image: Sequence[int]) -> list[int] | None:
@@ -478,11 +357,6 @@ def _pivot_test(p: _Packed, ids: Sequence[int],
         pivots.append(v)
         before |= slots[i]
     return pivots
-
-
-def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
-    """The packed matrix with row and column c taken from ids[c]."""
-    return mat_reindex(_unpack(p), ids)
 
 
 def _qr_failures(m: Matrix, target: Sequence[int], labels: Sequence[str],

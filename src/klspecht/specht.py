@@ -36,6 +36,16 @@ requested basis order at the end, since reordering a basis conjugates
 every factor by the same permutation.  The public
 functions always return fresh lists.
 
+Packed rows.  Every product runs on matrices kept as one int per row
+(`_Packed`): entry (i, j) is a signed digit in the W-bit slot at bit
+j * W.  A product A B adds one packed row of B, its negative or a
+multiple of it per nonzero entry of A (`_times`, reading A's `_terms`)
+and carries the bound |A B| <= rowabs(A) max|B|; one whose bound would
+reach 2**(W-1) raises `QRInvariantError`, also under `python -O`.
+`matrix_of` takes W from the word: the product of its generators'
+rowabs, rounded up to a multiple of `_SLOT_WIDTH` = 32.  That bound
+grows geometrically along a word (44 bits at n = 7, 67 at n = 8).
+
 Rows and columns follow a basis order, by default the total index order.
 Ordering by index exposes a filtration: for j <= n-2 the action never
 moves a basis vector toward a strictly larger index
@@ -51,9 +61,11 @@ Fraction); nothing here ever touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import itemgetter
-from typing import Sequence
+from functools import lru_cache
+from itertools import repeat
+from math import prod
+from operator import itemgetter, neg
+from typing import NamedTuple, Sequence
 
 from . import hecke
 from .reports import CheckReport
@@ -77,9 +89,6 @@ __all__ = [
     'check_branching',
     'check_filtration_invariance',
     'generator_matrix',
-    'identity_matrix',
-    'mat_eq',
-    'mat_mul',
     'mat_reindex',
     'matrix_entries',
     'matrix_of',
@@ -93,34 +102,6 @@ Matrix = list[list]  # rows of int or Fraction entries
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers
-
-def identity_matrix(d: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(a[0]) != len(b):
-        raise ValueError('inner dimensions do not match')
-    cols = len(b[0])
-    out = []
-    for row in a:
-        new = [0] * cols
-        for k, coeff in enumerate(row):
-            if coeff:
-                brow = b[k]
-                for j in range(cols):
-                    if brow[j]:
-                        new[j] += coeff * brow[j]
-        out.append(new)
-    return out
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
 
 def mat_reindex(a: Sequence[Sequence], ids: Sequence[int]) -> Matrix:
     """Fresh matrix whose row and column c are row and column ids[c] of a."""
@@ -148,6 +129,140 @@ def matrix_entries(a: Matrix) -> list[list[int | str]]:
 
 
 # ---------------------------------------------------------------------------
+# packed rows: one int per row of an integer matrix
+
+class QRInvariantError(AssertionError):
+    """An exact invariant of the QR route fails: `exact_qr` produced a
+    factorization that fails its own check, or a matrix entry might not
+    fit its packed slot.  Raised rather than asserted, so `python -O`
+    keeps the check."""
+
+
+class _Packed(NamedTuple):
+    """A square integer matrix with one int per row: entry (i, j) sits in
+    the `width`-bit slot at bit j * width of rows[i], as a signed digit,
+    so rows[i] = sum of m[i][j] << (j * width).  Every entry has
+    |entry| <= bound < 2**(width - 1)."""
+
+    rows: Sequence[int]
+    width: int
+    bound: int
+
+
+# the verifiers' slot width (every chain product's bound up to n = 8 fits
+# in 23 bits with its sign) and the unit `matrix_of` rounds widths up to
+_SLOT_WIDTH = 32
+
+
+def _width(bound: int) -> int:
+    """The slot width that holds every entry of absolute value <= bound."""
+    return bound.bit_length() + 1
+
+
+class _SlotWords(NamedTuple):
+    """Words over d slots of one width."""
+
+    bias: int  # 2**(width - 1) in every slot
+    slots: tuple[int, ...]  # the mask of each slot
+    tops: tuple[int, ...]  # 2**(width - 1) in each slot
+    units: tuple[int, ...]  # 1 in each slot: the rows of the identity
+
+
+@lru_cache(maxsize=None)
+def _words(d: int, width: int) -> _SlotWords:
+    """Adding the bias to a packed row turns each signed digit v into the
+    plain digit v + 2**(width - 1), and xoring it back leaves v mod
+    2**width: zero exactly where v is."""
+    mask, top = (1 << width) - 1, 1 << (width - 1)
+    tops = tuple(top << j * width for j in range(d))
+    return _SlotWords(sum(tops), tuple(mask << j * width for j in range(d)),
+                      tops, tuple(1 << j * width for j in range(d)))
+
+
+def _check_fits(bound: int, width: int) -> None:
+    """Raise `QRInvariantError` unless entries of absolute value <= bound
+    fit `width`-bit slots: a truncated entry would decide a different
+    matrix, also under `python -O`."""
+    if bound >> (width - 1):
+        raise QRInvariantError(
+            f'entries up to {bound} overflow {width}-bit slots')
+
+
+def _unpack(p: _Packed) -> Matrix:
+    """The matrix of packed rows, as fresh lists."""
+    width, d = p.width, len(p.rows)
+    top, mask = 1 << (width - 1), (1 << width) - 1
+    bias = _words(d, width).bias
+    return [[((row >> j * width) & mask) - top for j in range(d)]
+            for row in (r + bias for r in p.rows)]
+
+
+class _Terms(NamedTuple):
+    """The nonzero entries of a d x d integer matrix A, as `_times` reads
+    them: row i of A B is the sum of the operands picks[i], where operand
+    k is row k of B, operand d + k is its negative, and operand 2d + e is
+    x times row k of B for the e-th pair (k, x) of `scaled`.  The entries
+    of the matrices multiplied here are almost all +-1, which then cost
+    one addition each and no multiplication."""
+
+    picks: tuple[tuple[int, ...], ...]
+    scaled: tuple[tuple[int, int], ...]  # (k, x) for each |x| > 1
+    rowabs: int  # the largest sum of |entry| over a row of A
+    maxabs: int  # the largest |entry| of A
+
+
+def _terms(m: Sequence[Sequence[int]]) -> _Terms:
+    d = len(m)
+    picks = []
+    scaled: list[tuple[int, int]] = []
+    for row in m:
+        pick = [k if x == 1 else d + k
+                for k, x in enumerate(row) if x == 1 or x == -1]
+        if len(pick) + row.count(0) < d:  # some |x| > 1
+            for k, x in enumerate(row):
+                if x not in (0, 1, -1):
+                    pick.append(2 * d + len(scaled))
+                    scaled.append((k, x))
+        picks.append(tuple(pick))
+    if scaled:
+        rowabs = max(sum(map(abs, row)) for row in m)
+        maxabs = max(abs(x) for _, x in scaled)
+    else:
+        rowabs = max(map(len, picks))
+        maxabs = min(rowabs, 1)
+    return _Terms(tuple(picks), tuple(scaled), rowabs, maxabs)
+
+
+def _times(terms: _Terms, b: _Packed) -> _Packed:
+    """A B in the slots of B, from the `_terms` of A, with one addition
+    per nonzero entry of A.  |A B| <= rowabs(A) max|B| entrywise; a
+    product whose bound would not fit the slots raises instead."""
+    bound = terms.rowabs * b.bound
+    _check_fits(bound, b.width)
+    return _Packed(_combine(terms, b.rows), b.width, bound)
+
+
+def _combine(terms: _Terms, rows: Sequence[int]) -> list[int]:
+    """The rows of A B, unchecked."""
+    operands = [*rows, *map(neg, rows)]
+    if terms.scaled:
+        operands += [x * rows[k] for k, x in terms.scaled]
+    return list(map(sum, map(map, repeat(operands.__getitem__), terms.picks)))
+
+
+def _pack(terms: _Terms, width: int) -> _Packed:
+    """The matrix of `terms` in packed rows: it times the identity."""
+    _check_fits(terms.maxabs, width)
+    units = _words(len(terms.picks), width).units
+    return _Packed(_combine(terms, units), width, terms.maxabs)
+
+
+def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
+    """The packed matrix with row and column c taken from ids[c]."""
+    return mat_reindex(_unpack(p), ids)
+
+
+# ---------------------------------------------------------------------------
 # the cell data of a shape
 
 class _Cell:
@@ -169,6 +284,7 @@ class _Cell:
         self.labels = tuple(format_tableau(t) for t in self.tableaux)
         self._kl: tuple[hecke._Tables, list[int]] | None = None
         self._generators: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+        self._generator_terms: dict[int, _Terms] = {}
 
     def positions(self, order: Sequence[Tableau] | None) -> list[int]:
         """Cell position of each tableau of a basis order (None: the total
@@ -223,6 +339,12 @@ class _Cell:
             self._generators = tuple(tuple(map(tuple, mat)) for mat in mats)
         return self._generators[j - 1]
 
+    def generator_terms(self, j: int) -> _Terms:
+        """The `_terms` of s_j, built from `generator(j)` on first use."""
+        if j not in self._generator_terms:
+            self._generator_terms[j] = _terms(self.generator(j))
+        return self._generator_terms[j]
+
 
 @lru_cache(maxsize=None)
 def cell(shape: Partition) -> _Cell:
@@ -254,16 +376,20 @@ def matrix_from_generator_word(shape: Partition, word: Sequence[int],
                                order: Sequence[Tableau] | None = None) -> Matrix:
     """Product of generator matrices along a word (leftmost first).
 
-    The product of the cell's cached generators is taken in the total
-    index order, right to left so that each sparse generator is the left
-    factor of `mat_mul`, and reindexed to `order` once at the end.
+    Folded right to left on packed rows from the identity, in the total
+    index order, and reindexed to `order` once at the end.  The slots
+    hold the bound `_times` propagates, so no step overflows them; the
+    rounding keeps `_words` to a few widths.
     """
     c = cell(shape)
     ids = c.positions(order)
-    factors = [c.generator(j) for j in reversed(word)]
-    out = (reduce(lambda acc, s: mat_mul(s, acc), factors) if factors
-           else identity_matrix(len(ids)))
-    return mat_reindex(out, ids)
+    factors = [c.generator_terms(j) for j in reversed(word)]
+    width = _width(prod(terms.rowabs for terms in factors))
+    width += -width % _SLOT_WIDTH
+    out = _Packed(_words(len(ids), width).units, width, 1)
+    for terms in factors:
+        out = _times(terms, out)
+    return _reindexed(out, ids)
 
 
 def matrix_of(shape: Partition, w: Perm,
@@ -356,7 +482,7 @@ def check_branching(shape: Partition) -> CheckReport:
         quots = quotient_matrices(shape, i)
         for j, quot in enumerate(quots, start=1):
             expect = generator_matrix(small, j)
-            if not mat_eq(quot, expect):
+            if quot != expect:
                 failures.append(
                     f'index-{i} quotient of s_{j} differs from S^{small}'
                 )

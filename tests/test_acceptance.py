@@ -35,11 +35,8 @@ from klspecht.specht import (
     check_branching,
     check_filtration_invariance,
     generator_matrix,
-    mat_eq,
-    mat_mul,
     matrix_from_generator_word,
     matrix_of,
-    identity_matrix,
 )
 from klspecht.symgroup import (
     all_perms,
@@ -62,6 +59,8 @@ from klspecht.tableaux import (
     partitions,
     tableau_index,
 )
+
+from dense_reference import identity_matrix, mat_eq, mat_mul
 
 SEED = 20260816
 

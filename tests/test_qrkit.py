@@ -30,9 +30,6 @@ from klspecht.qrkit import (
     verify_thm4_chain,
 )
 from klspecht.specht import (
-    identity_matrix,
-    mat_eq,
-    mat_mul,
     mat_reindex,
     matrix_of,
 )
@@ -44,6 +41,8 @@ from klspecht.tableaux import (
     partitions,
     tableau_index,
 )
+
+from dense_reference import identity_matrix, mat_eq, mat_mul
 
 
 def is_index_monotone(order):
@@ -392,6 +391,17 @@ def test_narrow_slots_raise_instead_of_truncating(monkeypatch):
         qrkit._packed.cache_clear()
         qrkit._chain_states.clear()
     assert 0 < raised < len(chains)
+
+
+def test_narrow_verifier_slots_leave_matrix_of_unchanged(monkeypatch):
+    """`matrix_of` sizes its slots from the word, not from the verifiers'
+    width: at 5-bit verifier slots it still returns every matrix of
+    (3, 2, 1), whose w0 needs 25-bit slots."""
+    shape = (3, 2, 1)
+    ws = [long_cycle(6), tuple(range(6, 0, -1))]
+    want = [matrix_of(shape, w) for w in ws]
+    monkeypatch.setattr(qrkit, '_SLOT_WIDTH', 5)
+    assert [matrix_of(shape, w) for w in ws] == want
 
 
 def test_narrow_slots_raise_under_optimize_flag():

@@ -13,9 +13,6 @@ from klspecht.specht import (
     check_branching,
     check_filtration_invariance,
     generator_matrix,
-    identity_matrix,
-    mat_eq,
-    mat_mul,
     matrix_entries,
     matrix_from_generator_word,
     matrix_of,
@@ -27,6 +24,8 @@ from klspecht.symgroup import (
     identity,
     inverse,
     length,
+    long_cycle,
+    longest_element,
     multiply,
     reduced_word,
 )
@@ -38,6 +37,8 @@ from klspecht.tableaux import (
     removable_boxes,
     tableau_index,
 )
+
+from dense_reference import identity_matrix, mat_eq, mat_mul
 
 
 def test_one_row_and_one_column_generators():
@@ -249,6 +250,46 @@ def test_custom_order_permutes_rows_and_columns():
         for j in reduced_word(w):
             product = mat_mul(product, generator_matrix(shape, j, order))
         assert product == m2
+
+
+def _dense_fold(shape, word, order):
+    """The product of the generator matrices in `order` along word,
+    rightmost first, by the dense reference."""
+    out = identity_matrix(count_syt(shape))
+    for j in reversed(word):
+        out = mat_mul(generator_matrix(shape, j, order), out)
+    return out
+
+
+def test_packed_products_equal_the_dense_fold(monkeypatch):
+    """`matrix_of` of the long cycle and every w_J (w0 among them), and
+    the products of the empty word and a one-letter word, in the total
+    index order and one seeded shuffled order, for every shape of
+    n <= 7.  The slot widths come from the words' bounds, and some of
+    these products need slots wider than 32 bits."""
+    widths = []
+    reindexed = specht._reindexed
+
+    def spy(p, ids):
+        widths.append(p.width)
+        return reindexed(p, ids)
+
+    monkeypatch.setattr(specht, '_reindexed', spy)
+    rng = random.Random('dense fold')
+    for n in range(2, 8):
+        ws = [long_cycle(n)] + [longest_element(set(range(p, q)), n)
+                                for p in range(1, n) for q in range(p + 1, n + 1)]
+        for shape in partitions(n):
+            shuffled = list(total_index_order(shape))
+            rng.shuffle(shuffled)
+            for order in (None, shuffled):
+                for w in ws:
+                    assert matrix_of(shape, w, order) \
+                        == _dense_fold(shape, reduced_word(w), order), (shape, w)
+                for word in ([], [n - 1]):
+                    assert matrix_from_generator_word(shape, word, order) \
+                        == _dense_fold(shape, word, order), (shape, word)
+    assert max(widths) > 32
 
 
 def test_returned_matrices_are_the_callers_to_change():
