@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -554,3 +555,48 @@ def test_structured_verify_with_a_failing_check(capsys, monkeypatch):
     assert out == _whole_document('sep-desc', 0, [r for n in (1, 2, 3)
                                                   for r in worker(n)])
     assert json.loads(out)['passed'] is False
+
+
+def _sep_desc_failing_at_two(n):
+    """sep-desc's reports, with the one of n = 2 made to fail.  Module
+    level, so a --jobs pool can pickle it."""
+    reports = cli._sep_desc_job(n)
+    if n == 2:
+        reports[0].passed = False
+        reports[0].failures = ['first planted failure', 'second planted failure']
+    return reports
+
+
+def _masked(out):
+    """Text-mode stdout with its timings masked."""
+    out = re.sub(r'\(\d+\.\d{3}s\)', '(x.xxxs)', out)
+    return re.sub(r' in \d+\.\d{2}s\n', ' in x.xxs\n', out)
+
+
+def test_verify_output_of_every_family_is_pinned(capsys, monkeypatch):
+    """One sha256 over the exit code and stdout of every verify family in
+    text and structured mode, serial and with --jobs 2: swept families at
+    --max-n 4, fixed-scope ones at their own scope, then sep-desc with a
+    failing check.  Text-mode timings are masked."""
+    runs = [('verify', family, '--max-n', '4') for family in cli._SWEEPS]
+    runs += [('verify', family) for family in cli._FIXED]
+    digest = hashlib.sha256()
+
+    def pin(argv):
+        for fmt in ('text', 'structured'):
+            for jobs in ('1', '2'):
+                code, out, err = invoke(capsys, '--format', fmt, '--jobs', jobs,
+                                        *argv)
+                assert err == ''
+                if fmt == 'text':
+                    out = _masked(out)
+                digest.update(f'{code}\n{out}'.encode())
+
+    for argv in runs:
+        pin(argv)
+    build, _, default, kl = cli._SWEEPS['sep-desc']
+    monkeypatch.setitem(cli._SWEEPS, 'sep-desc',
+                        (build, _sep_desc_failing_at_two, default, kl))
+    pin(('verify', 'sep-desc', '--max-n', '4'))
+    assert digest.hexdigest() == (
+        '6557d98a83a55cac2131a8e6375cf875d0af0896ae4d223e09ed4ffa149c34cc')
