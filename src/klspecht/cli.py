@@ -22,10 +22,10 @@ across runs with the same inputs and seed (timings are nulled there;
 text mode prints them).  --jobs parallelizes verify sweeps across shapes
 in separate processes, starting no more of them than the sweep has
 jobs; output order does not depend on scheduling.
-Either way a sweep's reports are printed, or encoded, as each job's
-batch arrives, so no run holds all of its reports at once; structured
-output spools the encoded reports to an anonymous temporary file until
-the document's `passed` is known.
+Each sweep job encodes its reports where it runs, one text per report
+(its JSON record or its PASS/FAIL lines), so no report crosses a process
+boundary; the parent writes the texts as each batch arrives, structured
+output to an anonymous spool file until the document's `passed` is known.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from random import Random
 from typing import Iterator, Sequence
 
@@ -282,10 +284,10 @@ def _lemma_pr_job(shape: tuple[int, ...]) -> list[CheckReport]:
                         failures=failures)]
 
 
-def _thm4_job(shape: tuple[int, ...]) -> list[CheckReport]:
-    n = sum(shape)
-    return [verify_thm4_chain(shape, chain)
-            for chain in all_connected_chains(n)]
+def _thm4_job(shape: tuple[int, ...]) -> Iterator[CheckReport]:
+    # one report at a time, so each is dropped once it is encoded
+    for chain in all_connected_chains(sum(shape)):
+        yield verify_thm4_chain(shape, chain)
 
 
 def _sep_desc_job(n: int) -> list[CheckReport]:
@@ -381,35 +383,38 @@ _FIXED = {
 }
 
 
-def _sweep(args, family: str) -> Iterator[list[CheckReport]]:
-    """The reports of a verify family, one batch per job in job order.
-    The family, the bound and the job list are checked here, before any
-    check runs; the checks run as the batches are drawn."""
+def _sweep(args, family: str) -> Iterator[tuple[int, list[str]]]:
+    """The encoded reports of a verify family (see `_encoded`), one batch
+    per job in job order.  The family, the bound and the job list are
+    checked here, before any check runs; the checks run as the batches
+    are drawn, a fixed-scope family's in this process."""
     if family in _FIXED:
         if args.max_n is not None:
             raise ValueError(f'verify {family} has a fixed scope; '
                              f'--max-n does not apply')
-        return iter([_FIXED[family](args)])
-    if family not in _SWEEPS:
+        worker, jobs = _FIXED[family], [args]
+    elif family not in _SWEEPS:
         raise ValueError(f'unknown verify family: {family}')
-    build, worker, default_max_n, kl = _SWEEPS[family]
-    max_n = args.max_n
-    if max_n is None:
-        env = os.environ.get('KLSPECHT_MAX_N')
-        try:
-            max_n = int(env) if env else default_max_n
-        except ValueError:
-            raise ValueError(f'KLSPECHT_MAX_N must be an integer, '
-                             f'got {env!r}') from None
-    if kl:
-        hecke.check_affordable(max_n)
-    jobs = build(args, max_n)
-    if not jobs:
-        raise ValueError(f'verify {family} has no checks up to n = {max_n}')
-    return _run_jobs(worker, jobs, args.jobs)
+    else:
+        build, worker, default_max_n, kl = _SWEEPS[family]
+        max_n = args.max_n
+        if max_n is None:
+            env = os.environ.get('KLSPECHT_MAX_N')
+            try:
+                max_n = int(env) if env else default_max_n
+            except ValueError:
+                raise ValueError(f'KLSPECHT_MAX_N must be an integer, '
+                                 f'got {env!r}') from None
+        if kl:
+            hecke.check_affordable(max_n)
+        jobs = build(args, max_n)
+        if not jobs:
+            raise ValueError(f'verify {family} has no checks up to n = {max_n}')
+    return _run_jobs(partial(_encoded, worker, args.format == 'structured'),
+                     jobs, args.jobs)
 
 
-def _run_jobs(worker, jobs: list, workers: int) -> Iterator[list[CheckReport]]:
+def _run_jobs(worker, jobs: list, workers: int) -> Iterator:
     # a fork-started pool forks all of its workers at the first submit
     workers = min(workers, len(jobs))
     if workers > 1:
@@ -420,8 +425,19 @@ def _run_jobs(worker, jobs: list, workers: int) -> Iterator[list[CheckReport]]:
             yield worker(job)
 
 
-def _report_label(report: CheckReport) -> str:
-    bits = [report.theorem]
+def _encoded(worker, structured: bool, job) -> tuple[int, list[str]]:
+    """Run one job: how many of its reports passed, and their texts."""
+    passes, texts = 0, []
+    for r in worker(job):
+        passes += r.passed
+        texts.append(json.dumps(r.record(), sort_keys=True) if structured
+                     else _report_text(r))
+    return passes, texts
+
+
+def _report_text(report: CheckReport) -> str:
+    """The PASS/FAIL line and indented failures, each newline-terminated."""
+    bits = ['PASS' if report.passed else 'FAIL', report.theorem]
     if report.shape is not None:
         bits.append(f'shape={tableaux.format_partition(report.shape)}')
     if 'chain' in report.witness:
@@ -431,7 +447,9 @@ def _report_label(report: CheckReport) -> str:
         bits.append(f'n={report.witness["n"]}')
     if 'scope' in report.witness:
         bits.append(report.witness['scope'])
-    return ' '.join(bits)
+    if report.timing is not None:
+        bits.append(f'({report.timing:.3f}s)')
+    return '\n'.join([' '.join(bits), *(f'  {f}' for f in report.failures), ''])
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -462,51 +480,33 @@ def _dispatch(args) -> int:
 
 
 def _verify(args) -> int:
+    """Write each text as its batch arrives.  The structured document's
+    sorted keys put `passed` first, so its records wait in the spool."""
     t0 = time.perf_counter()
+    structured = args.format == 'structured'
     batches = _sweep(args, args.what)
-    if args.format == 'structured':
-        return _print_structured_verify(args, batches)
     ok = total = 0
-    for batch in batches:
-        for r in batch:
-            total += 1
-            ok += r.passed
-            status = 'PASS' if r.passed else 'FAIL'
-            line = f'{status} {_report_label(r)}'
-            if r.timing is not None:
-                line += f' ({r.timing:.3f}s)'
-            print(line)
-            for failure in r.failures:
-                print(f'  {failure}')
-    elapsed = time.perf_counter() - t0
-    print(f'{ok}/{total} checks passed in {elapsed:.2f}s')
-    return 0 if ok == total else 1
-
-
-def _print_structured_verify(args, batches: Iterator[list[CheckReport]]) -> int:
-    """Print the verify document as `json.dumps(doc, sort_keys=True)`
-    would, without holding every report at once.  Its keys are sorted, so
-    `passed` comes before `reports`: each record is encoded as its batch
-    arrives and spooled to an anonymous temporary file, which is copied
-    out once `passed` is known."""
-    passed = True
-    with tempfile.TemporaryFile('w+', encoding='utf-8', newline='') as spool:
+    with (tempfile.TemporaryFile('w+', encoding='utf-8', newline='')
+          if structured else nullcontext(sys.stdout)) as out:
         sep = ''
-        for batch in batches:
-            for r in batch:
-                passed = passed and r.passed
-                spool.write(sep + json.dumps(r.record(), sort_keys=True))
-                sep = ', '
-        head, _, tail = json.dumps(
-            {'command': 'verify', 'family': args.what, 'seed': args.seed,
-             'passed': passed, 'reports': []},
-            sort_keys=True).partition('[]')
-        out = sys.stdout
-        out.write(head + '[')
-        spool.seek(0)
-        shutil.copyfileobj(spool, out)
-        out.write(']' + tail + '\n')
-    return 0 if passed else 1
+        for passes, texts in batches:
+            ok += passes
+            total += len(texts)
+            for text in texts:
+                out.write(sep + text)
+                sep = ', ' if structured else ''
+        if structured:
+            head, _, tail = json.dumps(
+                {'command': 'verify', 'family': args.what, 'seed': args.seed,
+                 'passed': ok == total, 'reports': []},
+                sort_keys=True).partition('[]')
+            sys.stdout.write(head + '[')
+            out.seek(0)
+            shutil.copyfileobj(out, sys.stdout)
+            sys.stdout.write(']' + tail + '\n')
+        else:
+            print(f'{ok}/{total} checks passed in {time.perf_counter() - t0:.2f}s')
+    return 0 if ok == total else 1
 
 
 def main() -> None:

@@ -29,9 +29,9 @@ from bisect import bisect_left
 from .tableaux import (
     Partition,
     Tableau,
+    _conjugate,
     check_partition,
     check_standard,
-    conjugate,
     position_of,
     removable_boxes,
     shape_of,
@@ -100,7 +100,7 @@ def css(shape: Partition) -> Tableau:
     check_partition(shape)
     grid = [[0] * part for part in shape]
     value = 1
-    for c, height in enumerate(conjugate(shape)):
+    for c, height in enumerate(_conjugate(shape)):
         for r in range(height):
             grid[r][c] = value
             value += 1
@@ -149,7 +149,7 @@ def column_word(p: Tableau) -> tuple[int, ...]:
 def _column_word(p: Tableau) -> tuple[int, ...]:
     shape = shape_of(p)
     word = []
-    for c, height in enumerate(conjugate(shape)):
+    for c, height in enumerate(_conjugate(shape)):
         for r in range(height - 1, -1, -1):
             word.append(p[r][c])
     return tuple(word)

@@ -145,6 +145,10 @@ def removable_boxes(shape: Partition) -> list[Box]:
     [(1, 3), (3, 1)]
     """
     check_partition(shape)
+    return _removable_boxes(shape)
+
+
+def _removable_boxes(shape: Partition) -> list[Box]:
     boxes = []
     for r, part in enumerate(shape, start=1):
         below = shape[r] if r < len(shape) else 0
@@ -162,7 +166,7 @@ def tableau_index(tableau: Tableau) -> int:
 def _tableau_index(tableau: Tableau) -> int:
     n = sum(shape_of(tableau))
     box = position_of(tableau, n)
-    return removable_boxes(shape_of(tableau)).index(box) + 1
+    return _removable_boxes(shape_of(tableau)).index(box) + 1
 
 
 def delete_largest(tableau: Tableau) -> tuple[Tableau, int]:
@@ -250,7 +254,7 @@ def enumerate_syt(shape: Partition) -> tuple[Tableau, ...]:
         if m == 0:
             out.append(tuple(tuple(row) for row in grid))
             return
-        for r, c in removable_boxes(tuple(p for p in parts if p)):
+        for r, c in _removable_boxes(tuple(p for p in parts if p)):
             grid[r - 1][c - 1] = m
             parts[r - 1] -= 1
             fill(m - 1)
@@ -272,7 +276,7 @@ def count_syt(shape: Partition) -> int:
     6
     """
     check_partition(shape)
-    cols = conjugate(shape)
+    cols = _conjugate(shape)
     hooks = 1
     for r, part in enumerate(shape, start=1):
         for c in range(1, part + 1):
@@ -283,6 +287,10 @@ def count_syt(shape: Partition) -> int:
 def conjugate(shape: Partition) -> Partition:
     """Transpose of the diagram (column lengths)."""
     check_partition(shape)
+    return _conjugate(shape)
+
+
+def _conjugate(shape: Partition) -> Partition:
     return tuple(
         sum(1 for part in shape if part >= c)
         for c in range(1, shape[0] + 1)

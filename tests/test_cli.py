@@ -600,3 +600,29 @@ def test_verify_output_of_every_family_is_pinned(capsys, monkeypatch):
     pin(('verify', 'sep-desc', '--max-n', '4'))
     assert digest.hexdigest() == (
         '6557d98a83a55cac2131a8e6375cf875d0af0896ae4d223e09ed4ffa149c34cc')
+
+
+class _SpyPool(_SerialPool):
+    """A _SerialPool that keeps what the mapped function returns."""
+
+    returned: list = []
+
+    def map(self, fn, jobs):
+        for job in jobs:
+            self.returned.append(fn(job))
+            yield self.returned[-1]
+
+
+@pytest.mark.parametrize('fmt', ['text', 'structured'])
+def test_sweep_workers_send_text(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, 'ProcessPoolExecutor', _SpyPool)
+    monkeypatch.setattr(_SpyPool, 'returned', [])
+    code, _, _ = invoke(capsys, '--format', fmt, '--jobs', '2',
+                        'verify', 'thm4', '--max-n', '3')
+    assert code == 0
+    # the shapes of n = 2 and 3 are five jobs
+    assert len(_SpyPool.returned) == 5
+    for passes, texts in _SpyPool.returned:
+        assert type(passes) is int
+        assert type(texts) is list and texts
+        assert all(type(text) is str for text in texts)

@@ -122,6 +122,8 @@ def _reference_maps(j_set, shape):
 
 
 _total_index_key = lru_cache(maxsize=None)(total_index_key)
+# the reference routes label the same tableaux once per chain
+format_tableau = lru_cache(maxsize=None)(format_tableau)
 
 
 def qr_route_thm4_chain(shape, chain):

@@ -186,6 +186,39 @@ def test_hot_paths_call_no_validation(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize('sweep', [
+    lambda shape: cli._thm1_job((shape, 1)),
+    cli._thm4_job,
+], ids=['thm1', 'thm4'])
+def test_sweeps_check_each_shape_a_few_times(monkeypatch, sweep):
+    """A shape is validated where it enters, not by every removable-box or
+    conjugate lookup inside the workers: on cold caches the thm1 and thm4
+    sweeps of n = 5 check a partition at most 3 times per shape."""
+    calls = []
+    real = tableaux.check_partition
+
+    def counting(shape):
+        calls.append(shape)
+        real(shape)
+
+    for mod in (tableaux, rsk, specht, qrkit):
+        monkeypatch.setattr(mod, 'check_partition', counting)
+    caches = (specht.cell, tableaux.enumerate_syt, qrkit._position_map,
+              qrkit._peel_table, qrkit._j_table, qrkit._factor, qrkit._packed)
+    for cache in caches:
+        cache.cache_clear()
+    qrkit._chain_states.clear()
+    shapes = partitions(5)
+    try:
+        for shape in shapes:
+            assert all(r.passed for r in sweep(shape))
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+        qrkit._chain_states.clear()
+    assert len(calls) <= 3 * len(shapes)
+
+
 # ---------------------------------------------------------------------------
 # verify_thm1 validates the caller's order once, by cell position
 
