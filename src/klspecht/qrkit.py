@@ -44,12 +44,13 @@ The verifiers check matrices of the Specht module action:
 
 The matrices of the long cycle and of each w_J are built once per
 shape in the total index order, keyed by (shape, w): as the nonzero
-entries a product reads on its left (`_factor`) and, when first needed,
-as packed rows (`_packed`).  They are never reindexed on a passing
-check: reordering a basis conjugates every factor by the same
-permutation, so a check reads the total index order through its basis
-order, and a failing check reindexes its matrix once, to exactly
-`matrix_of` of w in the checked order.  `matrix_of` itself is not
+entries a product reads on its left (`_factor`, read off the slots of
+the packed fold of a reduced word of w, which no passing check unpacks)
+and, when first needed, as packed rows (`_packed`).  They are never
+reindexed on a passing check: reordering a basis conjugates every factor
+by the same permutation, so a check reads the total index order through
+its basis order, and a failing check reindexes its matrix once, to
+exactly `matrix_of` of w in the checked order.  `matrix_of` itself is not
 cached: a caller sweeping all of S_n would otherwise keep n! matrices
 alive.
 
@@ -133,11 +134,11 @@ from .specht import (
     QRInvariantError,
     _pack,
     _Packed,
+    _read_terms,
     _reindexed,
     _terms,
     _Terms,
     _times,
-    _unpack,
     _width,
     _words,
     cell,
@@ -150,6 +151,7 @@ from .symgroup import (
     long_cycle,
     longest_element,
     multiply,
+    reduced_word,
 )
 from .tableaux import (
     Partition,
@@ -407,8 +409,9 @@ def _inverse(perm: Sequence[int]) -> list[int]:
 def _factor(shape: Partition, w: Perm) -> _Terms:
     """The matrix of w in the total index order, kept per (shape, w) for
     the few w the verifiers use (the long cycle and each w_J), as the
-    `_terms` a product reads on its left."""
-    return _terms(matrix_of(shape, w))
+    `_Terms` a product reads on its left: read off the packed fold of a
+    reduced word of w, with no entry list in between."""
+    return _read_terms(cell(shape).fold(reduced_word(w)))
 
 
 @lru_cache(maxsize=None)

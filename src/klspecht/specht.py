@@ -27,14 +27,16 @@ total index order.  Basis orders passed in by a caller are validated
 once, by cell position.
 
 The cell builds s_1, ..., s_{n-1} together, once, in the total index
-order: one pass over the unordered pairs of tableaux, with one `mu`
-lookup for each pair whose descent sets differ (a pair with equal
-descent sets has no entry in any s_j).  A one-dimensional module has no
-pairs, so it never builds KL tables.  Each matrix is kept as a tuple
-of tuples; every product is taken in that order and reindexed to the
-requested basis order at the end, since reordering a basis conjugates
-every factor by the same permutation.  The public
-functions always return fresh lists.
+order, as the nonzero entries a product reads (`_Terms`): one pass over
+the unordered pairs of tableaux, with one `mu` lookup for each pair
+whose descent sets differ and whose column words' lengths differ in
+parity (mu is 0 on every other pair).  A one-dimensional module has no
+pairs, so it never builds KL tables.  A dense s_j, a tuple of tuples, is
+unpacked from those entries only for a caller that reads one.  Every
+product is folded in the total index order (`_Cell.fold`) and reindexed
+to the requested basis order at the end, since reordering a basis
+conjugates every factor by the same permutation.  The public functions
+always return fresh lists.
 
 Packed rows.  Every product runs on matrices kept as one int per row
 (`_Packed`): entry (i, j) is a signed digit in the W-bit slot at bit
@@ -60,11 +62,13 @@ Fraction); nothing here ever touches floating point.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import prod
 from operator import itemgetter, neg
+from struct import calcsize
 from typing import NamedTuple, Sequence
 
 from . import hecke
@@ -153,6 +157,10 @@ class _Packed(NamedTuple):
 # in 23 bits with its sign) and the unit `matrix_of` rounds widths up to
 _SLOT_WIDTH = 32
 
+# the memoryview formats of the slot widths `_unpack` reads in bulk: the
+# machine's signed ints, whose bytes are little-endian slots
+_CASTS = {8 * calcsize(c): c for c in 'iq'} if sys.byteorder == 'little' else {}
+
 
 def _width(bound: int) -> int:
     """The slot width that holds every entry of absolute value <= bound."""
@@ -189,10 +197,16 @@ def _check_fits(bound: int, width: int) -> None:
 
 
 def _unpack(p: _Packed) -> Matrix:
-    """The matrix of packed rows, as fresh lists."""
+    """The matrix of packed rows, as fresh lists.  Biasing a row and
+    xoring the bias back leaves each slot's digit in two's complement,
+    so 32- and 64-bit slots are read in bulk as the machine's signed
+    ints; other widths take one shift per entry."""
     width, d = p.width, len(p.rows)
     top, mask = 1 << (width - 1), (1 << width) - 1
     bias = _words(d, width).bias
+    if width in _CASTS:
+        return [memoryview(((r + bias) ^ bias).to_bytes(d * width // 8, 'little'))
+                .cast(_CASTS[width]).tolist() for r in p.rows]
     return [[((row >> j * width) & mask) - top for j in range(d)]
             for row in (r + bias for r in p.rows)]
 
@@ -211,26 +225,47 @@ class _Terms(NamedTuple):
     maxabs: int  # the largest |entry| of A
 
 
+def _pick(k: int, x: int, d: int, scaled: list[tuple[int, int]]) -> int:
+    """The operand of x times row k (see `_Terms`); (k, x) joins scaled
+    when |x| > 1."""
+    if x == 1 or x == -1:
+        return k if x == 1 else d + k
+    scaled.append((k, x))
+    return 2 * d + len(scaled) - 1
+
+
+def _collect(picks: Sequence[Sequence[int]],
+             scaled: list[tuple[int, int]]) -> _Terms:
+    """The `_Terms` of each row's operands and the scaled pairs."""
+    weights = [1] * (2 * len(picks)) + [abs(x) for _, x in scaled]
+    rowabs = max(sum(map(weights.__getitem__, pick)) for pick in picks)
+    maxabs = max(weights[2 * len(picks):], default=min(rowabs, 1))
+    return _Terms(tuple(map(tuple, picks)), tuple(scaled), rowabs, maxabs)
+
+
 def _terms(m: Sequence[Sequence[int]]) -> _Terms:
-    d = len(m)
-    picks = []
+    """The `_Terms` of a matrix given by its rows of entries."""
+    d, scaled = len(m), []
+    return _collect([[_pick(k, x, d, scaled) for k, x in enumerate(row) if x]
+                     for row in m], scaled)
+
+
+def _read_terms(p: _Packed) -> _Terms:
+    """The `_Terms` of a packed matrix, read off its nonzero slots only."""
+    width, d = p.width, len(p.rows)
+    bias, slots, tops, _ = _words(d, width)
+    picks: list[list[int]] = []
     scaled: list[tuple[int, int]] = []
-    for row in m:
-        pick = [k if x == 1 else d + k
-                for k, x in enumerate(row) if x == 1 or x == -1]
-        if len(pick) + row.count(0) < d:  # some |x| > 1
-            for k, x in enumerate(row):
-                if x not in (0, 1, -1):
-                    pick.append(2 * d + len(scaled))
-                    scaled.append((k, x))
-        picks.append(tuple(pick))
-    if scaled:
-        rowabs = max(sum(map(abs, row)) for row in m)
-        maxabs = max(abs(x) for _, x in scaled)
-    else:
-        rowabs = max(map(len, picks))
-        maxabs = min(rowabs, 1)
-    return _Terms(tuple(picks), tuple(scaled), rowabs, maxabs)
+    for row in p.rows:
+        biased, pick = row + bias, []
+        rest = biased ^ bias  # zero exactly on the zero slots
+        while rest:
+            k = ((rest & -rest).bit_length() - 1) // width
+            x = ((biased & slots[k]) - tops[k]) >> k * width
+            pick.append(_pick(k, x, d, scaled))
+            rest ^= rest & slots[k]
+        picks.append(pick)
+    return _collect(picks, scaled)
 
 
 def _times(terms: _Terms, b: _Packed) -> _Packed:
@@ -259,7 +294,8 @@ def _pack(terms: _Terms, width: int) -> _Packed:
 
 def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
     """The packed matrix with row and column c taken from ids[c]."""
-    return mat_reindex(_unpack(p), ids)
+    m = _unpack(p)
+    return m if ids == list(range(len(m))) else mat_reindex(m, ids)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +319,8 @@ class _Cell:
             self.classes.setdefault(i, []).append(k)
         self.labels = tuple(format_tableau(t) for t in self.tableaux)
         self._kl: tuple[hecke._Tables, list[int]] | None = None
-        self._generators: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-        self._generator_terms: dict[int, _Terms] = {}
+        self._generator_terms: tuple[_Terms, ...] | None = None
+        self._generators: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def positions(self, order: Sequence[Tableau] | None) -> list[int]:
         """Cell position of each tableau of a basis order (None: the total
@@ -312,38 +348,59 @@ class _Cell:
         tab, ids = self.kl_ids()
         return tab.mu_ids(ids[i], ids[j])
 
-    def generator(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """s_j in the total index order.  The first call builds s_1, ...,
-        s_{n-1} together, in one pass over the unordered pairs of
-        tableaux: a pair with different descent sets costs one `mu`
-        lookup, and a nonzero mu(T, R) lands in s_j[R][T] for each j in
-        D(R) but not in D(T).  Rows are tuples, so no caller can change
-        the cached matrices."""
-        if not 1 <= j <= sum(self.shape) - 1:
+    def generator_terms(self, j: int) -> _Terms:
+        """s_j in the total index order, as the `_Terms` a product reads.
+        The first call builds s_1, ..., s_{n-1} together, in one pass over
+        the tableaux T: a diagonal pick (-1 if j is in D(T), else 1), then
+        for each later R with mu(T, R) != 0 a pick in row R at T for each
+        j in D(R) - D(T), and in row T at R for each j in D(T) - D(R), so
+        rows come out in column order.  mu is looked up only where it can
+        be nonzero (see the module docstring)."""
+        n, d = sum(self.shape), len(self.tableaux)
+        if not 1 <= j <= n - 1:
             raise ValueError(f's_{j} does not act on shape {self.shape}')
-        if self._generators is None:
-            d = len(self.tableaux)
-            mats = [[[0] * d for _ in range(d)] for _ in range(sum(self.shape) - 1)]
+        if self._generator_terms is None:
+            picks = [[[] for _ in range(d)] for _ in range(n - 1)]
+            scaled: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
+            tab, ids = self.kl_ids() if d > 1 else (None, [])
+            odd = [tab.lengths[i] & 1 for i in ids]
             for t, dt in enumerate(self.descents):
-                for k, mat in enumerate(mats, start=1):
-                    mat[t][t] = -1 if k in dt else 1
+                for k in range(1, n):
+                    picks[k - 1][t].append(d + t if k in dt else t)
                 for r in range(t + 1, d):
                     dr = self.descents[r]
-                    if dt != dr:
+                    if dt != dr and odd[t] != odd[r]:
                         m = self.mu(t, r)
                         if m:
                             for k in dr - dt:
-                                mats[k - 1][r][t] = m
+                                picks[k - 1][r].append(_pick(t, m, d, scaled[k - 1]))
                             for k in dt - dr:
-                                mats[k - 1][t][r] = m
-            self._generators = tuple(tuple(map(tuple, mat)) for mat in mats)
-        return self._generators[j - 1]
+                                picks[k - 1][t].append(_pick(r, m, d, scaled[k - 1]))
+            self._generator_terms = tuple(map(_collect, picks, scaled))
+        return self._generator_terms[j - 1]
 
-    def generator_terms(self, j: int) -> _Terms:
-        """The `_terms` of s_j, built from `generator(j)` on first use."""
-        if j not in self._generator_terms:
-            self._generator_terms[j] = _terms(self.generator(j))
-        return self._generator_terms[j]
+    def generator(self, j: int) -> tuple[tuple[int, ...], ...]:
+        """s_j in the total index order as rows of entries, unpacked from
+        `generator_terms(j)` on first use.  Rows are tuples, so no caller
+        can change the cached matrices."""
+        if j not in self._generators:
+            packed = _pack(self.generator_terms(j), _SLOT_WIDTH)
+            self._generators[j] = tuple(map(tuple, _unpack(packed)))
+        return self._generators[j]
+
+    def fold(self, word: Sequence[int]) -> _Packed:
+        """The product of the generators along word (leftmost first) in
+        the total index order, folded on packed rows right to left from
+        the identity.  The slots hold the product of the factors' rowabs,
+        so no step overflows them; rounding their width up to a multiple
+        of `_SLOT_WIDTH` keeps `_words` to a few widths."""
+        factors = [self.generator_terms(j) for j in reversed(word)]
+        width = _width(prod(terms.rowabs for terms in factors))
+        width += -width % _SLOT_WIDTH
+        out = _Packed(_words(len(self.tableaux), width).units, width, 1)
+        for terms in factors:
+            out = _times(terms, out)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -376,20 +433,12 @@ def matrix_from_generator_word(shape: Partition, word: Sequence[int],
                                order: Sequence[Tableau] | None = None) -> Matrix:
     """Product of generator matrices along a word (leftmost first).
 
-    Folded right to left on packed rows from the identity, in the total
-    index order, and reindexed to `order` once at the end.  The slots
-    hold the bound `_times` propagates, so no step overflows them; the
-    rounding keeps `_words` to a few widths.
+    The packed fold of the word in the total index order (`_Cell.fold`),
+    unpacked and reindexed to `order` once.
     """
     c = cell(shape)
     ids = c.positions(order)
-    factors = [c.generator_terms(j) for j in reversed(word)]
-    width = _width(prod(terms.rowabs for terms in factors))
-    width += -width % _SLOT_WIDTH
-    out = _Packed(_words(len(ids), width).units, width, 1)
-    for terms in factors:
-        out = _times(terms, out)
-    return _reindexed(out, ids)
+    return _reindexed(c.fold(word), ids)
 
 
 def matrix_of(shape: Partition, w: Perm,

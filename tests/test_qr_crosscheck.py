@@ -29,7 +29,7 @@ from klspecht.qrkit import (
     verify_thm4_chain,
 )
 from klspecht.reports import CheckReport
-from klspecht.symgroup import long_cycle, longest_element, multiply
+from klspecht.symgroup import long_cycle, longest_element, multiply, reduced_word
 from klspecht.tableaux import (
     format_tableau,
     partitions,
@@ -287,22 +287,25 @@ def cold_factor_caches():
     _clear_factor_caches()
 
 
+_generator_terms = specht._Cell.generator_terms
+
+
+def _twisted(self, j):
+    return _generator_terms(self, sum(self.shape) - j)
+
+
 def test_routes_agree_on_failing_checks(monkeypatch, cold_factor_caches):
     """Feed both routes wrong generator matrices, so checks fail, and
     compare the failure text.
 
-    s_j is replaced by s_{n-j}: that is still a representation (the twist
+    s_j is replaced by s_{n-j} where every product reads it, in
+    `_Cell.generator_terms`: that is still a representation (the twist
     by the diagram automorphism), so every product of generators for w
     is one matrix, the matrix of w0 w w0, whether it is built along a
     reduced word of w, as the reference route does, or from cached
     factors, as the verifiers do."""
     kinds = set()
-    generator = specht._Cell.generator
-
-    def twisted(self, j):
-        return generator(self, sum(self.shape) - j)
-
-    monkeypatch.setattr(specht._Cell, 'generator', twisted)
+    monkeypatch.setattr(specht._Cell, 'generator_terms', _twisted)
     for n in range(3, 6):
         for shape in partitions(n):
             new = verify_thm1(shape).record()
@@ -318,31 +321,29 @@ def test_routes_agree_on_failing_checks(monkeypatch, cold_factor_caches):
 def test_thm1_routes_agree_on_failing_checks_in_shuffled_orders(
         monkeypatch, cold_factor_caches):
     """thm1 in the canonical order and 5 seeded index-monotone orders,
-    under two faults: the twisted generators above, and a `matrix_of`
-    that doubles the entry of M(c) at (pr(T), T) for the last tableau T
-    of the total index order.  For thm1 both routes build M(c) along the
-    reduced word of c, so both see one matrix.  The doubled entry keeps
-    the pivot test passing with a pivot of +-2, which only the
-    leading-term check names."""
-    generator = specht._Cell.generator
-    matrix_of = qrkit.matrix_of
+    under two faults: the twisted generators above, and a packed fold
+    (`_Cell.fold`) that doubles the entry of M(c) at (pr(T), T) for the
+    last tableau T of the total index order.  For thm1 both routes fold
+    M(c) along the reduced word of c, the verifiers for their cached
+    factor and the reference route in `matrix_of`, so both see one
+    matrix.  The doubled entry keeps the pivot test passing with a pivot
+    of +-2, which only the leading-term check names."""
+    fold = specht._Cell.fold
 
-    def twisted(self, j):
-        return generator(self, sum(self.shape) - j)
-
-    def doubled_pivot(shape, w, order=None):
-        m = matrix_of(shape, w, order)
-        if w == long_cycle(sum(shape)):
-            basis = list(order or total_index_order(shape))
-            t = total_index_order(shape)[-1]
-            m[basis.index(promote(t))][basis.index(t)] *= 2
-        return m
+    def doubled_pivot(self, word):
+        p = fold(self, word)
+        if list(word) != reduced_word(long_cycle(sum(self.shape))):
+            return p
+        t = len(self.tableaux) - 1
+        r = self.position[promote(self.tableaux[t])]
+        rows = list(p.rows)
+        rows[r] += specht._unpack(p)[r][t] << t * p.width
+        return specht._Packed(rows, p.width, 2 * p.bound)
 
     failures = []
-    for owner, name, fault in ((specht._Cell, 'generator', twisted),
-                               (qrkit, 'matrix_of', doubled_pivot)):
+    for name, fault in (('generator_terms', _twisted), ('fold', doubled_pivot)):
         with monkeypatch.context() as patch:
-            patch.setattr(owner, name, fault)
+            patch.setattr(specht._Cell, name, fault)
             for n in range(2, 6):
                 for shape in partitions(n):
                     for order in _thm1_orders(shape, shuffles=5):
@@ -364,3 +365,20 @@ def test_passing_checks_do_not_factor(monkeypatch):
         assert verify_thm1(shape).passed
         for chain in all_connected_chains(5):
             assert verify_thm4_chain(shape, chain).passed
+
+
+def test_passing_checks_build_nothing_dense(monkeypatch, cold_factor_caches):
+    """On cold caches, the verifiers build their factors from the
+    generators' nonzero entries and decide on packed rows: no dense
+    generator and no unpacked matrix."""
+    def refuse(*args):
+        raise AssertionError('dense matrix built on a passing check')
+
+    monkeypatch.setattr(specht._Cell, 'generator', refuse)
+    monkeypatch.setattr(specht, '_unpack', refuse)
+    for n in range(2, 6):
+        for shape in partitions(n):
+            for order in _thm1_orders(shape, shuffles=5):
+                assert verify_thm1(shape, order).passed
+            for chain in all_connected_chains(n):
+                assert verify_thm4_chain(shape, chain).passed

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import klspecht
-from klspecht import qrkit
+from klspecht import qrkit, specht
 from klspecht.jdt import evacuate, promote
 from klspecht.qrkit import (
     IrrationalNormError,
@@ -288,7 +288,7 @@ def _checked_matrices(monkeypatch):
     real = qrkit._decide
 
     def spy(shape, packed, ids, *rest):
-        seen.append(mat_reindex(qrkit._unpack(packed), ids))
+        seen.append(mat_reindex(specht._unpack(packed), ids))
         return real(shape, packed, ids, *rest)
 
     monkeypatch.setattr(qrkit, '_decide', spy)
@@ -677,8 +677,12 @@ def test_packed_product_equals_mat_mul(pair):
     bound = max(sum(map(abs, row)) for row in a) * _max_abs(b)
     width = qrkit._width(max(bound, _max_abs(b)))
     packed_b = qrkit._pack(qrkit._terms(b), width)
-    assert qrkit._unpack(packed_b) == b
-    assert qrkit._unpack(qrkit._times(qrkit._terms(a), packed_b)) == mat_mul(a, b)
+    assert specht._unpack(packed_b) == b
+    product = qrkit._times(qrkit._terms(a), packed_b)
+    assert specht._unpack(product) == mat_mul(a, b)
+    # the nonzero entries read off the slots, without unpacking
+    assert specht._read_terms(packed_b) == qrkit._terms(b)
+    assert specht._read_terms(product) == qrkit._terms(mat_mul(a, b))
 
 
 @st.composite

@@ -9,6 +9,7 @@ import pytest
 from klspecht import specht
 from klspecht.hecke import mu_tableaux
 from klspecht.jdt import evacuate
+from klspecht.rsk import column_word
 from klspecht.specht import (
     check_branching,
     check_filtration_invariance,
@@ -83,7 +84,9 @@ def test_generators_follow_the_w_graph_rule(n):
 def test_generators_look_up_mu_once_per_pair(monkeypatch):
     """Building every generator of a shape asks `_Cell.mu` at most once
     per unordered pair of tableaux, and never for a pair whose descent
-    sets are equal (such a pair has no entry in any s_j)."""
+    sets are equal (such a pair has no entry in any s_j) or whose column
+    words have lengths of equal parity (mu is 0 there): 1442 lookups for
+    every shape of n <= 7."""
     seen = Counter()
     real = specht._Cell.mu
 
@@ -98,11 +101,99 @@ def test_generators_look_up_mu_once_per_pair(monkeypatch):
             for j in range(1, n):
                 generator_matrix(shape, j)
     assert seen and max(seen.values()) == 1
+    assert len(seen) == 1442
     for shape, pair in seen:
         a, b = pair
-        descents = specht.cell(shape).descents
-        assert descents[a] != descents[b]
+        cl = specht.cell(shape)
+        assert cl.descents[a] != cl.descents[b]
+        ta, tb = cl.tableaux[a], cl.tableaux[b]
+        assert (length(column_word(ta)) - length(column_word(tb))) % 2 == 1
 
+
+
+def _decoded(terms):
+    """The matrix a `_Terms` stands for, read pick by pick."""
+    d = len(terms.picks)
+    m = [[0] * d for _ in range(d)]
+    for row, pick in zip(m, terms.picks):
+        for p in pick:
+            k, x = (p % d, 1 - 2 * (p // d)) if p < 2 * d else terms.scaled[p - 2 * d]
+            row[k] += x
+    return m
+
+
+def test_generators_with_an_entry_above_one(monkeypatch):
+    """No generator entry has |x| > 1 for n <= 7, so a `_Cell.mu` that
+    answers 2 on the first pair it is asked about drives the scaled
+    branch of the generator pass.  Its terms, its dense generators and
+    `matrix_of` must then match the W-graph rule with that mu, folded by
+    the dense reference."""
+    shape, n = (3, 2, 1), 6
+    real = specht._Cell.mu
+    bumped = []
+
+    def mu(cl, i, j):
+        if not bumped:
+            bumped.append((cl.tableaux[i], cl.tableaux[j]))
+        return 2 if (cl.tableaux[i], cl.tableaux[j]) == bumped[0] else real(cl, i, j)
+
+    monkeypatch.setattr(specht._Cell, 'mu', mu)
+    monkeypatch.setattr(specht, 'cell', lru_cache(maxsize=None)(specht._Cell))
+    cl = specht.cell(shape)
+    cl.generator_terms(1)
+    tabs = enumerate_syt(shape)
+    gens = {}
+    for j in range(1, n):
+        want = [[0] * len(tabs) for _ in tabs]
+        for c, t in enumerate(tabs):
+            want[c][c] = -1 if j in descent_set(t) else 1
+            for r, other in enumerate(tabs):
+                if j in descent_set(other) and j not in descent_set(t):
+                    pair = (t, other) if c < r else (other, t)
+                    want[r][c] = 2 if pair == bumped[0] else mu_tableaux(t, other)
+        gens[j] = want
+        terms = cl.generator_terms(j)
+        assert _decoded(terms) == want
+        assert terms.rowabs == max(sum(map(abs, row)) for row in want)
+        assert terms.maxabs == max(abs(x) for row in want for x in row)
+        assert [list(row) for row in cl.generator(j)] == want
+    assert any(cl.generator_terms(j).scaled for j in gens)
+    for w in (long_cycle(n), tuple(range(n, 0, -1)), (2, 4, 1, 3, 6, 5)):
+        want = identity_matrix(len(tabs))
+        for j in reversed(reduced_word(w)):
+            want = mat_mul(gens[j], want)
+        assert matrix_of(shape, w) == want
+
+
+def _shift_unpack(rows, width, d):
+    """Each row's signed digits, lowest slot first, one shift at a time."""
+    out = []
+    for r in rows:
+        row = []
+        for _ in range(d):
+            x = r & ((1 << width) - 1)
+            x -= (x >> (width - 1)) << width  # the signed digit
+            row.append(x)
+            r = (r - x) >> width
+        assert r == 0
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize('width', [32, 64, 96])
+def test_unpack_reads_every_slot_width(width):
+    """`_unpack` reads 32- and 64-bit slots in bulk and other widths one
+    shift at a time; both agree with a plain shift loop, on random
+    entries and on 0 and +-(2**(width - 1) - 1)."""
+    rng = random.Random(width)
+    edge = (1 << (width - 1)) - 1
+    for d in (1, 2, 5, 17):
+        m = [[rng.choice((0, edge, -edge, rng.randint(-edge, edge)))
+              for _ in range(d)] for _ in range(d)]
+        m[0][0], m[-1][-1] = edge, -edge
+        rows = [sum(x << j * width for j, x in enumerate(row)) for row in m]
+        packed = specht._Packed(rows, width, edge)
+        assert specht._unpack(packed) == _shift_unpack(rows, width, d) == m
 
 def test_coxeter_relations():
     for n in range(2, 6):
