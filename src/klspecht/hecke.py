@@ -39,7 +39,8 @@ bitsets), not the algorithm.  The tables are built in one pass over
 S_n, on lex ranks rather than words: lengths from Lehmer digits, the
 right generator table from one fixed permutation of lex-rank blocks per
 generator, the left one from it through the inverse ids
-(s w = (w^-1 s)^-1), and the Bruhat downsets as unions over covers (see
+(s w = (w^-1 s)^-1), and the Bruhat downsets as unions over covers,
+the w t_{ab} one shorter than w, read off whole columns of ids (see
 `_Tables`).
 
 Each recursive call (`kl`, `rpoly`, `kl_oracle_ids`) works on a
@@ -69,7 +70,7 @@ one worker (the CLI parallelizes across shapes in separate processes).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from typing import Iterable
 
@@ -221,10 +222,10 @@ def _rows(cols: list[Iterable[int]]) -> list[list[int]]:
 
 def _generator_tables(n: int, order: list[int]) -> tuple[
         list[list[int]], list[int], list[list[int]], list[int]]:
-    """`rmult`, `rdesc`, `lmult` and `ldesc` of `_Tables(n)`, where
-    order[i] is the lex rank of the word of id i.  Its n!-long
-    temporaries are freed on return, before the downsets, which set the
-    peak memory of the build, are made."""
+    """The columns of `rmult` (cols[j - 1][i] is the id of perms[i] s_j),
+    `rdesc`, `lmult` and `ldesc` of `_Tables(n)`, where order[i] is the
+    lex rank of the word of id i.  Its other n!-long temporaries are
+    freed on return, before the downsets are made."""
     # rank[k] is the id of the word of lex rank k, and cols[j - 1][i] is
     # the id of perms[i] s_j: the lex blocks of m = n - j + 1 letters
     # permuted by pi_m (see `_Tables`)
@@ -249,7 +250,20 @@ def _generator_tables(n: int, order: list[int]) -> tuple[
     inv = list(map(rank.__getitem__, map(_lex_inverse(n).__getitem__, order)))
     lmult = _rows([map(inv.__getitem__, map(col.__getitem__, inv))
                    for col in cols])
-    return _rows(cols), rdesc, lmult, [rdesc[k] for k in inv]
+    return cols, rdesc, lmult, [rdesc[k] for k in inv]
+
+
+def _reflections(cols: list[list[int]]) -> dict[tuple[int, int], list[int]]:
+    """refl[a, b][i] is the id of perms[i] t_{ab}, positions a < b from 0,
+    given cols[a] = refl[a, a + 1].  Each is two maps over refl[a + 1, b],
+    since w t_{ab} = ((w t_{a,a+1}) t_{a+1,b}) t_{a,a+1}."""
+    refl = {}
+    for b in range(1, len(cols) + 1):
+        col = refl[b - 1, b] = cols[b - 1]
+        for a in range(b - 2, -1, -1):
+            s = cols[a]
+            col = refl[a, b] = list(map(s.__getitem__, map(col.__getitem__, s)))
+    return refl
 
 
 class _Tables:
@@ -264,8 +278,10 @@ class _Tables:
     block of m! consecutive lex ranks by `_swap_first_two(m)`.  `rdesc`
     compares ids, and `lmult` and `ldesc` are read through the inverse
     ids (`_lex_inverse`), since s_j w = (w^-1 s_j)^-1.  `down[i]` is
-    the union of the downsets of the Bruhat covers of perms[i]
-    (Bjorner-Brenti, GTM 231, section 2.1).
+    the union of the downsets of the Bruhat covers of w = perms[i]: the
+    w t_{ab} of length len(w) - 1 (Bjorner-Brenti, GTM 231, section 2.1).
+    `_reflections` builds one column of ids over all w per reflection
+    t_{ab} from the columns of `rmult`, and the lengths pick the covers.
 
     Two id masks feed the masked, shifted correction scan of `kl`:
     `smask[j - 1]` has bit i set iff s_j is a left descent of perms[i],
@@ -287,52 +303,38 @@ class _Tables:
         order = sorted(range(len(words)), key=lex_lengths.__getitem__)
         self.perms = perms = [words[k] for k in order]
         self.lengths = lengths = [lex_lengths[k] for k in order]
-        index = {w: i for i, w in enumerate(perms)}
-        self.index = index
+        self.index = {w: i for i, w in enumerate(perms)}
 
-        # parity[p] has bit i set iff lengths[i] is congruent to p mod 2;
-        # each length fills one contiguous id range
-        parity = [0, 0]
-        start = 0
-        for i in range(1, len(perms) + 1):
-            if i == len(perms) or lengths[i] != lengths[start]:
-                parity[lengths[start] & 1] |= (1 << i) - (1 << start)
-                start = i
-        self.parity = parity
+        # parity[p] has bit i set iff lengths[i] is congruent to p mod 2,
+        # parsed from one base-2 string, each id's digit looked up by length
+        self.parity = [int(''.join(map(
+            ['01'[ell & 1 == p] for ell in range(lengths[-1] + 1)].__getitem__,
+            reversed(lengths))), 2) for p in (0, 1)]
 
-        self.rmult, self.rdesc, self.lmult, self.ldesc = \
-            _generator_tables(n, order)
+        cols, self.rdesc, self.lmult, self.ldesc = _generator_tables(n, order)
+        self.rmult = _rows(cols)
+        del words, order, lex_lengths
         # smask[j - 1] has bit i set iff s_j is a left descent of perms[i],
-        # read off as one base-2 string per generator: or-ing 1 << i into
-        # an n!-bit int per descent would copy that int every time
-        self.smask = [int(''.join('1' if (m >> j) & 1 else '0'
-                                  for m in reversed(self.ldesc)), 2)
-                      for j in range(n - 1)]
+        # parsed from one base-2 string, each id's digit looked up by ldesc
+        self.smask = [int(''.join(map(
+            ['01'[(m >> j) & 1] for m in range(1 << (n - 1))].__getitem__,
+            reversed(self.ldesc))), 2) for j in range(n - 1)]
 
-        # down[i] has bit v set iff v <= perms[i].  Every x < w lies below
-        # some element that w covers, so down[w] is w itself and the union
-        # of down[v] over the Bruhat covers v of w.  Those are the swaps
-        # w t_{ab} of positions a < b with w[a] > w[b] and no position c
-        # between them with w[b] < w[c] < w[a] (Bjorner-Brenti,
-        # Combinatorics of Coxeter Groups, GTM 231, section 2.1).  For
-        # fixed a, scanning b to the right, they are the values below
-        # w[a] that exceed every earlier such value: each covered v has
-        # length len(w) - 1, so a smaller id, and is already built
-        down = [0] * len(perms)
-        for i, w in enumerate(perms):
+        # down[i] has bit v set iff v <= w = perms[i]: bit i or the downsets
+        # of the covers of w, which are shorter and so already built.  Row i
+        # of `flat` holds i (a row even for S_1, which has no reflection) and
+        # each w t_{ab}: one block, so the union leaves no holes in the heap
+        refl = [range(len(perms)), *_reflections(cols).values()]
+        flat = list(chain.from_iterable(zip(*refl)))
+        del cols, refl
+        self.down = down = []
+        for i, covers in enumerate(zip(*[iter(flat)] * (n * (n - 1) // 2 + 1))):
             d = 1 << i
-            for a in range(n - 1):
-                top = w[a]
-                floor = 0
-                for b in range(a + 1, n):
-                    x = w[b]
-                    if floor < x < top:
-                        floor = x
-                        v = list(w)
-                        v[a], v[b] = x, top
-                        d |= down[index[tuple(v)]]
-            down[i] = d
-        self.down = down
+            below = lengths[i] - 1
+            for c in covers:
+                if lengths[c] == below:
+                    d |= down[c]
+            down.append(d)
 
         self.kl_memo: dict[tuple[int, int], QPoly] = {}
         self.r_memo: dict[tuple[int, int], QPoly] = {}

@@ -350,6 +350,28 @@ def test_lex_rank_arithmetic_up_to_s8():
     assert hecke._lex_inverse(1) == [0]
 
 
+def test_reflection_columns_find_the_bruhat_covers():
+    """Column (a, b) of `_reflections` sends each id to the id of its word
+    with positions a and b swapped, and the reflections that lower the
+    length by exactly one are the Bruhat covers as Bjorner-Brenti (GTM 231,
+    section 2.1) list them: w[a] > w[b], with no value between the two at a
+    position between a and b."""
+    for n in range(1, 8):
+        t = hecke.tables(n)
+        refl = hecke._reflections([list(col) for col in zip(*t.rmult)])
+        assert sorted(refl) == [(a, b) for a in range(n)
+                                for b in range(a + 1, n)]
+        for (a, b), col in refl.items():
+            for i, w in enumerate(t.perms):
+                v = list(w)
+                v[a], v[b] = w[b], w[a]
+                assert col[i] == t.index[tuple(v)], (w, a, b)
+                cover = w[a] > w[b] and not any(
+                    w[b] < w[c] < w[a] for c in range(a + 1, b))
+                drop = t.lengths[i] - t.lengths[col[i]]
+                assert (drop == 1) == cover, (w, a, b)
+
+
 def test_kl_agrees_with_the_oracle_on_seeded_pairs_of_s6():
     """Seeded Bruhat-comparable pairs of S_6, half of them with an even
     length gap of at least 4, where the recursion's z = v correction
