@@ -10,7 +10,8 @@ runs a theorem sweep and exits 0 when every check passes, 1 otherwise;
 unparseable input, a --jobs below 1 and a sweep bound that leaves no
 checks exit 2, and a reader closing stdout early exits 141 without a
 traceback.  Commands and sweeps that compute KL polynomials exit 2 up
-front for an n above `hecke.MAX_N`, before any table is built.
+front for an n above `hecke.MAX_N`, before any table is built, and the
+sep-desc and lemma-pr sweeps above n = 9 and n = 13, before any job.
 
 Literals: partitions "3,1,1"; tableaux "1,4,5/2/3" (rows split by "/");
 permutations "8,5,1,6,2,7,3,4" or digit shorthand "85162734" (n <= 9);
@@ -365,15 +366,17 @@ def _sep_desc_jobs(args, max_n: int) -> list[int]:
 
 
 # swept families, which take --max-n: name -> (jobs builder, worker run
-# on each job, default --max-n, whether the checks compute mu, which
-# bounds --max-n by hecke.MAX_N)
+# on each job, default --max-n, largest --max-n, or None where the checks
+# compute mu, which bounds --max-n by hecke.MAX_N).  The other two grow
+# fourfold or more per n: on a 2-core VM sep-desc takes ~80 s up to
+# n = 9 and lemma-pr ~100 s up to n = 13, so their bounds stop there
 _SWEEPS = {
-    'thm1': (_thm1_jobs, _thm1_job, 6, True),
-    'branching': (_shape_jobs, _branching_job, 6, True),
-    'prop-dmu': (_shape_jobs, _dmu_job, 6, True),
-    'lemma-pr': (_shape_jobs, _lemma_pr_job, 8, False),
-    'thm4': (_shape_jobs, _thm4_job, 5, True),
-    'sep-desc': (_sep_desc_jobs, _sep_desc_job, 6, False),
+    'thm1': (_thm1_jobs, _thm1_job, 6, None),
+    'branching': (_shape_jobs, _branching_job, 6, None),
+    'prop-dmu': (_shape_jobs, _dmu_job, 6, None),
+    'lemma-pr': (_shape_jobs, _lemma_pr_job, 8, 13),
+    'thm4': (_shape_jobs, _thm4_job, 5, None),
+    'sep-desc': (_sep_desc_jobs, _sep_desc_job, 6, 9),
 }
 
 # families with a fixed scope, which take no --max-n
@@ -396,7 +399,7 @@ def _sweep(args, family: str) -> Iterator[tuple[int, list[str]]]:
     elif family not in _SWEEPS:
         raise ValueError(f'unknown verify family: {family}')
     else:
-        build, worker, default_max_n, kl = _SWEEPS[family]
+        build, worker, default_max_n, ceiling = _SWEEPS[family]
         max_n = args.max_n
         if max_n is None:
             env = os.environ.get('KLSPECHT_MAX_N')
@@ -405,8 +408,11 @@ def _sweep(args, family: str) -> Iterator[tuple[int, list[str]]]:
             except ValueError:
                 raise ValueError(f'KLSPECHT_MAX_N must be an integer, '
                                  f'got {env!r}') from None
-        if kl:
+        if ceiling is None:
             hecke.check_affordable(max_n)
+        elif max_n > ceiling:
+            raise ValueError(f'n = {max_n} is too large: verify {family} '
+                             f'stops at n = {ceiling}')
         jobs = build(args, max_n)
         if not jobs:
             raise ValueError(f'verify {family} has no checks up to n = {max_n}')

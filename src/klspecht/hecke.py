@@ -37,11 +37,11 @@ mirror half exactly (again raising `KLInvariantError`).  The two routes
 share only the interned group tables (multiplication, lengths, Bruhat
 bitsets), not the algorithm.  The tables are built in one pass over
 S_n, on lex ranks rather than words: lengths from Lehmer digits, the
-right generator table from one fixed permutation of lex-rank blocks per
-generator, the left one from it through the inverse ids
-(s w = (w^-1 s)^-1), and the Bruhat downsets as unions over covers,
-the w t_{ab} one shorter than w, read off whole columns of ids (see
-`_Tables`).
+generator tables as one column of ids per generator, the right one's
+from one fixed permutation of lex-rank blocks, the left one's from them
+through the inverse ids (s w = (w^-1 s)^-1), and the Bruhat downsets
+as unions over covers, the w t_{ab} one shorter than w, read off whole
+columns of ids (see `_Tables`).
 
 Each recursive call (`kl`, `rpoly`, `kl_oracle_ids`) works on a
 strictly shorter Bruhat interval, so the recursion nests at most a few
@@ -72,7 +72,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, permutations
 from math import factorial
-from typing import Iterable
 
 from .rsk import column_word
 from .tableaux import Tableau, shape_of
@@ -215,16 +214,12 @@ def _lex_inverse(n: int) -> list[int]:
     return ranks
 
 
-def _rows(cols: list[Iterable[int]]) -> list[list[int]]:
-    """The rows of a table given by its columns; S_1 has one empty row."""
-    return [list(row) for row in zip(*cols)] if cols else [[]]
-
-
 def _generator_tables(n: int, order: list[int]) -> tuple[
         list[list[int]], list[int], list[list[int]], list[int]]:
-    """The columns of `rmult` (cols[j - 1][i] is the id of perms[i] s_j),
-    `rdesc`, `lmult` and `ldesc` of `_Tables(n)`, where order[i] is the
-    lex rank of the word of id i.  Its other n!-long temporaries are
+    """`rmult`, `rdesc`, `lmult` and `ldesc` of `_Tables(n)`, where
+    order[i] is the lex rank of the word of id i.  The generator tables
+    are columns: `rmult[j - 1][i]` is the id of perms[i] s_j, and
+    `lmult[j - 1][i]` that of s_j perms[i].  Its other n!-long temporaries are
     freed on return, before the downsets are made."""
     # rank[k] is the id of the word of lex rank k, and cols[j - 1][i] is
     # the id of perms[i] s_j: the lex blocks of m = n - j + 1 letters
@@ -248,8 +243,8 @@ def _generator_tables(n: int, order: list[int]) -> tuple[
     # s_j w = (w^-1 s_j)^-1, so the left tables are the right ones read
     # through the inverse ids
     inv = list(map(rank.__getitem__, map(_lex_inverse(n).__getitem__, order)))
-    lmult = _rows([map(inv.__getitem__, map(col.__getitem__, inv))
-                   for col in cols])
+    lmult = [list(map(inv.__getitem__, map(col.__getitem__, inv)))
+             for col in cols]
     return cols, rdesc, lmult, [rdesc[k] for k in inv]
 
 
@@ -272,14 +267,17 @@ class _Tables:
     both routes (see the module docstring).
 
     Lengths are sums of Lehmer digits, listed in the lex order that
-    `permutations` yields and stably sorted into id order.  `rmult` is
-    lex-rank arithmetic read through that order: w s_j swaps the first
-    two letters of w's tail of length m = n - j + 1, which permutes each
-    block of m! consecutive lex ranks by `_swap_first_two(m)`.  `rdesc`
-    compares ids, and `lmult` and `ldesc` are read through the inverse
-    ids (`_lex_inverse`), since s_j w = (w^-1 s_j)^-1.  `down[i]` is
-    the union of the downsets of the Bruhat covers of w = perms[i]: the
-    w t_{ab} of length len(w) - 1 (Bjorner-Brenti, GTM 231, section 2.1).
+    `permutations` yields and stably sorted into id order.  The generator
+    tables are columns, one per s_j and none for S_1: `rmult[j - 1][i]`
+    is the id of perms[i] s_j, and `lmult[j - 1][i]` that of s_j perms[i].
+    `rmult` is lex-rank arithmetic read through that order: w s_j swaps
+    the first two letters of w's tail of length m = n - j + 1, which
+    permutes each block of m! consecutive lex ranks by
+    `_swap_first_two(m)`.  `rdesc` compares ids, and `lmult` and `ldesc`
+    are read through the inverse ids (`_lex_inverse`), since
+    s_j w = (w^-1 s_j)^-1.  `down[i]` is the union of the downsets of
+    the Bruhat covers of w = perms[i]: the w t_{ab} of length
+    len(w) - 1 (Bjorner-Brenti, GTM 231, section 2.1).
     `_reflections` builds one column of ids over all w per reflection
     t_{ab} from the columns of `rmult`, and the lengths pick the covers.
 
@@ -311,8 +309,8 @@ class _Tables:
             ['01'[ell & 1 == p] for ell in range(lengths[-1] + 1)].__getitem__,
             reversed(lengths))), 2) for p in (0, 1)]
 
-        cols, self.rdesc, self.lmult, self.ldesc = _generator_tables(n, order)
-        self.rmult = _rows(cols)
+        self.rmult, self.rdesc, self.lmult, self.ldesc = _generator_tables(
+            n, order)
         del words, order, lex_lengths
         # smask[j - 1] has bit i set iff s_j is a left descent of perms[i],
         # parsed from one base-2 string, each id's digit looked up by ldesc
@@ -324,9 +322,9 @@ class _Tables:
         # of the covers of w, which are shorter and so already built.  Row i
         # of `flat` holds i (a row even for S_1, which has no reflection) and
         # each w t_{ab}: one block, so the union leaves no holes in the heap
-        refl = [range(len(perms)), *_reflections(cols).values()]
+        refl = [range(len(perms)), *_reflections(self.rmult).values()]
         flat = list(chain.from_iterable(zip(*refl)))
-        del cols, refl
+        del refl
         self.down = down = []
         for i, covers in enumerate(zip(*[iter(flat)] * (n * (n - 1) // 2 + 1))):
             d = 1 << i
@@ -357,11 +355,11 @@ class _Tables:
         while True:
             free = lw & ~ldesc[vid]
             if free:
-                vid = self.lmult[vid][(free & -free).bit_length() - 1]
+                vid = self.lmult[(free & -free).bit_length() - 1][vid]
                 continue
             free = rw & ~rdesc[vid]
             if free:
-                vid = self.rmult[vid][(free & -free).bit_length() - 1]
+                vid = self.rmult[(free & -free).bit_length() - 1][vid]
                 continue
             break
         if vid == wid:
@@ -377,12 +375,12 @@ class _Tables:
             p = _ONE
         else:
             s = (lw & -lw).bit_length() - 1
-            uid = self.lmult[wid][s]
+            uid = self.lmult[s][wid]
             lu = lengths[uid]
             # one slot above the degree bound: for even d the positive
             # terms reach q^{d/2} before the z = v correction cancels it
             buf = [0] * (half + 2)
-            for i, c in enumerate(self.kl(self.lmult[vid][s], uid)):
+            for i, c in enumerate(self.kl(self.lmult[s][vid], uid)):
                 buf[i] += c
             for i, c in enumerate(self.kl(vid, uid)):
                 buf[i + 1] += c
@@ -437,8 +435,8 @@ class _Tables:
             return hit
         rw = self.rdesc[wid]
         s = (rw & -rw).bit_length() - 1
-        wsid = self.rmult[wid][s]
-        xsid = self.rmult[xid][s]
+        wsid = self.rmult[s][wid]
+        xsid = self.rmult[s][xid]
         if (self.rdesc[xid] >> s) & 1:
             p = self.rpoly(xsid, wsid)
         else:

@@ -419,6 +419,27 @@ def test_kl_sweeps_refuse_n_above_the_table_bound(capsys, monkeypatch,
     assert 'too large' in err
 
 
+@pytest.mark.parametrize('family, bound', [('sep-desc', 9), ('lemma-pr', 13)])
+def test_costly_sweeps_refuse_n_above_their_bound(capsys, monkeypatch,
+                                                  no_tables_no_sweeps, family,
+                                                  bound):
+    """sep-desc and lemma-pr compute no mu but grow fourfold or more per n:
+    above their own bound they exit 2 with a message naming it, before any
+    job starts, and at the bound the first job starts."""
+    refusal = f'n = {bound + 1} is too large: verify {family} stops at n = {bound}'
+    for flags in (('--jobs', '1'), ('--jobs', '2')):
+        code, out, err = invoke(capsys, *flags, 'verify', family,
+                                '--max-n', str(bound + 1))
+        assert (code, out) == (2, '')
+        assert refusal in err
+    monkeypatch.setenv('KLSPECHT_MAX_N', str(bound + 1))
+    code, out, err = invoke(capsys, 'verify', family)
+    assert (code, out) == (2, '')
+    assert refusal in err
+    with pytest.raises(AssertionError, match='work started'):
+        invoke(capsys, 'verify', family, '--max-n', str(bound))
+
+
 def dmu_reference(shape):
     """prop-dmu by the public, validated tableau functions, as the sweep
     computed it before it read mu through the cells."""

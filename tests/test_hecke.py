@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -279,8 +280,8 @@ def test_group_tables_match_direct_definitions():
                 assert (t.down[i] >> v) & 1 == bruhat_leq(x, w), (x, w)
             for j in range(1, n):
                 s = simple(j, n)
-                assert t.perms[t.lmult[i][j - 1]] == multiply(s, w)
-                assert t.perms[t.rmult[i][j - 1]] == multiply(w, s)
+                assert t.perms[t.lmult[j - 1][i]] == multiply(s, w)
+                assert t.perms[t.rmult[j - 1][i]] == multiply(w, s)
             assert t.ldesc[i] == sum(1 << (j - 1) for j in left_descents(w))
             assert t.rdesc[i] == sum(1 << (j - 1) for j in right_descents(w))
             for j in range(1, n):
@@ -300,12 +301,13 @@ def _reference_tables(n):
     perms = sorted(all_perms(n), key=lambda w: (length(w), w))
     lengths = [length(w) for w in perms]
     index = {w: i for i, w in enumerate(perms)}
-    lmult = [[index[left_mult_s(w, j)] for j in range(1, n)] for w in perms]
-    rmult = [[index[right_mult_s(w, j)] for j in range(1, n)] for w in perms]
+    lmult = [[index[left_mult_s(w, j)] for w in perms] for j in range(1, n)]
+    rmult = [[index[right_mult_s(w, j)] for w in perms] for j in range(1, n)]
 
     def descents(mult):
-        return [sum(1 << j for j, k in enumerate(row) if lengths[k] < lengths[i])
-                for i, row in enumerate(mult)]
+        return [sum(1 << j for j, col in enumerate(mult)
+                    if lengths[col[i]] < lengths[i])
+                for i in range(len(perms))]
 
     ldesc = descents(lmult)
     smask = [sum(1 << i for i, m in enumerate(ldesc) if (m >> j) & 1)
@@ -351,14 +353,17 @@ def test_lex_rank_arithmetic_up_to_s8():
 
 
 def test_reflection_columns_find_the_bruhat_covers():
-    """Column (a, b) of `_reflections` sends each id to the id of its word
-    with positions a and b swapped, and the reflections that lower the
-    length by exactly one are the Bruhat covers as Bjorner-Brenti (GTM 231,
-    section 2.1) list them: w[a] > w[b], with no value between the two at a
-    position between a and b."""
+    """`rmult` and `lmult` hold one column of n! ids per generator s_j
+    (none for S_1), column (a, b) of `_reflections` of `rmult` sends each
+    id to the id of its word with positions a and b swapped, and the
+    reflections that lower the length by exactly one are the Bruhat covers
+    as Bjorner-Brenti (GTM 231, section 2.1) list them: w[a] > w[b], with
+    no value between the two at a position between a and b."""
     for n in range(1, 8):
         t = hecke.tables(n)
-        refl = hecke._reflections([list(col) for col in zip(*t.rmult)])
+        for mult in (t.rmult, t.lmult):
+            assert [len(col) for col in mult] == [factorial(n)] * (n - 1), n
+        refl = hecke._reflections(t.rmult)
         assert sorted(refl) == [(a, b) for a in range(n)
                                 for b in range(a + 1, n)]
         for (a, b), col in refl.items():
