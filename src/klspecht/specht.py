@@ -31,8 +31,9 @@ order, as the nonzero entries a product reads (`_Terms`): one pass over
 the unordered pairs of tableaux, with one `mu` lookup for each pair
 whose descent sets differ and whose column words' lengths differ in
 parity (mu is 0 on every other pair).  A one-dimensional module has no
-pairs, so it never builds KL tables.  A dense s_j, a tuple of tuples, is
-unpacked from those entries only for a caller that reads one.  Every
+pairs, so it never builds KL tables.  These entries are the only form of
+s_j the cell keeps: a dense s_j is unpacked from them afresh on each
+`generator_matrix` or `quotient_matrices` call, and never cached.  Every
 product is folded in the total index order (`_Cell.fold`) and reindexed
 to the requested basis order at the end, since reordering a basis
 conjugates every factor by the same permutation.  The public functions
@@ -303,7 +304,8 @@ def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
 
 class _Cell:
     """Tableaux of one shape with descent sets, indexes, index classes,
-    labels, KL ids and cached generator matrices, all by position."""
+    labels, KL ids and the nonzero entries of each generator, all by
+    position."""
 
     def __init__(self, shape: Partition):
         check_partition(shape)
@@ -320,7 +322,6 @@ class _Cell:
         self.labels = tuple(format_tableau(t) for t in self.tableaux)
         self._kl: tuple[hecke._Tables, list[int]] | None = None
         self._generator_terms: tuple[_Terms, ...] | None = None
-        self._generators: dict[int, tuple[tuple[int, ...], ...]] = {}
 
     def positions(self, order: Sequence[Tableau] | None) -> list[int]:
         """Cell position of each tableau of a basis order (None: the total
@@ -379,15 +380,6 @@ class _Cell:
             self._generator_terms = tuple(map(_collect, picks, scaled))
         return self._generator_terms[j - 1]
 
-    def generator(self, j: int) -> tuple[tuple[int, ...], ...]:
-        """s_j in the total index order as rows of entries, unpacked from
-        `generator_terms(j)` on first use.  Rows are tuples, so no caller
-        can change the cached matrices."""
-        if j not in self._generators:
-            packed = _pack(self.generator_terms(j), _SLOT_WIDTH)
-            self._generators[j] = tuple(map(tuple, _unpack(packed)))
-        return self._generators[j]
-
     def fold(self, word: Sequence[int]) -> _Packed:
         """The product of the generators along word (leftmost first) in
         the total index order, folded on packed rows right to left from
@@ -426,7 +418,7 @@ def generator_matrix(shape: Partition, j: int,
     [[1, 0], [1, -1]]
     """
     c = cell(shape)
-    return mat_reindex(c.generator(j), c.positions(order))
+    return _reindexed(_pack(c.generator_terms(j), _SLOT_WIDTH), c.positions(order))
 
 
 def matrix_from_generator_word(shape: Partition, word: Sequence[int],
@@ -456,21 +448,23 @@ def matrix_of(shape: Partition, w: Perm,
 def check_filtration_invariance(shape: Partition) -> CheckReport:
     """Do all s_j with j <= n-2 keep the span of lower-index basis vectors?
 
-    Checks that generator matrices in the total index order have no entry
-    in a row of strictly larger index than its column.
+    Reads the nonzero entries of each generator in the total index order
+    (`_Cell.generator_terms`), not a dense matrix, and reports each entry
+    in a row of strictly larger index than its column, column by column.
+    A row's pick p lies in column p mod d, or for p >= 2d in the column
+    of its scaled pair (see `_Terms`).
     """
     c = cell(shape)
-    n = sum(shape)
+    n, d = sum(shape), len(c.tableaux)
     failures = []
     for j in range(1, n - 1):
-        mat = c.generator(j)
-        for col in range(len(mat)):
-            for row in range(len(mat)):
-                if mat[row][col] and c.indexes[row] > c.indexes[col]:
-                    failures.append(
-                        f's_{j} moves {format_tableau(c.tableaux[col])} '
-                        f'(index {c.indexes[col]}) onto index {c.indexes[row]}'
-                    )
+        terms = c.generator_terms(j)
+        for col, row in sorted(
+                (p % d if p < 2 * d else terms.scaled[p - 2 * d][0], row)
+                for row, pick in enumerate(terms.picks) for p in pick):
+            if c.indexes[row] > c.indexes[col]:
+                failures.append(f's_{j} moves {c.labels[col]} (index '
+                                f'{c.indexes[col]}) onto index {c.indexes[row]}')
     return CheckReport(
         theorem='filtration',
         passed=not failures,
@@ -491,11 +485,8 @@ def quotient_matrices(shape: Partition, i: int) -> list[Matrix]:
     members = c.classes.get(i)
     if not members:
         raise ValueError(f'shape {shape} has no removable box labelled {i}')
-    out = []
-    for j in range(1, n - 1):
-        mat = c.generator(j)
-        out.append([[mat[r][col] for col in members] for r in members])
-    return out
+    return [_reindexed(_pack(c.generator_terms(j), _SLOT_WIDTH), members)
+            for j in range(1, n - 1)]
 
 
 def check_branching(shape: Partition) -> CheckReport:

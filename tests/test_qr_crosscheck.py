@@ -374,7 +374,6 @@ def test_passing_checks_build_nothing_dense(monkeypatch, cold_factor_caches):
     def refuse(*args):
         raise AssertionError('dense matrix built on a passing check')
 
-    monkeypatch.setattr(specht._Cell, 'generator', refuse)
     monkeypatch.setattr(specht, '_unpack', refuse)
     for n in range(2, 6):
         for shape in partitions(n):

@@ -34,6 +34,7 @@ from klspecht.tableaux import (
     count_syt,
     descent_set,
     enumerate_syt,
+    format_tableau,
     partitions,
     removable_boxes,
     tableau_index,
@@ -156,7 +157,7 @@ def test_generators_with_an_entry_above_one(monkeypatch):
         assert _decoded(terms) == want
         assert terms.rowabs == max(sum(map(abs, row)) for row in want)
         assert terms.maxabs == max(abs(x) for row in want for x in row)
-        assert [list(row) for row in cl.generator(j)] == want
+        assert specht.generator_matrix(shape, j) == want
     assert any(cl.generator_terms(j).scaled for j in gens)
     for w in (long_cycle(n), tuple(range(n, 0, -1)), (2, 4, 1, 3, 6, 5)):
         want = identity_matrix(len(tabs))
@@ -454,6 +455,56 @@ def test_branching_quotients_match_smaller_modules_exactly():
     mats = quotient_matrices(shape, 2)
     for j, m in enumerate(mats, start=1):
         assert mat_eq(m, generator_matrix((3, 1), j))
+
+
+def test_failing_filtration_and_branching_reports(monkeypatch):
+    """Under two faults in `_Cell.generator_terms`, where every reader
+    takes s_j, the filtration report names each entry of the dense
+    generator that lies below the index order, column by column, and the
+    branching report each quotient that differs from the smaller module.
+    The twist s_j -> s_{n-j} is still a representation but not filtered
+    by index.  No generator has two failing entries whose rows run against
+    their columns, so a second fault fills s_j with entries from -2 to 2,
+    which takes every kind of pick and pins the column-major order.  Each
+    fault fails both checks on some shape."""
+    real = specht._Cell.generator_terms
+
+    def filled(cl, j):
+        d = len(cl.tableaux)
+        return specht._terms([[(j + r + 2 * c) % 5 - 2 for c in range(d)]
+                              for r in range(d)])
+
+    faults = {'twist': lambda cl, j: real(cl, sum(cl.shape) - j), 'filled': filled}
+    failed = Counter()
+    for name, fault in faults.items():
+        monkeypatch.setattr(specht._Cell, 'generator_terms', fault)
+        monkeypatch.setattr(specht, 'cell', lru_cache(maxsize=None)(specht._Cell))
+        for n in range(1, 7):
+            for shape in partitions(n):
+                tabs = enumerate_syt(shape)
+                idx = [tableau_index(t) for t in tabs]
+                gens = [generator_matrix(shape, j) for j in range(1, n - 1)]
+                want = [f's_{j} moves {format_tableau(tabs[c])} (index {idx[c]}) '
+                        f'onto index {idx[r]}'
+                        for j, g in enumerate(gens, start=1)
+                        for c in range(len(tabs)) for r in range(len(tabs))
+                        if g[r][c] and idx[r] > idx[c]]
+                report = check_filtration_invariance(shape)
+                assert (report.passed, report.failures) == (not want, want), shape
+                failed[name, 'filtration'] += not report.passed
+                want = []
+                for i, (row, _) in enumerate(removable_boxes(shape), start=1):
+                    small = tuple(p - (k == row) for k, p in enumerate(shape, 1)
+                                  if p - (k == row))
+                    members = [k for k in range(len(tabs)) if idx[k] == i]
+                    want += [f'index-{i} quotient of s_{j} differs from S^{small}'
+                             for j, g in enumerate(gens, start=1)
+                             if [[g[r][c] for c in members] for r in members]
+                             != generator_matrix(small, j)]
+                report = check_branching(shape)
+                assert (report.passed, report.failures) == (not want, want), shape
+                failed[name, 'branching'] += not report.passed
+    assert len(failed) == 4 and all(failed.values()), failed
 
 
 def test_matrix_entries_serialization():
