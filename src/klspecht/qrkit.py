@@ -45,8 +45,10 @@ The verifiers check matrices of the Specht module action:
 The matrices of the long cycle and of each w_J are built once per
 shape in the total index order, keyed by (shape, w): as the nonzero
 entries a product reads on its left (`_factor`, read off the slots of
-the packed fold of a reduced word of w, which no passing check unpacks)
-and, when first needed, as packed rows (`_packed`).  They are never
+packed rows that no passing check unpacks: the fold of a reduced word
+of the long cycle, and for |J| >= 2 the |J| generators that turn the
+cached M(w_{J'}), J' = J without its largest member, into M(w_J)) and,
+when first needed, as packed rows (`_packed`).  They are never
 reindexed on a passing check: reordering a basis conjugates every factor
 by the same permutation, so a check reads the total index order through
 its basis order, and a failing check reindexes its matrix once, to
@@ -83,14 +85,16 @@ checked, so a sweep in DFS order and a caller checking single chains in
 any order take the same path and get the same reports.
 
 * Chain data, per (chain, n): the validated chain, each w_J, the
-  product w and the sorted J lists (`_chain_data`).  Reports get fresh
-  lists.
+  product w and the sorted J lists (`_chain_data`), extending the data
+  of the chain without J_k by J_k alone.  Reports get fresh lists.
 * Per-shape tables, by position in the total index order: ev_k for
   k = 2..n (`_position_map`, which also maps promotion for thm1) and
   the index labels of each tableau peeled down to one box
-  (`_peel_table`, the `tableaux` peel worker's total index key without
-  its last label).  Each tableau is evacuated n-1 times per shape,
-  whatever the number of J.
+  (`_peel_table`, the total index key without its last label).  ev_k is
+  ev_{k-1} after one reverse slide of 1..k, so each tableau slides once
+  per k, n-1 times per shape, whatever the number of J; the peel table
+  is put together from the peel tables of the shapes one box smaller,
+  with no tableau work.
 * Per (J, shape), one table composed from those (`_j_table`): phi_J =
   ev_q ev_m ev_q, and the dense rank and str of the preorder key, the
   first n-m labels of the peel of ev_q(T).  A chain reads it once per J:
@@ -121,12 +125,12 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .jdt import _partial_evacuate, _promote
+from .jdt import _inverse_promote, _partial_evacuate, _promote
 from .reports import CheckReport
 from .specht import (
     _SLOT_WIDTH,
@@ -157,7 +161,7 @@ from .tableaux import (
     Partition,
     Tableau,
     _delete_largest,
-    _total_index_key,
+    _removable_boxes,
     check_partition,
     check_standard,
     format_tableau,
@@ -409,9 +413,23 @@ def _inverse(perm: Sequence[int]) -> list[int]:
 def _factor(shape: Partition, w: Perm) -> _Terms:
     """The matrix of w in the total index order, kept per (shape, w) for
     the few w the verifiers use (the long cycle and each w_J), as the
-    `_Terms` a product reads on its left: read off the packed fold of a
-    reduced word of w, with no entry list in between."""
-    return _read_terms(cell(shape).fold(reduced_word(w)))
+    `_Terms` a product reads on its left, read off packed rows with no
+    entry list in between.  A w_J with J = {p, ..., q-1} and |J| >= 2
+    (w reverses the positions p..q) is s_p ... s_{q-1} w_{J'} with
+    J' = J - {q-1}: |J| products on the cached M(w_{J'}), in slots that
+    hold its maxabs times the steps' rowabs.  Any other w is the packed
+    fold of a reduced word."""
+    moved = [i for i, x in enumerate(w, start=1) if x != i]
+    p, q = (moved[0], moved[-1]) if moved else (0, 0)
+    if q - p < 2 or w[p - 1:q] != tuple(range(q, p - 1, -1)):
+        return _read_terms(cell(shape).fold(reduced_word(w)))
+    head = _factor(shape, longest_element(frozenset(range(p, q - 1)), len(w)))
+    steps = [cell(shape).generator_terms(j) for j in range(q - 1, p - 1, -1)]
+    width = _width(head.maxabs * prod(terms.rowabs for terms in steps))
+    out = _pack(head, width + -width % _SLOT_WIDTH)
+    for terms in steps:
+        out = _times(terms, out)
+    return _read_terms(out)
 
 
 @lru_cache(maxsize=None)
@@ -452,8 +470,14 @@ def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
 def _position_map(shape: Partition, op: Callable[..., Tableau],
                   *args: int) -> tuple[int, ...]:
     """op(tableaux[i], *args) = tableaux[table[i]], for a map op of the
-    shape's tableaux (promotion, ev_k) that does not check its input."""
+    shape's tableaux (promotion, ev_k) that does not check its input.
+    ev_k for k >= 2 is ev_{k-1} after one reverse slide of 1..k, so its
+    table takes one slide per tableau and the table of ev_{k-1}."""
     cl = cell(shape)
+    if op is _partial_evacuate and args[0] > 1:
+        k = args[0]
+        prev = _position_map(shape, op, k - 1)
+        return tuple(prev[cl.position[_inverse_promote(t, k)]] for t in cl.tableaux)
     return tuple(cl.position[op(t, *args)] for t in cl.tableaux)
 
 
@@ -586,15 +610,25 @@ def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
 
 
 # Per-shape tables indexed by position in the total index order, shared
-# by every chain on the shape.  They read the cell's tableaux, so they
-# call the unchecked workers.  Each tableau is evacuated once per k and
-# peeled once; the per-J table is composed from those.
+# by every chain on the shape.  Each ev_k table is one reverse slide per
+# tableau on top of ev_{k-1}'s, the peel table needs no tableau at all,
+# and the per-J table is composed from those.
 
 @lru_cache(maxsize=None)
 def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
     """The index labels met while deleting the largest entry of
-    tableaux[i] down to one box, at i."""
-    return tuple(_total_index_key(t)[:-1] for t in cell(shape).tableaux)
+    tableaux[i] down to one box, at i.  The total index order lists the
+    index-i class as SYT(shape - box i) are listed, so the table is, for
+    each removable box i in turn, i before each row of the table of
+    shape - box i."""
+    if sum(shape) == 1:
+        return ((),)
+    rows = []
+    for i, (r, _) in enumerate(_removable_boxes(shape), start=1):
+        parts = list(shape)
+        parts[r - 1] -= 1
+        rows += [(i,) + row for row in _peel_table(tuple(p for p in parts if p))]
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -602,7 +636,8 @@ def _j_table(j_set: frozenset[int], shape: Partition
              ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[str, ...]]:
     """For connected J, at i: the position of phi_J(tableaux[i]), and the
     dense rank and str of its `preorder_connected` key among the keys of
-    the shape.  Ranks compare as the keys do."""
+    the shape.  Ranks compare as the keys do.  Composed from the ev_q and
+    ev_m tables and the peel table, with no tableau work of its own."""
     n = sum(shape)
     p, q = _block(j_set, n)
     evq = _position_map(shape, _partial_evacuate, q)
@@ -647,19 +682,20 @@ class _ChainData(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _chain_data(js: tuple[frozenset[int], ...], n: int) -> _ChainData:
-    """The validated chain with its longest elements and their product."""
+    """The validated chain with its longest elements and their product,
+    extending the (validated, cached) data of the chain without J_k."""
     if not js:
         raise ValueError('chain must be nonempty')
-    for j in js:
-        _block(j, n)
-    for a, b in zip(js, js[1:]):
-        if not a < b:
-            raise ValueError('chain must strictly increase')
-    w_js = tuple(longest_element(j, n) for j in js)
-    w = tuple(range(1, n + 1))
-    for w_j in w_js:
-        w = multiply(w_j, w)
-    return _ChainData(js, w_js, w, tuple(tuple(sorted(j)) for j in js))
+    _block(js[-1], n)
+    w_k = longest_element(js[-1], n)
+    member = (tuple(sorted(js[-1])),)
+    if len(js) == 1:
+        return _ChainData(js, (w_k,), w_k, member)
+    if not js[-2] < js[-1]:
+        raise ValueError('chain must strictly increase')
+    prefix = _chain_data(js[:-1], n)
+    return _ChainData(js, prefix.w_js + (w_k,), multiply(w_k, prefix.w),
+                      prefix.members + member)
 
 
 class _ChainState(NamedTuple):

@@ -235,6 +235,15 @@ def _pick(k: int, x: int, d: int, scaled: list[tuple[int, int]]) -> int:
     return 2 * d + len(scaled) - 1
 
 
+def _entry(terms: _Terms, p: int) -> tuple[int, int]:
+    """The column and entry of pick p of a row of `terms`: column p mod d
+    with entry +-1, or for p >= 2d the scaled pair (see `_Terms`)."""
+    d = len(terms.picks)
+    if p < 2 * d:
+        return (p, 1) if p < d else (p - d, -1)
+    return terms.scaled[p - 2 * d]
+
+
 def _collect(picks: Sequence[Sequence[int]],
              scaled: list[tuple[int, int]]) -> _Terms:
     """The `_Terms` of each row's operands and the scaled pairs."""
@@ -451,16 +460,14 @@ def check_filtration_invariance(shape: Partition) -> CheckReport:
     Reads the nonzero entries of each generator in the total index order
     (`_Cell.generator_terms`), not a dense matrix, and reports each entry
     in a row of strictly larger index than its column, column by column.
-    A row's pick p lies in column p mod d, or for p >= 2d in the column
-    of its scaled pair (see `_Terms`).
     """
     c = cell(shape)
-    n, d = sum(shape), len(c.tableaux)
+    n = sum(shape)
     failures = []
     for j in range(1, n - 1):
         terms = c.generator_terms(j)
         for col, row in sorted(
-                (p % d if p < 2 * d else terms.scaled[p - 2 * d][0], row)
+                (_entry(terms, p)[0], row)
                 for row, pick in enumerate(terms.picks) for p in pick):
             if c.indexes[row] > c.indexes[col]:
                 failures.append(f's_{j} moves {c.labels[col]} (index '
@@ -478,15 +485,27 @@ def quotient_matrices(shape: Partition, i: int) -> list[Matrix]:
     """Matrices of s_1, ..., s_{n-2} on the index-i filtration quotient.
 
     Rows and columns run over the tableaux of index i in total index
-    order (their relative order within the full basis).
+    order (their relative order within the full basis).  Each block is
+    read from the picks of the class's rows whose column lies in the
+    class, with no dense generator in between.
     """
     c = cell(shape)
     n = sum(shape)
     members = c.classes.get(i)
     if not members:
         raise ValueError(f'shape {shape} has no removable box labelled {i}')
-    return [_reindexed(_pack(c.generator_terms(j), _SLOT_WIDTH), members)
-            for j in range(1, n - 1)]
+    at = {k: a for a, k in enumerate(members)}
+    blocks = []
+    for j in range(1, n - 1):
+        terms = c.generator_terms(j)
+        block = [[0] * len(members) for _ in members]
+        for row, k in zip(block, members):
+            for p in terms.picks[k]:
+                col, x = _entry(terms, p)
+                if col in at:
+                    row[at[col]] += x
+        blocks.append(block)
+    return blocks
 
 
 def check_branching(shape: Partition) -> CheckReport:

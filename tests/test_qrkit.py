@@ -33,7 +33,7 @@ from klspecht.specht import (
     mat_reindex,
     matrix_of,
 )
-from klspecht.symgroup import long_cycle
+from klspecht.symgroup import long_cycle, longest_element, reduced_word
 from klspecht.tableaux import (
     count_syt,
     enumerate_syt,
@@ -272,13 +272,38 @@ def test_thm4_small_sweep():
                 assert report.passed, (shape, chain, report.failures)
 
 
+BAD_CHAINS = [
+    [{1, 3}],                     # not contiguous
+    [{1}, {1, 3}],                # a later member not contiguous
+    [{1}, {1, 3}, {1, 2, 3}],     # a middle member not contiguous
+    [{1, 2}, {2}],                # not increasing
+    [{1}, {1, 2}, {2, 3}],        # a later pair not increasing
+    [{2}, {1, 2}, {1, 2}],        # a later pair equal
+    [{0}, {0, 1}],                # outside 1..n-1
+    [{1}, {1, 2, 3, 4}],          # a later member outside 1..n-1
+    [{1}, {1, 2}, {1, 2, 3}, {3}],  # bad extensions of cached prefixes
+    [{1}, {1, 2}, {1, 2, 3}, {1, 2, 3, 4}],
+    [{1}, {1, 2}, {4}],
+    [],
+]
+
+
 def test_thm4_rejects_bad_chains():
+    """Each chain extends the validated data of its prefix, so a bad
+    member or pair anywhere must raise, on cold caches and once every
+    valid prefix is cached."""
+    shape = (2, 1, 1)
+    qrkit._chain_data.cache_clear()
+    for _ in range(2):  # cold, then with every valid chain of n = 4 cached
+        for chain in BAD_CHAINS:
+            with pytest.raises(ValueError):
+                qrkit._chain_data(tuple(map(frozenset, chain)), 4)
+            with pytest.raises(ValueError):
+                verify_thm4_chain(shape, chain)
+        for chain in all_connected_chains(4):
+            assert verify_thm4_chain(shape, chain).passed
     with pytest.raises(ValueError):
-        verify_thm4_chain((2, 1, 1), [{1, 3}])  # not contiguous
-    with pytest.raises(ValueError):
-        verify_thm4_chain((2, 1), [{1, 2}, {2}])  # not increasing
-    with pytest.raises(ValueError):
-        verify_thm4_chain((2, 1), [])
+        verify_thm4_chain((2, 1), [{1, 2}, {2}])
 
 
 def _checked_matrices(monkeypatch):
@@ -321,6 +346,47 @@ def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
                 report = verify_thm1(shape, order)
                 assert seen.pop() == matrix_of(shape, long_cycle(n), _basis(report))
     assert not seen
+
+
+def _connected_sets(n):
+    return [frozenset(range(a, b + 1)) for a in range(1, n) for b in range(a, n)]
+
+
+@pytest.mark.parametrize('n', range(1, 8))
+def test_w_j_factors_equal_the_fold_of_a_reduced_word(n):
+    """Each w_J factor, built from the factor of J minus its largest
+    generator, equals the packed fold of a reduced word of w_J."""
+    for shape in partitions(n):
+        cl = specht.cell(shape)
+        for j_set in _connected_sets(n):
+            w = longest_element(j_set, n)
+            assert qrkit._factor(shape, w) \
+                == specht._read_terms(cl.fold(reduced_word(w)))
+
+
+def test_w_j_factors_take_one_product_per_generator(monkeypatch):
+    """On cold caches, every w_J of an n = 6 shape costs |J| products, 35
+    in all, not the 70 of folding each reduced word."""
+    shape = (3, 2, 1)
+    specht.cell(shape).generator_terms(1)
+    calls = []
+    real = specht._times
+
+    def counting(terms, b):
+        calls.append(b.width)
+        return real(terms, b)
+
+    monkeypatch.setattr(specht, '_times', counting)
+    monkeypatch.setattr(qrkit, '_times', counting)
+    qrkit._factor.cache_clear()
+    qrkit._packed.cache_clear()
+    try:
+        for j_set in _connected_sets(6):
+            qrkit._factor(shape, longest_element(j_set, 6))
+    finally:
+        qrkit._factor.cache_clear()
+        qrkit._packed.cache_clear()
+    assert len(calls) == sum(map(len, _connected_sets(6))) == 35
 
 
 # ---------------------------------------------------------------------------

@@ -424,6 +424,8 @@ def test_filtration_blocks_are_lower_triangular_by_index():
 
 
 def test_quotient_dimensions():
+    """Each quotient block, read from the generators' picks, is the block
+    of the dense generator on the index-i rows and columns."""
     for n in range(2, 7):
         for shape in partitions(n):
             boxes = removable_boxes(shape)
@@ -431,11 +433,13 @@ def test_quotient_dimensions():
                 mats = quotient_matrices(shape, i)
                 assert len(mats) == max(n - 2, 0)
                 members = [
-                    t for t in enumerate_syt(shape)
+                    k for k, t in enumerate(enumerate_syt(shape))
                     if tableau_index(t) == i
                 ]
-                for m in mats:
+                for j, m in enumerate(mats, start=1):
                     assert len(m) == len(members)
+                    dense = generator_matrix(shape, j)
+                    assert m == [[dense[r][c] for c in members] for r in members]
 
 
 def test_branching_reports():

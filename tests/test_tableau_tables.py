@@ -91,15 +91,46 @@ def test_thm4_tables_match_phi_and_preorder(shape):
         assert sorted(set(ranks)) == list(range(len(set(want))))
 
 
-@pytest.mark.parametrize('shape', SHAPES)
+@pytest.mark.parametrize('shape', SHAPES + list(partitions(7)))
 def test_evacuation_and_peel_tables(shape):
+    """Each ev_k table, derived from ev_{k-1}'s, against `partial_evacuate`;
+    for J = {1, ..., k-1}, phi_J = ev_k ev_k ev_k is ev_k, so the first
+    table of `_j_table` must be ev_k too.  The peel table, derived from
+    the smaller shapes', against `total_index_key`."""
     tabs = specht.cell(shape).tableaux
     n = sum(shape)
     for k in range(1, n + 1):
+        want = [partial_evacuate(t, k) for t in tabs]
         table = qrkit._position_map(shape, jdt._partial_evacuate, k)
-        assert [tabs[i] for i in table] == [partial_evacuate(t, k) for t in tabs]
+        assert [tabs[i] for i in table] == want
+        if k > 1:
+            phi = qrkit._j_table(frozenset(range(1, k)), shape)[0]
+            assert [tabs[i] for i in phi] == want
     # the peel to one box is the total index key without its last label
     assert qrkit._peel_table(shape) == tuple(total_index_key(t)[:-1] for t in tabs)
+
+
+def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch):
+    """On cold caches, ev_2, ..., ev_n of an n = 6 shape cost (n - 1) d
+    reverse slides: each ev_k is one slide per tableau on top of
+    ev_{k-1}, not the k - 1 slides of evacuating each tableau afresh."""
+    shape = (3, 2, 1)
+    n, d = 6, len(specht.cell(shape).tableaux)
+    calls = []
+    real = jdt._reverse_slide
+
+    def counting(grid, m):
+        calls.append(m)
+        real(grid, m)
+
+    monkeypatch.setattr(jdt, '_reverse_slide', counting)
+    qrkit._position_map.cache_clear()
+    try:
+        for k in range(2, n + 1):
+            qrkit._position_map(shape, jdt._partial_evacuate, k)
+    finally:
+        qrkit._position_map.cache_clear()
+    assert len(calls) == (n - 1) * d
 
 
 def test_random_orders_read_the_cell_indexes():
