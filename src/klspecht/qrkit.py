@@ -42,27 +42,29 @@ The verifiers check matrices of the Specht module action:
 * `search_ordering`: brute-force the basis orders of a small module for
   one that makes QR of [w] a signed permutation.
 
-The matrices of the long cycle and of each w_J are built once per
-shape in the total index order, keyed by (shape, w): as the nonzero
-entries a product reads on its left (`_factor`, read off the slots of
-packed rows that no passing check unpacks: the fold of a reduced word
-of the long cycle, and for |J| >= 2 the |J| generators that turn the
-cached M(w_{J'}), J' = J without its largest member, into M(w_J)) and,
-when first needed, as packed rows (`_packed`).  They are never
-reindexed on a passing check: reordering a basis conjugates every factor
-by the same permutation, so a check reads the total index order through
-its basis order, and a failing check reindexes its matrix once, to
-exactly `matrix_of` of w in the checked order.  `matrix_of` itself is not
-cached: a caller sweeping all of S_n would otherwise keep n! matrices
-alive.
+The verifiers' matrices are built once per shape in the total index
+order, each keyed by what it is built from.  thm1 reads M(c) as the
+packed fold of a reduced word of c (`_long_cycle`).  thm4 reads, per
+block J = {p, ..., q-1}, M(w_J) as the nonzero entries a product reads
+on its left (`_block_factor`): s_p itself for |J| = 1, and otherwise the
+fold of s_p ... s_{q-1} on the cached M(w_{J'}), J' = J without q-1,
+read off the slots of packed rows that no passing check unpacks.  They
+are never reindexed on a passing check: reordering a basis conjugates
+every factor by the same permutation, so a check reads the total index
+order through its basis order, and a failing check reindexes its matrix
+once, to exactly `matrix_of` of w in the checked order.  `matrix_of`
+itself is not cached: a caller sweeping all of S_n would otherwise keep
+n! matrices alive.
 
 Packed rows.  The verifiers decide on `specht`'s packed rows (see its
-docstring) with W = `_SLOT_WIDTH` = 32 bits per slot; a product whose
-entry bound would not fit raises `QRInvariantError`.  Over every chain
-that bound needs at most 9 bits at n = 6, 15 at n = 7 and 22 at n = 8.
-With the bias word, a column's pivot test is one and with the mask of
-the columns before it, and its pivot is one extract, one subtraction
-and one shift (`_pivot_test`).
+docstring).  M(c) keeps the slot width of its fold (32 bits up to n = 8,
+where its entry bound needs at most 17); thm4 packs M(w_{J_1}) at W =
+`_SLOT_WIDTH` = 32 bits per slot, and a product whose entry bound would
+not fit raises `QRInvariantError`.  Over every chain that bound needs at
+most 9 bits at n = 6, 15 at n = 7 and 22 at n = 8.  The pivot test reads
+any width.  With the bias word, a column's pivot test is one and with
+the mask of the columns before it, and its pivot is one extract, one
+subtraction and one shift (`_pivot_test`).
 
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
@@ -84,18 +86,19 @@ Shared thm4 state.  None of it depends on the order in which chains are
 checked, so a sweep in DFS order and a caller checking single chains in
 any order take the same path and get the same reports.
 
-* Chain data, per (chain, n): the validated chain, each w_J, the
-  product w and the sorted J lists (`_chain_data`), extending the data
-  of the chain without J_k by J_k alone.  Reports get fresh lists.
-* Per-shape tables, by position in the total index order: ev_k for
-  k = 2..n (`_position_map`, which also maps promotion for thm1) and
+* Chain data, per (chain, n): the blocks (p, q) of the validated chain
+  and the product w of their longest elements (`_chain_data`),
+  extending the data of the chain without J_k by J_k alone.  Reports
+  get fresh lists.
+* Per-shape tables, by position in the total index order: promotion for
+  thm1 (`_promotion_table`); ev_k for each k (`_evacuation_table`) and
   the index labels of each tableau peeled down to one box
-  (`_peel_table`, the total index key without its last label).  ev_k is
-  ev_{k-1} after one reverse slide of 1..k, so each tableau slides once
-  per k, n-1 times per shape, whatever the number of J; the peel table
-  is put together from the peel tables of the shapes one box smaller,
-  with no tableau work.
-* Per (J, shape), one table composed from those (`_j_table`): phi_J =
+  (`_peel_table`, the total index key without its last label).  ev_1
+  is the identity and ev_k is ev_{k-1} after one reverse slide of 1..k,
+  so each tableau slides once per k, n-1 times per shape, whatever the
+  number of J; the peel table is put together from the peel tables of
+  the shapes one box smaller, with no tableau work.
+* Per (shape, J), one table composed from those (`_j_table`): phi_J =
   ev_q ev_m ev_q, and the dense rank and str of the preorder key, the
   first n-m labels of the peel of ev_q(T).  A chain reads it once per J:
   its basis order sorts positions on the rank lists, outermost J first,
@@ -103,7 +106,7 @@ any order take the same path and get the same reports.
   composite key.  `phi_connected` and `preorder_connected` evacuate and
   peel directly, with a peel loop of their own (`_preorder_key`): an
   independent route the tables are tested against.
-* Chain states: per (shape, chain), the packed rows of M(chain), the
+* Chain states: per (shape, blocks of a chain), the packed rows of M(chain), the
   basis order, the str of each position's composite key and the
   composite phi, all by position (`_ChainState`).  A chain's state grows
   from the state of the chain without J_k, read from an LRU of the
@@ -125,10 +128,10 @@ from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 from operator import mul
 from random import Random
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .jdt import _inverse_promote, _partial_evacuate, _promote
 from .reports import CheckReport
@@ -410,32 +413,21 @@ def _inverse(perm: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _factor(shape: Partition, w: Perm) -> _Terms:
-    """The matrix of w in the total index order, kept per (shape, w) for
-    the few w the verifiers use (the long cycle and each w_J), as the
-    `_Terms` a product reads on its left, read off packed rows with no
-    entry list in between.  A w_J with J = {p, ..., q-1} and |J| >= 2
-    (w reverses the positions p..q) is s_p ... s_{q-1} w_{J'} with
-    J' = J - {q-1}: |J| products on the cached M(w_{J'}), in slots that
-    hold its maxabs times the steps' rowabs.  Any other w is the packed
-    fold of a reduced word."""
-    moved = [i for i, x in enumerate(w, start=1) if x != i]
-    p, q = (moved[0], moved[-1]) if moved else (0, 0)
-    if q - p < 2 or w[p - 1:q] != tuple(range(q, p - 1, -1)):
-        return _read_terms(cell(shape).fold(reduced_word(w)))
-    head = _factor(shape, longest_element(frozenset(range(p, q - 1)), len(w)))
-    steps = [cell(shape).generator_terms(j) for j in range(q - 1, p - 1, -1)]
-    width = _width(head.maxabs * prod(terms.rowabs for terms in steps))
-    out = _pack(head, width + -width % _SLOT_WIDTH)
-    for terms in steps:
-        out = _times(terms, out)
-    return _read_terms(out)
+def _block_factor(shape: Partition, p: int, q: int) -> _Terms:
+    """M(w_J) in the total index order for J = {p, ..., q-1}, as the
+    `_Terms` a product reads on its left: s_p itself for |J| = 1, else
+    s_p ... s_{q-1} times the cached M(w_{J'}), J' = J - {q-1}, read off
+    the slots of that fold."""
+    cl = cell(shape)
+    if q == p + 1:
+        return cl.generator_terms(p)
+    return _read_terms(cl.fold(range(p, q), _block_factor(shape, p, q - 1)))
 
 
 @lru_cache(maxsize=None)
-def _packed(shape: Partition, w: Perm) -> _Packed:
-    """The matrix of w in packed rows."""
-    return _pack(_factor(shape, w), _SLOT_WIDTH)
+def _long_cycle(shape: Partition) -> _Packed:
+    """M(c) in the total index order: the fold of a reduced word of c."""
+    return cell(shape).fold(reduced_word(long_cycle(sum(shape))))
 
 
 def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
@@ -467,18 +459,10 @@ def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
 
 
 @lru_cache(maxsize=None)
-def _position_map(shape: Partition, op: Callable[..., Tableau],
-                  *args: int) -> tuple[int, ...]:
-    """op(tableaux[i], *args) = tableaux[table[i]], for a map op of the
-    shape's tableaux (promotion, ev_k) that does not check its input.
-    ev_k for k >= 2 is ev_{k-1} after one reverse slide of 1..k, so its
-    table takes one slide per tableau and the table of ev_{k-1}."""
+def _promotion_table(shape: Partition) -> tuple[int, ...]:
+    """pr(tableaux[i]) = tableaux[table[i]]."""
     cl = cell(shape)
-    if op is _partial_evacuate and args[0] > 1:
-        k = args[0]
-        prev = _position_map(shape, op, k - 1)
-        return tuple(prev[cl.position[_inverse_promote(t, k)]] for t in cl.tableaux)
-    return tuple(cl.position[op(t, *args)] for t in cl.tableaux)
+    return tuple(cl.position[_promote(t)] for t in cl.tableaux)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +477,8 @@ def verify_thm1(shape: Partition,
     idx = [cl.indexes[i] for i in ids]
     if any(a > b for a, b in zip(idx, idx[1:])):
         raise ValueError('order must be weakly increasing in tableau index')
-    cyc = long_cycle(sum(shape))
-    packed = _packed(shape, cyc)
-    table = _position_map(shape, _promote)
+    packed = _long_cycle(shape)
+    table = _promotion_table(shape)
     labels, signs, failures, pivots = _decide(
         shape, packed, ids, table, [str(i) for i in idx], 'promotion',
         'index class')
@@ -512,7 +495,7 @@ def verify_thm1(shape: Partition,
         shape=tuple(shape),
         ordering=labels,
         witness={
-            'cycle': list(cyc),
+            'cycle': list(long_cycle(sum(shape))),
             'promotion': prom,
         },
         signs=signs or None,
@@ -632,16 +615,28 @@ def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _j_table(j_set: frozenset[int], shape: Partition
+def _evacuation_table(shape: Partition, k: int) -> tuple[int, ...]:
+    """ev_k(tableaux[i]) = tableaux[table[i]].  ev_1 is the identity, and
+    ev_k for k >= 2 is ev_{k-1} after one reverse slide of 1..k, so the
+    table takes one slide per tableau and the table of ev_{k-1}."""
+    cl = cell(shape)
+    if k == 1:
+        return tuple(range(len(cl.tableaux)))
+    prev = _evacuation_table(shape, k - 1)
+    return tuple(prev[cl.position[_inverse_promote(t, k)]] for t in cl.tableaux)
+
+
+@lru_cache(maxsize=None)
+def _j_table(shape: Partition, p: int, q: int
              ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[str, ...]]:
-    """For connected J, at i: the position of phi_J(tableaux[i]), and the
-    dense rank and str of its `preorder_connected` key among the keys of
-    the shape.  Ranks compare as the keys do.  Composed from the ev_q and
-    ev_m tables and the peel table, with no tableau work of its own."""
+    """For J = {p, ..., q-1}, at i: the position of phi_J(tableaux[i]),
+    and the dense rank and str of its `preorder_connected` key among the
+    keys of the shape.  Ranks compare as the keys do.  Composed from the
+    ev_q and ev_m tables and the peel table, with no tableau work of its
+    own."""
     n = sum(shape)
-    p, q = _block(j_set, n)
-    evq = _position_map(shape, _partial_evacuate, q)
-    evm = _position_map(shape, _partial_evacuate, q - p + 1)
+    evq = _evacuation_table(shape, q)
+    evm = _evacuation_table(shape, q - p + 1)
     peel = _peel_table(shape)
     keys = [peel[e][:n - (q - p + 1)] for e in evq]
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
@@ -674,28 +669,25 @@ def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
 
 
 class _ChainData(NamedTuple):
-    js: tuple[frozenset[int], ...]
-    w_js: tuple[Perm, ...]  # w_{J_1}, ..., w_{J_k}
+    blocks: tuple[tuple[int, int], ...]  # (p, q) of each J = {p, ..., q-1}
     w: Perm  # w_{J_k} ... w_{J_1}
-    members: tuple[tuple[int, ...], ...]  # each J sorted, for the report
 
 
 @lru_cache(maxsize=None)
 def _chain_data(js: tuple[frozenset[int], ...], n: int) -> _ChainData:
-    """The validated chain with its longest elements and their product,
-    extending the (validated, cached) data of the chain without J_k."""
+    """The validated chain's blocks and the product of their longest
+    elements, extending the (validated, cached) data of the chain without
+    J_k."""
     if not js:
         raise ValueError('chain must be nonempty')
-    _block(js[-1], n)
+    block = (_block(js[-1], n),)
     w_k = longest_element(js[-1], n)
-    member = (tuple(sorted(js[-1])),)
     if len(js) == 1:
-        return _ChainData(js, (w_k,), w_k, member)
+        return _ChainData(block, w_k)
     if not js[-2] < js[-1]:
         raise ValueError('chain must strictly increase')
     prefix = _chain_data(js[:-1], n)
-    return _ChainData(js, prefix.w_js + (w_k,), multiply(w_k, prefix.w),
-                      prefix.members + member)
+    return _ChainData(prefix.blocks + block, multiply(w_k, prefix.w))
 
 
 class _ChainState(NamedTuple):
@@ -746,31 +738,32 @@ class _SlotBoundedLRU:
 _chain_states = _SlotBoundedLRU(1 << 20)
 
 
-def _chain_state(shape: Partition, js: tuple[frozenset[int], ...],
-                 w_js: tuple[Perm, ...]) -> _ChainState:
-    """The state of the chain js, grown from the (cached) state of the
-    chain without J_k: M(w_{J_k}) times its packed rows, its order sorted
-    stably on the rank of J_k, J_k's key text before its text and phi_{J_k}
-    after its phi.  The result is shared with the cache: callers must not
-    change it."""
-    key = (shape, js)
+def _chain_state(shape: Partition,
+                 blocks: tuple[tuple[int, int], ...]) -> _ChainState:
+    """The state of the chain of these blocks, grown from the (cached)
+    state of the chain without J_k: M(w_{J_k}) times its packed rows, its
+    order sorted stably on the rank of J_k, J_k's key text before its text
+    and phi_{J_k} after its phi.  The result is shared with the cache:
+    callers must not change it."""
+    key = (shape, blocks)
     state = _chain_states.get(key)
     if state is not None:
         return state
-    phi_k, rank_k, str_k = _j_table(js[-1], shape)
-    if len(js) == 1:
-        state = _ChainState(_packed(shape, w_js[0]),
+    p, q = blocks[-1]
+    phi_k, rank_k, str_k = _j_table(shape, p, q)
+    if len(blocks) == 1:
+        state = _ChainState(_pack(_block_factor(shape, p, q), _SLOT_WIDTH),
                             sorted(range(len(phi_k)), key=rank_k.__getitem__),
                             str_k, phi_k)
     else:
-        prefix = _chain_state(shape, js[:-1], w_js[:-1])
+        prefix = _chain_state(shape, blocks[:-1])
         state = _ChainState(
-            _times(_factor(shape, w_js[-1]), prefix.m),
+            _times(_block_factor(shape, p, q), prefix.m),
             sorted(prefix.perm, key=rank_k.__getitem__),
             [f'{s}, {t}' for s, t in zip(str_k, prefix.text)],
             list(map(phi_k.__getitem__, prefix.phi)))
     # a chain ending in J = {1, ..., n-1} is a prefix of no other
-    if len(js[-1]) < sum(shape) - 1:
+    if q - p < sum(shape) - 1:
         _chain_states.put(key, state)
     return state
 
@@ -779,12 +772,11 @@ def verify_thm4_chain(shape: Partition,
                       chain: Sequence[Iterable[int]]) -> CheckReport:
     """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry."""
     t0 = time.perf_counter()
-    js, w_js, w, members = _chain_data(
-        tuple(map(frozenset, chain)), sum(shape))
+    blocks, w = _chain_data(tuple(map(frozenset, chain)), sum(shape))
     cl = cell(shape)
-    state = _chain_state(shape, js, w_js)
+    state = _chain_state(shape, blocks)
     # str of the composite key: a tuple of key tuples
-    close = ',)' if len(js) == 1 else ')'
+    close = ',)' if len(blocks) == 1 else ')'
     text = state.text
     classes = [f'({text[i]}{close}' for i in state.perm]
     labels, signs, failures, _ = _decide(
@@ -797,7 +789,7 @@ def verify_thm4_chain(shape: Partition,
         shape=tuple(shape),
         ordering=labels,
         witness={
-            'chain': [list(j) for j in members],
+            'chain': [list(range(p, q)) for p, q in blocks],
             'w': list(w),
             'symmetry': dict(zip(cl.labels, map(cl.labels.__getitem__, phi))),
         },

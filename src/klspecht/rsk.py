@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+from .symgroup import check_perm
 from .tableaux import (
     Partition,
     Tableau,
@@ -48,7 +49,7 @@ __all__ = [
 
 def rsk(word: tuple[int, ...]) -> tuple[Tableau, Tableau]:
     """Insertion and recording tableaux of a permutation word."""
-    _check_word(word)
+    check_perm(word)
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for step, letter in enumerate(word, start=1):
@@ -154,7 +155,3 @@ def _column_word(p: Tableau) -> tuple[int, ...]:
             word.append(p[r][c])
     return tuple(word)
 
-
-def _check_word(word: tuple[int, ...]) -> None:
-    if sorted(word) != list(range(1, len(word) + 1)):
-        raise ValueError(f'not a permutation word: {word!r}')

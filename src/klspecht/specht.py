@@ -32,8 +32,9 @@ the unordered pairs of tableaux, with one `mu` lookup for each pair
 whose descent sets differ and whose column words' lengths differ in
 parity (mu is 0 on every other pair).  A one-dimensional module has no
 pairs, so it never builds KL tables.  These entries are the only form of
-s_j the cell keeps: a dense s_j is unpacked from them afresh on each
-`generator_matrix` or `quotient_matrices` call, and never cached.  Every
+s_j the cell keeps: a dense s_j, or its block on one index class, is
+read from their picks afresh on each `generator_matrix` or
+`quotient_matrices` call (`_dense`), and never cached.  Every
 product is folded in the total index order (`_Cell.fold`) and reindexed
 to the requested basis order at the end, since reordering a basis
 conjugates every factor by the same permutation.  The public functions
@@ -45,8 +46,10 @@ j * W.  A product A B adds one packed row of B, its negative or a
 multiple of it per nonzero entry of A (`_times`, reading A's `_terms`)
 and carries the bound |A B| <= rowabs(A) max|B|; one whose bound would
 reach 2**(W-1) raises `QRInvariantError`, also under `python -O`.
-`matrix_of` takes W from the word: the product of its generators'
-rowabs, rounded up to a multiple of `_SLOT_WIDTH` = 32.  That bound
+`_Cell.fold`, behind `matrix_of`, takes W from the word: the product of
+its generators' rowabs (times the largest |entry| of the matrix it
+starts from, if not the identity), rounded up to a multiple of
+`_SLOT_WIDTH` = 32; this is the one place a width is rounded.  That bound
 grows geometrically along a word (44 bits at n = 7, 67 at n = 8).
 
 Rows and columns follow a basis order, by default the total index order.
@@ -155,7 +158,7 @@ class _Packed(NamedTuple):
 
 
 # the verifiers' slot width (every chain product's bound up to n = 8 fits
-# in 23 bits with its sign) and the unit `matrix_of` rounds widths up to
+# in 23 bits with its sign) and the unit `_Cell.fold` rounds widths up to
 _SLOT_WIDTH = 32
 
 # the memoryview formats of the slot widths `_unpack` reads in bulk: the
@@ -278,6 +281,20 @@ def _read_terms(p: _Packed) -> _Terms:
     return _collect(picks, scaled)
 
 
+def _dense(terms: _Terms, ids: Sequence[int]) -> Matrix:
+    """The matrix of `terms` on the rows and columns ids, as fresh lists:
+    entry (a, b) is entry (ids[a], ids[b]), read from the picks of the
+    rows ids whose column is among ids, in O(nonzeros)."""
+    at = {k: a for a, k in enumerate(ids)}
+    out = [[0] * len(ids) for _ in ids]
+    for row, k in zip(out, ids):
+        for p in terms.picks[k]:
+            col, x = _entry(terms, p)
+            if col in at:
+                row[at[col]] += x
+    return out
+
+
 def _times(terms: _Terms, b: _Packed) -> _Packed:
     """A B in the slots of B, from the `_terms` of A, with one addition
     per nonzero entry of A.  |A B| <= rowabs(A) max|B| entrywise; a
@@ -389,16 +406,19 @@ class _Cell:
             self._generator_terms = tuple(map(_collect, picks, scaled))
         return self._generator_terms[j - 1]
 
-    def fold(self, word: Sequence[int]) -> _Packed:
-        """The product of the generators along word (leftmost first) in
-        the total index order, folded on packed rows right to left from
-        the identity.  The slots hold the product of the factors' rowabs,
-        so no step overflows them; rounding their width up to a multiple
-        of `_SLOT_WIDTH` keeps `_words` to a few widths."""
+    def fold(self, word: Sequence[int], start: _Terms | None = None) -> _Packed:
+        """The product of the generators along word (leftmost first) times
+        the matrix `start` (None: the identity) in the total index order,
+        folded on packed rows right to left.  The slots hold start's
+        maxabs times the product of the factors' rowabs, so no step
+        overflows them; rounding their width up to a multiple of
+        `_SLOT_WIDTH` keeps `_words` to a few widths."""
         factors = [self.generator_terms(j) for j in reversed(word)]
-        width = _width(prod(terms.rowabs for terms in factors))
+        width = _width(prod(terms.rowabs for terms in factors)
+                       * (1 if start is None else start.maxabs))
         width += -width % _SLOT_WIDTH
-        out = _Packed(_words(len(self.tableaux), width).units, width, 1)
+        out = (_Packed(_words(len(self.tableaux), width).units, width, 1)
+               if start is None else _pack(start, width))
         for terms in factors:
             out = _times(terms, out)
         return out
@@ -427,7 +447,7 @@ def generator_matrix(shape: Partition, j: int,
     [[1, 0], [1, -1]]
     """
     c = cell(shape)
-    return _reindexed(_pack(c.generator_terms(j), _SLOT_WIDTH), c.positions(order))
+    return _dense(c.generator_terms(j), c.positions(order))
 
 
 def matrix_from_generator_word(shape: Partition, word: Sequence[int],
@@ -486,26 +506,14 @@ def quotient_matrices(shape: Partition, i: int) -> list[Matrix]:
 
     Rows and columns run over the tableaux of index i in total index
     order (their relative order within the full basis).  Each block is
-    read from the picks of the class's rows whose column lies in the
-    class, with no dense generator in between.
+    read from the generator's picks (`_dense`), with no dense generator
+    in between.
     """
     c = cell(shape)
-    n = sum(shape)
     members = c.classes.get(i)
     if not members:
         raise ValueError(f'shape {shape} has no removable box labelled {i}')
-    at = {k: a for a, k in enumerate(members)}
-    blocks = []
-    for j in range(1, n - 1):
-        terms = c.generator_terms(j)
-        block = [[0] * len(members) for _ in members]
-        for row, k in zip(block, members):
-            for p in terms.picks[k]:
-                col, x = _entry(terms, p)
-                if col in at:
-                    row[at[col]] += x
-        blocks.append(block)
-    return blocks
+    return [_dense(c.generator_terms(j), members) for j in range(1, sum(shape) - 1)]
 
 
 def check_branching(shape: Partition) -> CheckReport:

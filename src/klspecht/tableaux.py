@@ -25,7 +25,7 @@ shape by the `specht` cell, and the images of such tableaux under the
 
 The peel behind the total index order (delete the largest entry until
 nothing is left) is written once, in `_total_index_key`, which
-`total_index_key`, `total_index_cmp` and the `qrkit` peel table read.
+`total_index_key` and `total_index_cmp` read.
 """
 
 from __future__ import annotations

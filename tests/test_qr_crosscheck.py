@@ -270,23 +270,6 @@ def test_thm4_routes_agree(n):
             assert new['passed']
 
 
-def _clear_factor_caches():
-    specht.cell.cache_clear()
-    qrkit._factor.cache_clear()
-    qrkit._packed.cache_clear()
-    qrkit._chain_states.clear()
-
-
-@pytest.fixture
-def cold_factor_caches():
-    """Clear the cached cells, per-(shape, w) matrices and chain states
-    before and after a test that feeds the verifiers wrong generator
-    matrices."""
-    _clear_factor_caches()
-    yield
-    _clear_factor_caches()
-
-
 _generator_terms = specht._Cell.generator_terms
 
 
@@ -294,7 +277,7 @@ def _twisted(self, j):
     return _generator_terms(self, sum(self.shape) - j)
 
 
-def test_routes_agree_on_failing_checks(monkeypatch, cold_factor_caches):
+def test_routes_agree_on_failing_checks(monkeypatch, cold_caches):
     """Feed both routes wrong generator matrices, so checks fail, and
     compare the failure text.
 
@@ -319,19 +302,19 @@ def test_routes_agree_on_failing_checks(monkeypatch, cold_factor_caches):
 
 
 def test_thm1_routes_agree_on_failing_checks_in_shuffled_orders(
-        monkeypatch, cold_factor_caches):
+        monkeypatch, cold_caches):
     """thm1 in the canonical order and 5 seeded index-monotone orders,
     under two faults: the twisted generators above, and a packed fold
     (`_Cell.fold`) that doubles the entry of M(c) at (pr(T), T) for the
     last tableau T of the total index order.  For thm1 both routes fold
-    M(c) along the reduced word of c, the verifiers for their cached
-    factor and the reference route in `matrix_of`, so both see one
-    matrix.  The doubled entry keeps the pivot test passing with a pivot
-    of +-2, which only the leading-term check names."""
+    M(c) along the reduced word of c, the verifiers in `_long_cycle` and
+    the reference route in `matrix_of`, so both see one matrix.  The
+    doubled entry keeps the pivot test passing with a pivot of +-2,
+    which only the leading-term check names."""
     fold = specht._Cell.fold
 
-    def doubled_pivot(self, word):
-        p = fold(self, word)
+    def doubled_pivot(self, word, start=None):
+        p = fold(self, word, start)
         if list(word) != reduced_word(long_cycle(sum(self.shape))):
             return p
         t = len(self.tableaux) - 1
@@ -350,7 +333,7 @@ def test_thm1_routes_agree_on_failing_checks_in_shuffled_orders(
                         new = verify_thm1(shape, order).record()
                         assert new == qr_route_thm1(shape, order).record()
                         failures += new['failures']
-        _clear_factor_caches()
+        cold_caches()
     for text in ('has 2 at its promotion row', 'leaks onto'):
         assert any(text in f for f in failures), text
     assert any(f.startswith(('no rational QR', 'Q ')) for f in failures)
@@ -367,7 +350,7 @@ def test_passing_checks_do_not_factor(monkeypatch):
             assert verify_thm4_chain(shape, chain).passed
 
 
-def test_passing_checks_build_nothing_dense(monkeypatch, cold_factor_caches):
+def test_passing_checks_build_nothing_dense(monkeypatch, cold_caches):
     """On cold caches, the verifiers build their factors from the
     generators' nonzero entries and decide on packed rows: no dense
     generator and no unpacked matrix."""
@@ -375,6 +358,7 @@ def test_passing_checks_build_nothing_dense(monkeypatch, cold_factor_caches):
         raise AssertionError('dense matrix built on a passing check')
 
     monkeypatch.setattr(specht, '_unpack', refuse)
+    monkeypatch.setattr(specht, '_dense', refuse)
     for n in range(2, 6):
         for shape in partitions(n):
             for order in _thm1_orders(shape, shuffles=5):

@@ -288,12 +288,11 @@ BAD_CHAINS = [
 ]
 
 
-def test_thm4_rejects_bad_chains():
+def test_thm4_rejects_bad_chains(cold_caches):
     """Each chain extends the validated data of its prefix, so a bad
     member or pair anywhere must raise, on cold caches and once every
     valid prefix is cached."""
     shape = (2, 1, 1)
-    qrkit._chain_data.cache_clear()
     for _ in range(2):  # cold, then with every valid chain of n = 4 cached
         for chain in BAD_CHAINS:
             with pytest.raises(ValueError):
@@ -355,18 +354,24 @@ def _connected_sets(n):
 @pytest.mark.parametrize('n', range(1, 8))
 def test_w_j_factors_equal_the_fold_of_a_reduced_word(n):
     """Each w_J factor, built from the factor of J minus its largest
-    generator, equals the packed fold of a reduced word of w_J."""
+    generator, equals the packed fold of a reduced word of w_J; the
+    factor of a single generator is that generator's own terms."""
     for shape in partitions(n):
         cl = specht.cell(shape)
         for j_set in _connected_sets(n):
+            p, q = min(j_set), max(j_set) + 1
             w = longest_element(j_set, n)
-            assert qrkit._factor(shape, w) \
+            assert qrkit._block_factor(shape, p, q) \
                 == specht._read_terms(cl.fold(reduced_word(w)))
+            if q == p + 1:
+                assert qrkit._block_factor(shape, p, q) is cl.generator_terms(p)
 
 
-def test_w_j_factors_take_one_product_per_generator(monkeypatch):
-    """On cold caches, every w_J of an n = 6 shape costs |J| products, 35
-    in all, not the 70 of folding each reduced word."""
+def test_w_j_factors_take_one_product_per_generator(monkeypatch, cold_caches):
+    """On cold caches, the w_J of an n = 6 shape cost 30 products in all:
+    a single generator is its own factor, and each larger J costs |J|
+    products on the factor of J minus its largest member, not the 70 of
+    folding each reduced word."""
     shape = (3, 2, 1)
     specht.cell(shape).generator_terms(1)
     calls = []
@@ -378,15 +383,28 @@ def test_w_j_factors_take_one_product_per_generator(monkeypatch):
 
     monkeypatch.setattr(specht, '_times', counting)
     monkeypatch.setattr(qrkit, '_times', counting)
-    qrkit._factor.cache_clear()
-    qrkit._packed.cache_clear()
-    try:
-        for j_set in _connected_sets(6):
-            qrkit._factor(shape, longest_element(j_set, 6))
-    finally:
-        qrkit._factor.cache_clear()
-        qrkit._packed.cache_clear()
-    assert len(calls) == sum(map(len, _connected_sets(6))) == 35
+    for j_set in _connected_sets(6):
+        qrkit._block_factor(shape, min(j_set), max(j_set) + 1)
+    assert len(calls) == sum(len(j) for j in _connected_sets(6) if len(j) > 1) == 30
+
+
+def test_thm1_decides_at_any_slot_width(monkeypatch, cold_caches):
+    """`_long_cycle` keeps the slot width its fold picks, and the pivot
+    test reads any width: with `_Cell.fold` rounding widths up to 64
+    bits, every thm1 record for n <= 5 is unchanged."""
+    checks = []
+    for n in range(2, 6):
+        for shape in partitions(n):
+            rng = Random(f'width:{shape}')
+            checks += [(shape, order) for order in
+                       [None] + [random_index_monotone_order(shape, rng)
+                                 for _ in range(3)]]
+    want = [verify_thm1(*check).record() for check in checks]
+    assert {qrkit._long_cycle(shape).width for shape, _ in checks} == {32}
+    monkeypatch.setattr(specht, '_SLOT_WIDTH', 64)
+    qrkit._long_cycle.cache_clear()
+    assert [verify_thm1(*check).record() for check in checks] == want
+    assert {qrkit._long_cycle(shape).width for shape, _ in checks} == {64}
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +415,13 @@ def _thm4_checks(max_n):
             for shape in partitions(n) for chain in all_connected_chains(n)]
 
 
-def test_thm4_prefix_eviction_keeps_the_records(monkeypatch):
+def test_thm4_prefix_eviction_keeps_the_records(monkeypatch, cold_caches):
     """A budget of a few hundred slots holds only a handful of chain
     states, so a shuffled order keeps evicting states that later checks
     extend.  Every record must still equal the one of the DFS order at the
     full budget, and the cache must never hold more slots than its
     budget."""
     checks = _thm4_checks(5)
-    qrkit._chain_states.clear()
     want = [verify_thm4_chain(shape, chain).record() for shape, chain in checks]
 
     budget = 300
@@ -423,17 +440,12 @@ def test_thm4_prefix_eviction_keeps_the_records(monkeypatch):
     cache.clear()
     order = list(range(len(checks)))
     Random(6).shuffle(order)
-    got = {}
-    try:
-        for i in order:
-            got[i] = verify_thm4_chain(*checks[i]).record()
-    finally:
-        cache.clear()
+    got = {i: verify_thm4_chain(*checks[i]).record() for i in order}
     assert [got[i] for i in range(len(checks))] == want
     assert sum(stored) > 10 * budget  # the eviction path ran, often
 
 
-def test_narrow_slots_raise_instead_of_truncating(monkeypatch):
+def test_narrow_slots_raise_instead_of_truncating(monkeypatch, cold_caches):
     """With slots too narrow for the entry bounds of (3, 2, 1), which
     reach 360 along its chains, a check raises rather than deciding on
     truncated entries; a check whose bound fits keeps its record."""
@@ -441,21 +453,16 @@ def test_narrow_slots_raise_instead_of_truncating(monkeypatch):
     chains = all_connected_chains(6)
     want = [verify_thm4_chain(shape, chain).record() for chain in chains]
     monkeypatch.setattr(qrkit, '_SLOT_WIDTH', 5)
-    qrkit._packed.cache_clear()
-    qrkit._chain_states.clear()
+    cold_caches()
     raised = 0
-    try:
-        for chain, record in zip(chains, want):
-            try:
-                got = verify_thm4_chain(shape, chain).record()
-            except QRInvariantError as err:
-                assert '5-bit slots' in str(err)
-                raised += 1
-            else:
-                assert got == record
-    finally:
-        qrkit._packed.cache_clear()
-        qrkit._chain_states.clear()
+    for chain, record in zip(chains, want):
+        try:
+            got = verify_thm4_chain(shape, chain).record()
+        except QRInvariantError as err:
+            assert '5-bit slots' in str(err)
+            raised += 1
+        else:
+            assert got == record
     assert 0 < raised < len(chains)
 
 
@@ -660,8 +667,8 @@ def n6_chain_matrices(count=40, seed=13):
     pairs = [(shape, chain) for shape in partitions(6)
              for chain in all_connected_chains(6)]
     for shape, chain in rng.sample(pairs, count):
-        js, w_js, w, _ = qrkit._chain_data(chain, 6)
-        state = qrkit._chain_state(shape, js, w_js)
+        blocks, w = qrkit._chain_data(chain, 6)
+        state = qrkit._chain_state(shape, blocks)
         yield qrkit._reindexed(state.m, state.perm)
         yield matrix_of(shape, w)
 

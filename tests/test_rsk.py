@@ -57,6 +57,12 @@ def test_round_trip_over_s4_and_s5():
             assert inverse_rsk(p, q) == w
 
 
+@pytest.mark.parametrize('word', [(1, 1), (0, 1), (2, 3), (1, 3, 4), (2, 1, 2)])
+def test_non_permutation_word_rejected(word):
+    with pytest.raises(ValueError, match='not a permutation'):
+        rsk(word)
+
+
 def test_inverse_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         inverse_rsk(((1, 2),), ((1,), (2,)))

@@ -67,7 +67,7 @@ def test_cell_tables_match_the_public_functions(shape):
 @pytest.mark.parametrize('shape', SHAPES)
 def test_promotion_table_matches_promote(shape):
     tabs = specht.cell(shape).tableaux
-    table = qrkit._position_map(shape, jdt._promote)
+    table = qrkit._promotion_table(shape)
     assert [tabs[i] for i in table] == [promote(t) for t in tabs]
 
 
@@ -79,7 +79,7 @@ def test_thm4_tables_match_phi_and_preorder(shape):
     (the strings pin the keys themselves)."""
     tabs = specht.cell(shape).tableaux
     for j_set in connected_sets(sum(shape)):
-        phi, ranks, strs = qrkit._j_table(j_set, shape)
+        phi, ranks, strs = qrkit._j_table(shape, min(j_set), max(j_set) + 1)
         assert [tabs[i] for i in phi] == [phi_connected(j_set, t) for t in tabs]
         keys = preorder_connected(j_set, shape)
         want = tuple(keys[t] for t in tabs)
@@ -101,16 +101,17 @@ def test_evacuation_and_peel_tables(shape):
     n = sum(shape)
     for k in range(1, n + 1):
         want = [partial_evacuate(t, k) for t in tabs]
-        table = qrkit._position_map(shape, jdt._partial_evacuate, k)
+        table = qrkit._evacuation_table(shape, k)
         assert [tabs[i] for i in table] == want
         if k > 1:
-            phi = qrkit._j_table(frozenset(range(1, k)), shape)[0]
+            phi = qrkit._j_table(shape, 1, k)[0]
             assert [tabs[i] for i in phi] == want
     # the peel to one box is the total index key without its last label
     assert qrkit._peel_table(shape) == tuple(total_index_key(t)[:-1] for t in tabs)
 
 
-def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch):
+def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch,
+                                                            cold_caches):
     """On cold caches, ev_2, ..., ev_n of an n = 6 shape cost (n - 1) d
     reverse slides: each ev_k is one slide per tableau on top of
     ev_{k-1}, not the k - 1 slides of evacuating each tableau afresh."""
@@ -124,12 +125,8 @@ def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch):
         real(grid, m)
 
     monkeypatch.setattr(jdt, '_reverse_slide', counting)
-    qrkit._position_map.cache_clear()
-    try:
-        for k in range(2, n + 1):
-            qrkit._position_map(shape, jdt._partial_evacuate, k)
-    finally:
-        qrkit._position_map.cache_clear()
+    for k in range(2, n + 1):
+        qrkit._evacuation_table(shape, k)
     assert len(calls) == (n - 1) * d
 
 
@@ -189,7 +186,7 @@ def test_preorder_connected_rejects_a_non_partition(bad):
         preorder_connected({1}, bad)
 
 
-def test_hot_paths_call_no_validation(monkeypatch):
+def test_hot_paths_call_no_validation(monkeypatch, cold_caches):
     """Once a caller's order is accepted, the verifiers, the cell and the
     per-shape tables work on positions and never re-check a tableau; nor
     do the prop-dmu and lemma-pr sweep workers, which read cell tableaux."""
@@ -202,18 +199,12 @@ def test_hot_paths_call_no_validation(monkeypatch):
 
     for mod in (tableaux, jdt, rsk):
         monkeypatch.setattr(mod, 'check_standard', counting)
-    specht.cell.cache_clear()
-    for cache in (qrkit._position_map, qrkit._peel_table, qrkit._j_table):
-        cache.cache_clear()
-    try:
-        for shape in partitions(5):
-            assert all(r.passed for r in thm1_shape_reports(shape, seed=1))
-            for chain in all_connected_chains(5)[::7]:
-                assert verify_thm4_chain(shape, chain).passed
-            for job in (cli._dmu_job, cli._lemma_pr_job):
-                assert all(r.passed for r in job(shape))
-    finally:
-        specht.cell.cache_clear()
+    for shape in partitions(5):
+        assert all(r.passed for r in thm1_shape_reports(shape, seed=1))
+        for chain in all_connected_chains(5)[::7]:
+            assert verify_thm4_chain(shape, chain).passed
+        for job in (cli._dmu_job, cli._lemma_pr_job):
+            assert all(r.passed for r in job(shape))
     assert calls == []
 
 
@@ -221,7 +212,7 @@ def test_hot_paths_call_no_validation(monkeypatch):
     lambda shape: cli._thm1_job((shape, 1)),
     cli._thm4_job,
 ], ids=['thm1', 'thm4'])
-def test_sweeps_check_each_shape_a_few_times(monkeypatch, sweep):
+def test_sweeps_check_each_shape_a_few_times(monkeypatch, cold_caches, sweep):
     """A shape is validated where it enters, not by every removable-box or
     conjugate lookup inside the workers: on cold caches the thm1 and thm4
     sweeps of n = 5 check a partition at most 3 times per shape."""
@@ -234,19 +225,10 @@ def test_sweeps_check_each_shape_a_few_times(monkeypatch, sweep):
 
     for mod in (tableaux, rsk, specht, qrkit):
         monkeypatch.setattr(mod, 'check_partition', counting)
-    caches = (specht.cell, tableaux.enumerate_syt, qrkit._position_map,
-              qrkit._peel_table, qrkit._j_table, qrkit._factor, qrkit._packed)
-    for cache in caches:
-        cache.cache_clear()
-    qrkit._chain_states.clear()
+    tableaux.enumerate_syt.cache_clear()
     shapes = partitions(5)
-    try:
-        for shape in shapes:
-            assert all(r.passed for r in sweep(shape))
-    finally:
-        for cache in caches:
-            cache.cache_clear()
-        qrkit._chain_states.clear()
+    for shape in shapes:
+        assert all(r.passed for r in sweep(shape))
     assert len(calls) <= 3 * len(shapes)
 
 
