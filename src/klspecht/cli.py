@@ -10,8 +10,10 @@ runs a theorem sweep and exits 0 when every check passes, 1 otherwise;
 unparseable input, a --jobs below 1 and a sweep bound that leaves no
 checks exit 2, and a reader closing stdout early exits 141 without a
 traceback.  Commands and sweeps that compute KL polynomials exit 2 up
-front for an n above `hecke.MAX_N`, before any table is built, and the
-sep-desc and lemma-pr sweeps above n = 9 and n = 13, before any job.
+front for an n above `hecke.MAX_N`, before any table is built, the
+sep-desc and lemma-pr sweeps above n = 9 and n = 13, before any job, and
+syt for a shape with more than 10**6 tableaux, counted by hook lengths
+before any is listed.
 
 Literals: partitions "3,1,1"; tableaux "1,4,5/2/3" (rows split by "/");
 permutations "8,5,1,6,2,7,3,4" or digit shorthand "85162734" (n <= 9);
@@ -113,8 +115,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # compute commands: each returns (exit code, structured document without
 # its 'command' key, text lines)
 
+# syt lists at most this many tableaux: every shape up to n = 15 (largest
+# 292864), not (6, 4, 3, 2, 1) with 1153152
+_MAX_SYT = 10**6
+
+
 def _syt(args):
     shape = tableaux.parse_partition(args.shape)
+    count = tableaux.count_syt(shape)
+    if count > _MAX_SYT:
+        raise ValueError(f'shape {tableaux.format_partition(shape)} has '
+                         f'{count} standard tableaux; syt lists at most '
+                         f'{_MAX_SYT}')
     tabs = [tableaux.format_tableau(t) for t in tableaux.enumerate_syt(shape)]
     return 0, {'shape': list(shape), 'result': tabs}, tabs
 

@@ -109,22 +109,26 @@ any order take the same path and get the same reports.
 * Chain states: per (shape, blocks of a chain), the packed rows of M(chain), the
   basis order, the str of each position's composite key and the
   composite phi, all by position (`_ChainState`).  A chain's state grows
-  from the state of the chain without J_k, read from an LRU of the
+  from the state of the chain without J_k, read from a store of the
   states of chains that extend further (`_chain_states`), in
   O(nnz(M(w_{J_k}))) big-int additions and O(d) small steps: the order
   is the prefix order sorted stably on the rank of J_k, each key str is
   J_k's key str before the prefix's, and phi is phi_{J_k} after the
-  prefix's phi.  The LRU is bounded by its total count of matrix
-  slots, 2**20: that holds every such state up to n = 6 and a whole
-  shape's DFS subtree at n = 7 and 8, so a DFS sweep always hits and
-  memory stays bounded where all states would not fit (54 M slots at
-  n = 8).
+  prefix's phi.  A chain ending in J = {1, ..., n-1} extends no other
+  and is not stored.  The store is a dict bounded by its total count of
+  matrix slots, 2**20: a state that would take the count past that
+  empties it first.  Every stored state up to n = 6 fits (86988 slots),
+  so a sweep in any order computes each state once.  One shape's states
+  fit at n = 7 (at most 483875 slots) but not at n = 8 (up to 10.9 M for
+  (4, 2, 1, 1)), and all of them would take 54 M slots there.  A DFS
+  sweep reads only the states along its current path, so an emptying
+  costs it at most n - 2 extra products to rebuild that path: 94 for
+  the 53 emptyings at n = 8.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations
@@ -284,12 +288,15 @@ def _over(xs: Sequence[int], s: int) -> list[Fraction]:
 
 
 def as_signed_permutation(m: Matrix) -> SignedPermutation | None:
-    """Read m as a signed permutation matrix, or None.
+    """Read m as a signed permutation matrix, or None.  m must be square
+    (`ValueError` otherwise); [] is the empty permutation.
 
     >>> as_signed_permutation([[1, 1], [0, 1]]) is None
     True
     """
     d = len(m)
+    if any(len(row) != d for row in m):
+        raise ValueError('as_signed_permutation needs a square matrix')
     target = []
     signs = []
     for c in range(d):
@@ -701,41 +708,32 @@ class _ChainState(NamedTuple):
     phi: Sequence[int]  # the composite symmetry
 
 
-class _SlotBoundedLRU:
-    """Chain states by key, least recently used first out, holding at
-    most `budget` matrix slots (d**2 for a state of dimension d) in all."""
+class _SlotBoundedStore(dict):
+    """Chain states by key, holding at most `budget` matrix slots (d**2
+    for a state of dimension d) in all: a state that would take the count
+    past the budget empties the store first."""
 
     def __init__(self, budget: int):
+        super().__init__()
         self.budget = budget
         self.slots = 0
-        self._states: OrderedDict[object, _ChainState] = OrderedDict()
-
-    def get(self, key: object) -> _ChainState | None:
-        state = self._states.get(key)
-        if state is not None:
-            self._states.move_to_end(key)
-        return state
 
     def put(self, key: object, state: _ChainState) -> None:
-        """Keep state under a key the cache does not hold."""
         size = len(state.perm) ** 2
-        if size > self.budget:
-            return
-        self._states[key] = state
+        if self.slots + size > self.budget:
+            self.clear()
+        self[key] = state
         self.slots += size
-        while self.slots > self.budget:
-            _, old = self._states.popitem(last=False)
-            self.slots -= len(old.perm) ** 2
 
     def clear(self) -> None:
-        self._states.clear()
+        super().clear()
         self.slots = 0
 
 
 # the states of the chains that extend further, so that a longer chain
-# costs one extension; 2**20 slots cover every such state up to n = 6 and
-# bound the memory at n = 8
-_chain_states = _SlotBoundedLRU(1 << 20)
+# costs one extension; 2**20 slots hold every such state up to n = 6 and
+# bound the memory at n = 7 and 8
+_chain_states = _SlotBoundedStore(1 << 20)
 
 
 def _chain_state(shape: Partition,

@@ -541,7 +541,7 @@ def check_branching(shape: Partition) -> CheckReport:
                 failures.append(f'index-{i} class has size {len(members)}, expected 1')
             continue
         image = [_delete_largest(t)[0] for t in members]
-        if image != list(enumerate_syt(small)):
+        if image != list(total_index_order(small)):
             failures.append(
                 f'index-{i} class does not map onto SYT({small}) in order'
             )

@@ -19,9 +19,12 @@ Validation happens at the boundary.  The public tableau functions
 (`tableau_index`, `delete_largest`, `descent_set`, ...) check their input
 with `check_standard` and then call a `_`-prefixed worker, which assumes
 a standard tableau and checks nothing.  The workers are for tableaux that
-are standard by construction: those of `enumerate_syt`, held once per
-shape by the `specht` cell, and the images of such tableaux under the
-`jdt` operations.
+are standard by construction: those of `enumerate_syt`, and the images
+of such tableaux under the `jdt` operations.
+
+`enumerate_syt` lists afresh on every call and memoizes nothing: a
+shape's tableaux are held by its `specht` cell, or by the one sweep job
+that lists them.
 
 The peel behind the total index order (delete the largest entry until
 nothing is left) is written once, in `_total_index_key`, which
@@ -238,7 +241,6 @@ def _descent_set(tableau: Tableau) -> set[int]:
     return {j for j in range(1, n) if row_of[j + 1] > row_of[j]}
 
 
-@lru_cache(maxsize=None)
 def enumerate_syt(shape: Partition) -> tuple[Tableau, ...]:
     """All SYT of `shape`, listed in the total index order.
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from klspecht import cli, hecke, specht, symgroup
+from klspecht import cli, hecke, specht, symgroup, tableaux
 from klspecht.cli import run
 from klspecht.tableaux import partitions
 
@@ -438,6 +438,18 @@ def test_costly_sweeps_refuse_n_above_their_bound(capsys, monkeypatch,
     assert refusal in err
     with pytest.raises(AssertionError, match='work started'):
         invoke(capsys, 'verify', family, '--max-n', str(bound))
+
+
+def test_syt_refuses_shapes_with_too_many_tableaux(capsys, monkeypatch):
+    """syt counts a shape's tableaux by hook lengths and exits 2, naming
+    the count, before it lists any; every shape up to n = 15 still lists."""
+    assert max(tableaux.count_syt(shape) for n in range(1, 16)
+               for shape in partitions(n)) <= cli._MAX_SYT
+    monkeypatch.setattr(tableaux, 'enumerate_syt', _refuse)
+    for text, count in (('6,4,3,2,1', 1153152), ('6,6,6,6,6', 396499770810)):
+        code, out, err = invoke(capsys, 'syt', text)
+        assert (code, out) == (2, '')
+        assert f'shape {text} has {count} standard tableaux' in err
 
 
 def dmu_reference(shape):

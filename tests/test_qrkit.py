@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import klspecht
-from klspecht import qrkit, specht
+from klspecht import cli, qrkit, specht
 from klspecht.jdt import evacuate, promote
 from klspecht.qrkit import (
     IrrationalNormError,
@@ -151,6 +152,10 @@ def test_as_signed_permutation():
     assert sp.signs == (1, -1)
     assert as_signed_permutation([[2, 0], [0, 1]]) is None
     assert as_signed_permutation([[1, 0], [1, 0]]) is None
+    assert as_signed_permutation([]) == SignedPermutation((), ())
+    for m in ([[1, 0]], [[1], [0, 1]]):
+        with pytest.raises(ValueError, match='square'):
+            as_signed_permutation(m)
 
 
 def test_index_monotone_orders():
@@ -417,10 +422,10 @@ def _thm4_checks(max_n):
 
 def test_thm4_prefix_eviction_keeps_the_records(monkeypatch, cold_caches):
     """A budget of a few hundred slots holds only a handful of chain
-    states, so a shuffled order keeps evicting states that later checks
-    extend.  Every record must still equal the one of the DFS order at the
-    full budget, and the cache must never hold more slots than its
-    budget."""
+    states, so a shuffled order keeps emptying the store of states that
+    later checks extend.  Every record must still equal the one of the
+    DFS order at the full budget, and the store must never hold more
+    slots than its budget."""
     checks = _thm4_checks(5)
     want = [verify_thm4_chain(shape, chain).record() for shape, chain in checks]
 
@@ -433,8 +438,7 @@ def test_thm4_prefix_eviction_keeps_the_records(monkeypatch, cold_caches):
         type(cache).put(cache, key, state)
         stored.append(len(state.m.rows) ** 2)
         assert cache.slots <= budget
-        assert cache.slots == sum(len(s.m.rows) ** 2
-                                  for s in cache._states.values())
+        assert cache.slots == sum(len(s.m.rows) ** 2 for s in cache.values())
 
     monkeypatch.setattr(cache, 'put', put)
     cache.clear()
@@ -442,7 +446,68 @@ def test_thm4_prefix_eviction_keeps_the_records(monkeypatch, cold_caches):
     Random(6).shuffle(order)
     got = {i: verify_thm4_chain(*checks[i]).record() for i in order}
     assert [got[i] for i in range(len(checks))] == want
-    assert sum(stored) > 10 * budget  # the eviction path ran, often
+    assert sum(stored) > 10 * budget  # the emptying path ran, often
+
+
+def _count_store_traffic(monkeypatch):
+    """Per-n counters of the chain products (`_times` calls in qrkit) and
+    of the times the chain-state store is emptied while it holds states."""
+    products, emptyings = Counter(), Counter()
+    current = [0]
+    real_times = qrkit._times
+    cache = qrkit._chain_states
+
+    def times(*args):
+        products[current[0]] += 1
+        return real_times(*args)
+
+    def clear():
+        emptyings[current[0]] += bool(cache)
+        type(cache).clear(cache)
+
+    monkeypatch.setattr(qrkit, '_times', times)
+    monkeypatch.setattr(cache, 'clear', clear)
+    return current, products, emptyings
+
+
+def _multi_member_checks(n):
+    return len(partitions(n)) * sum(len(c) >= 2 for c in all_connected_chains(n))
+
+
+def test_shuffled_thm4_sweep_never_empties_the_store(monkeypatch, cold_caches):
+    """The states of the chains that extend further take 86988 slots up to
+    n = 6, far below the 2**20 budget: a sweep shuffled within each n, as
+    the benchmark runs it, never empties the store and makes exactly one
+    chain product per check of a chain with two or more members."""
+    current, products, emptyings = _count_store_traffic(monkeypatch)
+    rng = Random(24)
+    for n in range(2, 7):
+        current[0] = n
+        checks = [(shape, chain) for shape in partitions(n)
+                  for chain in all_connected_chains(n)]
+        rng.shuffle(checks)
+        for check in checks:
+            verify_thm4_chain(*check)
+        assert products[n] == _multi_member_checks(n)
+    assert products[6] == 2376
+    assert not emptyings
+    assert qrkit._chain_states.slots == 86988
+
+
+def test_dfs_thm4_sweep_rebuilds_only_the_current_path(monkeypatch, cold_caches):
+    """Under a budget of a few states, a DFS sweep empties the store often,
+    and each emptying costs at most n - 2 extra chain products: only the
+    prefixes of the chain being checked are rebuilt."""
+    current, products, emptyings = _count_store_traffic(monkeypatch)
+    monkeypatch.setattr(qrkit._chain_states, 'budget', 400)
+    for n in range(2, 7):
+        current[0] = n
+        for shape in partitions(n):
+            for r in cli._thm4_job(shape):
+                assert r.passed
+        extra = products[n] - _multi_member_checks(n)
+        assert 0 <= extra <= (n - 2) * emptyings[n]
+    assert emptyings[6] > 100
 
 
 def test_narrow_slots_raise_instead_of_truncating(monkeypatch, cold_caches):

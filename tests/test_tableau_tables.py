@@ -225,11 +225,36 @@ def test_sweeps_check_each_shape_a_few_times(monkeypatch, cold_caches, sweep):
 
     for mod in (tableaux, rsk, specht, qrkit):
         monkeypatch.setattr(mod, 'check_partition', counting)
-    tableaux.enumerate_syt.cache_clear()
     shapes = partitions(5)
     for shape in shapes:
         assert all(r.passed for r in sweep(shape))
     assert len(calls) <= 3 * len(shapes)
+
+
+@pytest.mark.parametrize('worker', [
+    lambda shape: cli._thm1_job((shape, 1)),
+    cli._branching_job,
+    cli._dmu_job,
+    cli._lemma_pr_job,
+], ids=['thm1', 'branching', 'prop-dmu', 'lemma-pr'])
+def test_sweeps_list_each_shape_once(monkeypatch, cold_caches, worker):
+    """`enumerate_syt` memoizes nothing: a shape's tableaux are held by its
+    cell or by the one job that lists them, so one sweep of n <= 6 lists
+    each shape at most once."""
+    listed = []
+    real = tableaux.enumerate_syt
+
+    def counting(shape):
+        listed.append(shape)
+        return real(shape)
+
+    for mod in (tableaux, specht):
+        monkeypatch.setattr(mod, 'enumerate_syt', counting)
+    shapes = cli._shape_jobs(None, 6)
+    for shape in shapes:
+        assert all(r.passed for r in worker(shape))
+    assert len(listed) == len(set(listed))
+    assert set(listed) <= set(shapes) | {(1,)}
 
 
 # ---------------------------------------------------------------------------
