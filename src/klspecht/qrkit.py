@@ -12,10 +12,12 @@ irrational s_k (`IrrationalNormError`) rules out a signed-permutation Q.
 
 thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
 invertible matrix is unique, so that holds exactly when P^T M is upper
-triangular with a positive diagonal, and `pivot_signs` tests this on the
-integer entries of M in O(d^2) without factoring.  Both verifiers decide
-through `_decide`, which runs the same test on packed rows (below) and
-unpacks M and runs `exact_qr` only when it fails, to name the failure.
+triangular with a positive diagonal: row P(c) of M vanishes left of
+column c and is nonzero in column c, with the sign of column c of P.
+Both verifiers decide through `_decide`, which runs this test on the
+integer entries of M's packed rows (`_pivot_test`, below) in O(d^2)
+without factoring, and unpacks M and runs `exact_qr` only when it fails,
+to name the failure.
 `exact_qr` remains the factorization behind the `qr` command and the
 basis-order loop shared by `search_ordering` and `verify_counterexample`.
 
@@ -104,8 +106,9 @@ any order take the same path and get the same reports.
   its basis order sorts positions on the rank lists, outermost J first,
   and its class labels join the key strings into the str of the
   composite key.  `phi_connected` and `preorder_connected` evacuate and
-  peel directly, with a peel loop of their own (`_preorder_key`): an
-  independent route the tables are tested against.
+  peel each tableau directly (`_preorder_key` reads the total index key
+  of ev_q(T)): a route apart from the tables, which are tested against
+  it.
 * Chain states: per (shape, blocks of a chain), the packed rows of M(chain), the
   basis order, the str of each position's composite key and the
   composite phi, all by position (`_ChainState`).  A chain's state grows
@@ -147,10 +150,8 @@ from .specht import (
     _Packed,
     _read_terms,
     _reindexed,
-    _terms,
     _Terms,
     _times,
-    _width,
     _words,
     cell,
     mat_reindex,
@@ -167,8 +168,9 @@ from .symgroup import (
 from .tableaux import (
     Partition,
     Tableau,
-    _delete_largest,
     _removable_boxes,
+    _remove_box,
+    _total_index_key,
     check_partition,
     check_standard,
     format_tableau,
@@ -185,7 +187,6 @@ __all__ = [
     'as_signed_permutation',
     'exact_qr',
     'phi_connected',
-    'pivot_signs',
     'preorder_connected',
     'random_index_monotone_order',
     'search_ordering',
@@ -315,38 +316,6 @@ def as_signed_permutation(m: Matrix) -> SignedPermutation | None:
     if sorted(target) != list(range(d)):
         return None
     return SignedPermutation(tuple(target), tuple(signs))
-
-
-def pivot_signs(m: Matrix, target: Sequence[int]) -> tuple[int, ...] | None:
-    """Signs s such that the Q of `exact_qr(m)` is the signed permutation
-    sending column c to row target[c] with sign s[c], or None if it is not.
-
-    QR of an invertible matrix is unique, so Q is that signed permutation
-    P exactly when P^T m is upper triangular with a positive diagonal:
-    row target[c] of m vanishes left of column c and is nonzero in column
-    c, with sign s[c].  That already makes m invertible, and it rejects a
-    target (one row index of m per column) that is not a permutation.
-    No factorization is computed.  m is square, with int or Fraction
-    entries; clearing its denominators scales it by a positive integer,
-    which leaves Q unchanged.  The integer matrix is packed and decided
-    by the test the verifiers use (`_pivot_test`).  A target of the wrong
-    length or with an index outside range(d) raises `ValueError`.
-
-    >>> pivot_signs([[0, -1], [1, 0]], [1, 0])
-    (1, -1)
-    >>> pivot_signs([[1, 0], [1, 1]], [0, 1]) is None
-    True
-    """
-    d = len(m)
-    if any(len(row) != d for row in m):
-        raise ValueError('pivot_signs needs a square matrix')
-    if len(target) != d or not all(0 <= r < d for r in target):
-        raise ValueError(f'target must be {d} row indexes in range({d})')
-    if not m:
-        return ()
-    terms = _terms(_cleared(m)[1])
-    pivots = _pivot_test(_pack(terms, _width(terms.maxabs)), range(d), target)
-    return None if pivots is None else tuple(1 if v > 0 else -1 for v in pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +560,7 @@ def preorder_connected(j_set: Iterable[int], shape: Partition) -> dict[Tableau, 
 
 
 def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
-    e = _partial_evacuate(t, q)
-    key = []
-    for _ in range(sum(shape_of(t)) - (q - p + 1)):
-        e, i = _delete_largest(e)
-        key.append(i)
-    return tuple(key)
+    return _total_index_key(_partial_evacuate(t, q))[:sum(shape_of(t)) - (q - p + 1)]
 
 
 # Per-shape tables indexed by position in the total index order, shared
@@ -615,9 +579,7 @@ def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
         return ((),)
     rows = []
     for i, (r, _) in enumerate(_removable_boxes(shape), start=1):
-        parts = list(shape)
-        parts[r - 1] -= 1
-        rows += [(i,) + row for row in _peel_table(tuple(p for p in parts if p))]
+        rows += [(i,) + row for row in _peel_table(_remove_box(shape, r))]
     return tuple(rows)
 
 

@@ -43,7 +43,7 @@ always return fresh lists.
 Packed rows.  Every product runs on matrices kept as one int per row
 (`_Packed`): entry (i, j) is a signed digit in the W-bit slot at bit
 j * W.  A product A B adds one packed row of B, its negative or a
-multiple of it per nonzero entry of A (`_times`, reading A's `_terms`)
+multiple of it per nonzero entry of A (`_times`, reading A's `_Terms`)
 and carries the bound |A B| <= rowabs(A) max|B|; one whose bound would
 reach 2**(W-1) raises `QRInvariantError`, also under `python -O`.
 `_Cell.fold`, behind `matrix_of`, takes W from the word: the product of
@@ -71,7 +71,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import prod
-from operator import itemgetter, neg
+from operator import neg
 from struct import calcsize
 from typing import NamedTuple, Sequence
 
@@ -84,6 +84,7 @@ from .tableaux import (
     Tableau,
     _delete_largest,
     _descent_set,
+    _remove_box,
     _tableau_index,
     check_partition,
     count_syt,
@@ -113,10 +114,7 @@ Matrix = list[list]  # rows of int or Fraction entries
 
 def mat_reindex(a: Sequence[Sequence], ids: Sequence[int]) -> Matrix:
     """Fresh matrix whose row and column c are row and column ids[c] of a."""
-    if len(ids) < 2:  # itemgetter of one item returns the bare item
-        return [[a[r][k] for k in ids] for r in ids]
-    take = itemgetter(*ids)
-    return list(map(list, map(take, take(a))))
+    return [[a[r][k] for k in ids] for r in ids]
 
 
 def matrix_entries(a: Matrix) -> list[list[int | str]]:
@@ -256,13 +254,6 @@ def _collect(picks: Sequence[Sequence[int]],
     return _Terms(tuple(map(tuple, picks)), tuple(scaled), rowabs, maxabs)
 
 
-def _terms(m: Sequence[Sequence[int]]) -> _Terms:
-    """The `_Terms` of a matrix given by its rows of entries."""
-    d, scaled = len(m), []
-    return _collect([[_pick(k, x, d, scaled) for k, x in enumerate(row) if x]
-                     for row in m], scaled)
-
-
 def _read_terms(p: _Packed) -> _Terms:
     """The `_Terms` of a packed matrix, read off its nonzero slots only."""
     width, d = p.width, len(p.rows)
@@ -296,7 +287,7 @@ def _dense(terms: _Terms, ids: Sequence[int]) -> Matrix:
 
 
 def _times(terms: _Terms, b: _Packed) -> _Packed:
-    """A B in the slots of B, from the `_terms` of A, with one addition
+    """A B in the slots of B, from the `_Terms` of A, with one addition
     per nonzero entry of A.  |A B| <= rowabs(A) max|B| entrywise; a
     product whose bound would not fit the slots raises instead."""
     bound = terms.rowabs * b.bound
@@ -531,9 +522,7 @@ def check_branching(shape: Partition) -> CheckReport:
     failures = []
     reduced: list[Partition] = []
     for i, (r, _col) in enumerate(removable_boxes(shape), start=1):
-        parts = list(shape)
-        parts[r - 1] -= 1
-        small = tuple(p for p in parts if p)
+        small = _remove_box(shape, r)
         reduced.append(small)
         members = [c.tableaux[k] for k in c.classes.get(i, ())]
         if not small:

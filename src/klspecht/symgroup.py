@@ -191,10 +191,12 @@ def reduced_word(w: Perm) -> list[int]:
     """A reduced word, stripping the smallest left descent first.
 
     The returned list [j_1, ..., j_k] satisfies w = s_{j_1} ... s_{j_k}.
+    w must be a permutation (`ValueError` otherwise).
 
     >>> reduced_word((3, 2, 1))
     [1, 2, 1]
     """
+    check_perm(w)
     word = []
     while True:
         descents = left_descents(w)

@@ -28,7 +28,10 @@ that lists them.
 
 The peel behind the total index order (delete the largest entry until
 nothing is left) is written once, in `_total_index_key`, which
-`total_index_key` and `total_index_cmp` read.
+`total_index_key`, `total_index_cmp` and `qrkit._preorder_key` read.
+The shape one step of it leaves, lambda less removable box i, is written
+once too, in `_remove_box`, which `qrkit._peel_table` and
+`specht.check_branching` read.
 """
 
 from __future__ import annotations
@@ -160,6 +163,13 @@ def _removable_boxes(shape: Partition) -> list[Box]:
     return boxes
 
 
+def _remove_box(shape: Partition, r: int) -> Partition:
+    """shape less the last box of row r (1-based), a removable box."""
+    parts = list(shape)
+    parts[r - 1] -= 1
+    return tuple(p for p in parts if p)
+
+
 def tableau_index(tableau: Tableau) -> int:
     """Label of the removable box holding the largest entry."""
     check_standard(tableau)
@@ -183,11 +193,9 @@ def delete_largest(tableau: Tableau) -> tuple[Tableau, int]:
 
 
 def _delete_largest(tableau: Tableau) -> tuple[Tableau, int]:
-    i = _tableau_index(tableau)
     n = sum(shape_of(tableau))
-    r, _ = position_of(tableau, n)
-    rows = [row[:-1] if k == r - 1 else row for k, row in enumerate(tableau)]
-    return tuple(row for row in rows if row), i
+    rows = [row[:-1] if row[-1] == n else row for row in tableau]
+    return tuple(row for row in rows if row), _tableau_index(tableau)
 
 
 def total_index_key(tableau: Tableau) -> tuple[int, ...]:

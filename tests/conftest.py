@@ -8,7 +8,7 @@ from klspecht import qrkit, specht
 def _clear_caches():
     """Empty every cache `specht` and `qrkit` define: their memoized
     functions (cells, block factors, tableau tables, chain data, ...) and
-    the chain-state LRU."""
+    the chain-state store."""
     for module in (specht, qrkit):
         for value in vars(module).values():
             if hasattr(value, 'cache_clear') and value.__module__ == module.__name__:

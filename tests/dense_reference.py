@@ -1,5 +1,8 @@
 """Dense list-of-rows matrix arithmetic, kept as the tests' reference for
-the packed-row products of `klspecht.specht`."""
+the packed-row products of `klspecht.specht`, and `pack_rows`, which
+packs a test matrix by plain shifts rather than by the code under test."""
+
+from klspecht.specht import _Packed
 
 
 def identity_matrix(d):
@@ -28,3 +31,13 @@ def mat_eq(a, b):
         len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
         for ra, rb in zip(a, b)
     )
+
+
+def pack_rows(m, width):
+    """m as packed rows: row i is the sum of m[i][j] << (j * width), so
+    each entry is a signed digit in its width-bit slot."""
+    bound = max(abs(x) for row in m for x in row)
+    if bound >= 1 << (width - 1):
+        raise ValueError(f'entries up to {bound} do not fit {width}-bit slots')
+    return _Packed([sum(x << j * width for j, x in enumerate(row)) for row in m],
+                   width, bound)

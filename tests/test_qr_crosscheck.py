@@ -1,7 +1,8 @@
 """The integer triangularity test against the exact QR route it replaced.
 
 `verify_thm1` and `verify_thm4_chain` decide "Q of M's QR is the signed
-permutation of the symmetry" by `pivot_signs`, without factoring M.  The
+permutation of the symmetry" through `_decide`, which runs the pivot test
+(`qrkit._pivot_test`) on M's packed rows without factoring M.  The
 `qr_route_*` helpers below keep the earlier implementation, which
 factored every matrix with `exact_qr`, as the reference: both routes must
 produce the same `CheckReport.record()` on every check, pass or fail.
@@ -22,7 +23,6 @@ from klspecht.qrkit import (
     as_signed_permutation,
     exact_qr,
     phi_connected,
-    pivot_signs,
     preorder_connected,
     random_index_monotone_order,
     verify_thm1,
@@ -37,6 +37,8 @@ from klspecht.tableaux import (
     total_index_key,
 )
 from klspecht.specht import total_index_order
+
+from dense_reference import pack_rows
 
 
 def is_index_monotone(order):
@@ -191,7 +193,7 @@ def qr_route_thm4_chain(shape, chain):
 
 
 # ---------------------------------------------------------------------------
-# pivot_signs against exact_qr on random integer matrices
+# the pivot test against exact_qr on random integer matrices
 
 @st.composite
 def matrices_and_targets(draw, max_d=4):
@@ -224,9 +226,12 @@ def matrices_and_targets(draw, max_d=4):
 
 @settings(max_examples=200, deadline=None)
 @given(matrices_and_targets())
-def test_pivot_signs_accepts_exactly_what_qr_realizes(case):
+def test_pivot_test_accepts_exactly_what_qr_realizes(case):
     m, target = case
-    signs = pivot_signs(m, target)
+    d = len(m)
+    width = specht._width(max(abs(x) for row in m for x in row))
+    pivots = qrkit._pivot_test(pack_rows(m, width), range(d), target)
+    signs = None if pivots is None else tuple(1 if v > 0 else -1 for v in pivots)
     try:
         fact = exact_qr(m)
     except SingularMatrixError:

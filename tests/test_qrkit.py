@@ -43,7 +43,7 @@ from klspecht.tableaux import (
     tableau_index,
 )
 
-from dense_reference import identity_matrix, mat_eq, mat_mul
+from dense_reference import identity_matrix, mat_eq, mat_mul, pack_rows
 
 
 def is_index_monotone(order):
@@ -748,40 +748,12 @@ def test_exact_qr_equals_gram_schmidt_on_chain_matrices():
 
 
 # ---------------------------------------------------------------------------
-# pivot_signs at its boundary
-
-def test_pivot_signs_rejects_malformed_input():
-    eye = [[1, 0], [0, 1]]
-    for target in ([0], [0, 1, 0], [0, -1], [0, 2]):
-        with pytest.raises(ValueError):
-            qrkit.pivot_signs(eye, target)
-    with pytest.raises(ValueError):
-        qrkit.pivot_signs([[1, 0, 0], [0, 1, 0]], [0, 1])
-    with pytest.raises(ValueError):
-        qrkit.pivot_signs([], [0])
-    assert qrkit.pivot_signs([], []) == ()
-    assert qrkit.pivot_signs(eye, [0, 0]) is None
-
-
-def test_pivot_signs_clears_rational_entries():
-    assert qrkit.pivot_signs([[Fraction(2)]], [0]) == (1,)
-    m = [[0, -1, 3], [2, 1, 0], [0, 0, -1]]
-    for scale in (Fraction(1, 3), Fraction(5, 2)):
-        scaled = [[x * scale for x in row] for row in m]
-        for target in ([1, 0, 2], [0, 1, 2]):
-            assert qrkit.pivot_signs(scaled, target) \
-                == qrkit.pivot_signs(m, target)
-    assert qrkit.pivot_signs(m, [1, 0, 2]) == (1, -1, -1)
-    half = [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(-1, 6)]]
-    assert qrkit.pivot_signs(half, [0, 1]) == (1, -1)
-
-
-# ---------------------------------------------------------------------------
 # packed rows against the list routines they replace
 
 def list_pivots(m, target):
-    """The list loop `pivot_signs` ran before it read packed rows, keeping
-    the pivots m[target[c]][c] instead of their signs."""
+    """The pivot test as a loop over lists: the pivots m[target[c]][c],
+    or None when some row target[c] does not vanish left of column c or
+    vanishes at c."""
     pivots = []
     for c, r in enumerate(target):
         row = m[r]
@@ -791,13 +763,21 @@ def list_pivots(m, target):
     return pivots
 
 
-def list_pivot_signs(m, target):
-    pivots = list_pivots(m, target)
-    return None if pivots is None else tuple(1 if v > 0 else -1 for v in pivots)
-
-
 def _max_abs(m):
     return max(abs(x) for row in m for x in row)
+
+
+def _read(m):
+    """The `_Terms` of m, read off its rows packed by plain shifts."""
+    return specht._read_terms(pack_rows(m, specht._width(_max_abs(m))))
+
+
+def assert_terms_of(terms, m):
+    """terms holds the entries of m, its largest row sum of |entry| and
+    its largest |entry|."""
+    assert specht._dense(terms, range(len(m))) == m
+    assert terms.rowabs == max(sum(map(abs, row)) for row in m)
+    assert terms.maxabs == _max_abs(m)
 
 
 @st.composite
@@ -813,14 +793,15 @@ def square_pairs(draw, max_d=6):
 def test_packed_product_equals_mat_mul(pair):
     a, b = pair
     bound = max(sum(map(abs, row)) for row in a) * _max_abs(b)
-    width = qrkit._width(max(bound, _max_abs(b)))
-    packed_b = qrkit._pack(qrkit._terms(b), width)
+    width = specht._width(max(bound, _max_abs(b)))
+    packed_b = pack_rows(b, width)
     assert specht._unpack(packed_b) == b
-    product = qrkit._times(qrkit._terms(a), packed_b)
+    assert specht._pack(_read(b), width) == packed_b
+    product = specht._times(_read(a), packed_b)
     assert specht._unpack(product) == mat_mul(a, b)
     # the nonzero entries read off the slots, without unpacking
-    assert specht._read_terms(packed_b) == qrkit._terms(b)
-    assert specht._read_terms(product) == qrkit._terms(mat_mul(a, b))
+    assert_terms_of(specht._read_terms(packed_b), b)
+    assert_terms_of(specht._read_terms(product), mat_mul(a, b))
 
 
 @st.composite
@@ -857,17 +838,18 @@ def test_packed_pivot_test_equals_the_list_loop(case):
     for c, i in enumerate(ids):
         pos[i] = c
     target = [pos[image[i]] for i in ids]
-    packed = qrkit._pack(qrkit._terms(m), qrkit._width(_max_abs(m)))
+    packed = pack_rows(m, specht._width(_max_abs(m)))
     assert qrkit._pivot_test(packed, ids, image) \
         == list_pivots(mat_reindex(m, ids), target)
-    assert qrkit.pivot_signs(m, list(range(len(m)))) \
-        == list_pivot_signs(m, list(range(len(m))))
-    assert qrkit.pivot_signs(m, image) == list_pivot_signs(m, image)
+    canonical = range(len(m))
+    assert qrkit._pivot_test(packed, canonical, canonical) \
+        == list_pivots(m, canonical)
+    assert qrkit._pivot_test(packed, canonical, image) == list_pivots(m, image)
 
 
 def test_pack_refuses_entries_beyond_the_slots():
     def pack(m, width):
-        return qrkit._pack(qrkit._terms(m), width)
+        return specht._pack(_read(m), width)
 
     assert pack([[7, -7], [0, 1]], 4).rows == [7 - (7 << 4), 1 << 4]
     assert pack([[0, -1], [1, 0]], 4).rows == [-(1 << 4), 1]

@@ -40,7 +40,7 @@ from klspecht.tableaux import (
     tableau_index,
 )
 
-from dense_reference import identity_matrix, mat_eq, mat_mul
+from dense_reference import identity_matrix, mat_eq, mat_mul, pack_rows
 
 
 def test_one_row_and_one_column_generators():
@@ -475,8 +475,9 @@ def test_failing_filtration_and_branching_reports(monkeypatch):
 
     def filled(cl, j):
         d = len(cl.tableaux)
-        return specht._terms([[(j + r + 2 * c) % 5 - 2 for c in range(d)]
-                              for r in range(d)])
+        return specht._read_terms(pack_rows(
+            [[(j + r + 2 * c) % 5 - 2 for c in range(d)] for r in range(d)],
+            specht._width(2)))
 
     faults = {'twist': lambda cl, j: real(cl, sum(cl.shape) - j), 'filled': filled}
     failed = Counter()

@@ -145,6 +145,12 @@ def test_reduced_word_rebuilds_the_permutation():
             assert rebuilt == w
 
 
+def test_reduced_word_rejects_non_permutations():
+    for w in ((1, 1), (3, 1)):
+        with pytest.raises(ValueError):
+            reduced_word(w)
+
+
 def test_longest_element():
     assert longest_element({1, 2, 3}, 4) == (4, 3, 2, 1)
     assert longest_element({1}, 4) == (2, 1, 3, 4)

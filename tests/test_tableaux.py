@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from klspecht.tableaux import (
+    _delete_largest,
+    _remove_box,
     check_partition,
     check_standard,
     conjugate,
@@ -161,6 +163,21 @@ def test_delete_largest_restricts_to_a_bijection():
                     images.add(small)
                 assert len(images) == len(members)
                 assert images == set(enumerate_syt(small_shape))
+
+
+def test_remove_box_and_delete_largest_agree():
+    """The box removal and the largest-entry deletion each written once:
+    the shape `delete_largest` leaves is the shape less the box holding
+    n, and the worker agrees with the checked function and with the row
+    of n shortened by hand."""
+    for n in range(1, 8):
+        for shape in partitions(n):
+            for t in enumerate_syt(shape):
+                r, _ = position_of(t, n)
+                rows = [row[:-1] if k == r else row for k, row in enumerate(t, 1)]
+                want = (tuple(row for row in rows if row), tableau_index(t))
+                assert _delete_largest(t) == delete_largest(t) == want
+                assert _remove_box(shape, r) == shape_of(want[0])
 
 
 def test_three_one_one_total_index_listing():
