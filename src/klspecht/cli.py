@@ -454,17 +454,19 @@ def _encoded(worker, structured: bool, job) -> tuple[int, list[str]]:
 
 
 def _report_text(report: CheckReport) -> str:
-    """The PASS/FAIL line and indented failures, each newline-terminated."""
+    """The PASS/FAIL line and indented failures, each newline-terminated.
+    It reads only what a report keeps at once (see `CheckReport`)."""
     bits = ['PASS' if report.passed else 'FAIL', report.theorem]
     if report.shape is not None:
         bits.append(f'shape={tableaux.format_partition(report.shape)}')
-    if 'chain' in report.witness:
+    witness = report._witness
+    if 'chain' in witness:
         bits.append('chain=' + '<'.join(
-            symgroup.format_subset(j) for j in report.witness['chain']))
-    if 'n' in report.witness:
-        bits.append(f'n={report.witness["n"]}')
-    if 'scope' in report.witness:
-        bits.append(report.witness['scope'])
+            symgroup.format_subset(j) for j in witness['chain']))
+    if 'n' in witness:
+        bits.append(f'n={witness["n"]}')
+    if 'scope' in witness:
+        bits.append(witness['scope'])
     if report.timing is not None:
         bits.append(f'({report.timing:.3f}s)')
     return '\n'.join([' '.join(bits), *(f'  {f}' for f in report.failures), ''])

@@ -26,7 +26,9 @@ The verifiers check matrices of the Specht module action:
 * `verify_thm1`: the long cycle c = (2, ..., n, 1) acts, in any basis
   order weakly increasing in the tableau index, by Q R with Q the signed
   permutation matrix of jeu de taquin promotion, signs constant on index
-  classes, and the matrix itself supports columns only on promotions of
+  classes (and, by a rule observed up to n = 8, of value (-1)**(r_i - 1)
+  on class i, r_i the row of removable box i; see `verify_thm1`), and
+  the matrix itself supports columns only on promotions of
   tableaux of weakly smaller index.  In such an order the pivot test
   implies that support: row pr(T) vanishes on every column before T,
   which includes every column of smaller index, and the lead entry of T
@@ -104,29 +106,42 @@ any order take the same path and get the same reports.
   ev_q ev_m ev_q, and the dense rank and str of the preorder key, the
   first n-m labels of the peel of ev_q(T).  A chain reads it once per J:
   its basis order sorts positions on the rank lists, outermost J first,
-  and its class labels join the key strings into the str of the
-  composite key.  `phi_connected` and `preorder_connected` evacuate and
-  peel each tableau directly (`_preorder_key` reads the total index key
-  of ev_q(T)): a route apart from the tables, which are tested against
-  it.
-* Chain states: per (shape, blocks of a chain), the packed rows of M(chain), the
-  basis order, the str of each position's composite key and the
-  composite phi, all by position (`_ChainState`).  A chain's state grows
-  from the state of the chain without J_k, read from a store of the
-  states of chains that extend further (`_chain_states`), in
-  O(nnz(M(w_{J_k}))) big-int additions and O(d) small steps: the order
-  is the prefix order sorted stably on the rank of J_k, each key str is
-  J_k's key str before the prefix's, and phi is phi_{J_k} after the
-  prefix's phi.  A chain ending in J = {1, ..., n-1} extends no other
-  and is not stored.  The store is a dict bounded by its total count of
-  matrix slots, 2**20: a state that would take the count past that
-  empties it first.  Every stored state up to n = 6 fits (86988 slots),
-  so a sweep in any order computes each state once.  One shape's states
-  fit at n = 7 (at most 483875 slots) but not at n = 8 (up to 10.9 M for
-  (4, 2, 1, 1)), and all of them would take 54 M slots there.  A DFS
-  sweep reads only the states along its current path, so an emptying
-  costs it at most n - 2 extra products to rebuild that path: 94 for
-  the 53 emptyings at n = 8.
+  and its class keys combine the ranks.  The key strings are read only
+  to label a class: when a report renders its signs, or a check names a
+  sign that flips (`_class_labels`).  `phi_connected` and
+  `preorder_connected` evacuate and peel each tableau directly
+  (`_preorder_key` reads the total index key of ev_q(T)): a route apart
+  from the tables, which are tested against it.
+* Chain states: per (shape, blocks of a chain), the packed rows of
+  M(chain), the basis order, an int class key per position and the
+  composite phi, all by position (`_ChainState`).  Only equality of keys
+  is read: two positions are in one class when all their ranks agree.
+  A chain's state grows from the state of the chain without J_k, read
+  from a store of the states of chains that extend further
+  (`_chain_states`), in O(nnz(M(w_{J_k}))) big-int additions and O(d)
+  small steps: the order is the prefix order sorted stably on the rank
+  of J_k, each key is the prefix's key times d plus J_k's rank (ranks
+  are below d), and phi is phi_{J_k} after the prefix's phi.  A chain
+  ending in J = {1, ..., n-1} extends no other and is not stored.  The
+  store is a dict bounded by its total count of matrix slots, 2**20: a
+  state that would take the count past that empties it first.  Every
+  stored state up to n = 6 fits (86988 slots), so a sweep in any order
+  computes each state once.  One shape's states fit at n = 7 (at most
+  483875 slots) but not at n = 8 (up to 10.9 M for (4, 2, 1, 1)), and
+  all of them would take 54 M slots there.  A DFS sweep reads only the
+  states along its current path, so an emptying costs it at most n - 2
+  extra products to rebuild that path: 94 for the 53 emptyings at n = 8.
+
+Reports.  Both verifiers decide on positions and integer class keys.
+Each order lists every class contiguously (thm4's is sorted on the
+composite key, thm1's is index-monotone), so `_decide` checks sign
+constancy in one pass, where the key changes.  A report keeps at once
+what a text line reads (passed, failures, shape, timing and thm4's
+chain) and renders its ordering, signs and the label-bearing witness
+entries from positions on first read (`_thm1_fields`, `_thm4_fields`;
+see `CheckReport`).  Their arguments are the shared lists of the chain
+state, never its packed matrix, so a report a caller keeps does not
+hold M after the store empties.
 """
 
 from __future__ import annotations
@@ -407,31 +422,67 @@ def _long_cycle(shape: Partition) -> _Packed:
 
 
 def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
-            image: Sequence[int], classes: Sequence[str], symmetry: str,
-            class_word: str
-            ) -> tuple[tuple[str, ...], dict[str, int], list[str], list[int] | None]:
+            image: Sequence[int], keys: Sequence[int], symmetry: str,
+            blocks: tuple[tuple[int, int], ...] | None
+            ) -> tuple[list[int] | None, list[str]]:
     """Is Q of the packed matrix p (total index order), reindexed to the
     basis order `ids` (cell positions), the signed permutation of the
     tableau symmetry i -> image[i] (cell positions), with signs constant
-    on `classes` (one label per column)?
+    on classes?  Positions i and j are in one class when keys[i] ==
+    keys[j], and `ids` lists each class contiguously, so a sign may
+    change only where the key does.  `blocks` names the classes (see
+    `_class_labels`).
 
-    Returns the column labels, the sign of each class, the failures and
-    the pivots (None when the pivot test fails).  Only a failing check
-    unpacks p, to name its failure."""
-    labels = tuple(map(cell(shape).labels.__getitem__, ids))
-    signs: dict[str, int] = {}
-    failures = []
+    Returns the pivots (None when the pivot test fails) and the failures.
+    Only a failing check unpacks p or renders a label, to name its
+    failure."""
     pivots = _pivot_test(p, ids, image)
     if pivots is None:
         pos = _inverse(ids)
         target = [pos[image[i]] for i in ids]
-        failures = _qr_failures(_reindexed(p, ids), target, labels, symmetry)
-    else:
-        for label, v in zip(classes, pivots):
-            s = 1 if v > 0 else -1
-            if signs.setdefault(label, s) != s:
-                failures.append(f'sign flips inside {class_word} {label}')
-    return labels, signs, failures, pivots
+        return None, _qr_failures(_reindexed(p, ids), target,
+                                  _labels(shape, ids), symmetry)
+    failures = []
+    key = None
+    for i, v in zip(ids, pivots):
+        if keys[i] != key:
+            key, positive = keys[i], v > 0
+        elif (v > 0) != positive:
+            word = 'index class' if blocks is None else 'class'
+            failures.append(f'sign flips inside {word} '
+                            f'{_class_labels(shape, blocks)[i]}')
+    return pivots, failures
+
+
+def _labels(shape: Partition, ids: Sequence[int]) -> tuple[str, ...]:
+    """The label of each tableau of the basis order ids."""
+    return tuple(map(cell(shape).labels.__getitem__, ids))
+
+
+def _class_labels(shape: Partition,
+                  blocks: tuple[tuple[int, int], ...] | None) -> list[str]:
+    """The label of each position's class, by position: thm1's index
+    (blocks None), or the str of the composite key of the chain of these
+    blocks, a tuple of its members' key tuples, outermost first."""
+    if blocks is None:
+        return list(map(str, cell(shape).indexes))
+    if len(blocks) == 1:
+        return [f'({text},)' for text in _j_table(shape, *blocks[0])[2]]
+    texts = [_j_table(shape, p, q)[2] for p, q in reversed(blocks)]
+    return [f'({text})' for text in map(', '.join, zip(*texts))]
+
+
+def _signs(names: Sequence, ids: Sequence[int], keys: Sequence[int],
+           pivots: Sequence[int]) -> dict:
+    """The sign of each class's first pivot, by the name of the class's
+    first position (`ids` lists each class contiguously, see `_decide`)."""
+    signs = {}
+    key = None
+    for i, v in zip(ids, pivots):
+        if keys[i] != key:
+            key = keys[i]
+            signs[names[i]] = 1 if v > 0 else -1
+    return signs
 
 
 @lru_cache(maxsize=None)
@@ -446,38 +497,57 @@ def _promotion_table(shape: Partition) -> tuple[int, ...]:
 
 def verify_thm1(shape: Partition,
                 order: Sequence[Tableau] | None = None) -> CheckReport:
-    """QR-factor the long cycle action and compare Q with promotion."""
+    """QR-factor the long cycle action and compare Q with promotion.
+
+    Also checks the value of each index class's sign against the rule
+    observed on every shape up to n = 8 (the statement quoted in PAPER.md
+    stops before the sign): index class i has sign (-1)**(r_i - 1), r_i
+    the row of removable box i, counted from 1 at the top."""
     t0 = time.perf_counter()
     cl = cell(shape)
     ids = cl.positions(order)
-    idx = [cl.indexes[i] for i in ids]
-    if any(a > b for a, b in zip(idx, idx[1:])):
+    indexes = cl.indexes
+    if any(indexes[a] > indexes[b] for a, b in zip(ids, ids[1:])):
         raise ValueError('order must be weakly increasing in tableau index')
     packed = _long_cycle(shape)
     table = _promotion_table(shape)
-    labels, signs, failures, pivots = _decide(
-        shape, packed, ids, table, [str(i) for i in idx], 'promotion',
-        'index class')
-    pos = _inverse(ids)
-    prom = [pos[table[i]] for i in ids]
+    pivots, failures = _decide(shape, packed, ids, table, indexes,
+                               'promotion', None)
     # in an index-monotone order, passing pivots of +-1 imply the
     # leading terms (see the module docstring)
     if pivots is None or any(v != 1 and v != -1 for v in pivots):
-        failures = _leading_term_failures(_reindexed(packed, ids), prom, idx,
-                                          labels) + failures
+        pos = _inverse(ids)
+        failures = _leading_term_failures(
+            _reindexed(packed, ids), [pos[table[i]] for i in ids],
+            [indexes[i] for i in ids], _labels(shape, ids)) + failures
+    if pivots is not None:
+        rows = [r for r, _ in _removable_boxes(shape)]
+        for k, s in _signs(indexes, ids, indexes, pivots).items():
+            want = (-1) ** (rows[k - 1] - 1)
+            if s != want:
+                failures.append(f'index class {k} has sign {s:+d}, '
+                                f'expected {want:+d}')
     return CheckReport(
         theorem='thm1',
         passed=not failures,
         shape=tuple(shape),
-        ordering=labels,
-        witness={
-            'cycle': list(long_cycle(sum(shape))),
-            'promotion': prom,
-        },
-        signs=signs or None,
         failures=failures,
         timing=time.perf_counter() - t0,
+        render=(_thm1_fields, shape, ids, pivots),
     )
+
+
+def _thm1_fields(shape: Partition, ids: Sequence[int],
+                 pivots: Sequence[int] | None) -> tuple:
+    """The ordering, signs and witness of a thm1 report (see
+    `CheckReport`)."""
+    pos = _inverse(ids)
+    table = _promotion_table(shape)
+    signs = None if pivots is None else _signs(
+        _class_labels(shape, None), ids, cell(shape).indexes, pivots)
+    return (_labels(shape, ids), signs,
+            {'cycle': list(long_cycle(sum(shape))),
+             'promotion': [pos[table[i]] for i in ids]})
 
 
 def _leading_term_failures(mat: Matrix, prom: Sequence[int],
@@ -666,7 +736,7 @@ class _ChainState(NamedTuple):
 
     m: _Packed  # M(w_{J_k} ... w_{J_1})
     perm: list[int]  # the basis order
-    text: Sequence[str]  # str of the composite key, without its parentheses
+    key: Sequence[int]  # the composite class key: equal keys, one class
     phi: Sequence[int]  # the composite symmetry
 
 
@@ -702,25 +772,26 @@ def _chain_state(shape: Partition,
                  blocks: tuple[tuple[int, int], ...]) -> _ChainState:
     """The state of the chain of these blocks, grown from the (cached)
     state of the chain without J_k: M(w_{J_k}) times its packed rows, its
-    order sorted stably on the rank of J_k, J_k's key text before its text
-    and phi_{J_k} after its phi.  The result is shared with the cache:
-    callers must not change it."""
+    order sorted stably on the rank of J_k, its key times d plus J_k's
+    rank, and phi_{J_k} after its phi.  The result is shared with the
+    cache: callers must not change it."""
     key = (shape, blocks)
     state = _chain_states.get(key)
     if state is not None:
         return state
     p, q = blocks[-1]
-    phi_k, rank_k, str_k = _j_table(shape, p, q)
+    phi_k, rank_k, _ = _j_table(shape, p, q)
     if len(blocks) == 1:
         state = _ChainState(_pack(_block_factor(shape, p, q), _SLOT_WIDTH),
                             sorted(range(len(phi_k)), key=rank_k.__getitem__),
-                            str_k, phi_k)
+                            rank_k, phi_k)
     else:
         prefix = _chain_state(shape, blocks[:-1])
+        d = len(phi_k)
         state = _ChainState(
             _times(_block_factor(shape, p, q), prefix.m),
             sorted(prefix.perm, key=rank_k.__getitem__),
-            [f'{s}, {t}' for s, t in zip(str_k, prefix.text)],
+            [k * d + r for k, r in zip(prefix.key, rank_k)],
             list(map(phi_k.__getitem__, prefix.phi)))
     # a chain ending in J = {1, ..., n-1} is a prefix of no other
     if q - p < sum(shape) - 1:
@@ -733,30 +804,32 @@ def verify_thm4_chain(shape: Partition,
     """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry."""
     t0 = time.perf_counter()
     blocks, w = _chain_data(tuple(map(frozenset, chain)), sum(shape))
-    cl = cell(shape)
     state = _chain_state(shape, blocks)
-    # str of the composite key: a tuple of key tuples
-    close = ',)' if len(blocks) == 1 else ')'
-    text = state.text
-    classes = [f'({text[i]}{close}' for i in state.perm]
-    labels, signs, failures, _ = _decide(
-        shape, state.m, state.perm, state.phi, classes,
-        'the composite symmetry', 'class')
-    phi = state.phi
+    pivots, failures = _decide(shape, state.m, state.perm, state.phi,
+                               state.key, 'the composite symmetry', blocks)
     return CheckReport(
         theorem='thm4',
         passed=not failures,
         shape=tuple(shape),
-        ordering=labels,
-        witness={
-            'chain': [list(range(p, q)) for p, q in blocks],
-            'w': list(w),
-            'symmetry': dict(zip(cl.labels, map(cl.labels.__getitem__, phi))),
-        },
-        signs=signs or None,
+        witness={'chain': [list(range(p, q)) for p, q in blocks]},
         failures=failures,
         timing=time.perf_counter() - t0,
+        render=(_thm4_fields, shape, blocks, w, state.perm, state.key,
+                state.phi, pivots),
     )
+
+
+def _thm4_fields(shape: Partition, blocks: tuple[tuple[int, int], ...],
+                 w: Perm, perm: Sequence[int], key: Sequence[int],
+                 phi: Sequence[int], pivots: Sequence[int] | None) -> tuple:
+    """The ordering, signs and the rest of the witness of a thm4 report
+    (see `CheckReport`)."""
+    labels = cell(shape).labels
+    signs = None if pivots is None else _signs(
+        _class_labels(shape, blocks), perm, key, pivots)
+    return (tuple(map(labels.__getitem__, perm)), signs,
+            {'w': list(w),
+             'symmetry': dict(zip(labels, map(labels.__getitem__, phi)))})
 
 
 # ---------------------------------------------------------------------------

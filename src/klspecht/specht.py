@@ -78,7 +78,7 @@ from typing import NamedTuple, Sequence
 from . import hecke
 from .reports import CheckReport
 from .rsk import _column_word
-from .symgroup import Perm, check_perm, reduced_word
+from .symgroup import Perm, reduced_word
 from .tableaux import (
     Partition,
     Tableau,
@@ -455,8 +455,8 @@ def matrix_from_generator_word(shape: Partition, word: Sequence[int],
 
 def matrix_of(shape: Partition, w: Perm,
               order: Sequence[Tableau] | None = None) -> Matrix:
-    """Matrix of w acting on S^shape (via any reduced word of w)."""
-    check_perm(w)
+    """Matrix of w acting on S^shape (via any reduced word of w, which
+    `reduced_word` checks is a permutation)."""
     if len(w) != sum(shape):
         raise ValueError(f'{w} does not act on shape {shape}')
     return matrix_from_generator_word(shape, reduced_word(w), order)

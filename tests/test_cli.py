@@ -635,6 +635,42 @@ def test_verify_output_of_every_family_is_pinned(capsys, monkeypatch):
         '6557d98a83a55cac2131a8e6375cf875d0af0896ae4d223e09ed4ffa149c34cc')
 
 
+@pytest.mark.parametrize('jobs', ['1', '2'])
+def test_structured_thm1_and_thm4_to_six_are_pinned(capsys, jobs):
+    """The sha256 of structured `verify thm4 --max-n 6` and `verify thm1
+    --max-n 6`, whose reports render their labels from positions, as
+    they were when every report built its labels at once."""
+    want = {
+        'thm4': '4c421e7569a641904a9e051b4696b9a5c37ec09a3306d6c86bf95396631c9196',
+        'thm1': 'eb39d261cf878d9d1b1010b3c5fbf47f4aef883b5ad682f0df6b644042a9cc36',
+    }
+    for family, digest in want.items():
+        code, out, err = invoke(capsys, '--format', 'structured', '--jobs', jobs,
+                                'verify', family, '--max-n', '6')
+        assert (code, err) == (0, '')
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_text_mode_renders_no_labels(capsys, monkeypatch):
+    """A text line reads only what a report keeps at once: text-mode
+    thm4 and thm1 sweeps never call the functions that render ordering,
+    signs and the label-bearing witness entries."""
+    from klspecht import qrkit
+
+    def refuse(*args):
+        raise AssertionError('a text-mode report rendered its labels')
+
+    monkeypatch.setattr(qrkit, '_thm4_fields', refuse)
+    monkeypatch.setattr(qrkit, '_thm1_fields', refuse)
+    for family, checks in (('thm4', 581), ('thm1', 187)):
+        code, out, err = invoke(capsys, 'verify', family, '--max-n', '5')
+        assert (code, err) == (0, '')
+        assert out.splitlines()[-1].startswith(f'{checks}/{checks} checks passed')
+        with pytest.raises(AssertionError):
+            invoke(capsys, '--format', 'structured', 'verify', family,
+                   '--max-n', '3')
+
+
 class _SpyPool(_SerialPool):
     """A _SerialPool that keeps what the mapped function returns."""
 

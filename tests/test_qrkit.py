@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -30,6 +33,7 @@ from klspecht.qrkit import (
     verify_thm1,
     verify_thm4_chain,
 )
+from klspecht.reports import CheckReport
 from klspecht.specht import (
     mat_reindex,
     matrix_of,
@@ -575,6 +579,117 @@ def test_thm4_reports_get_fresh_witness_lists():
     first.witness['w'].reverse()
     first.witness['w'].append(0)
     assert verify_thm4_chain(shape, chain).record() == want
+
+
+# ---------------------------------------------------------------------------
+# labels rendered from positions on first read
+
+_FIELDS = ('theorem', 'passed', 'shape', 'ordering', 'witness', 'signs',
+           'failures', 'timing')
+
+
+def test_unread_reports_compare_print_and_pickle_as_eager_ones():
+    """thm1 and thm4 reports render their ordering, signs and the
+    label-bearing witness entries on first read.  A report no one has
+    read must ==, repr and pickle exactly as one built with all its
+    fields at once."""
+    shape = (3, 2, 1)
+    checks = [(verify_thm4_chain, [{2}, {1, 2, 3}, {1, 2, 3, 4, 5}]),
+              (verify_thm1, random_index_monotone_order(shape, Random(1)))]
+    for verify, arg in checks:
+        def unread():
+            report = verify(shape, arg)
+            report.timing = 0.25  # a plain field: setting it renders nothing
+            return report
+
+        source = unread()
+        eager = CheckReport(*(getattr(source, name) for name in _FIELDS))
+        assert eager.ordering and eager.signs and len(eager.witness) >= 2
+        assert unread() == eager and eager == unread()
+        assert repr(unread()) == repr(eager)
+        assert pickle.dumps(unread()) == pickle.dumps(eager)
+        assert pickle.loads(pickle.dumps(unread())) == eager
+        assert unread().record() == eager.record()
+        written = unread()
+        written.signs = {'x': 1}  # renders first, so the write sticks
+        assert written.signs == {'x': 1} and written.ordering == eager.ordering
+
+
+_generator_terms = specht._Cell.generator_terms
+
+
+def _twisted(self, j):
+    return _generator_terms(self, sum(self.shape) - j)
+
+
+def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
+    """Every thm4 record of n = 4 and 5 under two faults has the sha256
+    it had when each check built its labels and class strings at once:
+    the last pivot of every passing pivot test negated (a sign flips
+    inside a class, or not), and s_j replaced by s_{n-j} (the pivot test
+    fails, and `exact_qr` names why)."""
+    real = qrkit._pivot_test
+
+    def last_negated(p, ids, image):
+        pivots = real(p, ids, image)
+        return pivots if pivots is None else pivots[:-1] + [-pivots[-1]]
+
+    records = []
+    for obj, name, fault in ((qrkit, '_pivot_test', last_negated),
+                             (specht._Cell, 'generator_terms', _twisted)):
+        with monkeypatch.context() as patch:
+            patch.setattr(obj, name, fault)
+            for n in (4, 5):
+                for shape in partitions(n):
+                    records += [verify_thm4_chain(shape, chain).record()
+                                for chain in all_connected_chains(n)]
+        cold_caches()
+    assert (len(records), sum(not r['passed'] for r in records)) == (1128, 412)
+    assert {f.split(' ')[0] for r in records for f in r['failures']} \
+        == {'sign', 'Q', 'no'}
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        'ab6fd09280609c3230431c06b1b209857417b544ea89791937a84eead46eabb0')
+
+
+def _negated(terms):
+    """The `_Terms` of -A: operand k of a row and its negative d + k trade
+    places, and each scaled entry changes sign."""
+    d = len(terms.picks)
+    flip = [*range(d, 2 * d), *range(d)]
+    return specht._Terms(
+        tuple(tuple(flip[p] if p < 2 * d else p for p in row)
+              for row in terms.picks),
+        tuple((k, -x) for k, x in terms.scaled), terms.rowabs, terms.maxabs)
+
+
+def test_thm1_checks_the_value_of_each_class_sign(cold_caches):
+    """Negating every generator (the module twisted by the sign
+    character) negates M(c), a product of n - 1 generators, exactly when
+    n is even, and leaves every pivot position.  thm1 then fails on every
+    shape of even n, with one line per index class naming both signs,
+    and passes at odd n.  The generators are restored after each shape."""
+    for n in range(2, 7):
+        for shape in partitions(n):
+            cl = specht.cell(shape)
+            want = verify_thm1(shape).record()
+            assert want['passed']
+            real = cl._generator_terms
+            cl._generator_terms = tuple(map(_negated, real))
+            qrkit._long_cycle.cache_clear()
+            try:
+                report = verify_thm1(shape)
+            finally:
+                cl._generator_terms = real
+                qrkit._long_cycle.cache_clear()
+            if n % 2:
+                assert report.record() == want
+                continue
+            assert not report.passed
+            assert report.failures == [
+                f'index class {i} has sign {-s:+d}, expected {s:+d}'
+                for i, s in ((int(k), s) for k, s in want['signs'].items())]
+            assert verify_thm1(shape).record() == want
 
 
 def test_counterexample_report():

@@ -264,6 +264,17 @@ def test_matrix_of_is_a_homomorphism():
         )
 
 
+def test_matrix_of_rejects_what_does_not_act_on_the_shape():
+    """w is checked once: its length against the shape first, then, by
+    `reduced_word`, that it is a permutation."""
+    with pytest.raises(ValueError) as err:
+        matrix_of((2, 1), (1, 1))
+    assert str(err.value) == '(1, 1) does not act on shape (2, 1)'
+    with pytest.raises(ValueError) as err:
+        matrix_of((2, 1), (1, 1, 2))
+    assert str(err.value) == 'not a permutation of 1..3: (1, 1, 2)'
+
+
 def test_long_element_acts_by_signed_evacuation():
     assert matrix_of((2, 1), (3, 2, 1)) == [[0, -1], [-1, 0]]
     for n in range(2, 6):
