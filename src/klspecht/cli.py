@@ -43,7 +43,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from functools import partial
+from functools import lru_cache, partial
 from random import Random
 from typing import Iterator, Sequence
 
@@ -453,6 +453,12 @@ def _encoded(worker, structured: bool, job) -> tuple[int, list[str]]:
     return passes, texts
 
 
+@lru_cache(maxsize=None)
+def _chain_text(chain: tuple[tuple[int, ...], ...]) -> str:
+    """The chain field of a text line, formatted once per chain."""
+    return 'chain=' + '<'.join(map(symgroup.format_subset, chain))
+
+
 def _report_text(report: CheckReport) -> str:
     """The PASS/FAIL line and indented failures, each newline-terminated.
     It reads only what a report keeps at once (see `CheckReport`)."""
@@ -461,8 +467,7 @@ def _report_text(report: CheckReport) -> str:
         bits.append(f'shape={tableaux.format_partition(report.shape)}')
     witness = report._witness
     if 'chain' in witness:
-        bits.append('chain=' + '<'.join(
-            symgroup.format_subset(j) for j in witness['chain']))
+        bits.append(_chain_text(tuple(map(tuple, witness['chain']))))
     if 'n' in witness:
         bits.append(f'n={witness["n"]}')
     if 'scope' in witness:

@@ -14,15 +14,16 @@ for the KL basis: with s a left descent of w and u = sw,
 after first raising v through the left and right descents of w
 (P_{v,w} = P_{sv,w} when sw < w < sv, and the mirror image), and
 returning 1 outright when len(w) - len(v) <= 2.  The correction sum is
-a masked, shifted scan: `down[u] & smask[s] & parity[(len(u) + 1) % 2]`
-keeps exactly the z below u with s as a left descent and odd
-len(u) - len(z), and shifting it right by id(v) starts the scan at
-z = v (ids ascend by length, so every z >= v has id(z) >= id(v)); only
-v <= z is tested per candidate, and mu(z, u) is read in place (1 for a
-gap of 1, else the top coefficient of P_{z,u}).  Every returned value
-is checked on the spot: constant term 1 and degree at most
-(len(w) - len(v) - 1)/2.  A violation raises `KLInvariantError`, also
-under `python -O`.
+a masked, shifted scan: with d = len(w) - len(v),
+`down[u] & smask[s] & scan[len(v) + (d & 1)]` keeps exactly the z below
+u with s as a left descent, odd len(u) - len(z) and len(z) >= len(v),
+and shifting it right by id(v) starts the scan at z = v (ids are lex
+ranks, and Bruhat order implies lex order, so every z >= v has
+id(z) >= id(v)); only v <= z is tested per candidate, and mu(z, u) is
+read in place (1 for a gap of 1, else the top coefficient of P_{z,u}).
+Every returned value is checked on the spot: constant term 1 and degree
+at most (len(w) - len(v) - 1)/2.  A violation raises `KLInvariantError`,
+also under `python -O`.
 
 The independent oracle route `kl_oracle` never touches that recursion.
 It computes R-polynomials by their own descent recursion (s a right
@@ -35,21 +36,21 @@ triangular system
 downward in x, reading the answer off the low half and verifying the
 mirror half exactly (again raising `KLInvariantError`).  The two routes
 share only the interned group tables (multiplication, lengths, Bruhat
-bitsets), not the algorithm.  The tables are built in one pass over
-S_n, on lex ranks rather than words: lengths from Lehmer digits, the
-generator tables as one column of ids per generator, the right one's
-from one fixed permutation of lex-rank blocks, the left one's from them
-through the inverse ids (s w = (w^-1 s)^-1), and the Bruhat downsets
-as unions over covers, the w t_{ab} one shorter than w, read off whole
-columns of ids (see `_Tables`).
+bitsets), not the algorithm.  The tables are built on lex ranks, which
+are the ids: lengths from Lehmer digits, the generator tables as one
+column of ids per generator, the right one's a fixed permutation of
+lex-rank blocks, the left one's read from them through the inverse ids
+(s w = (w^-1 s)^-1), and each Bruhat downset as at most n downsets of
+S_{n-1} side by side, one per first letter (see `_bruhat_rows`).
 
 Each recursive call (`kl`, `rpoly`, `kl_oracle_ids`) works on a
 strictly shorter Bruhat interval, so the recursion nests at most a few
 frames per unit of len(w0) <= 28 and the interpreter's default limit is
 enough; importing this module leaves that limit alone.
 
-The tables hold n! x n! Bruhat bitsets, so `tables` refuses n above
-`MAX_N` = 8 before allocating anything: S_9 would need about 16 GB.
+The Bruhat bitsets hold n!(n! + 1)/2 bits (row w has id(w) + 1), 102 MB
+at n = 8, so `tables` refuses n above `MAX_N` = 8 before allocating
+anything: S_9 would need about 8.2 GB.
 
 mu(v, w) is the coefficient of degree (len(w)-len(v)-1)/2 in P_{v,w},
 symmetrized so the arguments may come in either order; it feeds both the
@@ -70,7 +71,7 @@ one worker (the CLI parallelizes across shapes in separate processes).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import permutations
 from math import factorial
 
 from .rsk import column_word
@@ -214,125 +215,119 @@ def _lex_inverse(n: int) -> list[int]:
     return ranks
 
 
-def _generator_tables(n: int, order: list[int]) -> tuple[
-        list[list[int]], list[int], list[list[int]], list[int]]:
-    """`rmult`, `rdesc`, `lmult` and `ldesc` of `_Tables(n)`, where
-    order[i] is the lex rank of the word of id i.  The generator tables
-    are columns: `rmult[j - 1][i]` is the id of perms[i] s_j, and
-    `lmult[j - 1][i]` that of s_j perms[i].  Its other n!-long temporaries are
-    freed on return, before the downsets are made."""
-    # rank[k] is the id of the word of lex rank k, and cols[j - 1][i] is
-    # the id of perms[i] s_j: the lex blocks of m = n - j + 1 letters
-    # permuted by pi_m (see `_Tables`)
-    size = len(order)
-    rank = [0] * size
-    for i, k in enumerate(order):
-        rank[k] = i
-    cols = []
-    for m in range(n, 1, -1):
-        pi = _swap_first_two(m)
-        lex = [rank[start + p] for start in range(0, size, len(pi)) for p in pi]
-        cols.append(list(map(lex.__getitem__, order)))
-    # ids ascend by length and s_j changes the length by one, so s_j is a
-    # right descent of perms[i] iff perms[i] s_j has a smaller id
-    rdesc = [0] * size
-    for j, col in enumerate(cols):
-        bit = 1 << j
-        rdesc = [d | bit if c < i else d
-                 for i, d, c in zip(range(size), rdesc, col)]
-    # s_j w = (w^-1 s_j)^-1, so the left tables are the right ones read
-    # through the inverse ids
-    inv = list(map(rank.__getitem__, map(_lex_inverse(n).__getitem__, order)))
-    lmult = [list(map(inv.__getitem__, map(col.__getitem__, inv)))
-             for col in cols]
-    return cols, rdesc, lmult, [rdesc[k] for k in inv]
+def _bitsets(values: list[int], digits: list[list[str]]) -> list[int]:
+    """One bitset per table of digits: bit i is table[values[i]], read as
+    one base-2 string that `str.translate` makes from a string of one
+    character per id."""
+    text = ''.join(map(chr, reversed(values)))
+    return [int(text.translate(table), 2) for table in digits]
 
 
-def _reflections(cols: list[list[int]]) -> dict[tuple[int, int], list[int]]:
-    """refl[a, b][i] is the id of perms[i] t_{ab}, positions a < b from 0,
-    given cols[a] = refl[a, a + 1].  Each is two maps over refl[a + 1, b],
-    since w t_{ab} = ((w t_{a,a+1}) t_{a+1,b}) t_{a,a+1}."""
-    refl = {}
-    for b in range(1, len(cols) + 1):
-        col = refl[b - 1, b] = cols[b - 1]
-        for a in range(b - 2, -1, -1):
-            s = cols[a]
-            col = refl[a, b] = list(map(s.__getitem__, map(col.__getitem__, s)))
-    return refl
+def _bruhat_rows(n: int) -> list[int]:
+    """`down` of `_Tables(n)`, each row joined from rows of
+    `tables(n - 1)`.
+
+    Let w have first letter a and tail x, standardized into S_{n-1}.  The
+    v <= w with first letter b, their tails standardized, are a principal
+    downset of S_{n-1}: none for b > a, that of x for b = a, and for b < a
+    that of f_{a-2}(... f_{b+1}(f_b(x))) (x itself for b = a - 1), where
+    f_c(y) = max(y, s_c y).  By the lifting property (Bjorner-Brenti, GTM
+    231, Prop. 2.2.7) for s = s_{a-1}, a left descent of w, v <= w iff
+    min(v, s v) <= s w, and s w has first letter a - 1 and tail x.  For
+    b < a - 1, s acts on the tails as s_{a-2}, and {y : min(y, s_{a-2} y)
+    <= z} is the downset of f_{a-2}(z).  The v with first letter b are the
+    ids (b - 1)(n-1)! to b (n-1)! - 1 in the lex order of their tails, so
+    row w is rows of S_{n-1} side by side: one byte join once (n-1)! is a
+    multiple of 8, shifts below that."""
+    if n == 1:
+        return [1]
+    sub = tables(n - 1)
+    size = factorial(n - 1)
+    ids = range(size)
+    # blocks[a][b], a and b from 0, holds for each tail id the tail whose
+    # S_{n-1} row is block b of the row with first letter a + 1.  Moving
+    # to the next first letter lifts the tails of block b by one more f_c;
+    # y and s_c y are ordered alike in Bruhat and lex order, so f_c(y) is
+    # the larger id
+    lift = [list(map(max, ids, col)) for col in sub.lmult]
+    blocks: list[list] = [[] for _ in range(n)]
+    for b in range(n):
+        blocks[b].append(ids)
+        if b + 1 < n:
+            blocks[b + 1].append(ids)
+        tail = ids
+        for a in range(b + 2, n):
+            tail = list(map(lift[a - 2].__getitem__, tail))
+            blocks[a].append(tail)
+    rows = sub.down
+    if size % 8:
+        return [sum(rows[y] << (b * size) for b, y in enumerate(tails))
+                for block in blocks for tails in zip(*block)]
+    rows = [row.to_bytes(size // 8, 'little') for row in rows]
+    return [int.from_bytes(b''.join(parts), 'little') for block in blocks
+            for parts in zip(*[list(map(rows.__getitem__, col)) for col in block])]
 
 
 class _Tables:
-    """Interned S_n: ids sorted by (length, word), generator actions,
-    descent bitmasks, Bruhat downsets as bitsets, and the memo tables of
-    both routes (see the module docstring).
+    """Interned S_n: ids are lex ranks (perms[i] is the i-th word that
+    `permutations` yields), with lengths, generator actions, descent
+    bitmasks, Bruhat downsets as bitsets, and the memo tables of both
+    routes (see the module docstring).
 
-    Lengths are sums of Lehmer digits, listed in the lex order that
-    `permutations` yields and stably sorted into id order.  The generator
-    tables are columns, one per s_j and none for S_1: `rmult[j - 1][i]`
-    is the id of perms[i] s_j, and `lmult[j - 1][i]` that of s_j perms[i].
-    `rmult` is lex-rank arithmetic read through that order: w s_j swaps
+    Lengths are sums of Lehmer digits.  The generator tables are columns,
+    one per s_j and none for S_1: `rmult[j - 1][i]` is the id of
+    perms[i] s_j, and `lmult[j - 1][i]` that of s_j perms[i].  w s_j swaps
     the first two letters of w's tail of length m = n - j + 1, which
-    permutes each block of m! consecutive lex ranks by
-    `_swap_first_two(m)`.  `rdesc` compares ids, and `lmult` and `ldesc`
-    are read through the inverse ids (`_lex_inverse`), since
-    s_j w = (w^-1 s_j)^-1.  `down[i]` is the union of the downsets of
-    the Bruhat covers of w = perms[i]: the w t_{ab} of length
-    len(w) - 1 (Bjorner-Brenti, GTM 231, section 2.1).
-    `_reflections` builds one column of ids over all w per reflection
-    t_{ab} from the columns of `rmult`, and the lengths pick the covers.
+    permutes each block of m! consecutive ids by `_swap_first_two(m)`.
+    `lmult` and `ldesc` are `rmult` and `rdesc` read through the inverse
+    ids (`_lex_inverse`), since s_j w = (w^-1 s_j)^-1.  `down[i]` has bit
+    v set iff perms[v] <= perms[i] in Bruhat order (`_bruhat_rows`).
 
     Two id masks feed the masked, shifted correction scan of `kl`:
     `smask[j - 1]` has bit i set iff s_j is a left descent of perms[i],
-    and `parity[p]` has bit i set iff len(perms[i]) = p mod 2."""
+    and `scan[l]` has bit i set iff len(perms[i]) >= l with the parity
+    of l."""
 
     def __init__(self, n: int):
         self.n = n
-        # permutations() yields the words in lex order, and a word's length
-        # is the sum of its Lehmer digits.  The first digit, w[0] - 1,
-        # counts the later letters below w[0], and the words of S_m with
-        # one first letter run through S_{m-1} in lex order (relabelled),
-        # so the lex-order lengths of S_m are those of S_{m-1} repeated
-        # m times, raised by 0 .. m-1.  A stable sort by length keeps lex
-        # order inside each length, which is the (length, word) id order
-        words = list(permutations(range(1, n + 1)))
-        lex_lengths = [0]
+        self.perms = perms = list(permutations(range(1, n + 1)))
+        # every column holds these int objects, one per id
+        ids = list(range(len(perms)))
+        self.index = dict(zip(perms, ids))
+        # the words of S_m with one first letter run through S_{m-1} in lex
+        # order (relabelled), and the first Lehmer digit is w[0] - 1, so the
+        # lengths of S_m are those of S_{m-1} repeated m times, raised by
+        # 0 .. m-1
+        lengths = [0]
         for m in range(2, n + 1):
-            lex_lengths = [d + x for d in range(m) for x in lex_lengths]
-        order = sorted(range(len(words)), key=lex_lengths.__getitem__)
-        self.perms = perms = [words[k] for k in order]
-        self.lengths = lengths = [lex_lengths[k] for k in order]
-        self.index = {w: i for i, w in enumerate(perms)}
+            lengths = [d + x for d in range(m) for x in lengths]
+        self.lengths = lengths
+        top = lengths[-1] + 1
+        self.scan = _bitsets(lengths, [
+            ['01'[ell >= low and not (ell - low) & 1] for ell in range(top)]
+            for low in range(top)])
 
-        # parity[p] has bit i set iff lengths[i] is congruent to p mod 2,
-        # parsed from one base-2 string, each id's digit looked up by length
-        self.parity = [int(''.join(map(
-            ['01'[ell & 1 == p] for ell in range(lengths[-1] + 1)].__getitem__,
-            reversed(lengths))), 2) for p in (0, 1)]
-
-        self.rmult, self.rdesc, self.lmult, self.ldesc = _generator_tables(
-            n, order)
-        del words, order, lex_lengths
-        # smask[j - 1] has bit i set iff s_j is a left descent of perms[i],
-        # parsed from one base-2 string, each id's digit looked up by ldesc
-        self.smask = [int(''.join(map(
-            ['01'[(m >> j) & 1] for m in range(1 << (n - 1))].__getitem__,
-            reversed(self.ldesc))), 2) for j in range(n - 1)]
-
-        # down[i] has bit v set iff v <= w = perms[i]: bit i or the downsets
-        # of the covers of w, which are shorter and so already built.  Row i
-        # of `flat` holds i (a row even for S_1, which has no reflection) and
-        # each w t_{ab}: one block, so the union leaves no holes in the heap
-        refl = [range(len(perms)), *_reflections(self.rmult).values()]
-        flat = list(chain.from_iterable(zip(*refl)))
-        del refl
-        self.down = down = []
-        for i, covers in enumerate(zip(*[iter(flat)] * (n * (n - 1) // 2 + 1))):
-            d = 1 << i
-            below = lengths[i] - 1
-            for c in covers:
-                if lengths[c] == below:
-                    d |= down[c]
-            down.append(d)
+        self.rmult = rmult = []
+        for m in range(n, 1, -1):
+            pi = _swap_first_two(m)
+            rmult.append([ids[start + p] for start in range(0, len(ids), len(pi))
+                          for p in pi])
+        # swapping two adjacent letters into a descent lowers the lex rank,
+        # so s_j is a right descent of perms[i] iff perms[i] s_j has a
+        # smaller id
+        rdesc = [0] * len(ids)
+        for j, col in enumerate(rmult):
+            bit = 1 << j
+            rdesc = [d | bit if c < i else d for i, d, c in zip(ids, rdesc, col)]
+        self.rdesc = rdesc
+        inv = list(map(ids.__getitem__, _lex_inverse(n)))
+        self.lmult = [list(map(inv.__getitem__, map(col.__getitem__, inv)))
+                      for col in rmult]
+        self.ldesc = ldesc = list(map(rdesc.__getitem__, inv))
+        self.smask = _bitsets(ldesc, [
+            ['01'[(m >> j) & 1] for m in range(1 << (n - 1))]
+            for j in range(n - 1)])
+        self.down = _bruhat_rows(n)
 
         self.kl_memo: dict[tuple[int, int], QPoly] = {}
         self.r_memo: dict[tuple[int, int], QPoly] = {}
@@ -385,11 +380,13 @@ class _Tables:
             for i, c in enumerate(self.kl(vid, uid)):
                 buf[i + 1] += c
             # the correction z: s a left descent, odd len(u) - len(z) and
-            # v <= z, so id(z) >= id(v); bit k of the scan is id(v) + k.
-            # The scan already has z < u with an odd gap, so mu(z, u) is
-            # 1 for gap 1 and otherwise the top coefficient of P_{z,u}
+            # v <= z, so len(z) >= len(v) and id(z) >= id(v); bit k of the
+            # scan is id(v) + k.  The scan already has z < u with an odd
+            # gap, so mu(z, u) is 1 for gap 1 and otherwise the top
+            # coefficient of P_{z,u}
             down = self.down
-            rest = (down[uid] & self.smask[s] & self.parity[(lu + 1) & 1]) >> vid
+            low = lengths[vid] + (d & 1)
+            rest = (down[uid] & self.smask[s] & self.scan[low]) >> vid
             while rest:
                 bit = rest & -rest
                 rest ^= bit
@@ -488,7 +485,7 @@ def check_affordable(n: int) -> None:
     """Refuse an n whose tables would not fit in memory (ValueError)."""
     if n > MAX_N:
         raise ValueError(f'n = {n} is too large: KL tables stop at n = {MAX_N} '
-                         f'(n = {MAX_N + 1} would need about 16 GB)')
+                         f'(n = {MAX_N + 1} would need about 8.2 GB)')
 
 
 @lru_cache(maxsize=None)

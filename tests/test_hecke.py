@@ -267,12 +267,18 @@ def test_tables_refuses_n_above_the_bound_before_allocating(monkeypatch):
 
 
 def test_group_tables_match_direct_definitions():
-    """The id order and lengths against `length`, the generator tables
-    against s_j w and w s_j composed with `simple`, the descent masks
-    against the descent sets, and the downsets against `bruhat_leq`."""
+    """The lex id order and lengths against `length`, the generator
+    tables against s_j w and w s_j composed with `simple`, the descent
+    and scan masks against the descent sets and lengths, and the downsets
+    against `bruhat_leq`."""
     for n in range(1, 6):
         t = hecke._Tables(n)
-        assert t.perms == sorted(all_perms(n), key=lambda w: (length(w), w))
+        assert t.perms == all_perms(n)
+        top = n * (n - 1) // 2
+        assert len(t.scan) == top + 1
+        # one column of n! ids per generator, none for S_1
+        columns = t.rmult + t.lmult
+        assert [len(col) for col in columns] == [len(t.perms)] * (2 * n - 2)
         for i, w in enumerate(t.perms):
             assert t.index[w] == i
             assert t.lengths[i] == length(w)
@@ -286,19 +292,20 @@ def test_group_tables_match_direct_definitions():
             assert t.rdesc[i] == sum(1 << (j - 1) for j in right_descents(w))
             for j in range(1, n):
                 assert (t.smask[j - 1] >> i) & 1 == (j in left_descents(w))
-            for p in (0, 1):
-                assert (t.parity[p] >> i) & 1 == (length(w) % 2 == p)
+            for low in range(top + 1):
+                assert (t.scan[low] >> i) & 1 == (
+                    length(w) >= low and (length(w) - low) % 2 == 0)
         # no bit beyond the last id
-        for mask in t.smask + t.parity:
+        for mask in t.smask + t.scan:
             assert mask >> len(t.perms) == 0
 
 
 def _reference_tables(n):
-    """The group tables built the slow, direct way: ids by sorting
-    (length, word) pairs, both generator tables with `left_mult_s` and
-    `right_mult_s`, and each downset as the union over the swaps of every
-    inverted pair, not only the Bruhat covers."""
-    perms = sorted(all_perms(n), key=lambda w: (length(w), w))
+    """The group tables built the slow, direct way: ids in lex order,
+    both generator tables with `left_mult_s` and `right_mult_s`, and each
+    downset as the union over the swaps of every inverted pair, not only
+    the Bruhat covers.  Each swap is lex smaller, so its downset is built."""
+    perms = all_perms(n)
     lengths = [length(w) for w in perms]
     index = {w: i for i, w in enumerate(perms)}
     lmult = [[index[left_mult_s(w, j)] for w in perms] for j in range(1, n)]
@@ -312,8 +319,9 @@ def _reference_tables(n):
     ldesc = descents(lmult)
     smask = [sum(1 << i for i, m in enumerate(ldesc) if (m >> j) & 1)
              for j in range(n - 1)]
-    parity = [sum(1 << i for i, ell in enumerate(lengths) if ell % 2 == p)
-              for p in (0, 1)]
+    scan = [sum(1 << i for i, ell in enumerate(lengths)
+                if ell >= low and (ell - low) % 2 == 0)
+            for low in range(n * (n - 1) // 2 + 1)]
     down = []
     for i, w in enumerate(perms):
         d = 1 << i
@@ -325,7 +333,7 @@ def _reference_tables(n):
                     d |= down[index[tuple(v)]]
         down.append(d)
     return {'perms': perms, 'lengths': lengths, 'index': index,
-            'parity': parity, 'lmult': lmult, 'rmult': rmult,
+            'scan': scan, 'lmult': lmult, 'rmult': rmult,
             'ldesc': ldesc, 'rdesc': descents(rmult), 'smask': smask,
             'down': down}
 
@@ -352,29 +360,67 @@ def test_lex_rank_arithmetic_up_to_s8():
     assert hecke._lex_inverse(1) == [0]
 
 
-def test_reflection_columns_find_the_bruhat_covers():
-    """`rmult` and `lmult` hold one column of n! ids per generator s_j
-    (none for S_1), column (a, b) of `_reflections` of `rmult` sends each
-    id to the id of its word with positions a and b swapped, and the
-    reflections that lower the length by exactly one are the Bruhat covers
-    as Bjorner-Brenti (GTM 231, section 2.1) list them: w[a] > w[b], with
-    no value between the two at a position between a and b."""
-    for n in range(1, 8):
+def _standardize(word):
+    """The word of S_k whose letters are in the same relative order."""
+    ranks = sorted(word)
+    return tuple(ranks.index(x) + 1 for x in word)
+
+
+def test_first_letter_slices_are_lifted_tail_downsets():
+    """The rule behind `_bruhat_rows`, against `bruhat_leq` on every w
+    and first letter b for n <= 6: with a = w[0] and x the standardized
+    tail of w, the standardized tails of the v <= w with v[0] = b are
+    the downset in S_{n-1} of x lifted by f_b, then f_{b+1}, ...,
+    f_{a-2}, where f_c(y) is the longer of y and s_c y.  Each such slice
+    is block b of the table's row of w, and the blocks past a are empty
+    (v[0] > w[0] fails the first prefix test of `bruhat_leq`)."""
+    for n in range(2, 7):
         t = hecke.tables(n)
-        for mult in (t.rmult, t.lmult):
-            assert [len(col) for col in mult] == [factorial(n)] * (n - 1), n
-        refl = hecke._reflections(t.rmult)
-        assert sorted(refl) == [(a, b) for a in range(n)
-                                for b in range(a + 1, n)]
-        for (a, b), col in refl.items():
-            for i, w in enumerate(t.perms):
+        size = factorial(n - 1)
+        tails = all_perms(n - 1)
+        below = {y: {u for u in tails if bruhat_leq(u, y)} for y in tails}
+        # words[b]: the v with v[0] = b, in the order of their tails
+        words = [[(b,) + tuple(x + (x >= b) for x in y) for y in tails]
+                 for b in range(n + 1)]
+        for w in all_perms(n):
+            a, row = w[0], t.down[t.index[w]]
+            assert row >> (a * size) == 0, w
+            for b in range(1, a + 1):
+                got = {y for y, v in zip(tails, words[b]) if bruhat_leq(v, w)}
+                top = _standardize(w[1:])
+                for c in range(b, a - 1):
+                    lifted = left_mult_s(top, c)
+                    if length(lifted) > length(top):
+                        top = lifted
+                assert got == below[top], (w, b)
+                block = (row >> ((b - 1) * size)) & ((1 << size) - 1)
+                assert {tails[k] for k in range(size) if (block >> k) & 1} == got
+
+
+def test_s8_rows_agree_with_bruhat_leq_on_seeded_pairs():
+    """Rows of a fresh `_Tables(8)`, which no other test builds, against
+    `bruhat_leq`: for 300 seeded w, five uniform v (mostly not below w),
+    five v read off w's row, and five v made from w by swapping an
+    inverted pair, which are all below w."""
+    t = hecke._Tables(8)
+    rng = random.Random(827)
+    for _ in range(300):
+        wid = rng.randrange(len(t.perms))
+        w = t.perms[wid]
+        row, bits = t.down[wid], bin(t.down[wid])[:1:-1]
+        inversions = [(i, j) for i in range(8) for j in range(i + 1, 8)
+                      if w[i] > w[j]]
+        for _ in range(5):
+            v = t.perms[rng.randrange(len(t.perms))]
+            assert (row >> t.index[v]) & 1 == bruhat_leq(v, w), (v, w)
+            # the first set bit from a seeded start, wrapping round
+            k = bits.find('1', rng.randrange(len(bits)))
+            assert bruhat_leq(t.perms[k if k >= 0 else bits.find('1')], w)
+            if inversions:
+                i, j = rng.choice(inversions)
                 v = list(w)
-                v[a], v[b] = w[b], w[a]
-                assert col[i] == t.index[tuple(v)], (w, a, b)
-                cover = w[a] > w[b] and not any(
-                    w[b] < w[c] < w[a] for c in range(a + 1, b))
-                drop = t.lengths[i] - t.lengths[col[i]]
-                assert (drop == 1) == cover, (w, a, b)
+                v[i], v[j] = w[j], w[i]
+                assert (row >> t.index[tuple(v)]) & 1, (v, w)
 
 
 def test_kl_agrees_with_the_oracle_on_seeded_pairs_of_s6():

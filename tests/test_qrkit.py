@@ -397,6 +397,23 @@ def test_w_j_factors_take_one_product_per_generator(monkeypatch, cold_caches):
     assert len(calls) == sum(len(j) for j in _connected_sets(6) if len(j) > 1) == 30
 
 
+@pytest.mark.parametrize('n', range(2, 8))
+def test_long_element_acts_as_signed_evacuation(n):
+    """The theorem the paper opens with (Berenstein-Zelevinsky;
+    Stembridge, Duke Math. J. 82, 1996): M(w0) is (-1)^{n(lambda)},
+    n(lambda) = sum of (i - 1) lambda_i, times the permutation matrix of
+    evacuation, column T sent to row ev(T).  So row ev(T) of the w_J
+    factor for J = {1, ..., n-1} has the one pick T, with that sign."""
+    for shape in partitions(n):
+        cl = specht.cell(shape)
+        d = len(cl.tableaux)
+        sign = (-1) ** sum(i * part for i, part in enumerate(shape))
+        ev = [cl.position[evacuate(t)] for t in cl.tableaux]
+        picks = tuple((k if sign == 1 else d + k,) for k in ev)
+        want = specht._Terms(picks, (), 1, 1)
+        assert qrkit._block_factor(shape, 1, n) == want, shape
+
+
 def test_thm1_decides_at_any_slot_width(monkeypatch, cold_caches):
     """`_long_cycle` keeps the slot width its fold picks, and the pivot
     test reads any width: with `_Cell.fold` rounding widths up to 64
