@@ -454,6 +454,12 @@ def _encoded(worker, structured: bool, job) -> tuple[int, list[str]]:
 
 
 @lru_cache(maxsize=None)
+def _shape_text(shape: tableaux.Partition) -> str:
+    """The shape field of a text line, formatted once per shape."""
+    return 'shape=' + tableaux.format_partition(shape)
+
+
+@lru_cache(maxsize=None)
 def _chain_text(chain: tuple[tuple[int, ...], ...]) -> str:
     """The chain field of a text line, formatted once per chain."""
     return 'chain=' + '<'.join(map(symgroup.format_subset, chain))
@@ -464,7 +470,7 @@ def _report_text(report: CheckReport) -> str:
     It reads only what a report keeps at once (see `CheckReport`)."""
     bits = ['PASS' if report.passed else 'FAIL', report.theorem]
     if report.shape is not None:
-        bits.append(f'shape={tableaux.format_partition(report.shape)}')
+        bits.append(_shape_text(report.shape))
     witness = report._witness
     if 'chain' in witness:
         bits.append(_chain_text(tuple(map(tuple, witness['chain']))))

@@ -17,9 +17,10 @@ whose recording tableau is column superstandard are recovered by reading
 the insertion tableau down columns, bottom to top (`column_word`).
 
 The public functions validate their tableaux with `check_standard`;
-`_column_word` is the unchecked worker behind `column_word`, called on
-tableaux that are standard by construction (the `specht` cell resolves
-each of its tableaux to a KL table id through it, once per shape).
+`_column_word` is the unchecked worker behind `column_word`.  The
+`specht` cell does not call it: it inserts n into the column words of
+the cells one box smaller, and the tests check those words against
+`_column_word`.
 """
 
 from __future__ import annotations

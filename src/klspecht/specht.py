@@ -16,15 +16,20 @@ matrix_of(u) matrix_of(v) with the rightmost factor acting first.
 
 The per-shape cell (`cell`) is where the tableaux of a shape are turned
 into numbers, once: their descent sets, indexes, index classes (the
-positions of each index, in index order) and display labels, and, on the
-first `mu` lookup, the `hecke.tables(n)` id of each column word.  `mu`
-is read off the polynomials `hecke` memoizes; the cell only maps
-positions to KL ids, one pair per lookup.
-These tableaux come from `enumerate_syt` and are standard by
-construction, so the cell reads them with the unchecked `_` workers of
-`tableaux` and `rsk`; everything downstream works on positions in the
-total index order.  Basis orders passed in by a caller are validated
-once, by cell position.
+positions of each index, in index order) and column words, display
+labels on first read, and, on the first `mu` lookup, the
+`hecke.tables(n)` id of each column word.  `mu` is read off the
+polynomials `hecke` memoizes; the cell only maps positions to KL ids,
+one pair per lookup.
+A cell of n >= 2 boxes is assembled from the cells one box smaller,
+which stay cached: the index-i class of the total index order lists
+SYT(lambda - box i) in order, so each tableau, descent set, index and
+column word is one step from its counterpart there (`_Cell`), and no
+tableau is listed, scanned or checked.  `enumerate_syt` and the
+`tableaux`/`rsk` workers stay the independent routes the tests compare
+every cell with.  Everything downstream works on positions in the total
+index order.  Basis orders passed in by a caller are validated once, by
+cell position.
 
 The cell builds s_1, ..., s_{n-1} together, once, in the total index
 order, as the nonzero entries a product reads (`_Terms`): one pass over
@@ -68,7 +73,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import prod
 from operator import neg
@@ -77,18 +82,15 @@ from typing import NamedTuple, Sequence
 
 from . import hecke
 from .reports import CheckReport
-from .rsk import _column_word
 from .symgroup import Perm, reduced_word
 from .tableaux import (
     Partition,
     Tableau,
     _delete_largest,
-    _descent_set,
     _remove_box,
-    _tableau_index,
+    _removable_boxes,
     check_partition,
     count_syt,
-    enumerate_syt,
     format_tableau,
     removable_boxes,
 )
@@ -321,24 +323,67 @@ def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
 
 class _Cell:
     """Tableaux of one shape with descent sets, indexes, index classes,
-    labels, KL ids and the nonzero entries of each generator, all by
-    position."""
+    column words, labels, KL ids and the nonzero entries of each
+    generator, all by position.
+
+    For n >= 2 the cell is assembled from the cells one box smaller: the
+    index-i class, for removable boxes i = (r, c) in label order, is
+    SYT(lambda - box i) in its own total index order with n added at the
+    end of row r.  That tableau T gets
+    - D(T) = D(T') + {n-1} when n-1, which sits in the index box of T',
+      lies in a row above r, else D(T') (the same frozenset);
+    - idx(T) = i;
+    - column word(T) = word(T') with n inserted after the boxes of
+      columns 1..c-1, since box i is the foot of column c.
+    Labels are rendered on first read: a passing check never reads one."""
 
     def __init__(self, shape: Partition):
         check_partition(shape)
         self.shape = shape
-        self.tableaux = enumerate_syt(shape)
-        self.position = {t: i for i, t in enumerate(self.tableaux)}
-        self.descents = [_descent_set(t) for t in self.tableaux]
-        self.indexes = [_tableau_index(t) for t in self.tableaux]
-        # index -> cell positions of that index; the tableaux are in total
-        # index order, so the keys ascend
-        self.classes: dict[int, list[int]] = {}
-        for k, i in enumerate(self.indexes):
-            self.classes.setdefault(i, []).append(k)
-        self.labels = tuple(format_tableau(t) for t in self.tableaux)
+        if shape == (1,):
+            self.tableaux: tuple[Tableau, ...] = (((1,),),)
+            self.descents: list[frozenset[int]] = [frozenset()]
+            self.indexes = [1]
+            self.words: list[tuple[int, ...]] = [(1,)]
+            # index -> cell positions of that index, keys ascending
+            self.classes: dict[int, list[int]] = {1: [0]}
+        else:
+            self._grow(sum(shape))
         self._kl: tuple[hecke._Tables, list[int]] | None = None
         self._generator_terms: tuple[_Terms, ...] | None = None
+
+    def _grow(self, n: int) -> None:
+        """The fields of a shape of n >= 2 from the cells one box smaller,
+        one index class at a time, in label order (see `_Cell`)."""
+        tabs: list[Tableau] = []
+        self.descents, self.indexes, self.words, self.classes = [], [], [], {}
+        for i, (r, c) in enumerate(_removable_boxes(self.shape), start=1):
+            rest = _remove_box(self.shape, r)
+            small = cell(rest)
+            self.classes[i] = list(range(len(tabs), len(tabs) + len(small.tableaux)))
+            self.indexes += [i] * len(small.tableaux)
+            # n-1 sits in the index box of T', and this is its row
+            rows = [row for row, _ in _removable_boxes(rest)]
+            grown: dict[frozenset[int], frozenset[int]] = {}
+            for t, dt, k in zip(small.tableaux, small.descents, small.indexes):
+                tabs.append(t[:r - 1] + (t[r - 1] + (n,),) + t[r:]
+                            if r <= len(t) else t + ((n,),))
+                if rows[k - 1] < r:
+                    dt = grown.get(dt) or grown.setdefault(dt, dt | {n - 1})
+                self.descents.append(dt)
+            at = sum(min(part, c - 1) for part in self.shape)
+            self.words += [w[:at] + (n,) + w[at:] for w in small.words]
+        self.tableaux = tuple(tabs)
+
+    @cached_property
+    def position(self) -> dict[Tableau, int]:
+        """The cell position of each tableau."""
+        return {t: i for i, t in enumerate(self.tableaux)}
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """The display label of each tableau."""
+        return tuple(map(format_tableau, self.tableaux))
 
     def positions(self, order: Sequence[Tableau] | None) -> list[int]:
         """Cell position of each tableau of a basis order (None: the total
@@ -358,7 +403,7 @@ class _Cell:
         builds KL tables."""
         if self._kl is None:
             tab = hecke.tables(sum(self.shape))
-            self._kl = (tab, [tab.index[_column_word(t)] for t in self.tableaux])
+            self._kl = (tab, list(map(tab.index.__getitem__, self.words)))
         return self._kl
 
     def mu(self, i: int, j: int) -> int:
@@ -516,6 +561,12 @@ def check_branching(shape: Partition) -> CheckReport:
     equal the generator matrices of S^{mu_i} on the nose.  The reduced
     shapes are pairwise distinct, so the restriction is multiplicity
     free.
+
+    The cell is assembled from the cells of the mu_i (see `_Cell`), so
+    the clause "the index-i class maps onto SYT(mu_i) in order" holds by
+    construction; tests pin it against `enumerate_syt`.  `count_syt`
+    stays its independent size check, and the quotient matrices are
+    compared as before.
     """
     c = cell(shape)
     n = sum(shape)

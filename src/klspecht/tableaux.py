@@ -19,12 +19,15 @@ Validation happens at the boundary.  The public tableau functions
 (`tableau_index`, `delete_largest`, `descent_set`, ...) check their input
 with `check_standard` and then call a `_`-prefixed worker, which assumes
 a standard tableau and checks nothing.  The workers are for tableaux that
-are standard by construction: those of `enumerate_syt`, and the images
-of such tableaux under the `jdt` operations.
+are standard by construction: those of `enumerate_syt` or of a `specht`
+cell, and the images of such tableaux under the `jdt` operations.
 
 `enumerate_syt` lists afresh on every call and memoizes nothing: a
-shape's tableaux are held by its `specht` cell, or by the one sweep job
-that lists them.
+shape's tableaux are held by its `specht` cell, which assembles them from
+the cells one box smaller without listing, or by the one sweep job that
+lists them.  The cell's descent sets and indexes come out of that
+assembly too; `enumerate_syt`, `_descent_set` and `_tableau_index` are
+the independent routes the tests check each cell against.
 
 The peel behind the total index order (delete the largest entry until
 nothing is left) is written once, in `_total_index_key`, which

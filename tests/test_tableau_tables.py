@@ -26,6 +26,7 @@ from klspecht.qrkit import (
 )
 from klspecht.rsk import column_word
 from klspecht.tableaux import (
+    count_syt,
     delete_largest,
     descent_set,
     enumerate_syt,
@@ -62,6 +63,45 @@ def test_cell_tables_match_the_public_functions(shape):
     for i in range(d):
         for j in range(d):
             assert cl.mu(i, j) == mu_tableaux(cl.tableaux[i], cl.tableaux[j])
+
+
+@pytest.mark.parametrize('shape', [shape for n in range(1, 9)
+                                   for shape in partitions(n)])
+def test_cells_grown_from_smaller_cells_match_the_direct_routes(shape):
+    """A cell is assembled from the cells one box smaller (`specht._Cell`);
+    every field it derives that way equals the direct, independent route
+    on each tableau: the listing `enumerate_syt`, the descent sets, the
+    indexes, the column words and the hook length count."""
+    cl = specht.cell(shape)
+    assert cl.tableaux == enumerate_syt(shape)
+    assert len(cl.tableaux) == count_syt(shape)
+    assert cl.descents == [tableaux._descent_set(t) for t in cl.tableaux]
+    assert all(type(dt) is frozenset for dt in cl.descents)
+    assert cl.indexes == [tableaux._tableau_index(t) for t in cl.tableaux]
+    assert cl.words == [rsk._column_word(t) for t in cl.tableaux]
+
+
+def test_passing_checks_format_no_tableau(monkeypatch, cold_caches):
+    """The cell renders its labels on first read, and a passing thm1 or
+    thm4 check reads none: no `format_tableau` call happens until a
+    report is rendered."""
+    def refuse(*args):
+        raise AssertionError('a passing check formatted a tableau')
+
+    for mod in (tableaux, specht, qrkit):
+        monkeypatch.setattr(mod, 'format_tableau', refuse)
+    shape = (3, 2, 1)
+    order = random_index_monotone_order(shape, Random(3))
+    reports = [verify_thm1(shape), verify_thm1(shape, order),
+               *(verify_thm4_chain(shape, chain)
+                 for chain in all_connected_chains(sum(shape))[:20])]
+    assert all(r.passed for r in reports)
+    with pytest.raises(AssertionError, match='formatted a tableau'):
+        reports[0].record()
+    monkeypatch.undo()
+    labels = specht.cell(shape).labels
+    assert sorted(reports[1].ordering) == sorted(labels)
+    assert sorted(reports[-1].record()['ordering']) == sorted(labels)
 
 
 @pytest.mark.parametrize('shape', SHAPES)
@@ -239,8 +279,9 @@ def test_sweeps_check_each_shape_a_few_times(monkeypatch, cold_caches, sweep):
 ], ids=['thm1', 'branching', 'prop-dmu', 'lemma-pr'])
 def test_sweeps_list_each_shape_once(monkeypatch, cold_caches, worker):
     """`enumerate_syt` memoizes nothing: a shape's tableaux are held by its
-    cell or by the one job that lists them, so one sweep of n <= 6 lists
-    each shape at most once."""
+    cell, which is assembled from the cells one box smaller and lists
+    nothing, or by the one job that lists them, so one sweep of n <= 6
+    lists each shape at most once."""
     listed = []
     real = tableaux.enumerate_syt
 
@@ -248,8 +289,7 @@ def test_sweeps_list_each_shape_once(monkeypatch, cold_caches, worker):
         listed.append(shape)
         return real(shape)
 
-    for mod in (tableaux, specht):
-        monkeypatch.setattr(mod, 'enumerate_syt', counting)
+    monkeypatch.setattr(tableaux, 'enumerate_syt', counting)
     shapes = cli._shape_jobs(None, 6)
     for shape in shapes:
         assert all(r.passed for r in worker(shape))
