@@ -257,19 +257,21 @@ def _branching_job(shape: tuple[int, ...]) -> list[CheckReport]:
 
 def _dmu_job(shape: tuple[int, ...]) -> list[CheckReport]:
     cl = specht.cell(shape)
+    rows = [r for r, _ in tableaux._removable_boxes(shape)]
     failures = []
     pairs = 0
     for i, members in cl.classes.items():
         if len(members) < 2:
             continue
-        smaller = [tableaux._delete_largest(cl.tableaux[k])[0] for k in members]
-        small = specht.cell(tableaux.shape_of(smaller[0]))
-        below = [small.position[t] for t in smaller]
+        # the index-i class lists SYT(shape - box i) in order, so deleting
+        # the largest entry of its a-th member leaves the tableau at
+        # position a of the smaller cell
+        small = specht.cell(tableaux._remove_box(shape, rows[i - 1]))
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 pairs += 1
                 before = cl.mu(members[a], members[b])
-                after = small.mu(below[a], below[b])
+                after = small.mu(a, b)
                 if before != after:
                     failures.append(
                         f'mu changes under deletion for '

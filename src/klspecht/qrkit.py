@@ -90,28 +90,26 @@ Shared thm4 state.  None of it depends on the order in which chains are
 checked, so a sweep in DFS order and a caller checking single chains in
 any order take the same path and get the same reports.
 
-* Chain data, per (chain, n): the blocks (p, q) of the validated chain
-  and the product w of their longest elements (`_chain_data`),
-  extending the data of the chain without J_k by J_k alone.  Reports
-  get fresh lists.
+* Chain data, per (chain, n): the blocks (p, q) of the chain, validated
+  in one pass, and the product w of their longest elements, read off the
+  blocks (`_chain_data`).  Reports get fresh lists.
 * Per-shape tables, by position in the total index order: promotion for
-  thm1 (`_promotion_table`); ev_k for each k (`_evacuation_table`) and
-  the index labels of each tableau peeled down to one box
-  (`_peel_table`, the total index key without its last label).  ev_1
-  is the identity and ev_k is ev_{k-1} after one reverse slide of 1..k,
-  so each tableau slides once per k, n-1 times per shape, whatever the
-  number of J; the peel table is put together from the peel tables of
-  the shapes one box smaller, with no tableau work.
-* Per (shape, J), one table composed from those (`_j_table`): phi_J =
-  ev_q ev_m ev_q, and the dense rank and str of the preorder key, the
-  first n-m labels of the peel of ev_q(T).  A chain reads it once per J:
-  its basis order sorts positions on the rank lists, outermost J first,
-  and its class keys combine the ranks.  The key strings are read only
-  to label a class: when a report renders its signs, or a check names a
-  sign that flips (`_class_labels`).  `phi_connected` and
-  `preorder_connected` evacuate and peel each tableau directly
-  (`_preorder_key` reads the total index key of ev_q(T)): a route apart
-  from the tables, which are tested against it.
+  thm1 (`_promotion_table`) and ev_k for each k (`_evacuation_table`).
+  ev_1 is the identity and ev_k is ev_{k-1} after one reverse slide of
+  1..k, so each tableau slides once per k, n-1 times per shape, whatever
+  the number of J.  The index labels of each tableau peeled down to one
+  box (the total index key without its last label) are the cell's
+  `peels`, kept as the cell is assembled.
+* Per (shape, J), one table composed from those and the peel keys
+  (`_j_table`): phi_J = ev_q ev_m ev_q, and the dense rank and str of
+  the preorder key, the first n-m labels of the peel of ev_q(T).  A
+  chain reads it once per J: its basis order sorts positions on the
+  rank lists, outermost J first, and its class keys combine the ranks.
+  The key strings are read only to label a class: when a report renders
+  its signs, or a check names a sign that flips (`_class_labels`).
+  `phi_connected` and `preorder_connected` evacuate and peel each
+  tableau directly (`_preorder_key` reads the total index key of
+  ev_q(T)): a route apart from the tables, which are tested against it.
 * Chain states: per (shape, blocks of a chain), the packed rows of
   M(chain), the basis order, an int class key per position and the
   composite phi, all by position (`_ChainState`).  Only equality of keys
@@ -173,18 +171,11 @@ from .specht import (
     matrix_of,
     total_index_order,
 )
-from .symgroup import (
-    Perm,
-    long_cycle,
-    longest_element,
-    multiply,
-    reduced_word,
-)
+from .symgroup import Perm, long_cycle, reduced_word
 from .tableaux import (
     Partition,
     Tableau,
     _removable_boxes,
-    _remove_box,
     _total_index_key,
     check_partition,
     check_standard,
@@ -635,23 +626,8 @@ def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
 
 # Per-shape tables indexed by position in the total index order, shared
 # by every chain on the shape.  Each ev_k table is one reverse slide per
-# tableau on top of ev_{k-1}'s, the peel table needs no tableau at all,
-# and the per-J table is composed from those.
-
-@lru_cache(maxsize=None)
-def _peel_table(shape: Partition) -> tuple[tuple[int, ...], ...]:
-    """The index labels met while deleting the largest entry of
-    tableaux[i] down to one box, at i.  The total index order lists the
-    index-i class as SYT(shape - box i) are listed, so the table is, for
-    each removable box i in turn, i before each row of the table of
-    shape - box i."""
-    if sum(shape) == 1:
-        return ((),)
-    rows = []
-    for i, (r, _) in enumerate(_removable_boxes(shape), start=1):
-        rows += [(i,) + row for row in _peel_table(_remove_box(shape, r))]
-    return tuple(rows)
-
+# tableau on top of ev_{k-1}'s, and the per-J table is composed from
+# those and the cell's peel keys.
 
 @lru_cache(maxsize=None)
 def _evacuation_table(shape: Partition, k: int) -> tuple[int, ...]:
@@ -671,12 +647,12 @@ def _j_table(shape: Partition, p: int, q: int
     """For J = {p, ..., q-1}, at i: the position of phi_J(tableaux[i]),
     and the dense rank and str of its `preorder_connected` key among the
     keys of the shape.  Ranks compare as the keys do.  Composed from the
-    ev_q and ev_m tables and the peel table, with no tableau work of its
-    own."""
+    ev_q and ev_m tables and the cell's peel keys, with no tableau work
+    of its own."""
     n = sum(shape)
     evq = _evacuation_table(shape, q)
     evm = _evacuation_table(shape, q - p + 1)
-    peel = _peel_table(shape)
+    peel = cell(shape).peels
     keys = [peel[e][:n - (q - p + 1)] for e in evq]
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
     return (tuple(evq[evm[e]] for e in evq),
@@ -707,26 +683,21 @@ def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
     return chains
 
 
-class _ChainData(NamedTuple):
-    blocks: tuple[tuple[int, int], ...]  # (p, q) of each J = {p, ..., q-1}
-    w: Perm  # w_{J_k} ... w_{J_1}
-
-
 @lru_cache(maxsize=None)
-def _chain_data(js: tuple[frozenset[int], ...], n: int) -> _ChainData:
-    """The validated chain's blocks and the product of their longest
-    elements, extending the (validated, cached) data of the chain without
-    J_k."""
+def _chain_data(js: tuple[frozenset[int], ...], n: int
+                ) -> tuple[tuple[tuple[int, int], ...], Perm]:
+    """The blocks (p, q) of each J = {p, ..., q-1} of the validated chain,
+    and w = w_{J_k} ... w_{J_1}: w_J reverses p..q, x -> p + q - x, so
+    w is read off the blocks, J_1 first."""
     if not js:
         raise ValueError('chain must be nonempty')
-    block = (_block(js[-1], n),)
-    w_k = longest_element(js[-1], n)
-    if len(js) == 1:
-        return _ChainData(block, w_k)
-    if not js[-2] < js[-1]:
+    if not all(a < b for a, b in zip(js, js[1:])):
         raise ValueError('chain must strictly increase')
-    prefix = _chain_data(js[:-1], n)
-    return _ChainData(prefix.blocks + block, multiply(w_k, prefix.w))
+    blocks = tuple(_block(j_set, n) for j_set in js)
+    w = range(1, n + 1)
+    for p, q in blocks:
+        w = [p + q - x if p <= x <= q else x for x in w]
+    return blocks, tuple(w)
 
 
 class _ChainState(NamedTuple):

@@ -16,20 +16,21 @@ matrix_of(u) matrix_of(v) with the rightmost factor acting first.
 
 The per-shape cell (`cell`) is where the tableaux of a shape are turned
 into numbers, once: their descent sets, indexes, index classes (the
-positions of each index, in index order) and column words, display
-labels on first read, and, on the first `mu` lookup, the
+positions of each index, in index order), column words and peel keys
+(the index labels met deleting the largest entry down to one box),
+display labels on first read, and, on the first `mu` lookup, the
 `hecke.tables(n)` id of each column word.  `mu` is read off the
 polynomials `hecke` memoizes; the cell only maps positions to KL ids,
 one pair per lookup.
 A cell of n >= 2 boxes is assembled from the cells one box smaller,
 which stay cached: the index-i class of the total index order lists
-SYT(lambda - box i) in order, so each tableau, descent set, index and
-column word is one step from its counterpart there (`_Cell`), and no
-tableau is listed, scanned or checked.  `enumerate_syt` and the
-`tableaux`/`rsk` workers stay the independent routes the tests compare
-every cell with.  Everything downstream works on positions in the total
-index order.  Basis orders passed in by a caller are validated once, by
-cell position.
+SYT(lambda - box i) in order, so each tableau, descent set, index,
+column word and peel key is one step from its counterpart there
+(`_Cell`), and no tableau is listed, scanned or checked.
+`enumerate_syt` and the `tableaux`/`rsk` workers stay the independent
+routes the tests compare every cell with.  Everything downstream works
+on positions in the total index order.  Basis orders passed in by a
+caller are validated once, by cell position.
 
 The cell builds s_1, ..., s_{n-1} together, once, in the total index
 order, as the nonzero entries a product reads (`_Terms`): one pass over
@@ -51,6 +52,9 @@ j * W.  A product A B adds one packed row of B, its negative or a
 multiple of it per nonzero entry of A (`_times`, reading A's `_Terms`)
 and carries the bound |A B| <= rowabs(A) max|B|; one whose bound would
 reach 2**(W-1) raises `QRInvariantError`, also under `python -O`.
+Packed rows are read out one way: `_read_terms` reads their nonzero
+slots and `_dense` lays those out on the requested positions
+(`_reindexed`).
 `_Cell.fold`, behind `matrix_of`, takes W from the word: the product of
 its generators' rowabs (times the largest |entry| of the matrix it
 starts from, if not the identity), rounded up to a multiple of
@@ -71,13 +75,11 @@ Fraction); nothing here ever touches floating point.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import prod
 from operator import neg
-from struct import calcsize
 from typing import NamedTuple, Sequence
 
 from . import hecke
@@ -161,10 +163,6 @@ class _Packed(NamedTuple):
 # in 23 bits with its sign) and the unit `_Cell.fold` rounds widths up to
 _SLOT_WIDTH = 32
 
-# the memoryview formats of the slot widths `_unpack` reads in bulk: the
-# machine's signed ints, whose bytes are little-endian slots
-_CASTS = {8 * calcsize(c): c for c in 'iq'} if sys.byteorder == 'little' else {}
-
 
 def _width(bound: int) -> int:
     """The slot width that holds every entry of absolute value <= bound."""
@@ -198,21 +196,6 @@ def _check_fits(bound: int, width: int) -> None:
     if bound >> (width - 1):
         raise QRInvariantError(
             f'entries up to {bound} overflow {width}-bit slots')
-
-
-def _unpack(p: _Packed) -> Matrix:
-    """The matrix of packed rows, as fresh lists.  Biasing a row and
-    xoring the bias back leaves each slot's digit in two's complement,
-    so 32- and 64-bit slots are read in bulk as the machine's signed
-    ints; other widths take one shift per entry."""
-    width, d = p.width, len(p.rows)
-    top, mask = 1 << (width - 1), (1 << width) - 1
-    bias = _words(d, width).bias
-    if width in _CASTS:
-        return [memoryview(((r + bias) ^ bias).to_bytes(d * width // 8, 'little'))
-                .cast(_CASTS[width]).tolist() for r in p.rows]
-    return [[((row >> j * width) & mask) - top for j in range(d)]
-            for row in (r + bias for r in p.rows)]
 
 
 class _Terms(NamedTuple):
@@ -313,9 +296,10 @@ def _pack(terms: _Terms, width: int) -> _Packed:
 
 
 def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
-    """The packed matrix with row and column c taken from ids[c]."""
-    m = _unpack(p)
-    return m if ids == list(range(len(m))) else mat_reindex(m, ids)
+    """The packed matrix with row and column c taken from ids[c], as
+    fresh lists: the one read-out of packed rows, through their nonzero
+    slots."""
+    return _dense(_read_terms(p), ids)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +307,8 @@ def _reindexed(p: _Packed, ids: Sequence[int]) -> Matrix:
 
 class _Cell:
     """Tableaux of one shape with descent sets, indexes, index classes,
-    column words, labels, KL ids and the nonzero entries of each
-    generator, all by position.
+    column words, peel keys, labels, KL ids and the nonzero entries of
+    each generator, all by position.
 
     For n >= 2 the cell is assembled from the cells one box smaller: the
     index-i class, for removable boxes i = (r, c) in label order, is
@@ -334,7 +318,9 @@ class _Cell:
       lies in a row above r, else D(T') (the same frozenset);
     - idx(T) = i;
     - column word(T) = word(T') with n inserted after the boxes of
-      columns 1..c-1, since box i is the foot of column c.
+      columns 1..c-1, since box i is the foot of column c;
+    - peel key(T) = (i,) + peel key(T'), the total index key of T
+      without its last label.
     Labels are rendered on first read: a passing check never reads one."""
 
     def __init__(self, shape: Partition):
@@ -345,6 +331,8 @@ class _Cell:
             self.descents: list[frozenset[int]] = [frozenset()]
             self.indexes = [1]
             self.words: list[tuple[int, ...]] = [(1,)]
+            # the index labels met deleting the largest entry down to one box
+            self.peels: list[tuple[int, ...]] = [()]
             # index -> cell positions of that index, keys ascending
             self.classes: dict[int, list[int]] = {1: [0]}
         else:
@@ -356,7 +344,8 @@ class _Cell:
         """The fields of a shape of n >= 2 from the cells one box smaller,
         one index class at a time, in label order (see `_Cell`)."""
         tabs: list[Tableau] = []
-        self.descents, self.indexes, self.words, self.classes = [], [], [], {}
+        self.descents, self.indexes, self.words, self.peels = [], [], [], []
+        self.classes = {}
         for i, (r, c) in enumerate(_removable_boxes(self.shape), start=1):
             rest = _remove_box(self.shape, r)
             small = cell(rest)
@@ -373,6 +362,7 @@ class _Cell:
                 self.descents.append(dt)
             at = sum(min(part, c - 1) for part in self.shape)
             self.words += [w[:at] + (n,) + w[at:] for w in small.words]
+            self.peels += [(i,) + key for key in small.peels]
         self.tableaux = tuple(tabs)
 
     @cached_property

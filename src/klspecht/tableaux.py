@@ -33,8 +33,9 @@ The peel behind the total index order (delete the largest entry until
 nothing is left) is written once, in `_total_index_key`, which
 `total_index_key`, `total_index_cmp` and `qrkit._preorder_key` read.
 The shape one step of it leaves, lambda less removable box i, is written
-once too, in `_remove_box`, which `qrkit._peel_table` and
-`specht.check_branching` read.
+once too, in `_remove_box`, which `specht._Cell._grow` (the cell one box
+smaller, and with it each tableau's peel key), `specht.check_branching`
+and the prop-dmu sweep in `cli` read.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Dense list-of-rows matrix arithmetic, kept as the tests' reference for
-the packed-row products of `klspecht.specht`, and `pack_rows`, which
-packs a test matrix by plain shifts rather than by the code under test."""
+the packed-row products of `klspecht.specht`, and `pack_rows` and
+`unpack_rows`, which pack a test matrix and read packed rows back by
+plain shifts rather than by the code under test."""
 
 from klspecht.specht import _Packed
 
@@ -41,3 +42,20 @@ def pack_rows(m, width):
         raise ValueError(f'entries up to {bound} do not fit {width}-bit slots')
     return _Packed([sum(x << j * width for j, x in enumerate(row)) for row in m],
                    width, bound)
+
+
+def unpack_rows(p):
+    """The matrix of packed rows p, the inverse of `pack_rows`: each row's
+    signed digits, lowest slot first, one shift at a time."""
+    width, d = p.width, len(p.rows)
+    out = []
+    for r in p.rows:
+        row = []
+        for _ in range(d):
+            x = r & ((1 << width) - 1)
+            x -= (x >> (width - 1)) << width  # the signed digit
+            row.append(x)
+            r = (r - x) >> width
+        assert r == 0
+        out.append(row)
+    return out

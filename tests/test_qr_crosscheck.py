@@ -38,7 +38,7 @@ from klspecht.tableaux import (
 )
 from klspecht.specht import total_index_order
 
-from dense_reference import pack_rows
+from dense_reference import pack_rows, unpack_rows
 
 
 def is_index_monotone(order):
@@ -325,7 +325,7 @@ def test_thm1_routes_agree_on_failing_checks_in_shuffled_orders(
         t = len(self.tableaux) - 1
         r = self.position[promote(self.tableaux[t])]
         rows = list(p.rows)
-        rows[r] += specht._unpack(p)[r][t] << t * p.width
+        rows[r] += unpack_rows(p)[r][t] << t * p.width
         return specht._Packed(rows, p.width, 2 * p.bound)
 
     failures = []
@@ -358,11 +358,11 @@ def test_passing_checks_do_not_factor(monkeypatch):
 def test_passing_checks_build_nothing_dense(monkeypatch, cold_caches):
     """On cold caches, the verifiers build their factors from the
     generators' nonzero entries and decide on packed rows: no dense
-    generator and no unpacked matrix."""
+    generator and no unpacked matrix (`_dense` is the one read-out of
+    both)."""
     def refuse(*args):
         raise AssertionError('dense matrix built on a passing check')
 
-    monkeypatch.setattr(specht, '_unpack', refuse)
     monkeypatch.setattr(specht, '_dense', refuse)
     for n in range(2, 6):
         for shape in partitions(n):

@@ -47,7 +47,13 @@ from klspecht.tableaux import (
     tableau_index,
 )
 
-from dense_reference import identity_matrix, mat_eq, mat_mul, pack_rows
+from dense_reference import (
+    identity_matrix,
+    mat_eq,
+    mat_mul,
+    pack_rows,
+    unpack_rows,
+)
 
 
 def is_index_monotone(order):
@@ -321,7 +327,7 @@ def _checked_matrices(monkeypatch):
     real = qrkit._decide
 
     def spy(shape, packed, ids, *rest):
-        seen.append(mat_reindex(specht._unpack(packed), ids))
+        seen.append(mat_reindex(unpack_rows(packed), ids))
         return real(shape, packed, ids, *rest)
 
     monkeypatch.setattr(qrkit, '_decide', spy)
@@ -927,10 +933,10 @@ def test_packed_product_equals_mat_mul(pair):
     bound = max(sum(map(abs, row)) for row in a) * _max_abs(b)
     width = specht._width(max(bound, _max_abs(b)))
     packed_b = pack_rows(b, width)
-    assert specht._unpack(packed_b) == b
+    assert unpack_rows(packed_b) == b
     assert specht._pack(_read(b), width) == packed_b
     product = specht._times(_read(a), packed_b)
-    assert specht._unpack(product) == mat_mul(a, b)
+    assert unpack_rows(product) == mat_mul(a, b)
     # the nonzero entries read off the slots, without unpacking
     assert_terms_of(specht._read_terms(packed_b), b)
     assert_terms_of(specht._read_terms(product), mat_mul(a, b))

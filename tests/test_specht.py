@@ -14,6 +14,7 @@ from klspecht.specht import (
     check_branching,
     check_filtration_invariance,
     generator_matrix,
+    mat_reindex,
     matrix_entries,
     matrix_from_generator_word,
     matrix_of,
@@ -40,7 +41,13 @@ from klspecht.tableaux import (
     tableau_index,
 )
 
-from dense_reference import identity_matrix, mat_eq, mat_mul, pack_rows
+from dense_reference import (
+    identity_matrix,
+    mat_eq,
+    mat_mul,
+    pack_rows,
+    unpack_rows,
+)
 
 
 def test_one_row_and_one_column_generators():
@@ -166,35 +173,24 @@ def test_generators_with_an_entry_above_one(monkeypatch):
         assert matrix_of(shape, w) == want
 
 
-def _shift_unpack(rows, width, d):
-    """Each row's signed digits, lowest slot first, one shift at a time."""
-    out = []
-    for r in rows:
-        row = []
-        for _ in range(d):
-            x = r & ((1 << width) - 1)
-            x -= (x >> (width - 1)) << width  # the signed digit
-            row.append(x)
-            r = (r - x) >> width
-        assert r == 0
-        out.append(row)
-    return out
-
-
-@pytest.mark.parametrize('width', [32, 64, 96])
-def test_unpack_reads_every_slot_width(width):
-    """`_unpack` reads 32- and 64-bit slots in bulk and other widths one
-    shift at a time; both agree with a plain shift loop, on random
-    entries and on 0 and +-(2**(width - 1) - 1)."""
+@pytest.mark.parametrize('width', [32, 64, 96, 17])
+def test_reindexed_reads_every_slot_width(width):
+    """`_reindexed`, the one read-out of packed rows, agrees with a plain
+    shift loop on slots of any width, a multiple of 32 or not, in the
+    identity order and a shuffled one, on random entries and on 0 and
+    +-(2**(width - 1) - 1)."""
     rng = random.Random(width)
     edge = (1 << (width - 1)) - 1
     for d in (1, 2, 5, 17):
         m = [[rng.choice((0, edge, -edge, rng.randint(-edge, edge)))
               for _ in range(d)] for _ in range(d)]
         m[0][0], m[-1][-1] = edge, -edge
-        rows = [sum(x << j * width for j, x in enumerate(row)) for row in m]
-        packed = specht._Packed(rows, width, edge)
-        assert specht._unpack(packed) == _shift_unpack(rows, width, d) == m
+        packed = pack_rows(m, width)
+        assert unpack_rows(packed) == m
+        shuffled = list(range(d))
+        rng.shuffle(shuffled)
+        for ids in (list(range(d)), shuffled):
+            assert specht._reindexed(packed, ids) == mat_reindex(m, ids)
 
 def test_coxeter_relations():
     for n in range(2, 6):

@@ -71,7 +71,7 @@ def test_cells_grown_from_smaller_cells_match_the_direct_routes(shape):
     """A cell is assembled from the cells one box smaller (`specht._Cell`);
     every field it derives that way equals the direct, independent route
     on each tableau: the listing `enumerate_syt`, the descent sets, the
-    indexes, the column words and the hook length count."""
+    indexes, the column words, the peel keys and the hook length count."""
     cl = specht.cell(shape)
     assert cl.tableaux == enumerate_syt(shape)
     assert len(cl.tableaux) == count_syt(shape)
@@ -79,6 +79,7 @@ def test_cells_grown_from_smaller_cells_match_the_direct_routes(shape):
     assert all(type(dt) is frozenset for dt in cl.descents)
     assert cl.indexes == [tableaux._tableau_index(t) for t in cl.tableaux]
     assert cl.words == [rsk._column_word(t) for t in cl.tableaux]
+    assert cl.peels == [total_index_key(t)[:-1] for t in cl.tableaux]
 
 
 def test_passing_checks_format_no_tableau(monkeypatch, cold_caches):
@@ -113,7 +114,7 @@ def test_promotion_table_matches_promote(shape):
 
 @pytest.mark.parametrize('shape', SHAPES + list(partitions(7)))
 def test_thm4_tables_match_phi_and_preorder(shape):
-    """The per-J table, composed from the evacuation and peel tables,
+    """The per-J table, composed from the evacuation tables and peel keys,
     against `phi_connected`/`preorder_connected`, which evacuate and peel
     each tableau themselves: phi, and the ranks and strings of the keys
     (the strings pin the keys themselves)."""
@@ -135,8 +136,8 @@ def test_thm4_tables_match_phi_and_preorder(shape):
 def test_evacuation_and_peel_tables(shape):
     """Each ev_k table, derived from ev_{k-1}'s, against `partial_evacuate`;
     for J = {1, ..., k-1}, phi_J = ev_k ev_k ev_k is ev_k, so the first
-    table of `_j_table` must be ev_k too.  The peel table, derived from
-    the smaller shapes', against `total_index_key`."""
+    table of `_j_table` must be ev_k too.  The cell's peel keys, derived
+    from the smaller cells', against `total_index_key`."""
     tabs = specht.cell(shape).tableaux
     n = sum(shape)
     for k in range(1, n + 1):
@@ -147,7 +148,7 @@ def test_evacuation_and_peel_tables(shape):
             phi = qrkit._j_table(shape, 1, k)[0]
             assert [tabs[i] for i in phi] == want
     # the peel to one box is the total index key without its last label
-    assert qrkit._peel_table(shape) == tuple(total_index_key(t)[:-1] for t in tabs)
+    assert specht.cell(shape).peels == [total_index_key(t)[:-1] for t in tabs]
 
 
 def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch,
