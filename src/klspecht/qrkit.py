@@ -14,10 +14,10 @@ thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
 invertible matrix is unique, so that holds exactly when P^T M is upper
 triangular with a positive diagonal: row P(c) of M vanishes left of
 column c and is nonzero in column c, with the sign of column c of P.
-Both verifiers decide through `_decide`, which runs this test on the
-integer entries of M's packed rows (`_pivot_test`, below) in O(d^2)
-without factoring, and unpacks M and runs `exact_qr` only when it fails,
-to name the failure.
+Both verifiers run this test on the integer entries of M's packed rows
+(`_pivot_test`, below) in O(d^2) without factoring, and decide on its
+pivots through `_decide`, which unpacks M and runs `exact_qr` only when
+the test fails, to name the failure.
 `exact_qr` remains the factorization behind the `qr` command and the
 basis-order loop shared by `search_ordering` and `verify_counterexample`.
 
@@ -40,7 +40,11 @@ The verifiers check matrices of the Specht module action:
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
   preorder.  Everything a check shares with other checks is derived
   once (see "Shared thm4 state" below); the rest costs one extension of
-  the state of the chain without J_k and the decision.
+  the state of the chain without J_k and the decision, and a chain of
+  two or more members ending in J = {1, ..., n-1} is decided from the
+  pivots of the chain without it.  The one-member chain of that J, w0,
+  also checks the value of its sign, (-1)**n(lambda) by a rule observed
+  up to n = 8 (see `verify_thm4_chain`).
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
@@ -111,24 +115,38 @@ any order take the same path and get the same reports.
   tableau directly (`_preorder_key` reads the total index key of
   ev_q(T)): a route apart from the tables, which are tested against it.
 * Chain states: per (shape, blocks of a chain), the packed rows of
-  M(chain), the basis order, an int class key per position and the
-  composite phi, all by position (`_ChainState`).  Only equality of keys
-  is read: two positions are in one class when all their ranks agree.
+  M(chain), the basis order, an int class key per position, the
+  composite phi and the pivots of the pivot test (None when it fails),
+  all by position (`_ChainState`).  Only equality of keys is read: two
+  positions are in one class when all their ranks agree.  Each state
+  runs its pivot test once, when it is built.
   A chain's state grows from the state of the chain without J_k, read
   from a store of the states of chains that extend further
   (`_chain_states`), in O(nnz(M(w_{J_k}))) big-int additions and O(d)
   small steps: the order is the prefix order sorted stably on the rank
   of J_k, each key is the prefix's key times d plus J_k's rank (ranks
-  are below d), and phi is phi_{J_k} after the prefix's phi.  A chain
-  ending in J = {1, ..., n-1} extends no other and is not stored.  The
-  store is a dict bounded by its total count of matrix slots, 2**20: a
-  state that would take the count past that empties it first.  Every
-  stored state up to n = 6 fits (86988 slots), so a sweep in any order
-  computes each state once.  One shape's states fit at n = 7 (at most
-  483875 slots) but not at n = 8 (up to 10.9 M for (4, 2, 1, 1)), and
-  all of them would take 54 M slots there.  A DFS sweep reads only the
-  states along its current path, so an emptying costs it at most n - 2
-  extra products to rebuild that path: 94 for the 53 emptyings at n = 8.
+  are below d), and phi is phi_{J_k} after the prefix's phi.
+* The long element w0, J = {1, ..., n-1}, acts by signed evacuation
+  (Berenstein-Zelevinsky; Stembridge): M(w0) = eps P_ev, P_ev sending
+  column T to row ev(T), checked once per shape on its factor
+  (`_w0_sign`; it holds on every shape with n <= 8).  Row phi(T) of
+  M(w0) M(C) is then eps times row phi_C(T) of M(C), as ev is an
+  involution, and that J has one class.  So the state of a chain
+  C < {1, ..., n-1}, C nonempty, takes C's order, keys and pivots times
+  eps, and only composes phi: no product, sort, key list or pivot test,
+  and no matrix.  That holds whenever C's pivot test passes and
+  `_w0_sign` is not None; otherwise the state is built as above.  These
+  are 1547 of the 3122 checks up to n = 6.
+* Store: a chain ending in J = {1, ..., n-1} extends no other and is
+  not stored.  The store is a dict bounded by its total count of matrix
+  slots, 2**20: a state that would take the count past that empties it
+  first.  Every stored state up to n = 6 fits (86988 slots), so a sweep
+  in any order computes each state once.  One shape's states fit at
+  n = 7 (at most 483875 slots) but not at n = 8 (up to 10.9 M for
+  (4, 2, 1, 1)), and all of them would take 54 M slots there.  A DFS
+  sweep reads only the states along its current path, so an emptying
+  costs it at most n - 2 extra products to rebuild that path: 94 for the
+  53 emptyings at n = 8.
 
 Reports.  Both verifiers decide on positions and integer class keys.
 Each order lists every class contiguously (thm4's is sorted on the
@@ -412,27 +430,26 @@ def _long_cycle(shape: Partition) -> _Packed:
     return cell(shape).fold(reduced_word(long_cycle(sum(shape))))
 
 
-def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
-            image: Sequence[int], keys: Sequence[int], symmetry: str,
-            blocks: tuple[tuple[int, int], ...] | None
-            ) -> tuple[list[int] | None, list[str]]:
-    """Is Q of the packed matrix p (total index order), reindexed to the
-    basis order `ids` (cell positions), the signed permutation of the
-    tableau symmetry i -> image[i] (cell positions), with signs constant
-    on classes?  Positions i and j are in one class when keys[i] ==
-    keys[j], and `ids` lists each class contiguously, so a sign may
-    change only where the key does.  `blocks` names the classes (see
-    `_class_labels`).
+def _decide(shape: Partition, p: _Packed | None, ids: Sequence[int],
+            image: Sequence[int], keys: Sequence[int],
+            pivots: Sequence[int] | None, symmetry: str,
+            blocks: tuple[tuple[int, int], ...] | None) -> list[str]:
+    """Why Q of the packed matrix p (total index order), reindexed to the
+    basis order `ids` (cell positions), is not the signed permutation of
+    the tableau symmetry i -> image[i] (cell positions) with signs
+    constant on classes, given the `_pivot_test` of p (None when it
+    fails).  Positions i and j are in one class when keys[i] == keys[j],
+    and `ids` lists each class contiguously, so a sign may change only
+    where the key does.  `blocks` names the classes (see `_class_labels`).
 
-    Returns the pivots (None when the pivot test fails) and the failures.
     Only a failing check unpacks p or renders a label, to name its
-    failure."""
-    pivots = _pivot_test(p, ids, image)
+    failure; a passing one never reads p, which a state read off its
+    prefix's leaves None."""
     if pivots is None:
         pos = _inverse(ids)
         target = [pos[image[i]] for i in ids]
-        return None, _qr_failures(_reindexed(p, ids), target,
-                                  _labels(shape, ids), symmetry)
+        return _qr_failures(_reindexed(p, ids), target,
+                            _labels(shape, ids), symmetry)
     failures = []
     key = None
     for i, v in zip(ids, pivots):
@@ -442,7 +459,7 @@ def _decide(shape: Partition, p: _Packed, ids: Sequence[int],
             word = 'index class' if blocks is None else 'class'
             failures.append(f'sign flips inside {word} '
                             f'{_class_labels(shape, blocks)[i]}')
-    return pivots, failures
+    return failures
 
 
 def _labels(shape: Partition, ids: Sequence[int]) -> tuple[str, ...]:
@@ -502,8 +519,9 @@ def verify_thm1(shape: Partition,
         raise ValueError('order must be weakly increasing in tableau index')
     packed = _long_cycle(shape)
     table = _promotion_table(shape)
-    pivots, failures = _decide(shape, packed, ids, table, indexes,
-                               'promotion', None)
+    pivots = _pivot_test(packed, ids, table)
+    failures = _decide(shape, packed, ids, table, indexes, pivots,
+                       'promotion', None)
     # in an index-monotone order, passing pivots of +-1 imply the
     # leading terms (see the module docstring)
     if pivots is None or any(v != 1 and v != -1 for v in pivots):
@@ -705,10 +723,11 @@ class _ChainState(NamedTuple):
     A chain's state grows from the state of the chain without its
     outermost member (see "Shared thm4 state")."""
 
-    m: _Packed  # M(w_{J_k} ... w_{J_1})
+    m: _Packed | None  # M(w_{J_k} ... w_{J_1}); None when derived
     perm: list[int]  # the basis order
     key: Sequence[int]  # the composite class key: equal keys, one class
     phi: Sequence[int]  # the composite symmetry
+    pivots: list[int] | None  # its `_pivot_test`, None when that fails
 
 
 class _SlotBoundedStore(dict):
@@ -744,40 +763,86 @@ def _chain_state(shape: Partition,
     """The state of the chain of these blocks, grown from the (cached)
     state of the chain without J_k: M(w_{J_k}) times its packed rows, its
     order sorted stably on the rank of J_k, its key times d plus J_k's
-    rank, and phi_{J_k} after its phi.  The result is shared with the
-    cache: callers must not change it."""
+    rank, phi_{J_k} after its phi, and the pivots of the result.  When
+    J_k = {1, ..., n-1} and M(w0) = eps P_ev (`_w0_sign`), the state is
+    read off the prefix's instead, with no product.  The result is shared
+    with the cache: callers must not change it."""
     key = (shape, blocks)
     state = _chain_states.get(key)
     if state is not None:
         return state
     p, q = blocks[-1]
+    full = q - p == sum(shape) - 1
     phi_k, rank_k, _ = _j_table(shape, p, q)
     if len(blocks) == 1:
-        state = _ChainState(_pack(_block_factor(shape, p, q), _SLOT_WIDTH),
-                            sorted(range(len(phi_k)), key=rank_k.__getitem__),
-                            rank_k, phi_k)
+        m = _pack(_block_factor(shape, p, q), _SLOT_WIDTH)
+        perm = sorted(range(len(phi_k)), key=rank_k.__getitem__)
+        keys, phi = rank_k, phi_k
     else:
         prefix = _chain_state(shape, blocks[:-1])
+        phi = list(map(phi_k.__getitem__, prefix.phi))
+        if full and prefix.pivots is not None:
+            sign = _w0_sign(shape)
+            if sign is not None:
+                # row phi(i) of eps P_ev M(prefix) is eps times row
+                # prefix.phi(i) of M(prefix), as ev is an involution; and
+                # J has one class, so the order and classes are the prefix's
+                return _ChainState(None, prefix.perm, prefix.key, phi,
+                                   [sign * v for v in prefix.pivots])
         d = len(phi_k)
-        state = _ChainState(
-            _times(_block_factor(shape, p, q), prefix.m),
-            sorted(prefix.perm, key=rank_k.__getitem__),
-            [k * d + r for k, r in zip(prefix.key, rank_k)],
-            list(map(phi_k.__getitem__, prefix.phi)))
+        m = _times(_block_factor(shape, p, q), prefix.m)
+        perm = sorted(prefix.perm, key=rank_k.__getitem__)
+        keys = [k * d + r for k, r in zip(prefix.key, rank_k)]
+    state = _ChainState(m, perm, keys, phi, _pivot_test(m, perm, phi))
     # a chain ending in J = {1, ..., n-1} is a prefix of no other
-    if q - p < sum(shape) - 1:
+    if not full:
         _chain_states.put(key, state)
     return state
 
 
+@lru_cache(maxsize=None)
+def _w0_sign(shape: Partition) -> int | None:
+    """eps when M(w0) = eps P_ev in the total index order, else None: row
+    r of the factor of J = {1, ..., n-1} has exactly one pick, eps in
+    column ev[r], and ev = `_j_table`'s phi_J (evacuation) is an
+    involution.  The long element acts so on every shape with n <= 8,
+    with eps = (-1)**n(lambda) (see `verify_thm4_chain`)."""
+    n = sum(shape)
+    picks = _block_factor(shape, 1, n).picks
+    ev = _j_table(shape, 1, n)[0]
+    if any(ev[e] != r for r, e in enumerate(ev)):
+        return None
+    d = len(ev)
+    for sign, offset in ((1, 0), (-1, d)):
+        if all(pick == (offset + e,) for pick, e in zip(picks, ev)):
+            return sign
+    return None
+
+
 def verify_thm4_chain(shape: Partition,
                       chain: Sequence[Iterable[int]]) -> CheckReport:
-    """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry."""
+    """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry.
+
+    The one-member chain J = {1, ..., n-1}, i.e. w0, also checks the value
+    of its one class's sign against the rule observed on every shape up
+    to n = 8 (the statement quoted in PAPER.md stops before the sign):
+    (-1)**n(lambda), n(lambda) = sum of (i - 1) lambda_i, the sign of w0
+    acting by evacuation (Berenstein-Zelevinsky; Stembridge, Duke Math.
+    J. 82, 1996)."""
     t0 = time.perf_counter()
-    blocks, w = _chain_data(tuple(map(frozenset, chain)), sum(shape))
+    n = sum(shape)
+    blocks, w = _chain_data(tuple(map(frozenset, chain)), n)
     state = _chain_state(shape, blocks)
-    pivots, failures = _decide(shape, state.m, state.perm, state.phi,
-                               state.key, 'the composite symmetry', blocks)
+    pivots = state.pivots
+    failures = _decide(shape, state.m, state.perm, state.phi, state.key,
+                       pivots, 'the composite symmetry', blocks)
+    if blocks == ((1, n),) and pivots is not None:
+        s = 1 if pivots[0] > 0 else -1
+        want = (-1) ** sum(i * part for i, part in enumerate(shape))
+        if s != want:
+            label = _class_labels(shape, blocks)[state.perm[0]]
+            failures.append(f'class {label} has sign {s:+d}, '
+                            f'expected {want:+d}')
     return CheckReport(
         theorem='thm4',
         passed=not failures,

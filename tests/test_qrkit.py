@@ -321,14 +321,18 @@ def test_thm4_rejects_bad_chains(cold_caches):
 
 
 def _checked_matrices(monkeypatch):
-    """Record every matrix the verifiers decide on: the packed input of
-    `_decide`, unpacked and reindexed to the checked basis order."""
+    """Record every check the verifiers decide: the packed input of
+    `_decide`, unpacked and reindexed to the checked basis order (None for
+    a thm4 state read off its prefix's, which builds no matrix), the row
+    each column is sent to in that order, and the pivots it decides on."""
     seen = []
     real = qrkit._decide
 
-    def spy(shape, packed, ids, *rest):
-        seen.append(mat_reindex(unpack_rows(packed), ids))
-        return real(shape, packed, ids, *rest)
+    def spy(shape, packed, ids, image, keys, pivots, *rest):
+        pos = qrkit._inverse(ids)
+        m = None if packed is None else mat_reindex(unpack_rows(packed), ids)
+        seen.append((m, [pos[image[i]] for i in ids], pivots))
+        return real(shape, packed, ids, image, keys, pivots, *rest)
 
     monkeypatch.setattr(qrkit, '_decide', spy)
     return seen
@@ -339,14 +343,27 @@ def _basis(report):
 
 
 def test_thm4_chain_matrix_from_cached_factors(monkeypatch):
+    """Every thm4 check decides on the pivots of `matrix_of` of its w in
+    its basis order: on that matrix itself, built from the cached
+    factors, or, for a chain of two or more members ending in
+    J = {1, ..., n-1}, on pivots read off its prefix's, with no matrix."""
     seen = _checked_matrices(monkeypatch)
+    derived = 0
     for n in range(2, 6):
         for shape in partitions(n):
             for chain in all_connected_chains(n):
                 report = verify_thm4_chain(shape, chain)
-                w = tuple(report.witness['w'])
-                assert seen.pop() == matrix_of(shape, w, _basis(report))
+                want = matrix_of(shape, tuple(report.witness['w']),
+                                 _basis(report))
+                m, target, pivots = seen.pop()
+                if m is None:
+                    assert _is_twin(chain, n)
+                    derived += 1
+                else:
+                    assert m == want
+                assert pivots == list_pivots(want, target)
     assert not seen
+    assert derived == sum(len(partitions(n)) * _twins(n) for n in range(3, 6))
 
 
 def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
@@ -358,7 +375,10 @@ def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
                                for _ in range(5)]
             for order in orders:
                 report = verify_thm1(shape, order)
-                assert seen.pop() == matrix_of(shape, long_cycle(n), _basis(report))
+                want = matrix_of(shape, long_cycle(n), _basis(report))
+                m, target, pivots = seen.pop()
+                assert m == want
+                assert pivots == list_pivots(want, target)
     assert not seen
 
 
@@ -418,6 +438,7 @@ def test_long_element_acts_as_signed_evacuation(n):
         picks = tuple((k if sign == 1 else d + k,) for k in ev)
         want = specht._Terms(picks, (), 1, 1)
         assert qrkit._block_factor(shape, 1, n) == want, shape
+        assert qrkit._w0_sign(shape) == sign, shape
 
 
 def test_thm1_decides_at_any_slot_width(monkeypatch, cold_caches):
@@ -497,15 +518,29 @@ def _count_store_traffic(monkeypatch):
     return current, products, emptyings
 
 
-def _multi_member_checks(n):
-    return len(partitions(n)) * sum(len(c) >= 2 for c in all_connected_chains(n))
+def _is_twin(chain, n):
+    """A chain of two or more members ending in J = {1, ..., n-1}: its
+    state is read off its prefix's, with no product."""
+    return len(chain) >= 2 and chain[-1] == frozenset(range(1, n))
+
+
+def _twins(n):
+    return sum(_is_twin(c, n) for c in all_connected_chains(n))
+
+
+def _product_checks(n):
+    """The checks at n that cost one chain product each: those of a chain
+    of two or more members that does not end in J = {1, ..., n-1}."""
+    multi = sum(len(c) >= 2 for c in all_connected_chains(n))
+    return len(partitions(n)) * (multi - _twins(n))
 
 
 def test_shuffled_thm4_sweep_never_empties_the_store(monkeypatch, cold_caches):
     """The states of the chains that extend further take 86988 slots up to
     n = 6, far below the 2**20 budget: a sweep shuffled within each n, as
     the benchmark runs it, never empties the store and makes exactly one
-    chain product per check of a chain with two or more members."""
+    chain product per check of a chain with two or more members that does
+    not end in J = {1, ..., n-1}."""
     current, products, emptyings = _count_store_traffic(monkeypatch)
     rng = Random(24)
     for n in range(2, 7):
@@ -515,8 +550,8 @@ def test_shuffled_thm4_sweep_never_empties_the_store(monkeypatch, cold_caches):
         rng.shuffle(checks)
         for check in checks:
             verify_thm4_chain(*check)
-        assert products[n] == _multi_member_checks(n)
-    assert products[6] == 2376
+        assert products[n] == _product_checks(n)
+    assert products[6] == 1111
     assert not emptyings
     assert qrkit._chain_states.slots == 86988
 
@@ -524,7 +559,8 @@ def test_shuffled_thm4_sweep_never_empties_the_store(monkeypatch, cold_caches):
 def test_dfs_thm4_sweep_rebuilds_only_the_current_path(monkeypatch, cold_caches):
     """Under a budget of a few states, a DFS sweep empties the store often,
     and each emptying costs at most n - 2 extra chain products: only the
-    prefixes of the chain being checked are rebuilt."""
+    prefixes of the chain being checked are rebuilt.  At n = 6 the 497
+    emptyings cost 186 extra products."""
     current, products, emptyings = _count_store_traffic(monkeypatch)
     monkeypatch.setattr(qrkit._chain_states, 'budget', 400)
     for n in range(2, 7):
@@ -532,9 +568,131 @@ def test_dfs_thm4_sweep_rebuilds_only_the_current_path(monkeypatch, cold_caches)
         for shape in partitions(n):
             for r in cli._thm4_job(shape):
                 assert r.passed
-        extra = products[n] - _multi_member_checks(n)
+        extra = products[n] - _product_checks(n)
         assert 0 <= extra <= (n - 2) * emptyings[n]
-    assert emptyings[6] > 100
+    assert (emptyings[6], products[6] - _product_checks(6)) == (497, 186)
+
+
+def _records_both_ways(monkeypatch, checks):
+    """The records of these thm4 checks with each chain ending in
+    J = {1, ..., n-1} read off its prefix's state where `_w0_sign` allows,
+    and with every state built by its own product (`_w0_sign` None)."""
+    derived = [verify_thm4_chain(*check).record() for check in checks]
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_w0_sign', lambda shape: None)
+        built = [verify_thm4_chain(*check).record() for check in checks]
+    return derived, built
+
+
+def test_states_read_off_the_prefix_keep_every_record(monkeypatch,
+                                                      cold_caches):
+    """Every thm4 record for n <= 6, and for a seeded sample at n = 7,
+    equals the one built with a product for every chain; and every chain
+    of two or more members ending in J = {1, ..., n-1} is read off its
+    prefix's state there, with no matrix."""
+    checks = _thm4_checks(6) + Random(30).sample(
+        [(shape, chain) for shape in partitions(7)
+         for chain in all_connected_chains(7)], 400)
+    derived, built = _records_both_ways(monkeypatch, checks)
+    assert derived == built
+    assert all(r['passed'] for r in derived)
+    twins = 0
+    for shape, chain in checks:
+        n = sum(shape)
+        if _is_twin(chain, n):
+            blocks, _ = qrkit._chain_data(chain, n)
+            assert qrkit._chain_state(shape, blocks).m is None
+            twins += 1
+    assert twins == 1768  # 1547 for n <= 6 and 221 of the sample
+
+
+def _swap_picks(picks, ev):
+    picks[0], picks[1] = picks[1], picks[0]
+
+
+def _negate_pick(picks, ev):
+    picks[0] = tuple((x + len(picks)) % (2 * len(picks)) for x in picks[0])
+
+
+def _add_pick(picks, ev):
+    picks[0] += picks[1]
+
+
+def _rotate_rows(picks, ev):
+    """M(w0) and ev with rows 0, 1, 2 rotated alike: M(w0) = +-P_ev
+    still, but ev is no longer an involution."""
+    picks[:3] = picks[1:3] + picks[:1]
+    ev[:3] = ev[1:3] + ev[:1]
+
+
+@pytest.mark.parametrize(
+    'fault', [_swap_picks, _negate_pick, _add_pick, _rotate_rows])
+def test_a_faulty_w0_takes_the_long_route(monkeypatch, cold_caches, fault):
+    """With two rows of M(w0) on (3, 2) swapped, one row negated, one row
+    given a second entry, or three rows rotated together with ev, M(w0)
+    is not +-(the permutation matrix of an involution ev): `_w0_sign`
+    refuses it, so every state is built by its product and every record
+    equals the one built so on purpose.  Some chains ending in
+    J = {1, ..., 4} fail, and only those (all of them for the swap)."""
+    shape = (3, 2)
+    real_factor, real_table = qrkit._block_factor, qrkit._j_table
+    picks = list(real_factor(shape, 1, 5).picks)
+    ev = list(real_table(shape, 1, 5)[0])
+    fault(picks, ev)
+    factor = real_factor(shape, 1, 5)._replace(picks=tuple(picks))
+    table = (tuple(ev),) + real_table(shape, 1, 5)[1:]
+    monkeypatch.setattr(qrkit, '_block_factor', lambda *args: factor
+                        if args == (shape, 1, 5) else real_factor(*args))
+    monkeypatch.setattr(qrkit, '_j_table', lambda *args: table
+                        if args == (shape, 1, 5) else real_table(*args))
+    assert qrkit._w0_sign(shape) is None
+    chains = all_connected_chains(5)
+    derived, built = _records_both_ways(
+        monkeypatch, [(shape, chain) for chain in chains])
+    assert derived == built
+    ends_in_w0 = [chain[-1] == frozenset(range(1, 5)) for chain in chains]
+    failed = [not r['passed'] for r in derived]
+    assert any(failed)
+    assert all(e for e, f in zip(ends_in_w0, failed) if f)
+    if fault is _swap_picks:
+        assert failed == ends_in_w0
+
+
+def test_thm4_checks_the_sign_value_of_w0(cold_caches):
+    """Negating every generator (the module twisted by the sign
+    character) negates M(w0), a product of n(n - 1)/2 generators, exactly
+    when n is 2, 3 or 6 here, and leaves its pivot positions.  The check
+    of the chain J = {1, ..., n-1} then fails on every such shape, with
+    one line naming both signs, and keeps its record at n = 4 and 5.  The
+    generators are restored after each shape."""
+    def uncached():
+        qrkit._block_factor.cache_clear()
+        qrkit._w0_sign.cache_clear()
+        qrkit._chain_states.clear()
+
+    for n in range(2, 7):
+        chain = [set(range(1, n))]
+        for shape in partitions(n):
+            cl = specht.cell(shape)
+            want = verify_thm4_chain(shape, chain).record()
+            assert want['passed']
+            real = cl._generator_terms
+            cl._generator_terms = tuple(map(_negated, real))
+            uncached()
+            try:
+                report = verify_thm4_chain(shape, chain)
+            finally:
+                cl._generator_terms = real
+                uncached()
+            if n * (n - 1) // 2 % 2 == 0:
+                assert report.record() == want
+                continue
+            assert not report.passed
+            (label, s), = want['signs'].items()
+            assert s == (-1) ** sum(i * part for i, part in enumerate(shape))
+            assert report.failures == [
+                f'class {label} has sign {-s:+d}, expected {s:+d}']
+            assert verify_thm4_chain(shape, chain).record() == want
 
 
 def test_narrow_slots_raise_instead_of_truncating(monkeypatch, cold_caches):
@@ -650,7 +808,10 @@ def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
     it had when each check built its labels and class strings at once:
     the last pivot of every passing pivot test negated (a sign flips
     inside a class, or not), and s_j replaced by s_{n-j} (the pivot test
-    fails, and `exact_qr` names why)."""
+    fails, and `exact_qr` names why).  The one exception: the first fault
+    also negates the one pivot of w0 on (n) and (1^n), which the check of
+    w0's sign value then fails; without that line, the sha256 is the
+    same."""
     real = qrkit._pivot_test
 
     def last_negated(p, ids, image):
@@ -667,9 +828,17 @@ def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
                     records += [verify_thm4_chain(shape, chain).record()
                                 for chain in all_connected_chains(n)]
         cold_caches()
-    assert (len(records), sum(not r['passed'] for r in records)) == (1128, 412)
+    assert (len(records), sum(not r['passed'] for r in records)) == (1128, 416)
     assert {f.split(' ')[0] for r in records for f in r['failures']} \
-        == {'sign', 'Q', 'no'}
+        == {'sign', 'Q', 'no', 'class'}
+    valued = [r for r in records if r['failures'][:1] == [
+        'class ((),) has sign -1, expected +1']]
+    assert [(r['shape'], r['witness']['chain'], len(r['failures']))
+            for r in valued] == [
+        ([4], [[1, 2, 3]], 1), ([1, 1, 1, 1], [[1, 2, 3]], 1),
+        ([5], [[1, 2, 3, 4]], 1), ([1, 1, 1, 1, 1], [[1, 2, 3, 4]], 1)]
+    for r in valued:
+        r['failures'], r['passed'] = [], True
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
     assert digest.hexdigest() == (
         'ab6fd09280609c3230431c06b1b209857417b544ea89791937a84eead46eabb0')
@@ -865,14 +1034,19 @@ def test_exact_qr_equals_gram_schmidt(m):
 
 def n6_chain_matrices(count=40, seed=13):
     """M(w_{J_k} ... w_{J_1}) for a seeded sample of n = 6 shapes and
-    chains, in the chain's basis order and in the total index order."""
+    chains, in the chain's basis order (through `matrix_of` for a state
+    read off its prefix's) and in the total index order."""
     rng = Random(seed)
     pairs = [(shape, chain) for shape in partitions(6)
              for chain in all_connected_chains(6)]
     for shape, chain in rng.sample(pairs, count):
         blocks, w = qrkit._chain_data(chain, 6)
         state = qrkit._chain_state(shape, blocks)
-        yield qrkit._reindexed(state.m, state.perm)
+        if state.m is None:  # read off its prefix's state: no matrix
+            tableaux = specht.cell(shape).tableaux
+            yield matrix_of(shape, w, [tableaux[i] for i in state.perm])
+        else:
+            yield qrkit._reindexed(state.m, state.perm)
         yield matrix_of(shape, w)
 
 
