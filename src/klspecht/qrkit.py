@@ -14,10 +14,12 @@ thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
 invertible matrix is unique, so that holds exactly when P^T M is upper
 triangular with a positive diagonal: row P(c) of M vanishes left of
 column c and is nonzero in column c, with the sign of column c of P.
-Both verifiers run this test on the integer entries of M's packed rows
-(`_pivot_test`, below) in O(d^2) without factoring, and decide on its
-pivots through `_decide`, which unpacks M and runs `exact_qr` only when
-the test fails, to name the failure.
+thm1 runs this test on the integer entries of M's packed rows
+(`_pivot_test`, below) in O(d^2) without factoring; thm4 reads its
+pivots off the block structure of the chain's members and runs it only
+on a module where that structure fails.  Both decide on the pivots, kept
+by position, through `_decide`, which unpacks M and runs `exact_qr` only
+when the test fails, to name the failure.
 `exact_qr` remains the factorization behind the `qr` command and the
 basis-order loop shared by `search_ordering` and `verify_counterexample`.
 
@@ -40,11 +42,10 @@ The verifiers check matrices of the Specht module action:
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
   preorder.  Everything a check shares with other checks is derived
   once (see "Shared thm4 state" below); the rest costs one extension of
-  the state of the chain without J_k and the decision, and a chain of
-  two or more members ending in J = {1, ..., n-1} is decided from the
-  pivots of the chain without it.  The one-member chain of that J, w0,
-  also checks the value of its sign, (-1)**n(lambda) by a rule observed
-  up to n = 8 (see `verify_thm4_chain`).
+  the state of the chain without J_k, read off its pivots with no
+  matrix, and the decision.  A one-member chain also checks the value of
+  each class's sign, by a rule observed up to n = 8 (see
+  `verify_thm4_chain`).
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
@@ -56,23 +57,23 @@ packed fold of a reduced word of c (`_long_cycle`).  thm4 reads, per
 block J = {p, ..., q-1}, M(w_J) as the nonzero entries a product reads
 on its left (`_block_factor`): s_p itself for |J| = 1, and otherwise the
 fold of s_p ... s_{q-1} on the cached M(w_{J'}), J' = J without q-1,
-read off the slots of packed rows that no passing check unpacks.  They
-are never reindexed on a passing check: reordering a basis conjugates
-every factor by the same permutation, so a check reads the total index
-order through its basis order, and a failing check reindexes its matrix
-once, to exactly `matrix_of` of w in the checked order.  `matrix_of`
+read off the slots of packed rows that no passing check unpacks; it
+checks their block structure once (`_j_signs`) and multiplies no chain.
+Its one long route, for a module where that structure fails, packs the
+fold of a reduced word of the chain's w (`_chain_matrix`).  Matrices are
+never reindexed on a passing check: reordering a basis conjugates every
+factor by the same permutation, so a check reads the total index order
+through its basis order, and a failing check reindexes its matrix once,
+to exactly `matrix_of` of w in the checked order.  `matrix_of`
 itself is not cached: a caller sweeping all of S_n would otherwise keep
 n! matrices alive.
 
-Packed rows.  The verifiers decide on `specht`'s packed rows (see its
-docstring).  M(c) keeps the slot width of its fold (32 bits up to n = 8,
-where its entry bound needs at most 17); thm4 packs M(w_{J_1}) at W =
-`_SLOT_WIDTH` = 32 bits per slot, and a product whose entry bound would
-not fit raises `QRInvariantError`.  Over every chain that bound needs at
-most 9 bits at n = 6, 15 at n = 7 and 22 at n = 8.  The pivot test reads
-any width.  With the bias word, a column's pivot test is one and with
-the mask of the columns before it, and its pivot is one extract, one
-subtraction and one shift (`_pivot_test`).
+Packed rows.  The pivot test reads `specht`'s packed rows (see its
+docstring) at any slot width: the width each fold picks from its word
+(32 bits for M(c) up to n = 8, where its entry bound needs at most 17).
+With the bias word, a column's pivot test is one and with the mask of
+the columns before it, and its pivot is one extract, one subtraction
+and one shift (`_pivot_test`).
 
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
@@ -105,8 +106,9 @@ any order take the same path and get the same reports.
   box (the total index key without its last label) are the cell's
   `peels`, kept as the cell is assembled.
 * Per (shape, J), one table composed from those and the peel keys
-  (`_j_table`): phi_J = ev_q ev_m ev_q, and the dense rank and str of
-  the preorder key, the first n-m labels of the peel of ev_q(T).  A
+  (`_j_table`): phi_J = ev_q ev_m ev_q (`_phi_table`, which (c) below
+  reads alone), and the dense rank and str of the preorder key, the
+  first n-m labels of the peel of ev_q(T).  A
   chain reads it once per J: its basis order sorts positions on the
   rank lists, outermost J first, and its class keys combine the ranks.
   The key strings are read only to label a class: when a report renders
@@ -114,75 +116,74 @@ any order take the same path and get the same reports.
   `phi_connected` and `preorder_connected` evacuate and peel each
   tableau directly (`_preorder_key` reads the total index key of
   ev_q(T)): a route apart from the tables, which are tested against it.
-* Chain states: per (shape, blocks of a chain), the packed rows of
-  M(chain), the basis order, an int class key per position, the
-  composite phi and the pivots of the pivot test (None when it fails),
-  all by position (`_ChainState`).  Only equality of keys is read: two
-  positions are in one class when all their ranks agree.  Each state
-  runs its pivot test once, when it is built.
-  A chain's state grows from the state of the chain without J_k, read
-  from a store of the states of chains that extend further
-  (`_chain_states`), in O(nnz(M(w_{J_k}))) big-int additions and O(d)
-  small steps: the order is the prefix order sorted stably on the rank
-  of J_k, each key is the prefix's key times d plus J_k's rank (ranks
-  are below d), and phi is phi_{J_k} after the prefix's phi.
-* The long element w0, J = {1, ..., n-1}, acts by signed evacuation
-  (Berenstein-Zelevinsky; Stembridge): M(w0) = eps P_ev, P_ev sending
-  column T to row ev(T), checked once per shape on its factor
-  (`_w0_sign`; it holds on every shape with n <= 8).  Row phi(T) of
-  M(w0) M(C) is then eps times row phi_C(T) of M(C), as ev is an
-  involution, and that J has one class.  So the state of a chain
-  C < {1, ..., n-1}, C nonempty, takes C's order, keys and pivots times
-  eps, and only composes phi: no product, sort, key list or pivot test,
-  and no matrix.  That holds whenever C's pivot test passes and
-  `_w0_sign` is not None; otherwise the state is built as above.  These
-  are 1547 of the 3122 checks up to n = 6.
-* Store: a chain ending in J = {1, ..., n-1} extends no other and is
-  not stored.  The store is a dict bounded by its total count of matrix
-  slots, 2**20: a state that would take the count past that empties it
-  first.  Every stored state up to n = 6 fits (86988 slots), so a sweep
-  in any order computes each state once.  One shape's states fit at
-  n = 7 (at most 483875 slots) but not at n = 8 (up to 10.9 M for
-  (4, 2, 1, 1)), and all of them would take 54 M slots there.  A DFS
-  sweep reads only the states along its current path, so an emptying
-  costs it at most n - 2 extra products to rebuild that path: 94 for the
-  53 emptyings at n = 8.
+* Block structure, per (shape, J), checked once (`_j_signs`).  Three
+  conditions, observed on all 1205 (shape, J) pairs with 3 <= n <= 8 and
+  checked at run time, not assumed, in the rank of J's preorder:
+  (a) M(w_J) is block upper triangular (entry (r, c) is nonzero only when
+      rank[r] <= rank[c]), and inside each diagonal block its only entries
+      are +-1 at (phi_J(c), c);
+  (b) every s_j with j in J is block upper triangular;
+  (c) phi_{J'} keeps the rank for every connected J' <= J.
+  For J = {1, ..., n-2} the rank is the tableau index, and (a) is the
+  filtration that `specht.check_branching` compares with S_{n-1}.  For
+  J = {1, ..., n-1}, one class, (a) says M(w0) = eps P_ev, the signed
+  evacuation of Berenstein-Zelevinsky and Stembridge.  `_j_signs` returns
+  the sign of each column's diagonal-block entry, or None.
+* Chain states: per (shape, blocks of a chain), the basis order, an int
+  class key per position, the composite phi and the pivots (None when
+  the chain fails), all by position (`_ChainState`).  Only equality of
+  keys is read: two positions are in one class when all their ranks
+  agree.  A chain C + J grows from the state of C in O(d) small steps:
+  the order is C's order sorted stably on the rank of J, each key is C's
+  key times d plus J's rank (ranks are below d), and phi is phi_J after
+  C's phi.  When (a)-(c) hold for J and C passed, C + J passes with the
+  pivot at x equal to J's sign at phi_C(x) times C's pivot at x.  By (b),
+  M(C) is block upper in J's rank, and by (c) phi_C keeps that rank, so
+  in C + J's order row phi_J phi_C(x) of M(w_J) M(C) vanishes on every
+  column before x and is that product at x.  A one-member chain (C empty)
+  has J's signs as its pivots.  Otherwise, only in a module that fails
+  (a)-(c), the state runs the pivot test on `_chain_matrix`.
+* Store: the states of the chains that extend further, in an lru_cache
+  of 2048 entries on `_chain_state`.  A chain ending in J = {1, ..., n-1}
+  extends no other and is built uncached.  The stored states number 1547
+  up to n = 6, so a sweep in any order builds each once there; one
+  shape's states fit at n = 7 and 8 (at most 395 and 1351), so a sweep
+  shape by shape builds each once there too, and a state an eviction
+  drops is rebuilt from its own prefix's.
 
 Reports.  Both verifiers decide on positions and integer class keys.
 Each order lists every class contiguously (thm4's is sorted on the
 composite key, thm1's is index-monotone), so `_decide` checks sign
-constancy in one pass, where the key changes.  A report keeps at once
+constancy in one pass, where the key changes, and the value of each
+class's sign at the class's first position.  A report keeps at once
 what a text line reads (passed, failures, shape, timing and thm4's
 chain) and renders its ordering, signs and the label-bearing witness
 entries from positions on first read (`_thm1_fields`, `_thm4_fields`;
 see `CheckReport`).  Their arguments are the shared lists of the chain
-state, never its packed matrix, so a report a caller keeps does not
-hold M after the store empties.
+state, which holds no matrix.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as _permutations
+from itertools import permutations as _permutations, repeat
 from math import isqrt, lcm
-from operator import mul
+from operator import le, mul, sub
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .jdt import _inverse_promote, _partial_evacuate, _promote
 from .reports import CheckReport
 from .specht import (
-    _SLOT_WIDTH,
     Matrix,
     QRInvariantError,
-    _pack,
     _Packed,
     _read_terms,
     _reindexed,
     _Terms,
-    _times,
     _words,
     cell,
     mat_reindex,
@@ -348,14 +349,14 @@ def as_signed_permutation(m: Matrix) -> SignedPermutation | None:
 def _pivot_test(p: _Packed, ids: Sequence[int],
                 image: Sequence[int]) -> list[int] | None:
     """The pivots of p reindexed to the basis order ids, with column c
-    sent to the row of image[ids[c]], read off the packed rows: row
-    image[i] must vanish on the columns ids[:c] before c and not on i,
-    and its entry on i is the pivot.  None if some row fails."""
+    sent to the row of image[ids[c]], by position, read off the packed
+    rows: row image[i] must vanish on the columns ids[:c] before c and not
+    on i, and its entry on i is pivots[i].  None if some row fails."""
     width = p.width
     bias, slots, tops, _ = _words(len(p.rows), width)
     rows = p.rows
     before = 0
-    pivots = []
+    pivots = [0] * len(rows)
     for i in ids:
         biased = rows[image[i]] + bias
         if (biased ^ bias) & before:
@@ -363,7 +364,7 @@ def _pivot_test(p: _Packed, ids: Sequence[int],
         v = ((biased & slots[i]) - tops[i]) >> i * width
         if not v:
             return None
-        pivots.append(v)
+        pivots[i] = v
         before |= slots[i]
     return pivots
 
@@ -433,32 +434,39 @@ def _long_cycle(shape: Partition) -> _Packed:
 def _decide(shape: Partition, p: _Packed | None, ids: Sequence[int],
             image: Sequence[int], keys: Sequence[int],
             pivots: Sequence[int] | None, symmetry: str,
-            blocks: tuple[tuple[int, int], ...] | None) -> list[str]:
+            blocks: tuple[tuple[int, int], ...] | None,
+            sign_of: Callable[[int], int] | None) -> list[str]:
     """Why Q of the packed matrix p (total index order), reindexed to the
     basis order `ids` (cell positions), is not the signed permutation of
     the tableau symmetry i -> image[i] (cell positions) with signs
-    constant on classes, given the `_pivot_test` of p (None when it
-    fails).  Positions i and j are in one class when keys[i] == keys[j],
-    and `ids` lists each class contiguously, so a sign may change only
-    where the key does.  `blocks` names the classes (see `_class_labels`).
+    constant on classes, given the pivots by position (`_pivot_test`;
+    None when that fails).  Positions i and j are in one class when
+    keys[i] == keys[j], and `ids` lists each class contiguously, so a sign
+    may change only where the key does.  `blocks` names the classes (see
+    `_class_labels`).  Each class's sign, that of its first pivot, must
+    also be sign_of(i) at its first position i, unless sign_of is None.
 
     Only a failing check unpacks p or renders a label, to name its
-    failure; a passing one never reads p, which a state read off its
-    prefix's leaves None."""
+    failure; a passing one never reads p, which thm4 leaves None."""
     if pivots is None:
         pos = _inverse(ids)
         target = [pos[image[i]] for i in ids]
         return _qr_failures(_reindexed(p, ids), target,
                             _labels(shape, ids), symmetry)
     failures = []
+    word = 'index class' if blocks is None else 'class'
     key = None
-    for i, v in zip(ids, pivots):
+    for i in ids:
         if keys[i] != key:
-            key, positive = keys[i], v > 0
-        elif (v > 0) != positive:
-            word = 'index class' if blocks is None else 'class'
+            key, positive = keys[i], pivots[i] > 0
+        elif (pivots[i] > 0) != positive:
             failures.append(f'sign flips inside {word} '
                             f'{_class_labels(shape, blocks)[i]}')
+    if sign_of is not None:
+        failures += [f'{word} {_class_labels(shape, blocks)[i]} has sign '
+                     f'{s:+d}, expected {-s:+d}' for i, s in
+                     _signs(range(len(ids)), ids, keys, pivots).items()
+                     if s != sign_of(i)]
     return failures
 
 
@@ -486,10 +494,10 @@ def _signs(names: Sequence, ids: Sequence[int], keys: Sequence[int],
     first position (`ids` lists each class contiguously, see `_decide`)."""
     signs = {}
     key = None
-    for i, v in zip(ids, pivots):
+    for i in ids:
         if keys[i] != key:
             key = keys[i]
-            signs[names[i]] = 1 if v > 0 else -1
+            signs[names[i]] = 1 if pivots[i] > 0 else -1
     return signs
 
 
@@ -520,8 +528,10 @@ def verify_thm1(shape: Partition,
     packed = _long_cycle(shape)
     table = _promotion_table(shape)
     pivots = _pivot_test(packed, ids, table)
+    rows = [r for r, _ in _removable_boxes(shape)]
     failures = _decide(shape, packed, ids, table, indexes, pivots,
-                       'promotion', None)
+                       'promotion', None,
+                       lambda i: (-1) ** (rows[indexes[i] - 1] - 1))
     # in an index-monotone order, passing pivots of +-1 imply the
     # leading terms (see the module docstring)
     if pivots is None or any(v != 1 and v != -1 for v in pivots):
@@ -529,13 +539,6 @@ def verify_thm1(shape: Partition,
         failures = _leading_term_failures(
             _reindexed(packed, ids), [pos[table[i]] for i in ids],
             [indexes[i] for i in ids], _labels(shape, ids)) + failures
-    if pivots is not None:
-        rows = [r for r, _ in _removable_boxes(shape)]
-        for k, s in _signs(indexes, ids, indexes, pivots).items():
-            want = (-1) ** (rows[k - 1] - 1)
-            if s != want:
-                failures.append(f'index class {k} has sign {s:+d}, '
-                                f'expected {want:+d}')
     return CheckReport(
         theorem='thm1',
         passed=not failures,
@@ -660,21 +663,27 @@ def _evacuation_table(shape: Partition, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _j_table(shape: Partition, p: int, q: int
-             ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[str, ...]]:
-    """For J = {p, ..., q-1}, at i: the position of phi_J(tableaux[i]),
-    and the dense rank and str of its `preorder_connected` key among the
-    keys of the shape.  Ranks compare as the keys do.  Composed from the
-    ev_q and ev_m tables and the cell's peel keys, with no tableau work
-    of its own."""
-    n = sum(shape)
+def _phi_table(shape: Partition, p: int, q: int) -> tuple[int, ...]:
+    """phi_J(tableaux[i]) = tableaux[table[i]] for J = {p, ..., q-1}:
+    ev_q ev_m ev_q, composed from the ev tables."""
     evq = _evacuation_table(shape, q)
     evm = _evacuation_table(shape, q - p + 1)
+    return tuple(map(evq.__getitem__, map(evm.__getitem__, evq)))
+
+
+@lru_cache(maxsize=None)
+def _j_table(shape: Partition, p: int, q: int
+             ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[str, ...]]:
+    """For J = {p, ..., q-1}, at i: the position of phi_J(tableaux[i])
+    (`_phi_table`), and the dense rank and str of its `preorder_connected`
+    key among the keys of the shape.  Ranks compare as the keys do.  The
+    keys are the first n-m labels of the cell's peel keys of ev_q, with
+    no tableau work of their own."""
+    m = q - p + 1
     peel = cell(shape).peels
-    keys = [peel[e][:n - (q - p + 1)] for e in evq]
+    keys = [peel[e][:sum(shape) - m] for e in _evacuation_table(shape, q)]
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return (tuple(evq[evm[e]] for e in evq),
-            tuple(rank[key] for key in keys),
+    return (_phi_table(shape, p, q), tuple(rank[key] for key in keys),
             tuple(str(key) for key in keys))
 
 
@@ -718,131 +727,134 @@ def _chain_data(js: tuple[frozenset[int], ...], n: int
     return blocks, tuple(w)
 
 
+def _pick_ranks(terms: _Terms, rank: Sequence[int]) -> Iterator[Iterator[int]]:
+    """The rank of the column of each pick, row by row (see `_Terms`)."""
+    ranks = [*rank, *rank, *(rank[k] for k, _ in terms.scaled)].__getitem__
+    return map(map, repeat(ranks), terms.picks)
+
+
+@lru_cache(maxsize=None)
+def _j_signs(shape: Partition, p: int, q: int) -> tuple[int, ...] | None:
+    """For J = {p, ..., q-1}, the sign of M(w_J) at (phi_J(c), c) in each
+    column c, by position, or None unless the block structure that decides
+    thm4 holds.  Observed on all 1205 (shape, J) pairs with 3 <= n <= 8 and
+    checked here, in `_j_table`'s rank of J:
+    (a) `_block_factor` is block upper triangular (entry (r, c) is nonzero
+        only when rank[r] <= rank[c]), and inside each diagonal block its
+        only entries are +-1 at (phi_J(c), c);
+    (b) every s_j with j in J is block upper triangular;
+    (c) phi_{J'} keeps the rank for every connected J' <= J.
+    Each row holds one diagonal-block entry, in the column phi_J sends to
+    it, so phi_J is a permutation and every column gets its sign."""
+    phi, rank, _ = _j_table(shape, p, q)
+    if any(tuple(map(rank.__getitem__, _phi_table(shape, a, b))) != rank
+           for a in range(p, q) for b in range(a + 1, q + 1)):
+        return None  # (c)
+    cl = cell(shape)
+    if not all(all(map(le, rank, map(min, _pick_ranks(cl.generator_terms(j),
+                                                       rank))))
+               for j in range(p, q)):
+        return None  # (b); every row of s_j has its diagonal pick
+    factor = _block_factor(shape, p, q)
+    if any(map((1).__ne__, map(sum, map(map, repeat(le), _pick_ranks(
+            factor, rank), map(repeat, rank))))):
+        return None  # not one pick per row in or below its diagonal block
+    # the entry of each column c in row phi_J(c), which must be +-1 and,
+    # as phi_J keeps the rank, is then that row's one pick in its block
+    d = len(rank)
+    diagonal = list(map(factor.picks.__getitem__, phi))
+    signs = tuple(map(sub, map(tuple.__contains__, diagonal, range(d)),
+                      map(tuple.__contains__, diagonal, range(d, 2 * d))))
+    return signs if all(signs) else None
+
+
+def _chain_matrix(shape: Partition,
+                  blocks: tuple[tuple[int, int], ...]) -> _Packed:
+    """M(w_{J_k} ... w_{J_1}) in the total index order: the packed fold of
+    a reduced word of w, the long route of a module that fails (a)-(c)."""
+    js = tuple(frozenset(range(p, q)) for p, q in blocks)
+    return cell(shape).fold(reduced_word(_chain_data(js, sum(shape))[1]))
+
+
 class _ChainState(NamedTuple):
     """What a chain's check reads, by position in the total index order.
     A chain's state grows from the state of the chain without its
     outermost member (see "Shared thm4 state")."""
 
-    m: _Packed | None  # M(w_{J_k} ... w_{J_1}); None when derived
     perm: list[int]  # the basis order
     key: Sequence[int]  # the composite class key: equal keys, one class
     phi: Sequence[int]  # the composite symmetry
-    pivots: list[int] | None  # its `_pivot_test`, None when that fails
+    pivots: Sequence[int] | None  # by position; None when the test fails
 
 
-class _SlotBoundedStore(dict):
-    """Chain states by key, holding at most `budget` matrix slots (d**2
-    for a state of dimension d) in all: a state that would take the count
-    past the budget empties the store first."""
-
-    def __init__(self, budget: int):
-        super().__init__()
-        self.budget = budget
-        self.slots = 0
-
-    def put(self, key: object, state: _ChainState) -> None:
-        size = len(state.perm) ** 2
-        if self.slots + size > self.budget:
-            self.clear()
-        self[key] = state
-        self.slots += size
-
-    def clear(self) -> None:
-        super().clear()
-        self.slots = 0
-
-
-# the states of the chains that extend further, so that a longer chain
-# costs one extension; 2**20 slots hold every such state up to n = 6 and
-# bound the memory at n = 7 and 8
-_chain_states = _SlotBoundedStore(1 << 20)
-
-
+@lru_cache(maxsize=2048)
 def _chain_state(shape: Partition,
                  blocks: tuple[tuple[int, int], ...]) -> _ChainState:
-    """The state of the chain of these blocks, grown from the (cached)
-    state of the chain without J_k: M(w_{J_k}) times its packed rows, its
-    order sorted stably on the rank of J_k, its key times d plus J_k's
-    rank, phi_{J_k} after its phi, and the pivots of the result.  When
-    J_k = {1, ..., n-1} and M(w0) = eps P_ev (`_w0_sign`), the state is
-    read off the prefix's instead, with no product.  The result is shared
-    with the cache: callers must not change it."""
-    key = (shape, blocks)
-    state = _chain_states.get(key)
-    if state is not None:
-        return state
+    """The state of the chain C + J of these blocks, J = J_k, grown from
+    the (cached) state of C: C's order sorted stably on the rank of J, C's
+    key times d plus J's rank, and phi_J after C's phi.  When (a)-(c) hold
+    for J (`_j_signs`) and C's pivot test passed, the pivot at x is J's
+    sign at phi_C(x) times C's pivot at x (C empty: J's sign at x), with
+    no matrix; otherwise it is the pivot test of `_chain_matrix`.  The
+    result is shared with the cache: callers must not change it."""
     p, q = blocks[-1]
-    full = q - p == sum(shape) - 1
-    phi_k, rank_k, _ = _j_table(shape, p, q)
+    phi_j, rank_j, _ = _j_table(shape, p, q)
+    signs = _j_signs(shape, p, q)
     if len(blocks) == 1:
-        m = _pack(_block_factor(shape, p, q), _SLOT_WIDTH)
-        perm = sorted(range(len(phi_k)), key=rank_k.__getitem__)
-        keys, phi = rank_k, phi_k
+        perm = sorted(range(len(rank_j)), key=rank_j.__getitem__)
+        key, phi, pivots = rank_j, phi_j, signs
     else:
         prefix = _chain_state(shape, blocks[:-1])
-        phi = list(map(phi_k.__getitem__, prefix.phi))
-        if full and prefix.pivots is not None:
-            sign = _w0_sign(shape)
-            if sign is not None:
-                # row phi(i) of eps P_ev M(prefix) is eps times row
-                # prefix.phi(i) of M(prefix), as ev is an involution; and
-                # J has one class, so the order and classes are the prefix's
-                return _ChainState(None, prefix.perm, prefix.key, phi,
-                                   [sign * v for v in prefix.pivots])
-        d = len(phi_k)
-        m = _times(_block_factor(shape, p, q), prefix.m)
-        perm = sorted(prefix.perm, key=rank_k.__getitem__)
-        keys = [k * d + r for k, r in zip(prefix.key, rank_k)]
-    state = _ChainState(m, perm, keys, phi, _pivot_test(m, perm, phi))
-    # a chain ending in J = {1, ..., n-1} is a prefix of no other
-    if not full:
-        _chain_states.put(key, state)
-    return state
+        if q - p == sum(shape) - 1:
+            # J = {1, ..., n-1} has one class: C's order and classes
+            perm, key = prefix.perm, prefix.key
+        else:
+            d = len(rank_j)
+            perm = sorted(prefix.perm, key=rank_j.__getitem__)
+            key = [k * d + r for k, r in zip(prefix.key, rank_j)]
+        phi = list(map(phi_j.__getitem__, prefix.phi))
+        pivots = None if signs is None or prefix.pivots is None else list(
+            map(mul, map(signs.__getitem__, prefix.phi), prefix.pivots))
+    if pivots is None:
+        pivots = _pivot_test(_chain_matrix(shape, blocks), perm, phi)
+    return _ChainState(perm, key, phi, pivots)
 
 
-@lru_cache(maxsize=None)
-def _w0_sign(shape: Partition) -> int | None:
-    """eps when M(w0) = eps P_ev in the total index order, else None: row
-    r of the factor of J = {1, ..., n-1} has exactly one pick, eps in
-    column ev[r], and ev = `_j_table`'s phi_J (evacuation) is an
-    involution.  The long element acts so on every shape with n <= 8,
-    with eps = (-1)**n(lambda) (see `verify_thm4_chain`)."""
-    n = sum(shape)
-    picks = _block_factor(shape, 1, n).picks
-    ev = _j_table(shape, 1, n)[0]
-    if any(ev[e] != r for r, e in enumerate(ev)):
-        return None
-    d = len(ev)
-    for sign, offset in ((1, 0), (-1, d)):
-        if all(pick == (offset + e,) for pick, e in zip(picks, ev)):
-            return sign
-    return None
+def _one_member_sign(shape: Partition, p: int, q: int) -> Callable[[int], int]:
+    """The sign at each position x of the one-member chain J = {p, ...,
+    q-1}, as a function of x, by the rule `verify_thm4_chain` checks:
+    (-1)**n(mu), mu the shape of the entries <= q-p+1 of ev_q(T_x).
+    n(mu) = sum of (i - 1) mu_i has the parity of the number of those
+    entries in rows 2, 4, ..."""
+    ev, tableaux, m = _evacuation_table(shape, q), cell(shape).tableaux, q - p + 1
+    return lambda x: (-1) ** sum(map(bisect_right, tableaux[ev[x]][1::2],
+                                     repeat(m)))
 
 
 def verify_thm4_chain(shape: Partition,
                       chain: Sequence[Iterable[int]]) -> CheckReport:
     """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry.
 
-    The one-member chain J = {1, ..., n-1}, i.e. w0, also checks the value
-    of its one class's sign against the rule observed on every shape up
-    to n = 8 (the statement quoted in PAPER.md stops before the sign):
-    (-1)**n(lambda), n(lambda) = sum of (i - 1) lambda_i, the sign of w0
-    acting by evacuation (Berenstein-Zelevinsky; Stembridge, Duke Math.
-    J. 82, 1996)."""
+    A one-member chain J = {p, ..., q-1} also checks the value of each
+    class's sign against the rule observed on every (shape, J) with
+    n <= 8 (the statement quoted in PAPER.md stops before the sign): at
+    position x it is (-1)**n(mu), mu the shape of the entries <= q-p+1 of
+    ev_q(T_x) and n(mu) = sum of (i - 1) mu_i.  For J = {1, ..., n-1}
+    this is (-1)**n(lambda), the sign of w0 acting by evacuation
+    (Berenstein-Zelevinsky; Stembridge, Duke Math. J. 82, 1996).  A longer
+    chain's signs are products of its members' (see `_chain_state`)."""
     t0 = time.perf_counter()
     n = sum(shape)
     blocks, w = _chain_data(tuple(map(frozenset, chain)), n)
-    state = _chain_state(shape, blocks)
+    # a chain ending in J = {1, ..., n-1} is a prefix of no other
+    build = _chain_state.__wrapped__ if blocks[-1] == (1, n) else _chain_state
+    state = build(shape, blocks)
     pivots = state.pivots
-    failures = _decide(shape, state.m, state.perm, state.phi, state.key,
-                       pivots, 'the composite symmetry', blocks)
-    if blocks == ((1, n),) and pivots is not None:
-        s = 1 if pivots[0] > 0 else -1
-        want = (-1) ** sum(i * part for i, part in enumerate(shape))
-        if s != want:
-            label = _class_labels(shape, blocks)[state.perm[0]]
-            failures.append(f'class {label} has sign {s:+d}, '
-                            f'expected {want:+d}')
+    failures = _decide(
+        shape, None if pivots is not None else _chain_matrix(shape, blocks),
+        state.perm, state.phi, state.key, pivots, 'the composite symmetry',
+        blocks, _one_member_sign(shape, *blocks[0]) if len(blocks) == 1
+        else None)
     return CheckReport(
         theorem='thm4',
         passed=not failures,

@@ -159,8 +159,8 @@ class _Packed(NamedTuple):
     bound: int
 
 
-# the verifiers' slot width (every chain product's bound up to n = 8 fits
-# in 23 bits with its sign) and the unit `_Cell.fold` rounds widths up to
+# the unit `_Cell.fold` rounds slot widths up to, so that `_words` holds
+# a few widths
 _SLOT_WIDTH = 32
 
 

@@ -7,13 +7,12 @@ from klspecht import qrkit, specht
 
 def _clear_caches():
     """Empty every cache `specht` and `qrkit` define: their memoized
-    functions (cells, block factors, tableau tables, chain data, ...) and
-    the chain-state store."""
+    functions (cells, block factors, tableau tables, chain data, chain
+    states, ...)."""
     for module in (specht, qrkit):
         for value in vars(module).values():
             if hasattr(value, 'cache_clear') and value.__module__ == module.__name__:
                 value.cache_clear()
-    qrkit._chain_states.clear()
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -323,15 +323,17 @@ def test_thm4_rejects_bad_chains(cold_caches):
 def _checked_matrices(monkeypatch):
     """Record every check the verifiers decide: the packed input of
     `_decide`, unpacked and reindexed to the checked basis order (None for
-    a thm4 state read off its prefix's, which builds no matrix), the row
-    each column is sent to in that order, and the pivots it decides on."""
+    a passing thm4 check, which builds no matrix), the row each column is
+    sent to in that order, and the pivots it decides on, which `_decide`
+    reads by position, in that order."""
     seen = []
     real = qrkit._decide
 
     def spy(shape, packed, ids, image, keys, pivots, *rest):
         pos = qrkit._inverse(ids)
         m = None if packed is None else mat_reindex(unpack_rows(packed), ids)
-        seen.append((m, [pos[image[i]] for i in ids], pivots))
+        seen.append((m, [pos[image[i]] for i in ids],
+                     None if pivots is None else [pivots[i] for i in ids]))
         return real(shape, packed, ids, image, keys, pivots, *rest)
 
     monkeypatch.setattr(qrkit, '_decide', spy)
@@ -344,11 +346,9 @@ def _basis(report):
 
 def test_thm4_chain_matrix_from_cached_factors(monkeypatch):
     """Every thm4 check decides on the pivots of `matrix_of` of its w in
-    its basis order: on that matrix itself, built from the cached
-    factors, or, for a chain of two or more members ending in
-    J = {1, ..., n-1}, on pivots read off its prefix's, with no matrix."""
+    its basis order, read off the cached block structure of its members
+    (`_j_signs`) and its prefix's pivots, with no matrix of its own."""
     seen = _checked_matrices(monkeypatch)
-    derived = 0
     for n in range(2, 6):
         for shape in partitions(n):
             for chain in all_connected_chains(n):
@@ -356,14 +356,9 @@ def test_thm4_chain_matrix_from_cached_factors(monkeypatch):
                 want = matrix_of(shape, tuple(report.witness['w']),
                                  _basis(report))
                 m, target, pivots = seen.pop()
-                if m is None:
-                    assert _is_twin(chain, n)
-                    derived += 1
-                else:
-                    assert m == want
+                assert m is None
                 assert pivots == list_pivots(want, target)
     assert not seen
-    assert derived == sum(len(partitions(n)) * _twins(n) for n in range(3, 6))
 
 
 def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
@@ -417,7 +412,6 @@ def test_w_j_factors_take_one_product_per_generator(monkeypatch, cold_caches):
         return real(terms, b)
 
     monkeypatch.setattr(specht, '_times', counting)
-    monkeypatch.setattr(qrkit, '_times', counting)
     for j_set in _connected_sets(6):
         qrkit._block_factor(shape, min(j_set), max(j_set) + 1)
     assert len(calls) == sum(len(j) for j in _connected_sets(6) if len(j) > 1) == 30
@@ -429,7 +423,8 @@ def test_long_element_acts_as_signed_evacuation(n):
     Stembridge, Duke Math. J. 82, 1996): M(w0) is (-1)^{n(lambda)},
     n(lambda) = sum of (i - 1) lambda_i, times the permutation matrix of
     evacuation, column T sent to row ev(T).  So row ev(T) of the w_J
-    factor for J = {1, ..., n-1} has the one pick T, with that sign."""
+    factor for J = {1, ..., n-1} has the one pick T, with that sign, and
+    `_j_signs` reads that sign in every column."""
     for shape in partitions(n):
         cl = specht.cell(shape)
         d = len(cl.tableaux)
@@ -438,7 +433,7 @@ def test_long_element_acts_as_signed_evacuation(n):
         picks = tuple((k if sign == 1 else d + k,) for k in ev)
         want = specht._Terms(picks, (), 1, 1)
         assert qrkit._block_factor(shape, 1, n) == want, shape
-        assert qrkit._w0_sign(shape) == sign, shape
+        assert qrkit._j_signs(shape, 1, n) == (sign,) * d, shape
 
 
 def test_thm1_decides_at_any_slot_width(monkeypatch, cold_caches):
@@ -468,194 +463,212 @@ def _thm4_checks(max_n):
             for shape in partitions(n) for chain in all_connected_chains(n)]
 
 
-def test_thm4_prefix_eviction_keeps_the_records(monkeypatch, cold_caches):
-    """A budget of a few hundred slots holds only a handful of chain
-    states, so a shuffled order keeps emptying the store of states that
-    later checks extend.  Every record must still equal the one of the
-    DFS order at the full budget, and the store must never hold more
-    slots than its budget."""
+def test_thm4_prefix_eviction_keeps_the_records(cold_caches):
+    """A state the store no longer holds is rebuilt from its own prefix's:
+    with the store emptied before every third check of a shuffled order,
+    later checks rebuild the states they extend, and every record for
+    n <= 5 equals the one of the DFS order on a full store."""
     checks = _thm4_checks(5)
     want = [verify_thm4_chain(shape, chain).record() for shape, chain in checks]
-
-    budget = 300
-    cache = qrkit._chain_states
-    monkeypatch.setattr(cache, 'budget', budget)
-    stored = []
-
-    def put(key, state):
-        type(cache).put(cache, key, state)
-        stored.append(len(state.m.rows) ** 2)
-        assert cache.slots <= budget
-        assert cache.slots == sum(len(s.m.rows) ** 2 for s in cache.values())
-
-    monkeypatch.setattr(cache, 'put', put)
-    cache.clear()
     order = list(range(len(checks)))
     Random(6).shuffle(order)
-    got = {i: verify_thm4_chain(*checks[i]).record() for i in order}
+    got, built = {}, 0
+    for k, i in enumerate(order):
+        if k % 3 == 0:
+            built += qrkit._chain_state.cache_info().misses
+            qrkit._chain_state.cache_clear()
+        got[i] = verify_thm4_chain(*checks[i]).record()
     assert [got[i] for i in range(len(checks))] == want
-    assert sum(stored) > 10 * budget  # the emptying path ran, often
+    assert built > 2 * _stored_states(5)  # states were rebuilt, often
 
 
-def _count_store_traffic(monkeypatch):
-    """Per-n counters of the chain products (`_times` calls in qrkit) and
-    of the times the chain-state store is emptied while it holds states."""
-    products, emptyings = Counter(), Counter()
-    current = [0]
-    real_times = qrkit._times
-    cache = qrkit._chain_states
-
-    def times(*args):
-        products[current[0]] += 1
-        return real_times(*args)
-
-    def clear():
-        emptyings[current[0]] += bool(cache)
-        type(cache).clear(cache)
-
-    monkeypatch.setattr(qrkit, '_times', times)
-    monkeypatch.setattr(cache, 'clear', clear)
-    return current, products, emptyings
+def _is_full(chain, n):
+    """A chain ending in J = {1, ..., n-1}: a prefix of no other chain, so
+    its state is built uncached."""
+    return chain[-1] == frozenset(range(1, n))
 
 
-def _is_twin(chain, n):
-    """A chain of two or more members ending in J = {1, ..., n-1}: its
-    state is read off its prefix's, with no product."""
-    return len(chain) >= 2 and chain[-1] == frozenset(range(1, n))
+def _stored_states(max_n):
+    """The chains up to max_n, on every shape, whose states the store
+    holds: those not ending in J = {1, ..., n-1}."""
+    return sum(len(partitions(n)) * sum(not _is_full(c, n)
+                                        for c in all_connected_chains(n))
+               for n in range(2, max_n + 1))
 
 
-def _twins(n):
-    return sum(_is_twin(c, n) for c in all_connected_chains(n))
+def _prefix_reads(max_n):
+    """The checks up to max_n of a chain of two or more members: each
+    builds its state from its prefix's, read from the store once."""
+    return sum(len(partitions(n)) * sum(len(c) >= 2
+                                        for c in all_connected_chains(n))
+               for n in range(2, max_n + 1))
 
 
-def _product_checks(n):
-    """The checks at n that cost one chain product each: those of a chain
-    of two or more members that does not end in J = {1, ..., n-1}."""
-    multi = sum(len(c) >= 2 for c in all_connected_chains(n))
-    return len(partitions(n)) * (multi - _twins(n))
-
-
-def test_shuffled_thm4_sweep_never_empties_the_store(monkeypatch, cold_caches):
-    """The states of the chains that extend further take 86988 slots up to
-    n = 6, far below the 2**20 budget: a sweep shuffled within each n, as
-    the benchmark runs it, never empties the store and makes exactly one
-    chain product per check of a chain with two or more members that does
-    not end in J = {1, ..., n-1}."""
-    current, products, emptyings = _count_store_traffic(monkeypatch)
+def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
+    """The store holds the states of the chains that extend further, 1547
+    up to n = 6, within its 2048 entries: a sweep shuffled within each n,
+    as the benchmark runs it, builds each of them once, evicts none, and
+    reads every prefix from the store."""
     rng = Random(24)
     for n in range(2, 7):
-        current[0] = n
         checks = [(shape, chain) for shape in partitions(n)
                   for chain in all_connected_chains(n)]
         rng.shuffle(checks)
         for check in checks:
-            verify_thm4_chain(*check)
-        assert products[n] == _product_checks(n)
-    assert products[6] == 1111
-    assert not emptyings
-    assert qrkit._chain_states.slots == 86988
+            assert verify_thm4_chain(*check).passed
+    info = qrkit._chain_state.cache_info()
+    assert info.maxsize == 2048
+    assert info.misses == info.currsize == _stored_states(6) == 1547
+    assert info.hits == _prefix_reads(6)
 
 
-def test_dfs_thm4_sweep_rebuilds_only_the_current_path(monkeypatch, cold_caches):
-    """Under a budget of a few states, a DFS sweep empties the store often,
-    and each emptying costs at most n - 2 extra chain products: only the
-    prefixes of the chain being checked are rebuilt.  At n = 6 the 497
-    emptyings cost 186 extra products."""
-    current, products, emptyings = _count_store_traffic(monkeypatch)
-    monkeypatch.setattr(qrkit._chain_states, 'budget', 400)
-    for n in range(2, 7):
-        current[0] = n
+def test_dfs_thm4_sweep_builds_each_state_once(cold_caches):
+    """Up to n = 7 a sweep builds 7472 states, more than the store's 2048
+    entries, but one shape's states fit (at most 395 at n = 7, and 1351 at
+    n = 8): a sweep shape by shape in DFS order, as `cli` runs it, evicts
+    only states of shapes it has finished, and builds each state once."""
+    for n in range(2, 8):
         for shape in partitions(n):
             for r in cli._thm4_job(shape):
                 assert r.passed
-        extra = products[n] - _product_checks(n)
-        assert 0 <= extra <= (n - 2) * emptyings[n]
-    assert (emptyings[6], products[6] - _product_checks(6)) == (497, 186)
+    info = qrkit._chain_state.cache_info()
+    assert info.misses == _stored_states(7) == 7472
+    assert info.currsize == 2048
+    assert info.hits == _prefix_reads(7)
 
 
 def _records_both_ways(monkeypatch, checks):
-    """The records of these thm4 checks with each chain ending in
-    J = {1, ..., n-1} read off its prefix's state where `_w0_sign` allows,
-    and with every state built by its own product (`_w0_sign` None)."""
-    derived = [verify_thm4_chain(*check).record() for check in checks]
+    """The records of these thm4 checks decided from the block structure
+    of their members, and by the long route for every chain (`_j_signs`
+    None), each on an empty store."""
+    qrkit._chain_state.cache_clear()
+    structured = [verify_thm4_chain(*check).record() for check in checks]
+    qrkit._chain_state.cache_clear()
     with monkeypatch.context() as patch:
-        patch.setattr(qrkit, '_w0_sign', lambda shape: None)
-        built = [verify_thm4_chain(*check).record() for check in checks]
-    return derived, built
+        patch.setattr(qrkit, '_j_signs', lambda *args: None)
+        long = [verify_thm4_chain(*check).record() for check in checks]
+    qrkit._chain_state.cache_clear()
+    return structured, long
 
 
 def test_states_read_off_the_prefix_keep_every_record(monkeypatch,
                                                       cold_caches):
     """Every thm4 record for n <= 6, and for a seeded sample at n = 7,
-    equals the one built with a product for every chain; and every chain
-    of two or more members ending in J = {1, ..., n-1} is read off its
-    prefix's state there, with no matrix."""
+    equals the one of the long route, which folds and pivot-tests M(w) for
+    every chain; and with the block structure, no check builds or
+    pivot-tests a chain matrix."""
     checks = _thm4_checks(6) + Random(30).sample(
         [(shape, chain) for shape in partitions(7)
          for chain in all_connected_chains(7)], 400)
-    derived, built = _records_both_ways(monkeypatch, checks)
-    assert derived == built
-    assert all(r['passed'] for r in derived)
-    twins = 0
-    for shape, chain in checks:
-        n = sum(shape)
-        if _is_twin(chain, n):
-            blocks, _ = qrkit._chain_data(chain, n)
-            assert qrkit._chain_state(shape, blocks).m is None
-            twins += 1
-    assert twins == 1768  # 1547 for n <= 6 and 221 of the sample
+
+    def refuse(*args):
+        raise AssertionError('a passing thm4 check built a chain matrix')
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_pivot_test', refuse)
+        patch.setattr(qrkit, '_chain_matrix', refuse)
+        structured = [verify_thm4_chain(*check).record() for check in checks]
+    qrkit._chain_state.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_j_signs', lambda *args: None)
+        long = [verify_thm4_chain(*check).record() for check in checks]
+    assert structured == long
+    assert all(r['passed'] for r in structured)
 
 
-def _swap_picks(picks, ev):
-    picks[0], picks[1] = picks[1], picks[0]
+def _pick_below_its_block(shape, patch):
+    """s_1's pick of column 3 in row 2 moved to column 1, which lies below
+    row 2's diagonal block for J = {1, 2, 3}: (b) fails."""
+    cl = specht.cell(shape)
+    s1 = cl.generator_terms(1)
+    assert s1.picks[2] == (7, 3)
+    faulty = s1._replace(picks=(*s1.picks[:2], (7, 1), *s1.picks[3:]))
+    patch.setattr(specht._Cell, 'generator_terms', lambda self, j: faulty
+                  if (self.shape, j) == (shape, 1) else _generator_terms(self, j))
+    return 1, 4
 
 
-def _negate_pick(picks, ev):
-    picks[0] = tuple((x + len(picks)) % (2 * len(picks)) for x in picks[0])
+def _rows_swapped(shape, patch):
+    """Rows 0 and 2 of the factor of J = {1, 2} swapped: row 0 has no
+    entry in its diagonal block, so (a) fails."""
+    real = qrkit._block_factor
+    picks = list(real(shape, 1, 3).picks)
+    picks[0], picks[2] = picks[2], picks[0]
+    faulty = real(shape, 1, 3)._replace(picks=tuple(picks))
+    patch.setattr(qrkit, '_block_factor', lambda *args: faulty
+                  if args == (shape, 1, 3) else real(*args))
+    return 1, 3
 
 
-def _add_pick(picks, ev):
-    picks[0] += picks[1]
-
-
-def _rotate_rows(picks, ev):
-    """M(w0) and ev with rows 0, 1, 2 rotated alike: M(w0) = +-P_ev
-    still, but ev is no longer an involution."""
-    picks[:3] = picks[1:3] + picks[:1]
-    ev[:3] = ev[1:3] + ev[:1]
+def _phi_across_a_class(shape, patch):
+    """phi_{1} sending position 1 to 2 and 2 to 1, which lie in different
+    classes of J = {1, 2, 3}: (c) fails."""
+    real = qrkit._phi_table
+    phi = real(shape, 1, 2)
+    assert phi[1:3] == (1, 2)
+    faulty = phi[:1] + (2, 1) + phi[3:]
+    patch.setattr(qrkit, '_phi_table', lambda *args: faulty
+                  if args == (shape, 1, 2) else real(*args))
+    return 1, 4
 
 
 @pytest.mark.parametrize(
-    'fault', [_swap_picks, _negate_pick, _add_pick, _rotate_rows])
-def test_a_faulty_w0_takes_the_long_route(monkeypatch, cold_caches, fault):
-    """With two rows of M(w0) on (3, 2) swapped, one row negated, one row
-    given a second entry, or three rows rotated together with ev, M(w0)
-    is not +-(the permutation matrix of an involution ev): `_w0_sign`
-    refuses it, so every state is built by its product and every record
-    equals the one built so on purpose.  Some chains ending in
-    J = {1, ..., 4} fail, and only those (all of them for the swap)."""
+    'fault', [_pick_below_its_block, _rows_swapped, _phi_across_a_class])
+def test_a_faulty_module_takes_the_long_route(monkeypatch, cold_caches, fault):
+    """A fault on (3, 2) that breaks (a), (b) or (c) for some J makes
+    `_j_signs` refuse that J, so its chains take the long route, and every
+    record equals the one of the long route for every chain.  The swapped
+    rows sit in a factor that the long route never reads: every check
+    passes.  The other two faults fail some checks."""
     shape = (3, 2)
-    real_factor, real_table = qrkit._block_factor, qrkit._j_table
-    picks = list(real_factor(shape, 1, 5).picks)
-    ev = list(real_table(shape, 1, 5)[0])
-    fault(picks, ev)
-    factor = real_factor(shape, 1, 5)._replace(picks=tuple(picks))
-    table = (tuple(ev),) + real_table(shape, 1, 5)[1:]
-    monkeypatch.setattr(qrkit, '_block_factor', lambda *args: factor
-                        if args == (shape, 1, 5) else real_factor(*args))
-    monkeypatch.setattr(qrkit, '_j_table', lambda *args: table
-                        if args == (shape, 1, 5) else real_table(*args))
-    assert qrkit._w0_sign(shape) is None
-    chains = all_connected_chains(5)
-    derived, built = _records_both_ways(
-        monkeypatch, [(shape, chain) for chain in chains])
-    assert derived == built
-    ends_in_w0 = [chain[-1] == frozenset(range(1, 5)) for chain in chains]
-    failed = [not r['passed'] for r in derived]
-    assert any(failed)
-    assert all(e for e, f in zip(ends_in_w0, failed) if f)
-    if fault is _swap_picks:
-        assert failed == ends_in_w0
+    with monkeypatch.context() as patch:
+        p, q = fault(shape, patch)
+        assert qrkit._j_signs(shape, p, q) is None
+        structured, long = _records_both_ways(
+            patch, [(shape, chain) for chain in all_connected_chains(5)])
+    assert structured == long
+    assert all(r['passed'] for r in structured) == (fault is _rows_swapped)
+
+
+def _factor_pick_added(column):
+    """Row 2 of the factor of J = {1, 2, 3} on (3, 2), which holds its one
+    diagonal-block pick, -1 in column 4, given one more pick (+1) in this
+    column: column 0 lies below the row's block, column 3 inside it."""
+    def fault(shape, patch):
+        real = qrkit._block_factor
+        factor = real(shape, 1, 4)
+        assert factor.picks[2] == (9,)
+        faulty = factor._replace(picks=(*factor.picks[:2], (9, column),
+                                        *factor.picks[3:]))
+        patch.setattr(qrkit, '_block_factor', lambda *args: faulty
+                      if args == (shape, 1, 4) else real(*args))
+        return 1, 4
+    fault.__name__ = f'_factor_pick_added_in_column_{column}'
+    return fault
+
+
+def _generator_pick_below_its_block(shape, patch):
+    """The fault of `_pick_below_its_block` with every factor built first,
+    so that only (b) sees it."""
+    for p, q in [(1, 2), (1, 3), (1, 4), (1, 5)]:
+        qrkit._block_factor(shape, p, q)
+    return _pick_below_its_block(shape, patch)
+
+
+@pytest.mark.parametrize('fault', [
+    _factor_pick_added(0), _factor_pick_added(3),
+    _generator_pick_below_its_block, _phi_across_a_class])
+def test_j_signs_refuses_each_broken_condition(monkeypatch, cold_caches,
+                                               fault):
+    """Each fault breaks one condition of `_j_signs` for J = {1, 2, 3} on
+    (3, 2) and keeps the others: a second pick in a row of the factor,
+    below or inside its diagonal block (a), an s_1 pick below its block
+    (b), or phi_{1} across a class (c).  `_j_signs` refuses J."""
+    shape = (3, 2)
+    assert qrkit._j_signs(shape, 1, 4) is not None
+    qrkit._j_signs.cache_clear()
+    with monkeypatch.context() as patch:
+        assert qrkit._j_signs(shape, *fault(shape, patch)) is None
 
 
 def test_thm4_checks_the_sign_value_of_w0(cold_caches):
@@ -665,25 +678,13 @@ def test_thm4_checks_the_sign_value_of_w0(cold_caches):
     of the chain J = {1, ..., n-1} then fails on every such shape, with
     one line naming both signs, and keeps its record at n = 4 and 5.  The
     generators are restored after each shape."""
-    def uncached():
-        qrkit._block_factor.cache_clear()
-        qrkit._w0_sign.cache_clear()
-        qrkit._chain_states.clear()
-
     for n in range(2, 7):
         chain = [set(range(1, n))]
         for shape in partitions(n):
-            cl = specht.cell(shape)
             want = verify_thm4_chain(shape, chain).record()
             assert want['passed']
-            real = cl._generator_terms
-            cl._generator_terms = tuple(map(_negated, real))
-            uncached()
-            try:
+            with _negated_generators(shape):
                 report = verify_thm4_chain(shape, chain)
-            finally:
-                cl._generator_terms = real
-                uncached()
             if n * (n - 1) // 2 % 2 == 0:
                 assert report.record() == want
                 continue
@@ -695,47 +696,57 @@ def test_thm4_checks_the_sign_value_of_w0(cold_caches):
             assert verify_thm4_chain(shape, chain).record() == want
 
 
-def test_narrow_slots_raise_instead_of_truncating(monkeypatch, cold_caches):
-    """With slots too narrow for the entry bounds of (3, 2, 1), which
-    reach 360 along its chains, a check raises rather than deciding on
-    truncated entries; a check whose bound fits keeps its record."""
+def test_thm4_checks_the_sign_value_of_every_one_member_chain(cold_caches):
+    """Negating every generator negates M(s_1), so the one-member chain
+    {1} flips the sign of every class, each of which the check of its sign
+    value names.  thm4 then fails on all 28 shapes with 2 <= n <= 6; with
+    sign constancy alone it passed on the 12 of n = 4 and 5."""
+    failing = []
+    for n in range(2, 7):
+        for shape in partitions(n):
+            want = verify_thm4_chain(shape, [{1}]).record()
+            with _negated_generators(shape):
+                reports = [verify_thm4_chain(shape, chain)
+                           for chain in all_connected_chains(n)]
+            assert reports[0].witness['chain'] == [[1]]
+            assert reports[0].failures == [
+                f'class {label} has sign {-s:+d}, expected {s:+d}'
+                for label, s in want['signs'].items()]
+            failing += [shape] * (not all(r.passed for r in reports))
+    assert len(failing) == sum(len(partitions(n)) for n in range(2, 7)) == 28
+
+
+def test_narrow_slots_raise_instead_of_truncating():
+    """`_times`, which every packed fold runs, refuses a product whose
+    entry bound does not fit its slots rather than truncating it: each
+    chain of (3, 2, 1) multiplied out on 5-bit slots from the factors of
+    its members either raises or equals `matrix_of` of its w."""
     shape = (3, 2, 1)
-    chains = all_connected_chains(6)
-    want = [verify_thm4_chain(shape, chain).record() for chain in chains]
-    monkeypatch.setattr(qrkit, '_SLOT_WIDTH', 5)
-    cold_caches()
+    width = 5
     raised = 0
-    for chain, record in zip(chains, want):
+    for chain in all_connected_chains(6):
+        blocks, w = qrkit._chain_data(chain, 6)
         try:
-            got = verify_thm4_chain(shape, chain).record()
+            m = specht._pack(qrkit._block_factor(shape, *blocks[0]), width)
+            for p, q in blocks[1:]:
+                m = specht._times(qrkit._block_factor(shape, p, q), m)
         except QRInvariantError as err:
-            assert '5-bit slots' in str(err)
+            assert str(err).endswith('overflow 5-bit slots')
             raised += 1
         else:
-            assert got == record
-    assert 0 < raised < len(chains)
-
-
-def test_narrow_verifier_slots_leave_matrix_of_unchanged(monkeypatch):
-    """`matrix_of` sizes its slots from the word, not from the verifiers'
-    width: at 5-bit verifier slots it still returns every matrix of
-    (3, 2, 1), whose w0 needs 25-bit slots."""
-    shape = (3, 2, 1)
-    ws = [long_cycle(6), tuple(range(6, 0, -1))]
-    want = [matrix_of(shape, w) for w in ws]
-    monkeypatch.setattr(qrkit, '_SLOT_WIDTH', 5)
-    assert [matrix_of(shape, w) for w in ws] == want
+            assert unpack_rows(m) == matrix_of(shape, w)
+    assert 0 < raised < len(all_connected_chains(6))
 
 
 def test_narrow_slots_raise_under_optimize_flag():
     script = '''
 import sys
-from klspecht import qrkit
-qrkit._SLOT_WIDTH = 5
+from klspecht import specht
+cl = specht.cell((3, 2, 1))
+identity = specht._Packed(specht._words(16, 2).units, 2, 1)
 try:
-    for chain in qrkit.all_connected_chains(6):
-        qrkit.verify_thm4_chain((3, 2, 1), chain)
-except qrkit.QRInvariantError as err:
+    specht._times(cl.generator_terms(1), identity)
+except specht.QRInvariantError as err:
     print(sys.flags.optimize, err)
 '''
     src = str(Path(klspecht.__file__).resolve().parent.parent)
@@ -744,7 +755,7 @@ except qrkit.QRInvariantError as err:
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith('1 entries up to ')
-    assert proc.stdout.strip().endswith('overflow 5-bit slots')
+    assert proc.stdout.strip().endswith('overflow 2-bit slots')
 
 
 def test_thm4_reports_get_fresh_witness_lists():
@@ -804,44 +815,39 @@ def _twisted(self, j):
 
 
 def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
-    """Every thm4 record of n = 4 and 5 under two faults has the sha256
-    it had when each check built its labels and class strings at once:
-    the last pivot of every passing pivot test negated (a sign flips
-    inside a class, or not), and s_j replaced by s_{n-j} (the pivot test
-    fails, and `exact_qr` names why).  The one exception: the first fault
-    also negates the one pivot of w0 on (n) and (1^n), which the check of
-    w0's sign value then fails; without that line, the sha256 is the
-    same."""
-    real = qrkit._pivot_test
+    """Every thm4 record of n = 4 and 5 under two faults keeps its sha256:
+    the sign of the last position negated in every block's `_j_signs`
+    (a sign flips inside a class, or its value is wrong), and s_j replaced
+    by s_{n-j} (the pivot test fails, and `exact_qr` names why).  The
+    records of the second fault have the sha256 they had when each check
+    built its labels and class strings at once, and each thm4 chain its
+    own matrix."""
+    real = qrkit._j_signs
 
-    def last_negated(p, ids, image):
-        pivots = real(p, ids, image)
-        return pivots if pivots is None else pivots[:-1] + [-pivots[-1]]
+    def last_negated(shape, p, q):
+        signs = real(shape, p, q)
+        return signs if signs is None else signs[:-1] + (-signs[-1],)
 
-    records = []
-    for obj, name, fault in ((qrkit, '_pivot_test', last_negated),
+    digests = []
+    for obj, name, fault in ((qrkit, '_j_signs', last_negated),
                              (specht._Cell, 'generator_terms', _twisted)):
         with monkeypatch.context() as patch:
             patch.setattr(obj, name, fault)
-            for n in (4, 5):
-                for shape in partitions(n):
-                    records += [verify_thm4_chain(shape, chain).record()
-                                for chain in all_connected_chains(n)]
+            records = [verify_thm4_chain(shape, chain).record()
+                       for n in (4, 5) for shape in partitions(n)
+                       for chain in all_connected_chains(n)]
         cold_caches()
-    assert (len(records), sum(not r['passed'] for r in records)) == (1128, 416)
-    assert {f.split(' ')[0] for r in records for f in r['failures']} \
-        == {'sign', 'Q', 'no', 'class'}
-    valued = [r for r in records if r['failures'][:1] == [
-        'class ((),) has sign -1, expected +1']]
-    assert [(r['shape'], r['witness']['chain'], len(r['failures']))
-            for r in valued] == [
-        ([4], [[1, 2, 3]], 1), ([1, 1, 1, 1], [[1, 2, 3]], 1),
-        ([5], [[1, 2, 3, 4]], 1), ([1, 1, 1, 1, 1], [[1, 2, 3, 4]], 1)]
-    for r in valued:
-        r['failures'], r['passed'] = [], True
-    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
-    assert digest.hexdigest() == (
-        'ab6fd09280609c3230431c06b1b209857417b544ea89791937a84eead46eabb0')
+        assert len(records) == 564
+        digests.append((
+            sum(not r['passed'] for r in records),
+            sorted({f.split(' ')[0] for r in records for f in r['failures']}),
+            hashlib.sha256(json.dumps(records, sort_keys=True).encode()
+                           ).hexdigest()))
+    assert digests == [
+        (116, ['class', 'sign'],
+         '9924aad63f682bdc5ab0891cca975624da4b0bd7e10a497756d7b5c228ccfced'),
+        (352, ['Q', 'no'],
+         'd0b447fc7616859bc230e453d6188210a0ba5f0e1a40a8de2cad328ae6d5a0a4')]
 
 
 def _negated(terms):
@@ -855,6 +861,26 @@ def _negated(terms):
         tuple((k, -x) for k, x in terms.scaled), terms.rowabs, terms.maxabs)
 
 
+@contextmanager
+def _negated_generators(shape):
+    """Every generator of the shape negated, and every cached matrix and
+    chain state of qrkit dropped on entry and on exit."""
+    cl = specht.cell(shape)
+    cl.generator_terms(1)
+    real = cl._generator_terms
+    caches = (qrkit._block_factor, qrkit._long_cycle, qrkit._j_signs,
+              qrkit._chain_state)
+    cl._generator_terms = tuple(map(_negated, real))
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        yield
+    finally:
+        cl._generator_terms = real
+        for cache in caches:
+            cache.cache_clear()
+
+
 def test_thm1_checks_the_value_of_each_class_sign(cold_caches):
     """Negating every generator (the module twisted by the sign
     character) negates M(c), a product of n - 1 generators, exactly when
@@ -863,17 +889,10 @@ def test_thm1_checks_the_value_of_each_class_sign(cold_caches):
     and passes at odd n.  The generators are restored after each shape."""
     for n in range(2, 7):
         for shape in partitions(n):
-            cl = specht.cell(shape)
             want = verify_thm1(shape).record()
             assert want['passed']
-            real = cl._generator_terms
-            cl._generator_terms = tuple(map(_negated, real))
-            qrkit._long_cycle.cache_clear()
-            try:
+            with _negated_generators(shape):
                 report = verify_thm1(shape)
-            finally:
-                cl._generator_terms = real
-                qrkit._long_cycle.cache_clear()
             if n % 2:
                 assert report.record() == want
                 continue
@@ -1034,19 +1053,15 @@ def test_exact_qr_equals_gram_schmidt(m):
 
 def n6_chain_matrices(count=40, seed=13):
     """M(w_{J_k} ... w_{J_1}) for a seeded sample of n = 6 shapes and
-    chains, in the chain's basis order (through `matrix_of` for a state
-    read off its prefix's) and in the total index order."""
+    chains, in the chain's basis order and in the total index order."""
     rng = Random(seed)
     pairs = [(shape, chain) for shape in partitions(6)
              for chain in all_connected_chains(6)]
     for shape, chain in rng.sample(pairs, count):
         blocks, w = qrkit._chain_data(chain, 6)
-        state = qrkit._chain_state(shape, blocks)
-        if state.m is None:  # read off its prefix's state: no matrix
-            tableaux = specht.cell(shape).tableaux
-            yield matrix_of(shape, w, [tableaux[i] for i in state.perm])
-        else:
-            yield qrkit._reindexed(state.m, state.perm)
+        tableaux = specht.cell(shape).tableaux
+        perm = qrkit._chain_state(shape, blocks).perm
+        yield matrix_of(shape, w, [tableaux[i] for i in perm])
         yield matrix_of(shape, w)
 
 
@@ -1151,7 +1166,8 @@ def test_packed_pivot_test_equals_the_list_loop(case):
         pos[i] = c
     target = [pos[image[i]] for i in ids]
     packed = pack_rows(m, specht._width(_max_abs(m)))
-    assert qrkit._pivot_test(packed, ids, image) \
+    pivots = qrkit._pivot_test(packed, ids, image)  # by position
+    assert (pivots if pivots is None else [pivots[i] for i in ids]) \
         == list_pivots(mat_reindex(m, ids), target)
     canonical = range(len(m))
     assert qrkit._pivot_test(packed, canonical, canonical) \
