@@ -19,7 +19,9 @@ thm1 runs this test on the integer entries of M's packed rows
 pivots off the block structure of the chain's members and runs it only
 on a module where that structure fails.  Both decide on the pivots, kept
 by position, through `_decide`, which unpacks M and runs `exact_qr` only
-when the test fails, to name the failure.
+when the test fails, to name the failure.  A thm4 chain of two or more
+members whose members all pass, with signs constant on their classes,
+passes with no pivots and no decision (see `verify_thm4_chain`).
 `exact_qr` remains the factorization behind the `qr` command and the
 basis-order loop shared by `search_ordering` and `verify_counterexample`.
 
@@ -41,10 +43,13 @@ The verifiers check matrices of the Specht module action:
   signed permutation of the composite partial-evacuation symmetry phi =
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
   preorder.  Everything a check shares with other checks is derived
-  once (see "Shared thm4 state" below); the rest costs one extension of
-  the state of the chain without J_k, read off its pivots with no
-  matrix, and the decision.  A one-member chain also checks the value of
-  each class's sign, by a rule observed up to n = 8 (see
+  once (see "Shared thm4 state" below).  A chain of two or more members
+  then costs one cached verdict per member: it passes when each member
+  has the block structure below and signs constant on its classes.  A
+  one-member chain, or any chain in a module that fails that, costs one
+  extension of the state of the chain without J_k, read off its pivots
+  with no matrix, and the decision.  A one-member chain also checks the
+  value of each class's sign, by a rule observed up to n = 8 (see
   `verify_thm4_chain`).
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
@@ -128,7 +133,10 @@ any order take the same path and get the same reports.
   filtration that `specht.check_branching` compares with S_{n-1}.  For
   J = {1, ..., n-1}, one class, (a) says M(w0) = eps P_ev, the signed
   evacuation of Berenstein-Zelevinsky and Stembridge.  `_j_signs` returns
-  the sign of each column's diagonal-block entry, or None.
+  the sign of each column's diagonal-block entry, or None, and
+  `_j_signs_constant` whether those signs are constant on the classes of
+  the rank: the verdict that passes every chain of two or more members
+  that all have it.
 * Chain states: per (shape, blocks of a chain), the basis order, an int
   class key per position, the composite phi and the pivots (None when
   the chain fails), all by position (`_ChainState`).  Only equality of
@@ -142,14 +150,20 @@ any order take the same path and get the same reports.
   in C + J's order row phi_J phi_C(x) of M(w_J) M(C) vanishes on every
   column before x and is that product at x.  A one-member chain (C empty)
   has J's signs as its pivots.  Otherwise, only in a module that fails
-  (a)-(c), the state runs the pivot test on `_chain_matrix`.
+  (a)-(c), the state runs the pivot test on `_chain_matrix`.  A check
+  builds the state of a one-member chain, or of a chain with a member
+  that `_j_signs_constant` refuses, and decides on it; any other chain's
+  report builds its state when it renders (`_thm4_fields`), so a text
+  sweep builds none of theirs.
 * Store: the states of the chains that extend further, in an lru_cache
   of 2048 entries on `_chain_state`.  A chain ending in J = {1, ..., n-1}
-  extends no other and is built uncached.  The stored states number 1547
-  up to n = 6, so a sweep in any order builds each once there; one
-  shape's states fit at n = 7 and 8 (at most 395 and 1351), so a sweep
-  shape by shape builds each once there too, and a state an eviction
-  drops is rebuilt from its own prefix's.
+  extends no other and is built uncached (`_thm4_state`).  A sweep that
+  reads no record stores only its one-member chains' states (248 up to
+  n = 6, 548 up to n = 7).  One that renders every record stores 1547 up
+  to n = 6, so in any order it builds each once there; one shape's
+  states fit at n = 7 and 8 (at most 395 and 1351), so a sweep shape by
+  shape builds each once there too, and a state an eviction drops is
+  rebuilt from its own prefix's, also when a report renders late.
 
 Reports.  Both verifiers decide on positions and integer class keys.
 Each order lists every class contiguously (thm4's is sorted on the
@@ -160,7 +174,8 @@ what a text line reads (passed, failures, shape, timing and thm4's
 chain) and renders its ordering, signs and the label-bearing witness
 entries from positions on first read (`_thm1_fields`, `_thm4_fields`;
 see `CheckReport`).  Their arguments are the shared lists of the chain
-state, which holds no matrix.
+state, which holds no matrix, or, for a thm4 chain decided with no
+state, the chain's blocks alone.
 """
 
 from __future__ import annotations
@@ -768,6 +783,17 @@ def _j_signs(shape: Partition, p: int, q: int) -> tuple[int, ...] | None:
     return signs if all(signs) else None
 
 
+@lru_cache(maxsize=None)
+def _j_signs_constant(shape: Partition, p: int, q: int) -> bool:
+    """Whether (a)-(c) hold for J = {p, ..., q-1} (`_j_signs`) and its
+    signs are constant on the classes of its rank: then every chain of two
+    or more such members passes (see `verify_thm4_chain`)."""
+    signs = _j_signs(shape, p, q)
+    rank = _j_table(shape, p, q)[1]
+    # as many (rank, sign) pairs as ranks: one sign per class
+    return signs is not None and len(set(zip(rank, signs))) == len(set(rank))
+
+
 def _chain_matrix(shape: Partition,
                   blocks: tuple[tuple[int, int], ...]) -> _Packed:
     """M(w_{J_k} ... w_{J_1}) in the total index order: the packed fold of
@@ -831,6 +857,16 @@ def _one_member_sign(shape: Partition, p: int, q: int) -> Callable[[int], int]:
                                      repeat(m)))
 
 
+def _thm4_state(shape: Partition,
+                blocks: tuple[tuple[int, int], ...]) -> _ChainState:
+    """The state of the chain of these blocks, from the store, except that
+    a chain ending in J = {1, ..., n-1}, a prefix of no other, is built
+    uncached."""
+    if blocks[-1] == (1, sum(shape)):
+        return _chain_state.__wrapped__(shape, blocks)
+    return _chain_state(shape, blocks)
+
+
 def verify_thm4_chain(shape: Partition,
                       chain: Sequence[Iterable[int]]) -> CheckReport:
     """QR-factor w_{J_k} ... w_{J_1} against the composite symmetry.
@@ -842,19 +878,35 @@ def verify_thm4_chain(shape: Partition,
     ev_q(T_x) and n(mu) = sum of (i - 1) mu_i.  For J = {1, ..., n-1}
     this is (-1)**n(lambda), the sign of w0 acting by evacuation
     (Berenstein-Zelevinsky; Stembridge, Duke Math. J. 82, 1996).  A longer
-    chain's signs are products of its members' (see `_chain_state`)."""
+    chain's signs are products of its members' (see `_chain_state`).
+
+    A chain of two or more members passes, with no state and no decision,
+    when every member J satisfies (a)-(c) and its signs are constant on
+    the classes of its rank (`_j_signs_constant`).  By (a)-(c) its pivot
+    test passes, and the pivot of C + J at x is J's sign at phi_C(x)
+    times C's pivot at x (see `_chain_state`); what is left is that signs
+    are constant on classes, by induction on the chain.  Let x and y share
+    a class of C + J.  C's keys at x and y agree, so C's pivots there have
+    one sign (for C = J_1, as J_1's signs are constant on its classes).
+    By (c), each phi_{J_i} with J_i < J keeps rank_J, so phi_C does, and
+    rank_J(phi_C(x)) = rank_J(x) = rank_J(y) = rank_J(phi_C(y)): J's signs
+    there agree too.  Multi-member chains check no sign value, so nothing
+    else is decided.  Such a report builds its state only when it
+    renders.  Every other chain, of one member or with a member that
+    fails the test, is decided on its state."""
     t0 = time.perf_counter()
-    n = sum(shape)
-    blocks, w = _chain_data(tuple(map(frozenset, chain)), n)
-    # a chain ending in J = {1, ..., n-1} is a prefix of no other
-    build = _chain_state.__wrapped__ if blocks[-1] == (1, n) else _chain_state
-    state = build(shape, blocks)
-    pivots = state.pivots
-    failures = _decide(
-        shape, None if pivots is not None else _chain_matrix(shape, blocks),
-        state.perm, state.phi, state.key, pivots, 'the composite symmetry',
-        blocks, _one_member_sign(shape, *blocks[0]) if len(blocks) == 1
-        else None)
+    blocks, w = _chain_data(tuple(map(frozenset, chain)), sum(shape))
+    if len(blocks) > 1 and all(_j_signs_constant(shape, p, q)
+                               for p, q in blocks):
+        failures, state = [], None
+    else:
+        state = _thm4_state(shape, blocks)
+        pivots = state.pivots
+        failures = _decide(
+            shape, None if pivots is not None else _chain_matrix(shape, blocks),
+            state.perm, state.phi, state.key, pivots, 'the composite symmetry',
+            blocks, _one_member_sign(shape, *blocks[0]) if len(blocks) == 1
+            else None)
     return CheckReport(
         theorem='thm4',
         passed=not failures,
@@ -862,22 +914,23 @@ def verify_thm4_chain(shape: Partition,
         witness={'chain': [list(range(p, q)) for p, q in blocks]},
         failures=failures,
         timing=time.perf_counter() - t0,
-        render=(_thm4_fields, shape, blocks, w, state.perm, state.key,
-                state.phi, pivots),
+        render=(_thm4_fields, shape, blocks, w, state),
     )
 
 
 def _thm4_fields(shape: Partition, blocks: tuple[tuple[int, int], ...],
-                 w: Perm, perm: Sequence[int], key: Sequence[int],
-                 phi: Sequence[int], pivots: Sequence[int] | None) -> tuple:
+                 w: Perm, state: _ChainState | None) -> tuple:
     """The ordering, signs and the rest of the witness of a thm4 report
-    (see `CheckReport`)."""
+    (see `CheckReport`), read off the chain's state, which a chain that
+    passed with no state builds here."""
+    if state is None:
+        state = _thm4_state(shape, blocks)
     labels = cell(shape).labels
-    signs = None if pivots is None else _signs(
-        _class_labels(shape, blocks), perm, key, pivots)
-    return (tuple(map(labels.__getitem__, perm)), signs,
+    signs = None if state.pivots is None else _signs(
+        _class_labels(shape, blocks), state.perm, state.key, state.pivots)
+    return (tuple(map(labels.__getitem__, state.perm)), signs,
             {'w': list(w),
-             'symmetry': dict(zip(labels, map(labels.__getitem__, phi)))})
+             'symmetry': dict(zip(labels, map(labels.__getitem__, state.phi)))})
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ import pytest
 from klspecht import qrkit, specht
 
 
-def _clear_caches():
-    """Empty every cache `specht` and `qrkit` define: their memoized
-    functions (cells, block factors, tableau tables, chain data, chain
-    states, ...)."""
-    for module in (specht, qrkit):
+def clear_caches(*modules):
+    """Empty every cache these modules define: their memoized functions
+    (cells, block factors, tableau tables, chain data, chain states, ...)."""
+    for module in modules:
         for value in vars(module).values():
             if hasattr(value, 'cache_clear') and value.__module__ == module.__name__:
                 value.cache_clear()
+
+
+def _clear_caches():
+    """Empty every cache `specht` and `qrkit` define."""
+    clear_caches(specht, qrkit)
 
 
 @pytest.fixture

@@ -47,6 +47,7 @@ from klspecht.tableaux import (
     tableau_index,
 )
 
+from conftest import clear_caches
 from dense_reference import (
     identity_matrix,
     mat_eq,
@@ -345,20 +346,33 @@ def _basis(report):
 
 
 def test_thm4_chain_matrix_from_cached_factors(monkeypatch):
-    """Every thm4 check decides on the pivots of `matrix_of` of its w in
-    its basis order, read off the cached block structure of its members
-    (`_j_signs`) and its prefix's pivots, with no matrix of its own."""
+    """Every thm4 chain's state holds the pivots of `matrix_of` of its w
+    in its basis order, read off the cached block structure of its members
+    (`_j_signs`) and its prefix's pivots, with no matrix of its own.  Only
+    the 111 one-member chains up to n = 5 are decided on them; each longer
+    chain passes from its members' verdicts, and its report reads its
+    state when it renders."""
     seen = _checked_matrices(monkeypatch)
+    decided = 0
     for n in range(2, 6):
         for shape in partitions(n):
             for chain in all_connected_chains(n):
                 report = verify_thm4_chain(shape, chain)
+                assert len(seen) == (len(chain) == 1)
+                decided += len(seen)
                 want = matrix_of(shape, tuple(report.witness['w']),
                                  _basis(report))
-                m, target, pivots = seen.pop()
-                assert m is None
+                if seen:
+                    m, target, pivots = seen.pop()
+                    assert m is None
+                else:
+                    state = qrkit._thm4_state(shape,
+                                              qrkit._chain_data(chain, n)[0])
+                    pos = qrkit._inverse(state.perm)
+                    target = [pos[state.phi[i]] for i in state.perm]
+                    pivots = [state.pivots[i] for i in state.perm]
                 assert pivots == list_pivots(want, target)
-    assert not seen
+    assert decided == 111
 
 
 def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
@@ -496,26 +510,45 @@ def _stored_states(max_n):
                for n in range(2, max_n + 1))
 
 
+def _one_member_states(max_n):
+    """The one-member chains up to max_n, on every shape, whose states the
+    store holds: the checks that are decided on a stored state when no
+    record is read."""
+    return sum(len(partitions(n)) * sum(len(c) == 1 and not _is_full(c, n)
+                                        for c in all_connected_chains(n))
+               for n in range(2, max_n + 1))
+
+
 def _prefix_reads(max_n):
     """The checks up to max_n of a chain of two or more members: each
-    builds its state from its prefix's, read from the store once."""
+    builds its state, when its record renders, from its prefix's, read
+    from the store once."""
     return sum(len(partitions(n)) * sum(len(c) >= 2
                                         for c in all_connected_chains(n))
                for n in range(2, max_n + 1))
 
 
 def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
-    """The store holds the states of the chains that extend further, 1547
-    up to n = 6, within its 2048 entries: a sweep shuffled within each n,
-    as the benchmark runs it, builds each of them once, evicts none, and
-    reads every prefix from the store."""
+    """A sweep shuffled within each n, as the benchmark runs it, decides
+    every chain of two or more members from its members' verdicts: reading
+    no record, it builds only the states of the 248 one-member chains up
+    to n = 6 that the store holds, and no multi-member state.  Its records
+    then build the rest: the store holds the 1547 states of the chains
+    that extend further, within its 2048 entries, builds each once, evicts
+    none, and reads every prefix from the store."""
     rng = Random(24)
+    reports = []
     for n in range(2, 7):
         checks = [(shape, chain) for shape in partitions(n)
                   for chain in all_connected_chains(n)]
         rng.shuffle(checks)
-        for check in checks:
-            assert verify_thm4_chain(*check).passed
+        reports += [verify_thm4_chain(*check) for check in checks]
+    assert all(r.passed for r in reports)
+    info = qrkit._chain_state.cache_info()
+    assert info.misses == info.currsize == _one_member_states(6) == 248
+    assert info.hits == 0
+    for r in reports:
+        r.record()
     info = qrkit._chain_state.cache_info()
     assert info.maxsize == 2048
     assert info.misses == info.currsize == _stored_states(6) == 1547
@@ -523,18 +556,24 @@ def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
 
 
 def test_dfs_thm4_sweep_builds_each_state_once(cold_caches):
-    """Up to n = 7 a sweep builds 7472 states, more than the store's 2048
-    entries, but one shape's states fit (at most 395 at n = 7, and 1351 at
-    n = 8): a sweep shape by shape in DFS order, as `cli` runs it, evicts
-    only states of shapes it has finished, and builds each state once."""
-    for n in range(2, 8):
-        for shape in partitions(n):
-            for r in cli._thm4_job(shape):
-                assert r.passed
-    info = qrkit._chain_state.cache_info()
-    assert info.misses == _stored_states(7) == 7472
-    assert info.currsize == 2048
-    assert info.hits == _prefix_reads(7)
+    """A text sweep shape by shape in DFS order, as `cli` runs it, builds
+    up to n = 7 only the 548 states of the one-member chains the store
+    holds.  A structured sweep renders each record as it goes and builds
+    7472 states, more than the store's 2048 entries, but one shape's
+    states fit (at most 395 at n = 7, and 1351 at n = 8): it evicts only
+    states of shapes it has finished, and builds each state once."""
+    for structured, misses, size, hits in (
+            (False, 548, 548, 0), (True, 7472, 2048, _prefix_reads(7))):
+        qrkit._chain_state.cache_clear()
+        for n in range(2, 8):
+            for shape in partitions(n):
+                passes, texts = cli._encoded(cli._thm4_job, structured, shape)
+                assert passes == len(texts)
+        info = qrkit._chain_state.cache_info()
+        assert info.misses == misses
+        assert info.currsize == size
+        assert info.hits == hits
+    assert (_one_member_states(7), _stored_states(7)) == (548, 7472)
 
 
 def _records_both_ways(monkeypatch, checks):
@@ -574,6 +613,79 @@ def test_states_read_off_the_prefix_keep_every_record(monkeypatch,
         long = [verify_thm4_chain(*check).record() for check in checks]
     assert structured == long
     assert all(r['passed'] for r in structured)
+
+
+def _decided_on_states(checks):
+    """The verdicts (passed, failures) of these thm4 checks, read before
+    any record renders, and then their records, each on an empty store;
+    each chain of two or more members is decided from its members'
+    verdicts unless `_j_signs_constant` is patched to False."""
+    qrkit._chain_state.cache_clear()
+    reports = [verify_thm4_chain(*check) for check in checks]
+    verdicts = [(r.passed, r.failures) for r in reports]
+    records = [r.record() for r in reports]
+    qrkit._chain_state.cache_clear()
+    return verdicts, records
+
+
+def test_chains_passed_from_their_members_keep_every_record(monkeypatch,
+                                                            cold_caches):
+    """Every thm4 verdict and record for n <= 6, and for a seeded sample
+    at n = 7, equals the one decided on the chain's state, with
+    `_j_signs_constant` patched to False.  It holds on every (shape, J)
+    with n <= 7, so every chain of two or more members there passes from
+    its members' verdicts."""
+    checks = _thm4_checks(6) + Random(32).sample(
+        [(shape, chain) for shape in partitions(7)
+         for chain in all_connected_chains(7)], 400)
+    fast = _decided_on_states(checks)
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_j_signs_constant', lambda *args: False)
+        assert _decided_on_states(checks) == fast
+    assert all(passed for passed, _ in fast[0])
+    assert all(qrkit._j_signs_constant(shape, min(j), max(j) + 1)
+               for n in range(2, 8) for shape in partitions(n)
+               for j in _connected_sets(n))
+
+
+def test_a_sign_flip_inside_a_class_takes_the_full_route(monkeypatch,
+                                                         cold_caches):
+    """J = {1, 2} on (3, 2) with its sign flipped at position 0, whose
+    class of J holds position 1 too: (a)-(c) still hold, but
+    `_j_signs_constant` refuses J.  Every chain with J as a member is then
+    decided on its state, as every one-member chain is, and only those;
+    the one-member chain J and three chains that start with it fail, each
+    naming a class where the sign flips; and every verdict and record
+    equals the one decided on the state for every chain."""
+    shape, (p, q) = (3, 2), (1, 3)
+    real = qrkit._j_signs
+    assert qrkit._j_table(shape, p, q)[1][:2] == (0, 0)
+
+    def flipped(*args):
+        signs = real(*args)
+        return (-signs[0],) + signs[1:] if args == (shape, p, q) else signs
+
+    chains = all_connected_chains(5)
+    checks = [(shape, chain) for chain in chains]
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_j_signs', flipped)
+        decided = _checked_matrices(patch)
+        fast = _decided_on_states(checks)
+        assert not qrkit._j_signs_constant(shape, p, q)
+        assert len(decided) == sum(len(chain) == 1 or frozenset({1, 2}) in chain
+                                   for chain in chains) == 21
+        patch.setattr(qrkit, '_j_signs_constant', lambda *args: False)
+        assert _decided_on_states(checks) == fast
+    failing = {tuple(tuple(sorted(j)) for j in chain): failures
+               for chain, (passed, failures) in zip(chains, fast[0])
+               if not passed}
+    assert failing == {
+        ((1, 2),): ['sign flips inside class ((1, 1),)',
+                    'class ((1, 1),) has sign +1, expected -1'],
+        ((1, 2), (1, 2, 3)): ['sign flips inside class ((1,), (1, 1))'],
+        ((1, 2), (1, 2, 3), (1, 2, 3, 4)): [
+            'sign flips inside class ((), (1,), (1, 1))'],
+        ((1, 2), (1, 2, 3, 4)): ['sign flips inside class ((), (1, 1))']}
 
 
 def _pick_below_its_block(shape, patch):
@@ -863,22 +975,20 @@ def _negated(terms):
 
 @contextmanager
 def _negated_generators(shape):
-    """Every generator of the shape negated, and every cached matrix and
-    chain state of qrkit dropped on entry and on exit."""
+    """Every generator of the shape negated, and every cache of qrkit
+    emptied on entry and on exit, so none keeps what it read off the
+    module it no longer acts on.  specht's caches stay: the cell holds the
+    negated generators."""
     cl = specht.cell(shape)
     cl.generator_terms(1)
     real = cl._generator_terms
-    caches = (qrkit._block_factor, qrkit._long_cycle, qrkit._j_signs,
-              qrkit._chain_state)
     cl._generator_terms = tuple(map(_negated, real))
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches(qrkit)
     try:
         yield
     finally:
         cl._generator_terms = real
-        for cache in caches:
-            cache.cache_clear()
+        clear_caches(qrkit)
 
 
 def test_thm1_checks_the_value_of_each_class_sign(cold_caches):
