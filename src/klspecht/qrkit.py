@@ -15,7 +15,8 @@ invertible matrix is unique, so that holds exactly when P^T M is upper
 triangular with a positive diagonal: row P(c) of M vanishes left of
 column c and is nonzero in column c, with the sign of column c of P.
 thm1 runs this test on the integer entries of M's packed rows
-(`_pivot_test`, below) in O(d^2) without factoring; thm4 reads its
+(`_pivot_test`, below) in O(d^2) without factoring, twice per shape for
+every order it accepts (see `verify_thm1` below); thm4 reads its
 pivots off the block structure of the chain's members and runs it only
 on a module where that structure fails.  Both decide on the pivots, kept
 by position, through `_decide`, which unpacks M and runs `exact_qr` only
@@ -37,7 +38,19 @@ The verifiers check matrices of the Specht module action:
   implies that support: row pr(T) vanishes on every column before T,
   which includes every column of smaller index, and the lead entry of T
   is its pivot.  So the leading terms are read column by column only
-  when the pivot test fails or some pivot is not +-1.
+  when the pivot test fails or some pivot is not +-1.  Whether every
+  such order passes at once depends on the shape alone, and is decided
+  once per shape (`_thm1_pivots`).  The pivot at T is the entry
+  (pr(T), T) whatever the order, and the columns some index-monotone
+  order puts before T are those of smaller index and T's classmates.
+  The total index order tests the smaller-index columns and the earlier
+  classmates, the order with each index class reversed the later ones;
+  sign constancy on index classes and the sign values do not depend on
+  the order.  So M(c) passes in every such order when both pass, its
+  pivots are +-1 and `_decide` finds nothing in the total index order,
+  and every check then passes on those pivots, shared read-only by its
+  report.  Only in a module that fails this is each order decided on
+  its own, which names its failures.
 * `verify_thm4_chain`: for a chain J_1 < ... < J_k of connected
   generator subsets, w = w_{J_k} ... w_{J_1} acts by Q R with Q the
   signed permutation of the composite partial-evacuation symmetry phi =
@@ -84,7 +97,10 @@ Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
 exactly once, weakly increasing in index); `verify_thm4_chain` validates
 a chain once per n (`_chain_data`); `phi_connected` and
-`preorder_connected` check their tableau or shape.  The per-shape tables
+`preorder_connected` check their tableau or shape.  A shape the caches
+cannot hash (a list) gets `check_partition`'s ValueError from
+`specht.cell`, which `verify_thm4_chain` calls when its own caches fail
+to hash it.  The per-shape tables
 are built from the cell's tableaux, which are standard by construction,
 with the unchecked `_` workers of `jdt` and `tableaux`; the verifiers
 then work on positions only.
@@ -175,7 +191,8 @@ chain) and renders its ordering, signs and the label-bearing witness
 entries from positions on first read (`_thm1_fields`, `_thm4_fields`;
 see `CheckReport`).  Their arguments are the shared lists of the chain
 state, which holds no matrix, or, for a thm4 chain decided with no
-state, the chain's blocks alone.
+state, the chain's blocks alone; a thm1 report that passed on its
+shape's verdict shares that verdict's pivots.
 """
 
 from __future__ import annotations
@@ -523,6 +540,32 @@ def _promotion_table(shape: Partition) -> tuple[int, ...]:
     return tuple(cl.position[_promote(t)] for t in cl.tableaux)
 
 
+def _thm1_sign(shape: Partition) -> Callable[[int], int]:
+    """The sign thm1 expects at each position i, as a function of i:
+    (-1)**(r - 1), r the row of the removable box of i's index."""
+    rows, indexes = [r for r, _ in _removable_boxes(shape)], cell(shape).indexes
+    return lambda i: (-1) ** (rows[indexes[i] - 1] - 1)
+
+
+@lru_cache(maxsize=None)
+def _thm1_pivots(shape: Partition) -> list[int] | None:
+    """M(c)'s pivots by position when every index-monotone order passes
+    thm1, else None: the total index order and the one with each index
+    class reversed stand for them all (see the module docstring).  The
+    result is shared with the cache and with every report: callers must
+    not change it."""
+    cl, packed, table = cell(shape), _long_cycle(shape), _promotion_table(shape)
+    ids = range(len(table))
+    pivots = _pivot_test(packed, ids, table)
+    reverse = [k for m in cl.classes.values() for k in reversed(m)]
+    if (pivots is None or _pivot_test(packed, reverse, table) is None
+            or any(v != 1 and v != -1 for v in pivots)
+            or _decide(shape, packed, ids, table, cl.indexes, pivots,
+                       'promotion', None, _thm1_sign(shape))):
+        return None
+    return pivots
+
+
 # ---------------------------------------------------------------------------
 # the long-cycle check
 
@@ -533,27 +576,37 @@ def verify_thm1(shape: Partition,
     Also checks the value of each index class's sign against the rule
     observed on every shape up to n = 8 (the statement quoted in PAPER.md
     stops before the sign): index class i has sign (-1)**(r_i - 1), r_i
-    the row of removable box i, counted from 1 at the top."""
+    the row of removable box i, counted from 1 at the top.
+
+    Whether M(c) passes is decided once per shape, for every
+    index-monotone order at once (`_thm1_pivots`, see the module
+    docstring), so a check validates the caller's order, by cell position
+    and index, and passes on the shape's pivots.  Only in a module that
+    fails that verdict is each order decided on its own pivot test,
+    which names its failures."""
     t0 = time.perf_counter()
     cl = cell(shape)
     ids = cl.positions(order)
     indexes = cl.indexes
-    if any(indexes[a] > indexes[b] for a, b in zip(ids, ids[1:])):
+    seen = list(map(indexes.__getitem__, ids))
+    if seen != sorted(seen):
         raise ValueError('order must be weakly increasing in tableau index')
-    packed = _long_cycle(shape)
-    table = _promotion_table(shape)
-    pivots = _pivot_test(packed, ids, table)
-    rows = [r for r, _ in _removable_boxes(shape)]
-    failures = _decide(shape, packed, ids, table, indexes, pivots,
-                       'promotion', None,
-                       lambda i: (-1) ** (rows[indexes[i] - 1] - 1))
-    # in an index-monotone order, passing pivots of +-1 imply the
-    # leading terms (see the module docstring)
-    if pivots is None or any(v != 1 and v != -1 for v in pivots):
-        pos = _inverse(ids)
-        failures = _leading_term_failures(
-            _reindexed(packed, ids), [pos[table[i]] for i in ids],
-            [indexes[i] for i in ids], _labels(shape, ids)) + failures
+    pivots = _thm1_pivots(shape)
+    if pivots is not None:
+        failures = []
+    else:
+        packed = _long_cycle(shape)
+        table = _promotion_table(shape)
+        pivots = _pivot_test(packed, ids, table)
+        failures = _decide(shape, packed, ids, table, indexes, pivots,
+                           'promotion', None, _thm1_sign(shape))
+        # in an index-monotone order, passing pivots of +-1 imply the
+        # leading terms (see the module docstring)
+        if pivots is None or any(v != 1 and v != -1 for v in pivots):
+            pos = _inverse(ids)
+            failures = _leading_term_failures(
+                _reindexed(packed, ids), [pos[table[i]] for i in ids],
+                seen, _labels(shape, ids)) + failures
     return CheckReport(
         theorem='thm1',
         passed=not failures,
@@ -896,11 +949,16 @@ def verify_thm4_chain(shape: Partition,
     fails the test, is decided on its state."""
     t0 = time.perf_counter()
     blocks, w = _chain_data(tuple(map(frozenset, chain)), sum(shape))
-    if len(blocks) > 1 and all(_j_signs_constant(shape, p, q)
-                               for p, q in blocks):
-        failures, state = [], None
-    else:
-        state = _thm4_state(shape, blocks)
+    try:
+        if len(blocks) > 1 and all(_j_signs_constant(shape, p, q)
+                                   for p, q in blocks):
+            failures, state = [], None
+        else:
+            state = _thm4_state(shape, blocks)
+    except TypeError:
+        cell(shape)  # a shape the caches cannot hash: the boundary's error
+        raise
+    if state is not None:
         pivots = state.pivots
         failures = _decide(
             shape, None if pivots is not None else _chain_matrix(shape, blocks),

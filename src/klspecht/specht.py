@@ -30,7 +30,8 @@ column word and peel key is one step from its counterpart there
 `enumerate_syt` and the `tableaux`/`rsk` workers stay the independent
 routes the tests compare every cell with.  Everything downstream works
 on positions in the total index order.  Basis orders passed in by a
-caller are validated once, by cell position.
+caller are validated once, by cell position, and shapes by the cell
+(`check_partition`), also one the cache cannot hash.
 
 The cell builds s_1, ..., s_{n-1} together, once, in the total index
 order, as the nonzero entries a product reads (`_Terms`): one pass over
@@ -451,8 +452,19 @@ class _Cell:
 
 
 @lru_cache(maxsize=None)
-def cell(shape: Partition) -> _Cell:
+def _cell(shape: Partition) -> _Cell:
     return _Cell(shape)
+
+
+def cell(shape: Partition) -> _Cell:
+    """The cached cell of a shape.  A shape the cache cannot hash (a
+    list, say) gets `check_partition`'s ValueError, as every other bad
+    shape does, before the cache's TypeError."""
+    try:
+        return _cell(shape)
+    except TypeError:
+        check_partition(shape)
+        raise
 
 
 def total_index_order(shape: Partition) -> tuple[Tableau, ...]:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 from pathlib import Path
 from random import Random
@@ -375,20 +376,102 @@ def test_thm4_chain_matrix_from_cached_factors(monkeypatch):
     assert decided == 111
 
 
-def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch):
+def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch, cold_caches):
+    """thm1 is decided once per shape, on `matrix_of` of the long cycle in
+    the total index order (`_thm1_pivots`), however many orders are
+    checked; each report's pivots, which it renders from, are the pivots
+    of `matrix_of` in its own order."""
     seen = _checked_matrices(monkeypatch)
+    shapes = 0
     for n in range(2, 6):
         for shape in partitions(n):
             rng = Random(f'factor:{shape}')
             orders = [None] + [random_index_monotone_order(shape, rng)
                                for _ in range(5)]
+            table = qrkit._promotion_table(shape)
             for order in orders:
                 report = verify_thm1(shape, order)
+                _, _, ids, pivots = report._render
                 want = matrix_of(shape, long_cycle(n), _basis(report))
-                m, target, pivots = seen.pop()
-                assert m == want
-                assert pivots == list_pivots(want, target)
-    assert not seen
+                pos = qrkit._inverse(ids)
+                assert [pivots[i] for i in ids] \
+                    == list_pivots(want, [pos[table[i]] for i in ids])
+            m, target, pivots = seen.pop()
+            assert not seen
+            assert m == matrix_of(shape, long_cycle(n))
+            assert pivots == list_pivots(m, target)
+            shapes += 1
+    assert shapes == 17
+
+
+def _thm1_decided(checks):
+    """The verdicts (passed, failures) of these thm1 checks, read before
+    any record renders, and then their records."""
+    reports = [verify_thm1(*check) for check in checks]
+    verdicts = [(r.passed, r.failures) for r in reports]
+    return verdicts, [r.record() for r in reports]
+
+
+def test_thm1_per_shape_verdict_keeps_every_record(monkeypatch, cold_caches):
+    """Every thm1 verdict and record for n <= 6 (the total index order and
+    10 seeded reorders per shape), and for a seeded sample at n = 7,
+    equals the one decided order by order, with `_thm1_pivots` patched to
+    None.  The per-shape verdict holds on every shape with n <= 7, so
+    every check there passes on it."""
+    rng = Random(33)
+    checks = [(shape, order) for n in range(1, 7) for shape in partitions(n)
+              for order in [None] + [random_index_monotone_order(shape, rng)
+                                     for _ in range(10)]]
+    checks += rng.sample([(shape, random_index_monotone_order(shape, rng))
+                          for shape in partitions(7) for _ in range(10)], 40)
+    fast = _thm1_decided(checks)
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_thm1_pivots', lambda shape: None)
+        assert _thm1_decided(checks) == fast
+    assert all(passed for passed, _ in fast[0])
+    assert all(qrkit._thm1_pivots(shape) is not None
+               for n in range(1, 8) for shape in partitions(n))
+
+
+def test_a_classmate_entry_takes_the_per_order_route(monkeypatch,
+                                                     cold_caches):
+    """M(c) of (3, 2) with a 1 added in row pr(T) at column T', T and T'
+    at positions 2 and 3, both of index 2.  The total index order still
+    passes, so only the order with each class reversed shows the fault:
+    the per-shape verdict refuses the shape, exactly the 6 of the 12
+    index-monotone orders that put T' before T fail, each with the line
+    naming the column QR cannot normalize over Q, and every verdict
+    and record equals the per-order route's."""
+    shape, t, t2 = (3, 2), 2, 3
+    cl = specht.cell(shape)
+    assert cl.indexes[t] == cl.indexes[t2] == 2
+    real = qrkit._long_cycle
+    m = unpack_rows(real(shape))
+    row = qrkit._promotion_table(shape)[t]
+    assert m[row][t2] == 0
+    m[row][t2] = 1
+    faulty = pack_rows(m, real(shape).width)
+    orders = [tuple(cl.tableaux[k] for k in (*a, *b))
+              for a in permutations(cl.classes[1])
+              for b in permutations(cl.classes[2])]
+    checks = [(shape, order) for order in orders]
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_long_cycle',
+                      lambda s: faulty if s == shape else real(s))
+        clear_caches(qrkit)
+        assert qrkit._thm1_pivots(shape) is None
+        fast = _thm1_decided(checks)
+        patch.setattr(qrkit, '_thm1_pivots', lambda shape: None)
+        assert _thm1_decided(checks) == fast
+    clear_caches(qrkit)
+    before = [order.index(cl.tableaux[t2]) < order.index(cl.tableaux[t])
+              for order in orders]
+    assert sum(before) == 6
+    assert [not passed for passed, _ in fast[0]] == before
+    assert {tuple(failures) for passed, failures in fast[0]
+            if not passed} == {
+        (f'no rational QR: column {c}: squared norm 2 is not a rational '
+         'square',) for c in (2, 3)}
 
 
 def _connected_sets(n):
@@ -465,6 +548,7 @@ def test_thm1_decides_at_any_slot_width(monkeypatch, cold_caches):
     assert {qrkit._long_cycle(shape).width for shape, _ in checks} == {32}
     monkeypatch.setattr(specht, '_SLOT_WIDTH', 64)
     qrkit._long_cycle.cache_clear()
+    qrkit._thm1_pivots.cache_clear()
     assert [verify_thm1(*check).record() for check in checks] == want
     assert {qrkit._long_cycle(shape).width for shape, _ in checks} == {64}
 

@@ -312,3 +312,31 @@ def test_thm1_rejects_orders_that_are_not_a_basis():
         with pytest.raises(ValueError, match='not a basis order'):
             verify_thm1(shape, order)
     assert verify_thm1(shape, base).passed
+
+
+# every entry point taking a shape gives a list shape the boundary's
+# ValueError, not the TypeError of a cache that cannot hash it
+
+@pytest.mark.parametrize('call', [
+    lambda shape: verify_thm1(shape),
+    lambda shape: verify_thm4_chain(shape, [{1}]),
+    lambda shape: verify_thm4_chain(shape, [{1}, {1, 2}]),
+    specht.total_index_order,
+    lambda shape: specht.generator_matrix(shape, 1),
+    lambda shape: specht.matrix_of(shape, (2, 1, 3)),
+    specht.check_branching,
+    specht.check_filtration_invariance,
+    lambda shape: specht.quotient_matrices(shape, 1),
+    lambda shape: qrkit.search_ordering(shape, (2, 1, 3)),
+    count_syt,
+    enumerate_syt,
+    lambda shape: preorder_connected({1}, shape),
+], ids=['verify_thm1', 'thm4_one_member', 'thm4_two_members',
+        'total_index_order', 'generator_matrix', 'matrix_of',
+        'check_branching', 'check_filtration_invariance',
+        'quotient_matrices', 'search_ordering', 'count_syt', 'enumerate_syt',
+        'preorder_connected'])
+def test_a_list_shape_gets_the_boundary_error(call):
+    with pytest.raises(ValueError, match='not a nonempty partition tuple'):
+        call([2, 1])
+    call((2, 1))
