@@ -14,15 +14,26 @@ thm1 and thm4 assert that Q is a given signed permutation P.  QR of an
 invertible matrix is unique, so that holds exactly when P^T M is upper
 triangular with a positive diagonal: row P(c) of M vanishes left of
 column c and is nonzero in column c, with the sign of column c of P.
-thm1 runs this test on the integer entries of M's packed rows
-(`_pivot_test`, below) in O(d^2) without factoring, twice per shape for
-every order it accepts (see `verify_thm1` below); thm4 reads its
-pivots off the block structure of the chain's members and runs it only
-on a module where that structure fails.  Both decide on the pivots, kept
-by position, through `_decide`, which unpacks M and runs `exact_qr` only
-when the test fails, to name the failure.  A thm4 chain of two or more
-members whose members all pass, with signs constant on their classes,
-passes with no pivots and no decision (see `verify_thm4_chain`).
+That pivot test reads the integer entries of M's packed rows
+(`_pivot_test`, below) in O(d^2) without factoring.
+
+One signed-triangularity test stands for every order weakly increasing
+in a rank (`_block_signs`): row phi(T) vanishes on every column of
+smaller rank and on T's classmates, and holds +-1 at T.  The pivot at T
+is the entry (phi(T), T) whatever the order, and the columns such an
+order can put before T are exactly those of smaller rank and T's
+classmates.  The pivot test in rank order tests the smaller-rank
+columns and the earlier classmates, the one in rank order with each
+class reversed the later ones; so every such order passes the pivot
+test when both pass, with the same pivots.  thm1 runs it on M(c) in the
+ranks of the tableau index, thm4 on each M(w_J) in the ranks of J's
+preorder, as condition (a) below.  Each verdict also holds the signs to
+the rule the check expects, at every position; the expected sign
+depends only on the class, so the value check implies constancy.  A
+check whose verdicts hold passes on them, with no matrix and no
+decision.  Only where a verdict fails is a check decided on its own
+(`_decide`), which names its failures, and unpacks M and runs
+`exact_qr` only when its pivot test fails.
 `exact_qr` remains the factorization behind the `qr` command and the
 basis-order loop shared by `search_ordering` and `verify_counterexample`.
 
@@ -34,36 +45,28 @@ The verifiers check matrices of the Specht module action:
   classes (and, by a rule observed up to n = 8, of value (-1)**(r_i - 1)
   on class i, r_i the row of removable box i; see `verify_thm1`), and
   the matrix itself supports columns only on promotions of
-  tableaux of weakly smaller index.  In such an order the pivot test
-  implies that support: row pr(T) vanishes on every column before T,
-  which includes every column of smaller index, and the lead entry of T
-  is its pivot.  So the leading terms are read column by column only
-  when the pivot test fails or some pivot is not +-1.  Whether every
-  such order passes at once depends on the shape alone, and is decided
-  once per shape (`_thm1_pivots`).  The pivot at T is the entry
-  (pr(T), T) whatever the order, and the columns some index-monotone
-  order puts before T are those of smaller index and T's classmates.
-  The total index order tests the smaller-index columns and the earlier
-  classmates, the order with each index class reversed the later ones;
-  sign constancy on index classes and the sign values do not depend on
-  the order.  So M(c) passes in every such order when both pass, its
-  pivots are +-1 and `_decide` finds nothing in the total index order,
-  and every check then passes on those pivots, shared read-only by its
-  report.  Only in a module that fails this is each order decided on
-  its own, which names its failures.
+  tableaux of weakly smaller index.  Whether every such order passes at
+  once depends on the shape alone, and is decided once per shape
+  (`_thm1_pivots`): `_block_signs` of M(c) in the ranks of the index,
+  each pivot the sign the rule gives.  Its test implies that support:
+  row pr(T) vanishes on every column of smaller index, and the lead
+  entry of T is its pivot.  Every check then passes on those pivots,
+  shared read-only by its report.  Only in a module that fails this is
+  each order decided on its own, with its leading terms read column by
+  column when its pivot test fails or some pivot is not +-1, which names
+  its failures.
 * `verify_thm4_chain`: for a chain J_1 < ... < J_k of connected
   generator subsets, w = w_{J_k} ... w_{J_1} acts by Q R with Q the
   signed permutation of the composite partial-evacuation symmetry phi =
   phi_{J_k} ... phi_{J_1}, signs constant on the blocks of the composite
-  preorder.  Everything a check shares with other checks is derived
-  once (see "Shared thm4 state" below).  A chain of two or more members
-  then costs one cached verdict per member: it passes when each member
-  has the block structure below and signs constant on its classes.  A
-  one-member chain, or any chain in a module that fails that, costs one
-  extension of the state of the chain without J_k, read off its pivots
-  with no matrix, and the decision.  A one-member chain also checks the
-  value of each class's sign, by a rule observed up to n = 8 (see
-  `verify_thm4_chain`).
+  preorder; a one-member chain also checks the value of each class's
+  sign, by a rule observed up to n = 8 (see `verify_thm4_chain`).
+  Everything a check shares with other checks is derived once (see
+  "Shared thm4 state" below).  Every chain, of one member or more, then
+  costs one cached verdict per member (`_j_verdict`): it passes when each
+  member has the block structure below and the signs of that rule.  Only
+  in a module that fails that does a chain cost one extension of the
+  state of the chain without J_k and the decision.
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
@@ -72,10 +75,10 @@ The verifiers check matrices of the Specht module action:
 The verifiers' matrices are built once per shape in the total index
 order, each keyed by what it is built from.  thm1 reads M(c) as the
 packed fold of a reduced word of c (`_long_cycle`).  thm4 reads, per
-block J = {p, ..., q-1}, M(w_J) as the nonzero entries a product reads
-on its left (`_block_factor`): s_p itself for |J| = 1, and otherwise the
-fold of s_p ... s_{q-1} on the cached M(w_{J'}), J' = J without q-1,
-read off the slots of packed rows that no passing check unpacks; it
+block J = {p, ..., q-1}, M(w_J) as the packed fold of s_p ... s_{q-1}
+on the cached M(w_{J'}), J' = J without q-1, read off the nonzero slots
+of its packed rows (on the identity for |J| = 1; `_block_factor`), so
+only a factor that a larger J's fold starts from is read into picks; it
 checks their block structure once (`_j_signs`) and multiplies no chain.
 Its one long route, for a module where that structure fails, packs the
 fold of a reduced word of the chain's w (`_chain_matrix`).  Matrices are
@@ -145,14 +148,15 @@ any order take the same path and get the same reports.
       are +-1 at (phi_J(c), c);
   (b) every s_j with j in J is block upper triangular;
   (c) phi_{J'} keeps the rank for every connected J' <= J.
-  For J = {1, ..., n-2} the rank is the tableau index, and (a) is the
-  filtration that `specht.check_branching` compares with S_{n-1}.  For
-  J = {1, ..., n-1}, one class, (a) says M(w0) = eps P_ev, the signed
-  evacuation of Berenstein-Zelevinsky and Stembridge.  `_j_signs` returns
-  the sign of each column's diagonal-block entry, or None, and
-  `_j_signs_constant` whether those signs are constant on the classes of
-  the rank: the verdict that passes every chain of two or more members
-  that all have it.
+  Given (c), phi_J keeps the rank, and (a) is `_block_signs` of M(w_J)
+  with phi_J in that rank.  For J = {1, ..., n-2} the rank is the
+  tableau index, and (a) is the filtration that `specht.check_branching`
+  compares with S_{n-1}.  For J = {1, ..., n-1}, one class, (a) says
+  M(w0) = eps P_ev, the signed evacuation of Berenstein-Zelevinsky and
+  Stembridge.  `_j_signs` returns the sign of each column's
+  diagonal-block entry, or None, and `_j_verdict` whether each of those
+  signs is the one-member rule's, evaluated once per class of the rank:
+  the verdict that passes every chain whose members all have it.
 * Chain states: per (shape, blocks of a chain), the basis order, an int
   class key per position, the composite phi and the pivots (None when
   the chain fails), all by position (`_ChainState`).  Only equality of
@@ -167,32 +171,30 @@ any order take the same path and get the same reports.
   column before x and is that product at x.  A one-member chain (C empty)
   has J's signs as its pivots.  Otherwise, only in a module that fails
   (a)-(c), the state runs the pivot test on `_chain_matrix`.  A check
-  builds the state of a one-member chain, or of a chain with a member
-  that `_j_signs_constant` refuses, and decides on it; any other chain's
-  report builds its state when it renders (`_thm4_fields`), so a text
-  sweep builds none of theirs.
+  builds the state of a chain only when a member lacks its verdict, and
+  decides on it; any other chain's report builds its state when it
+  renders (`_thm4_fields`), so a text sweep builds none.
 * Store: the states of the chains that extend further, in an lru_cache
   of 2048 entries on `_chain_state`.  A chain ending in J = {1, ..., n-1}
   extends no other and is built uncached (`_thm4_state`).  A sweep that
-  reads no record stores only its one-member chains' states (248 up to
-  n = 6, 548 up to n = 7).  One that renders every record stores 1547 up
-  to n = 6, so in any order it builds each once there; one shape's
+  reads no record stores none.  One that renders every record stores 1547
+  up to n = 6, so in any order it builds each once there; one shape's
   states fit at n = 7 and 8 (at most 395 and 1351), so a sweep shape by
   shape builds each once there too, and a state an eviction drops is
   rebuilt from its own prefix's, also when a report renders late.
 
-Reports.  Both verifiers decide on positions and integer class keys.
-Each order lists every class contiguously (thm4's is sorted on the
-composite key, thm1's is index-monotone), so `_decide` checks sign
-constancy in one pass, where the key changes, and the value of each
-class's sign at the class's first position.  A report keeps at once
-what a text line reads (passed, failures, shape, timing and thm4's
+Reports.  A check decided on its own (`_decide`) works on positions and
+integer class keys.  Each order lists every class contiguously (thm4's
+is sorted on the composite key, thm1's is index-monotone), so `_decide`
+checks sign constancy in one pass, where the key changes, and the value
+of each class's sign at the class's first position.  A report keeps at
+once what a text line reads (passed, failures, shape, timing and thm4's
 chain) and renders its ordering, signs and the label-bearing witness
 entries from positions on first read (`_thm1_fields`, `_thm4_fields`;
 see `CheckReport`).  Their arguments are the shared lists of the chain
-state, which holds no matrix, or, for a thm4 chain decided with no
-state, the chain's blocks alone; a thm1 report that passed on its
-shape's verdict shares that verdict's pivots.
+state, which holds no matrix, or, for a thm4 chain that passed on its
+members' verdicts, the chain's blocks alone; a thm1 report that passed
+on its shape's verdict shares that verdict's pivots.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations as _permutations, repeat
 from math import isqrt, lcm
-from operator import le, mul, sub
+from operator import le, mul
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -401,6 +403,21 @@ def _pivot_test(p: _Packed, ids: Sequence[int],
     return pivots
 
 
+def _block_signs(p: _Packed, image: Sequence[int],
+                 rank: Sequence[int]) -> list[int] | None:
+    """The pivots of p by position when row image[i] vanishes on every
+    column of smaller rank than i and on i's classmates and holds +-1 at
+    i, else None: the pivot test in rank order and in rank order with
+    each class reversed (see the module docstring)."""
+    d = len(rank)
+    pivots = _pivot_test(p, sorted(range(d), key=rank.__getitem__), image)
+    if (pivots is None or any(v != 1 and v != -1 for v in pivots)
+            or _pivot_test(p, sorted(range(d - 1, -1, -1),
+                                     key=rank.__getitem__), image) is None):
+        return None
+    return pivots
+
+
 def _qr_failures(m: Matrix, target: Sequence[int], labels: Sequence[str],
                  symmetry: str) -> list[str]:
     """Why QR of m does not realize c -> target[c], once the pivot test
@@ -446,15 +463,16 @@ def _inverse(perm: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _block_factor(shape: Partition, p: int, q: int) -> _Terms:
-    """M(w_J) in the total index order for J = {p, ..., q-1}, as the
-    `_Terms` a product reads on its left: s_p itself for |J| = 1, else
-    s_p ... s_{q-1} times the cached M(w_{J'}), J' = J - {q-1}, read off
-    the slots of that fold."""
+def _block_factor(shape: Partition, p: int, q: int) -> _Packed:
+    """M(w_J) in the total index order for J = {p, ..., q-1}, packed: the
+    fold of s_p ... s_{q-1} on M(w_{J'}), J' = J - {q-1}, as the terms of
+    s_p for |J'| = 1 and otherwise read off the nonzero slots of its
+    factor (on the identity for |J| = 1).  So only a factor that another
+    fold starts from is read into picks."""
     cl = cell(shape)
-    if q == p + 1:
-        return cl.generator_terms(p)
-    return _read_terms(cl.fold(range(p, q), _block_factor(shape, p, q - 1)))
+    start = (None if q == p + 1 else cl.generator_terms(p) if q == p + 2
+             else _read_terms(_block_factor(shape, p, q - 1)))
+    return cl.fold(range(p, q), start)
 
 
 @lru_cache(maxsize=None)
@@ -550,20 +568,14 @@ def _thm1_sign(shape: Partition) -> Callable[[int], int]:
 @lru_cache(maxsize=None)
 def _thm1_pivots(shape: Partition) -> list[int] | None:
     """M(c)'s pivots by position when every index-monotone order passes
-    thm1, else None: the total index order and the one with each index
-    class reversed stand for them all (see the module docstring).  The
-    result is shared with the cache and with every report: callers must
-    not change it."""
-    cl, packed, table = cell(shape), _long_cycle(shape), _promotion_table(shape)
-    ids = range(len(table))
-    pivots = _pivot_test(packed, ids, table)
-    reverse = [k for m in cl.classes.values() for k in reversed(m)]
-    if (pivots is None or _pivot_test(packed, reverse, table) is None
-            or any(v != 1 and v != -1 for v in pivots)
-            or _decide(shape, packed, ids, table, cl.indexes, pivots,
-                       'promotion', None, _thm1_sign(shape))):
-        return None
-    return pivots
+    thm1, else None: `_block_signs` in the ranks of the tableau index,
+    with each pivot the sign `_thm1_sign` expects there (see the module
+    docstring).  The result is shared with the cache and with every
+    report: callers must not change it."""
+    indexes = cell(shape).indexes
+    want = list(map(_thm1_sign(shape), range(len(indexes))))
+    pivots = _block_signs(_long_cycle(shape), _promotion_table(shape), indexes)
+    return pivots if pivots == want else None
 
 
 # ---------------------------------------------------------------------------
@@ -812,8 +824,8 @@ def _j_signs(shape: Partition, p: int, q: int) -> tuple[int, ...] | None:
         only entries are +-1 at (phi_J(c), c);
     (b) every s_j with j in J is block upper triangular;
     (c) phi_{J'} keeps the rank for every connected J' <= J.
-    Each row holds one diagonal-block entry, in the column phi_J sends to
-    it, so phi_J is a permutation and every column gets its sign."""
+    (a) is `_block_signs` on `_block_factor`, which also finds each sign;
+    with (c), phi_J keeps the rank, so row phi_J(c) lies in c's block."""
     phi, rank, _ = _j_table(shape, p, q)
     if any(tuple(map(rank.__getitem__, _phi_table(shape, a, b))) != rank
            for a in range(p, q) for b in range(a + 1, q + 1)):
@@ -823,28 +835,32 @@ def _j_signs(shape: Partition, p: int, q: int) -> tuple[int, ...] | None:
                                                        rank))))
                for j in range(p, q)):
         return None  # (b); every row of s_j has its diagonal pick
-    factor = _block_factor(shape, p, q)
-    if any(map((1).__ne__, map(sum, map(map, repeat(le), _pick_ranks(
-            factor, rank), map(repeat, rank))))):
-        return None  # not one pick per row in or below its diagonal block
-    # the entry of each column c in row phi_J(c), which must be +-1 and,
-    # as phi_J keeps the rank, is then that row's one pick in its block
-    d = len(rank)
-    diagonal = list(map(factor.picks.__getitem__, phi))
-    signs = tuple(map(sub, map(tuple.__contains__, diagonal, range(d)),
-                      map(tuple.__contains__, diagonal, range(d, 2 * d))))
-    return signs if all(signs) else None
+    signs = _block_signs(_block_factor(shape, p, q), phi, rank)  # (a)
+    return None if signs is None else tuple(signs)
+
+
+def _one_member_sign(shape: Partition, p: int, q: int) -> Callable[[int], int]:
+    """The sign at each position x of the one-member chain J = {p, ...,
+    q-1}, as a function of x, by the rule `verify_thm4_chain` checks:
+    (-1)**n(mu), mu the shape of the entries <= q-p+1 of ev_q(T_x).
+    n(mu) = sum of (i - 1) mu_i has the parity of the number of those
+    entries in rows 2, 4, ...  mu is lambda less the boxes that J's class
+    key peels, so the sign depends only on x's class."""
+    ev, tableaux, m = _evacuation_table(shape, q), cell(shape).tableaux, q - p + 1
+    return lambda x: (-1) ** sum(map(bisect_right, tableaux[ev[x]][1::2],
+                                     repeat(m)))
 
 
 @lru_cache(maxsize=None)
-def _j_signs_constant(shape: Partition, p: int, q: int) -> bool:
-    """Whether (a)-(c) hold for J = {p, ..., q-1} (`_j_signs`) and its
-    signs are constant on the classes of its rank: then every chain of two
-    or more such members passes (see `verify_thm4_chain`)."""
-    signs = _j_signs(shape, p, q)
-    rank = _j_table(shape, p, q)[1]
-    # as many (rank, sign) pairs as ranks: one sign per class
-    return signs is not None and len(set(zip(rank, signs))) == len(set(rank))
+def _j_verdict(shape: Partition, p: int, q: int) -> bool:
+    """Whether (a)-(c) hold for J = {p, ..., q-1} (`_j_signs`) and each
+    sign is the one-member rule's (`_one_member_sign`), evaluated once per
+    class of J's rank: then every chain whose members all have this
+    verdict passes (see `verify_thm4_chain`)."""
+    rank, sign = _j_table(shape, p, q)[1], _one_member_sign(shape, p, q)
+    # the rule at one position of each class: the last, r -> x
+    want = {r: sign(x) for r, x in dict(zip(rank, range(len(rank)))).items()}
+    return _j_signs(shape, p, q) == tuple(map(want.__getitem__, rank))
 
 
 def _chain_matrix(shape: Partition,
@@ -899,17 +915,6 @@ def _chain_state(shape: Partition,
     return _ChainState(perm, key, phi, pivots)
 
 
-def _one_member_sign(shape: Partition, p: int, q: int) -> Callable[[int], int]:
-    """The sign at each position x of the one-member chain J = {p, ...,
-    q-1}, as a function of x, by the rule `verify_thm4_chain` checks:
-    (-1)**n(mu), mu the shape of the entries <= q-p+1 of ev_q(T_x).
-    n(mu) = sum of (i - 1) mu_i has the parity of the number of those
-    entries in rows 2, 4, ..."""
-    ev, tableaux, m = _evacuation_table(shape, q), cell(shape).tableaux, q - p + 1
-    return lambda x: (-1) ** sum(map(bisect_right, tableaux[ev[x]][1::2],
-                                     repeat(m)))
-
-
 def _thm4_state(shape: Partition,
                 blocks: tuple[tuple[int, int], ...]) -> _ChainState:
     """The state of the chain of these blocks, from the store, except that
@@ -933,32 +938,33 @@ def verify_thm4_chain(shape: Partition,
     (Berenstein-Zelevinsky; Stembridge, Duke Math. J. 82, 1996).  A longer
     chain's signs are products of its members' (see `_chain_state`).
 
-    A chain of two or more members passes, with no state and no decision,
-    when every member J satisfies (a)-(c) and its signs are constant on
-    the classes of its rank (`_j_signs_constant`).  By (a)-(c) its pivot
-    test passes, and the pivot of C + J at x is J's sign at phi_C(x)
-    times C's pivot at x (see `_chain_state`); what is left is that signs
-    are constant on classes, by induction on the chain.  Let x and y share
-    a class of C + J.  C's keys at x and y agree, so C's pivots there have
-    one sign (for C = J_1, as J_1's signs are constant on its classes).
-    By (c), each phi_{J_i} with J_i < J keeps rank_J, so phi_C does, and
+    A chain passes, with no state and no decision, when every member J
+    has its verdict (`_j_verdict`): (a)-(c) hold, and J's sign at each
+    position is the one-member rule's, which depends only on the class of
+    J's rank.  By (a)-(c) its pivot test passes, and the pivot of C + J
+    at x is J's sign at phi_C(x) times C's pivot at x (see
+    `_chain_state`).  A one-member chain's pivots are then J's signs: the
+    rule's at every position, so constant on classes and of the value the
+    check expects.  A longer chain checks no sign value, and its signs are
+    constant on classes by induction on the chain.  Let x and y share a
+    class of C + J.  C's keys at x and y agree, so C's pivots there have
+    one sign (for C = J_1, as its signs are the rule's).  By (c), each
+    phi_{J_i} with J_i < J keeps rank_J, so phi_C does, and
     rank_J(phi_C(x)) = rank_J(x) = rank_J(y) = rank_J(phi_C(y)): J's signs
-    there agree too.  Multi-member chains check no sign value, so nothing
-    else is decided.  Such a report builds its state only when it
-    renders.  Every other chain, of one member or with a member that
-    fails the test, is decided on its state."""
+    there agree too.  So nothing else is decided, and the report builds
+    its state only when it renders.  A chain with a member that
+    lacks the verdict is decided on its state, which names its failures."""
     t0 = time.perf_counter()
     blocks, w = _chain_data(tuple(map(frozenset, chain)), sum(shape))
     try:
-        if len(blocks) > 1 and all(_j_signs_constant(shape, p, q)
-                                   for p, q in blocks):
-            failures, state = [], None
-        else:
-            state = _thm4_state(shape, blocks)
+        passed = all(_j_verdict(shape, p, q) for p, q in blocks)
     except TypeError:
         cell(shape)  # a shape the caches cannot hash: the boundary's error
         raise
-    if state is not None:
+    if passed:
+        failures, state = [], None
+    else:
+        state = _thm4_state(shape, blocks)
         pivots = state.pivots
         failures = _decide(
             shape, None if pivots is not None else _chain_matrix(shape, blocks),

@@ -30,8 +30,9 @@ column word and peel key is one step from its counterpart there
 `enumerate_syt` and the `tableaux`/`rsk` workers stay the independent
 routes the tests compare every cell with.  Everything downstream works
 on positions in the total index order.  Basis orders passed in by a
-caller are validated once, by cell position, and shapes by the cell
-(`check_partition`), also one the cache cannot hash.
+caller are validated once, by cell position, also one of tableaux the
+position dict cannot hash, and shapes by the cell (`check_partition`),
+also one the cache cannot hash.
 
 The cell builds s_1, ..., s_{n-1} together, once, in the total index
 order, as the nonzero entries a product reads (`_Terms`): one pass over
@@ -383,7 +384,10 @@ class _Cell:
         d = len(self.tableaux)
         if order is None:
             return list(range(d))
-        ids = [self.position.get(t, -1) for t in order]
+        try:
+            ids = [self.position.get(t, -1) for t in order]
+        except TypeError:  # a tableau the dict cannot hash: a list, say
+            ids = []
         if sorted(ids) != list(range(d)):
             raise ValueError(f'order is not a basis order for {self.shape}')
         return ids

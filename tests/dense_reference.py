@@ -1,7 +1,9 @@
 """Dense list-of-rows matrix arithmetic, kept as the tests' reference for
-the packed-row products of `klspecht.specht`, and `pack_rows` and
+the packed-row products of `klspecht.specht`; `pack_rows` and
 `unpack_rows`, which pack a test matrix and read packed rows back by
-plain shifts rather than by the code under test."""
+plain shifts rather than by the code under test; and `pick_rank_signs`,
+the reading of a block factor's signed block triangularity off its
+picks, the reference for `klspecht.qrkit._block_signs`."""
 
 from klspecht.specht import _Packed
 
@@ -59,3 +61,25 @@ def unpack_rows(p):
         assert r == 0
         out.append(row)
     return out
+
+
+def pick_rank_signs(terms, image, rank):
+    """The sign of each column c at row image[c], by position, read off
+    the picks of a `klspecht.specht._Terms` (operand k or d + k is +-1 in
+    column k, operand 2d + e the e-th scaled pair): None unless every row r
+    has exactly one pick whose column has rank at most rank[r] and row
+    image[c] holds +1 or -1 in column c.  Where image keeps the rank, that
+    is the one pick of row image[c] in c's block."""
+    d = len(terms.picks)
+    column = [*range(d), *range(d), *(k for k, _ in terms.scaled)]
+    for r, picks in enumerate(terms.picks):
+        if sum(rank[column[p]] <= rank[r] for p in picks) != 1:
+            return None
+    signs = []
+    for c in range(d):
+        picks = terms.picks[image[c]]
+        sign = (c in picks) - (d + c in picks)
+        if not sign:
+            return None
+        signs.append(sign)
+    return signs

@@ -671,6 +671,23 @@ def test_text_mode_renders_no_labels(capsys, monkeypatch):
                    '--max-n', '3')
 
 
+def test_healthy_text_sweeps_decide_nothing(capsys, monkeypatch, cold_caches):
+    """On a healthy module every check passes on a cached verdict: text
+    thm1 and thm4 sweeps to n = 6, on cold caches, never reach `_decide`
+    and build no thm4 chain state."""
+    from klspecht import qrkit
+
+    def refuse(*args):
+        raise AssertionError('a passing check was decided or built a state')
+
+    monkeypatch.setattr(qrkit, '_decide', refuse)
+    monkeypatch.setattr(qrkit, '_ChainState', refuse)
+    for family, checks in (('thm4', 3122), ('thm1', 308)):
+        code, out, err = invoke(capsys, 'verify', family, '--max-n', '6')
+        assert (code, err) == (0, '')
+        assert out.splitlines()[-1].startswith(f'{checks}/{checks} checks passed')
+
+
 class _SpyPool(_SerialPool):
     """A _SerialPool that keeps what the mapped function returns."""
 

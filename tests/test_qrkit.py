@@ -54,6 +54,7 @@ from dense_reference import (
     mat_eq,
     mat_mul,
     pack_rows,
+    pick_rank_signs,
     unpack_rows,
 )
 
@@ -349,38 +350,33 @@ def _basis(report):
 def test_thm4_chain_matrix_from_cached_factors(monkeypatch):
     """Every thm4 chain's state holds the pivots of `matrix_of` of its w
     in its basis order, read off the cached block structure of its members
-    (`_j_signs`) and its prefix's pivots, with no matrix of its own.  Only
-    the 111 one-member chains up to n = 5 are decided on them; each longer
-    chain passes from its members' verdicts, and its report reads its
-    state when it renders."""
+    (`_j_signs`) and its prefix's pivots, with no matrix of its own.  No
+    chain up to n = 5 is decided on them: each passes from its members'
+    verdicts, and its report reads its state when it renders."""
     seen = _checked_matrices(monkeypatch)
-    decided = 0
+    chains = 0
     for n in range(2, 6):
         for shape in partitions(n):
             for chain in all_connected_chains(n):
                 report = verify_thm4_chain(shape, chain)
-                assert len(seen) == (len(chain) == 1)
-                decided += len(seen)
+                assert report.passed and not seen
                 want = matrix_of(shape, tuple(report.witness['w']),
                                  _basis(report))
-                if seen:
-                    m, target, pivots = seen.pop()
-                    assert m is None
-                else:
-                    state = qrkit._thm4_state(shape,
-                                              qrkit._chain_data(chain, n)[0])
-                    pos = qrkit._inverse(state.perm)
-                    target = [pos[state.phi[i]] for i in state.perm]
-                    pivots = [state.pivots[i] for i in state.perm]
+                state = qrkit._thm4_state(shape, qrkit._chain_data(chain, n)[0])
+                pos = qrkit._inverse(state.perm)
+                target = [pos[state.phi[i]] for i in state.perm]
+                pivots = [state.pivots[i] for i in state.perm]
                 assert pivots == list_pivots(want, target)
-    assert decided == 111
+                chains += 1
+    assert chains == 581
 
 
 def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch, cold_caches):
     """thm1 is decided once per shape, on `matrix_of` of the long cycle in
     the total index order (`_thm1_pivots`), however many orders are
-    checked; each report's pivots, which it renders from, are the pivots
-    of `matrix_of` in its own order."""
+    checked, and with no `_decide`; each report's pivots, which it renders
+    from, are the pivots of `matrix_of` in its own order, and the
+    per-shape pivots those of the total index order."""
     seen = _checked_matrices(monkeypatch)
     shapes = 0
     for n in range(2, 6):
@@ -396,10 +392,10 @@ def test_thm1_long_cycle_matrix_from_cached_factor(monkeypatch, cold_caches):
                 pos = qrkit._inverse(ids)
                 assert [pivots[i] for i in ids] \
                     == list_pivots(want, [pos[table[i]] for i in ids])
-            m, target, pivots = seen.pop()
             assert not seen
-            assert m == matrix_of(shape, long_cycle(n))
-            assert pivots == list_pivots(m, target)
+            m = matrix_of(shape, long_cycle(n))
+            assert unpack_rows(qrkit._long_cycle(shape)) == m
+            assert qrkit._thm1_pivots(shape) == list_pivots(m, table)
             shapes += 1
     assert shapes == 17
 
@@ -480,38 +476,49 @@ def _connected_sets(n):
 
 @pytest.mark.parametrize('n', range(1, 8))
 def test_w_j_factors_equal_the_fold_of_a_reduced_word(n):
-    """Each w_J factor, built from the factor of J minus its largest
-    generator, equals the packed fold of a reduced word of w_J; the
-    factor of a single generator is that generator's own terms."""
+    """Each w_J factor, folded on the factor of J minus its largest
+    generator, has the nonzero entries, the largest row sum of |entry| and
+    the largest |entry| of the packed fold of a reduced word of w_J; the
+    factor of a single generator has those of that generator's terms."""
     for shape in partitions(n):
         cl = specht.cell(shape)
         for j_set in _connected_sets(n):
             p, q = min(j_set), max(j_set) + 1
             w = longest_element(j_set, n)
-            assert qrkit._block_factor(shape, p, q) \
-                == specht._read_terms(cl.fold(reduced_word(w)))
+            terms = specht._read_terms(qrkit._block_factor(shape, p, q))
+            assert terms == specht._read_terms(cl.fold(reduced_word(w)))
             if q == p + 1:
-                assert qrkit._block_factor(shape, p, q) is cl.generator_terms(p)
+                assert terms == cl.generator_terms(p)
 
 
 def test_w_j_factors_take_one_product_per_generator(monkeypatch, cold_caches):
-    """On cold caches, the w_J of an n = 6 shape cost 30 products in all:
-    a single generator is its own factor, and each larger J costs |J|
-    products on the factor of J minus its largest member, not the 70 of
-    folding each reduced word."""
+    """On cold caches, the w_J of an n = 6 shape cost 35 products in all:
+    each J costs |J| products on the factor of J minus its largest member
+    (the identity for |J| = 1), not the 70 of folding each reduced word.
+    Only the 6 factors of |J| >= 2 that a larger J's fold starts from are
+    read into picks: never the factor of J = {p, ..., 5}, and the fold of
+    J = {p, p + 1} starts from the terms of s_p."""
     shape = (3, 2, 1)
     specht.cell(shape).generator_terms(1)
-    calls = []
-    real = specht._times
+    calls, read = [], []
+    real, real_read = specht._times, qrkit._read_terms
 
     def counting(terms, b):
         calls.append(b.width)
         return real(terms, b)
 
+    def reading(p):
+        read.append(p)
+        return real_read(p)
+
     monkeypatch.setattr(specht, '_times', counting)
+    monkeypatch.setattr(qrkit, '_read_terms', reading)
     for j_set in _connected_sets(6):
         qrkit._block_factor(shape, min(j_set), max(j_set) + 1)
-    assert len(calls) == sum(len(j) for j in _connected_sets(6) if len(j) > 1) == 30
+    assert len(calls) == sum(map(len, _connected_sets(6))) == 35
+    assert read == [qrkit._block_factor(shape, min(j), max(j) + 1)
+                    for j in _connected_sets(6) if len(j) > 1 and max(j) < 5]
+    assert len(read) == 6
 
 
 @pytest.mark.parametrize('n', range(2, 8))
@@ -520,16 +527,15 @@ def test_long_element_acts_as_signed_evacuation(n):
     Stembridge, Duke Math. J. 82, 1996): M(w0) is (-1)^{n(lambda)},
     n(lambda) = sum of (i - 1) lambda_i, times the permutation matrix of
     evacuation, column T sent to row ev(T).  So row ev(T) of the w_J
-    factor for J = {1, ..., n-1} has the one pick T, with that sign, and
+    factor for J = {1, ..., n-1} has the one entry T, with that sign, and
     `_j_signs` reads that sign in every column."""
     for shape in partitions(n):
         cl = specht.cell(shape)
         d = len(cl.tableaux)
         sign = (-1) ** sum(i * part for i, part in enumerate(shape))
         ev = [cl.position[evacuate(t)] for t in cl.tableaux]
-        picks = tuple((k if sign == 1 else d + k,) for k in ev)
-        want = specht._Terms(picks, (), 1, 1)
-        assert qrkit._block_factor(shape, 1, n) == want, shape
+        want = [[sign if k == ev[r] else 0 for k in range(d)] for r in range(d)]
+        assert unpack_rows(qrkit._block_factor(shape, 1, n)) == want, shape
         assert qrkit._j_signs(shape, 1, n) == (sign,) * d, shape
 
 
@@ -594,15 +600,6 @@ def _stored_states(max_n):
                for n in range(2, max_n + 1))
 
 
-def _one_member_states(max_n):
-    """The one-member chains up to max_n, on every shape, whose states the
-    store holds: the checks that are decided on a stored state when no
-    record is read."""
-    return sum(len(partitions(n)) * sum(len(c) == 1 and not _is_full(c, n)
-                                        for c in all_connected_chains(n))
-               for n in range(2, max_n + 1))
-
-
 def _prefix_reads(max_n):
     """The checks up to max_n of a chain of two or more members: each
     builds its state, when its record renders, from its prefix's, read
@@ -614,12 +611,11 @@ def _prefix_reads(max_n):
 
 def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
     """A sweep shuffled within each n, as the benchmark runs it, decides
-    every chain of two or more members from its members' verdicts: reading
-    no record, it builds only the states of the 248 one-member chains up
-    to n = 6 that the store holds, and no multi-member state.  Its records
-    then build the rest: the store holds the 1547 states of the chains
-    that extend further, within its 2048 entries, builds each once, evicts
-    none, and reads every prefix from the store."""
+    every chain from its members' verdicts: reading no record, it builds
+    no state.  Its records then build them: the store holds the 1547
+    states up to n = 6 of the chains that extend further, within its 2048
+    entries, builds each once, evicts none, and reads every prefix from
+    the store."""
     rng = Random(24)
     reports = []
     for n in range(2, 7):
@@ -629,8 +625,7 @@ def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
         reports += [verify_thm4_chain(*check) for check in checks]
     assert all(r.passed for r in reports)
     info = qrkit._chain_state.cache_info()
-    assert info.misses == info.currsize == _one_member_states(6) == 248
-    assert info.hits == 0
+    assert info.misses == info.currsize == info.hits == 0
     for r in reports:
         r.record()
     info = qrkit._chain_state.cache_info()
@@ -641,13 +636,13 @@ def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
 
 def test_dfs_thm4_sweep_builds_each_state_once(cold_caches):
     """A text sweep shape by shape in DFS order, as `cli` runs it, builds
-    up to n = 7 only the 548 states of the one-member chains the store
-    holds.  A structured sweep renders each record as it goes and builds
-    7472 states, more than the store's 2048 entries, but one shape's
-    states fit (at most 395 at n = 7, and 1351 at n = 8): it evicts only
-    states of shapes it has finished, and builds each state once."""
+    no state up to n = 7.  A structured sweep renders each record as it
+    goes and builds 7472 states, more than the store's 2048 entries, but
+    one shape's states fit (at most 395 at n = 7, and 1351 at n = 8): it
+    evicts only states of shapes it has finished, and builds each state
+    once."""
     for structured, misses, size, hits in (
-            (False, 548, 548, 0), (True, 7472, 2048, _prefix_reads(7))):
+            (False, 0, 0, 0), (True, 7472, 2048, _prefix_reads(7))):
         qrkit._chain_state.cache_clear()
         for n in range(2, 8):
             for shape in partitions(n):
@@ -657,7 +652,7 @@ def test_dfs_thm4_sweep_builds_each_state_once(cold_caches):
         assert info.misses == misses
         assert info.currsize == size
         assert info.hits == hits
-    assert (_one_member_states(7), _stored_states(7)) == (548, 7472)
+    assert _stored_states(7) == 7472
 
 
 def _records_both_ways(monkeypatch, checks):
@@ -679,16 +674,23 @@ def test_states_read_off_the_prefix_keep_every_record(monkeypatch,
     """Every thm4 record for n <= 6, and for a seeded sample at n = 7,
     equals the one of the long route, which folds and pivot-tests M(w) for
     every chain; and with the block structure, no check builds or
-    pivot-tests a chain matrix."""
+    pivot-tests a chain matrix: the only pivot tests are those of
+    `_block_signs` on the block factors."""
     checks = _thm4_checks(6) + Random(30).sample(
         [(shape, chain) for shape in partitions(7)
          for chain in all_connected_chains(7)], 400)
+    real = qrkit._pivot_test
 
     def refuse(*args):
         raise AssertionError('a passing thm4 check built a chain matrix')
 
+    def block_signs_only(*args):
+        if sys._getframe(1).f_code is not qrkit._block_signs.__code__:
+            refuse()
+        return real(*args)
+
     with monkeypatch.context() as patch:
-        patch.setattr(qrkit, '_pivot_test', refuse)
+        patch.setattr(qrkit, '_pivot_test', block_signs_only)
         patch.setattr(qrkit, '_chain_matrix', refuse)
         structured = [verify_thm4_chain(*check).record() for check in checks]
     qrkit._chain_state.cache_clear()
@@ -702,8 +704,8 @@ def test_states_read_off_the_prefix_keep_every_record(monkeypatch,
 def _decided_on_states(checks):
     """The verdicts (passed, failures) of these thm4 checks, read before
     any record renders, and then their records, each on an empty store;
-    each chain of two or more members is decided from its members'
-    verdicts unless `_j_signs_constant` is patched to False."""
+    each chain is decided from its members' verdicts unless `_j_verdict`
+    is patched to False."""
     qrkit._chain_state.cache_clear()
     reports = [verify_thm4_chain(*check) for check in checks]
     verdicts = [(r.passed, r.failures) for r in reports]
@@ -716,31 +718,47 @@ def test_chains_passed_from_their_members_keep_every_record(monkeypatch,
                                                             cold_caches):
     """Every thm4 verdict and record for n <= 6, and for a seeded sample
     at n = 7, equals the one decided on the chain's state, with
-    `_j_signs_constant` patched to False.  It holds on every (shape, J)
-    with n <= 7, so every chain of two or more members there passes from
-    its members' verdicts."""
+    `_j_verdict` patched to False.  It holds on every (shape, J) with
+    n <= 7, so every chain there, of one member or more, passes from its
+    members' verdicts."""
     checks = _thm4_checks(6) + Random(32).sample(
         [(shape, chain) for shape in partitions(7)
          for chain in all_connected_chains(7)], 400)
     fast = _decided_on_states(checks)
     with monkeypatch.context() as patch:
-        patch.setattr(qrkit, '_j_signs_constant', lambda *args: False)
+        patch.setattr(qrkit, '_j_verdict', lambda *args: False)
         assert _decided_on_states(checks) == fast
     assert all(passed for passed, _ in fast[0])
-    assert all(qrkit._j_signs_constant(shape, min(j), max(j) + 1)
+    assert all(qrkit._j_verdict(shape, min(j), max(j) + 1)
                for n in range(2, 8) for shape in partitions(n)
                for j in _connected_sets(n))
+
+
+@pytest.mark.parametrize('n', range(2, 8))
+def test_the_one_member_sign_is_constant_on_classes(n):
+    """The one-member rule (-1)**n(mu) depends only on the class key of J
+    (mu is lambda less the boxes that key peels): on every (shape, J)
+    with n <= 7 it is constant on each class of `_j_table`'s rank.  So
+    `_j_verdict`, which evaluates it once per class, checks its value at
+    every position, and a value check implies constancy."""
+    for shape in partitions(n):
+        for j in _connected_sets(n):
+            p, q = min(j), max(j) + 1
+            sign = qrkit._one_member_sign(shape, p, q)
+            rank = qrkit._j_table(shape, p, q)[1]
+            assert len(set(zip(rank, map(sign, range(len(rank)))))) \
+                == len(set(rank)), (shape, j)
 
 
 def test_a_sign_flip_inside_a_class_takes_the_full_route(monkeypatch,
                                                          cold_caches):
     """J = {1, 2} on (3, 2) with its sign flipped at position 0, whose
-    class of J holds position 1 too: (a)-(c) still hold, but
-    `_j_signs_constant` refuses J.  Every chain with J as a member is then
-    decided on its state, as every one-member chain is, and only those;
-    the one-member chain J and three chains that start with it fail, each
-    naming a class where the sign flips; and every verdict and record
-    equals the one decided on the state for every chain."""
+    class of J holds position 1 too: (a)-(c) still hold, but `_j_verdict`
+    refuses J.  Every chain with J as a member is then decided on its
+    state, and only those; the one-member chain J and three chains that
+    start with it fail, each naming a class where the sign flips; and
+    every verdict and record equals the one decided on the state for
+    every chain."""
     shape, (p, q) = (3, 2), (1, 3)
     real = qrkit._j_signs
     assert qrkit._j_table(shape, p, q)[1][:2] == (0, 0)
@@ -755,10 +773,10 @@ def test_a_sign_flip_inside_a_class_takes_the_full_route(monkeypatch,
         patch.setattr(qrkit, '_j_signs', flipped)
         decided = _checked_matrices(patch)
         fast = _decided_on_states(checks)
-        assert not qrkit._j_signs_constant(shape, p, q)
-        assert len(decided) == sum(len(chain) == 1 or frozenset({1, 2}) in chain
-                                   for chain in chains) == 21
-        patch.setattr(qrkit, '_j_signs_constant', lambda *args: False)
+        assert not qrkit._j_verdict(shape, p, q)
+        assert len(decided) == sum(frozenset({1, 2}) in chain
+                                   for chain in chains) == 12
+        patch.setattr(qrkit, '_j_verdict', lambda *args: False)
         assert _decided_on_states(checks) == fast
     failing = {tuple(tuple(sorted(j)) for j in chain): failures
                for chain, (passed, failures) in zip(chains, fast[0])
@@ -788,9 +806,9 @@ def _rows_swapped(shape, patch):
     """Rows 0 and 2 of the factor of J = {1, 2} swapped: row 0 has no
     entry in its diagonal block, so (a) fails."""
     real = qrkit._block_factor
-    picks = list(real(shape, 1, 3).picks)
-    picks[0], picks[2] = picks[2], picks[0]
-    faulty = real(shape, 1, 3)._replace(picks=tuple(picks))
+    rows = list(real(shape, 1, 3).rows)
+    rows[0], rows[2] = rows[2], rows[0]
+    faulty = real(shape, 1, 3)._replace(rows=rows)
     patch.setattr(qrkit, '_block_factor', lambda *args: faulty
                   if args == (shape, 1, 3) else real(*args))
     return 1, 3
@@ -826,21 +844,31 @@ def test_a_faulty_module_takes_the_long_route(monkeypatch, cold_caches, fault):
     assert all(r['passed'] for r in structured) == (fault is _rows_swapped)
 
 
-def _factor_pick_added(column):
-    """Row 2 of the factor of J = {1, 2, 3} on (3, 2), which holds its one
-    diagonal-block pick, -1 in column 4, given one more pick (+1) in this
-    column: column 0 lies below the row's block, column 3 inside it."""
+def _factor_pick_added(column, row=2):
+    """A row of the factor of J = {1, 2, 3} on (3, 2), whose classes are
+    {0, 1} and {2, 3, 4}, given one more entry (+1) in this column.  Row 2
+    holds one entry, -1 in column 4: column 0 lies below its block, and
+    column 3 inside it before column 4, which the pivot test in rank order
+    sees.  Row 4 holds one entry, -1 in column 2: column 3 lies inside its
+    block after column 2, which only the test with each class reversed
+    sees."""
     def fault(shape, patch):
         real = qrkit._block_factor
         factor = real(shape, 1, 4)
-        assert factor.picks[2] == (9,)
-        faulty = factor._replace(picks=(*factor.picks[:2], (9, column),
-                                        *factor.picks[3:]))
+        m = unpack_rows(factor)
+        assert m[row] == [0, 0, 0, 0, -1] if row == 2 else [0, 0, -1, 0, 0]
+        m[row][column] = 1
+        faulty = pack_rows(m, factor.width)
         patch.setattr(qrkit, '_block_factor', lambda *args: faulty
                       if args == (shape, 1, 4) else real(*args))
         return 1, 4
-    fault.__name__ = f'_factor_pick_added_in_column_{column}'
+    fault.__name__ = (f'_factor_pick_added_in_column_{column}' if row == 2
+                      else f'_factor_pick_added_in_row_{row}_column_{column}')
     return fault
+
+
+_FACTOR_PICK_ADDED = [_factor_pick_added(0), _factor_pick_added(3),
+                      _factor_pick_added(3, row=4)]
 
 
 def _generator_pick_below_its_block(shape, patch):
@@ -852,7 +880,7 @@ def _generator_pick_below_its_block(shape, patch):
 
 
 @pytest.mark.parametrize('fault', [
-    _factor_pick_added(0), _factor_pick_added(3),
+    *_FACTOR_PICK_ADDED,
     _generator_pick_below_its_block, _phi_across_a_class])
 def test_j_signs_refuses_each_broken_condition(monkeypatch, cold_caches,
                                                fault):
@@ -865,6 +893,47 @@ def test_j_signs_refuses_each_broken_condition(monkeypatch, cold_caches,
     qrkit._j_signs.cache_clear()
     with monkeypatch.context() as patch:
         assert qrkit._j_signs(shape, *fault(shape, patch)) is None
+
+
+def _block_signs_both_ways(shape, p, q):
+    """`_block_signs` on the factor of J = {p, ..., q-1}, and the reference
+    reading of the same condition off the factor's picks."""
+    factor = qrkit._block_factor(shape, p, q)
+    phi, rank, _ = qrkit._j_table(shape, p, q)
+    return (qrkit._block_signs(factor, phi, rank),
+            pick_rank_signs(specht._read_terms(factor), phi, rank))
+
+
+@pytest.mark.parametrize('n', range(1, 8))
+def test_block_signs_equal_the_pick_rank_reading(n):
+    """On every (shape, J) with n <= 7, `_block_signs` finds the signs
+    that the reference reads off the factor's picks, and they are never
+    None there."""
+    for shape in partitions(n):
+        for j in _connected_sets(n):
+            fast, reference = _block_signs_both_ways(shape, min(j),
+                                                     max(j) + 1)
+            assert fast == reference is not None, (shape, j)
+
+
+@pytest.mark.parametrize('fault', [
+    _pick_below_its_block, _rows_swapped, _phi_across_a_class,
+    *_FACTOR_PICK_ADDED,
+    _generator_pick_below_its_block])
+def test_block_signs_equal_the_pick_rank_reading_under_faults(
+        monkeypatch, cold_caches, fault):
+    """Under each fault above, on every J of (3, 2), `_block_signs` and the
+    reference agree; on the J whose (a) the fault breaks, both refuse."""
+    shape = (3, 2)
+    with monkeypatch.context() as patch:
+        p, q = fault(shape, patch)
+        for j in _connected_sets(5):
+            fast, reference = _block_signs_both_ways(shape, min(j),
+                                                     max(j) + 1)
+            assert fast == reference, j
+        broken = _block_signs_both_ways(shape, p, q)
+    if fault in (_rows_swapped, *_FACTOR_PICK_ADDED):
+        assert broken == (None, None)
 
 
 def test_thm4_checks_the_sign_value_of_w0(cold_caches):
@@ -912,6 +981,10 @@ def test_thm4_checks_the_sign_value_of_every_one_member_chain(cold_caches):
     assert len(failing) == sum(len(partitions(n)) for n in range(2, 7)) == 28
 
 
+def _factor_terms(shape, p, q):
+    return specht._read_terms(qrkit._block_factor(shape, p, q))
+
+
 def test_narrow_slots_raise_instead_of_truncating():
     """`_times`, which every packed fold runs, refuses a product whose
     entry bound does not fit its slots rather than truncating it: each
@@ -923,9 +996,9 @@ def test_narrow_slots_raise_instead_of_truncating():
     for chain in all_connected_chains(6):
         blocks, w = qrkit._chain_data(chain, 6)
         try:
-            m = specht._pack(qrkit._block_factor(shape, *blocks[0]), width)
+            m = specht._pack(_factor_terms(shape, *blocks[0]), width)
             for p, q in blocks[1:]:
-                m = specht._times(qrkit._block_factor(shape, p, q), m)
+                m = specht._times(_factor_terms(shape, p, q), m)
         except QRInvariantError as err:
             assert str(err).endswith('overflow 5-bit slots')
             raised += 1

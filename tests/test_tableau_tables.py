@@ -340,3 +340,20 @@ def test_a_list_shape_gets_the_boundary_error(call):
     with pytest.raises(ValueError, match='not a nonempty partition tuple'):
         call([2, 1])
     call((2, 1))
+
+
+# every entry point taking a basis order gives an order of list tableaux
+# the boundary's ValueError, not the TypeError of a dict that cannot hash
+# them; the same order of tuple tableaux is accepted
+
+@pytest.mark.parametrize('call', [
+    lambda order: verify_thm1((2, 1), order),
+    lambda order: specht.generator_matrix((2, 1), 1, order),
+    lambda order: specht.matrix_of((2, 1), (2, 1, 3), order),
+    lambda order: specht.matrix_from_generator_word((2, 1), [1, 2], order),
+], ids=['verify_thm1', 'generator_matrix', 'matrix_of',
+        'matrix_from_generator_word'])
+def test_an_order_of_list_tableaux_gets_the_boundary_error(call):
+    with pytest.raises(ValueError, match='not a basis order'):
+        call([[[1, 3], [2]], [[1, 2], [3]]])
+    call((((1, 3), (2,)), ((1, 2), (3,))))
