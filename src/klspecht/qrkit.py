@@ -74,14 +74,16 @@ The verifiers check matrices of the Specht module action:
 
 The verifiers' matrices are built once per shape in the total index
 order, each keyed by what it is built from.  thm1 reads M(c) as the
-packed fold of a reduced word of c (`_long_cycle`).  thm4 reads, per
-block J = {p, ..., q-1}, M(w_J) as the packed fold of s_p ... s_{q-1}
-on the cached M(w_{J'}), J' = J without q-1, read off the nonzero slots
-of its packed rows (on the identity for |J| = 1; `_block_factor`), so
-only a factor that a larger J's fold starts from is read into picks; it
-checks their block structure once (`_j_signs`) and multiplies no chain.
-Its one long route, for a module where that structure fails, packs the
-fold of a reduced word of the chain's w (`_chain_matrix`).  Matrices are
+packed fold of a reduced word of c (`_long_cycle`).  thm4 builds
+M(w_J) only for the blocks J = {p, ..., n-1}: the packed fold of
+s_{n-1} ... s_p on the cached M(w_{J'}), J' = J without p, read off the
+nonzero slots of its packed rows (on the identity for |J| = 1;
+`_block_factor`).  Every other J is decided on the shapes one box
+smaller (see "Block structure").  It checks their block structure once
+(`_j_signs`) and multiplies no chain.  Its one long route, for a module
+where that structure fails, packs the fold of a reduced word of the
+chain's w (`_chain_matrix`); a J with q < n that a module failing B
+checks on its own shape packs that of w_J.  Matrices are
 never reindexed on a passing check: reordering a basis conjugates every
 factor by the same permutation, so a check reads the total index order
 through its basis order, and a failing check reindexes its matrix once,
@@ -124,19 +126,21 @@ any order take the same path and get the same reports.
   blocks (`_chain_data`).  Reports get fresh lists.
 * Per-shape tables, by position in the total index order: promotion for
   thm1 (`_promotion_table`) and ev_k for each k (`_evacuation_table`).
-  ev_1 is the identity and ev_k is ev_{k-1} after one reverse slide of
-  1..k, so each tableau slides once per k, n-1 times per shape, whatever
+  ev_k for k <= n-1 fixes n, so it is read off the shapes one box
+  smaller, one index class at a time, and ev_n is ev_{n-1} after one
+  reverse slide of 1..n: each tableau slides once per shape, whatever
   the number of J.  The index labels of each tableau peeled down to one
   box (the total index key without its last label) are the cell's
   `peels`, kept as the cell is assembled.
 * Per (shape, J), one table composed from those and the peel keys
   (`_j_table`): phi_J = ev_q ev_m ev_q (`_phi_table`, which (c) below
-  reads alone), and the dense rank and str of the preorder key, the
-  first n-m labels of the peel of ev_q(T).  A
-  chain reads it once per J: its basis order sorts positions on the
-  rank lists, outermost J first, and its class keys combine the ranks.
-  The key strings are read only to label a class: when a report renders
-  its signs, or a check names a sign that flips (`_class_labels`).
+  reads alone), and the dense rank of the preorder key, the first n-m
+  labels of the peel of ev_q(T) (`_j_keys`).  A chain reads it once per
+  J: its basis order sorts positions on the rank lists, outermost J
+  first, and its class keys combine the ranks.  The str of each key is
+  built on first read (`_j_texts`), only to label a class: when a report
+  renders its signs, or a check names a sign that flips
+  (`_class_labels`), so a passing text sweep builds none.
   `phi_connected` and `preorder_connected` evacuate and peel each
   tableau directly (`_preorder_key` reads the total index key of
   ev_q(T)): a route apart from the tables, which are tested against it.
@@ -157,6 +161,25 @@ any order take the same path and get the same reports.
   diagonal-block entry, or None, and `_j_verdict` whether each of those
   signs is the one-member rule's, evaluated once per class of the rank:
   the verdict that passes every chain whose members all have it.
+  Every J = {p, ..., q-1} with q <= n-1 lies in S_{n-1}, and is decided
+  on the shapes mu_i = lambda - box i when B(lambda, j) holds for each j
+  in J (`_inherits`).  B (`_branches`), read off the picks of s_j: no
+  entry sits in a row of larger index than its column, and each
+  diagonal index block, shifted by its class's first position, has
+  exactly the (column, entry) pairs of s_j on mu_i.  Index class i is
+  SYT(mu_i) with n at box i (`specht._Cell`), and ev_k for k <= n-1
+  never moves n, so on class i phi_J is mu_i's, shifted, and the
+  one-member rule, which reads only the entries <= m of ev_q(T), is
+  mu_i's.  The peel key is (i,) + mu_i's, so the rank of J compares
+  (index, rank on mu_i) lexicographically.  Under B, M(w_J) and every
+  s_j with j in J are index-block upper triangular with mu_i's matrices
+  as their diagonal blocks, and an entry above those blocks lies in a
+  row of smaller rank.  So (a)-(c) and the rule hold on lambda exactly
+  when they hold on every mu_i: J's signs are the concatenation of the
+  mu_i's signs and its verdict the AND of theirs, with no table, factor
+  or slide of lambda's.  Only J = {p, ..., n-1}, and a J of a module
+  that fails B, is checked on lambda itself: n-1 factors per shape, not
+  n(n-1)/2.
 * Chain states: per (shape, blocks of a chain), the basis order, an int
   class key per position, the composite phi and the pivots (None when
   the chain fails), all by position (`_ChainState`).  Only equality of
@@ -214,6 +237,7 @@ from .reports import CheckReport
 from .specht import (
     Matrix,
     QRInvariantError,
+    _entry,
     _Packed,
     _read_terms,
     _reindexed,
@@ -464,15 +488,20 @@ def _inverse(perm: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _block_factor(shape: Partition, p: int, q: int) -> _Packed:
-    """M(w_J) in the total index order for J = {p, ..., q-1}, packed: the
-    fold of s_p ... s_{q-1} on M(w_{J'}), J' = J - {q-1}, as the terms of
-    s_p for |J'| = 1 and otherwise read off the nonzero slots of its
-    factor (on the identity for |J| = 1).  So only a factor that another
-    fold starts from is read into picks."""
+    """M(w_J) in the total index order for J = {p, ..., q-1}, packed.  For
+    q = n, w_J = s_{n-1} ... s_p w_{J'} with J' = J - {p}, so it is the fold
+    of s_{n-1} ... s_p on M(w_{J'}), as the terms of s_{n-1} for |J'| = 1
+    and otherwise read off the nonzero slots of its factor (on the identity
+    for |J| = 1): n(n-1)/2 products per shape.  A J with q < n is decided
+    on the shapes one box smaller (`_inherits`) unless the module fails
+    B, and only then is its factor built, as the packed fold of a reduced
+    word (`_chain_matrix`)."""
+    if q < sum(shape):
+        return _chain_matrix(shape, ((p, q),))
     cl = cell(shape)
-    start = (None if q == p + 1 else cl.generator_terms(p) if q == p + 2
-             else _read_terms(_block_factor(shape, p, q - 1)))
-    return cl.fold(range(p, q), start)
+    start = (None if q == p + 1 else cl.generator_terms(q - 1) if q == p + 2
+             else _read_terms(_block_factor(shape, p + 1, q)))
+    return cl.fold(range(q - 1, p - 1, -1), start)
 
 
 @lru_cache(maxsize=None)
@@ -533,8 +562,8 @@ def _class_labels(shape: Partition,
     if blocks is None:
         return list(map(str, cell(shape).indexes))
     if len(blocks) == 1:
-        return [f'({text},)' for text in _j_table(shape, *blocks[0])[2]]
-    texts = [_j_table(shape, p, q)[2] for p, q in reversed(blocks)]
+        return [f'({text},)' for text in _j_texts(shape, *blocks[0])]
+    texts = [_j_texts(shape, p, q) for p, q in reversed(blocks)]
     return [f'({text})' for text in map(', '.join, zip(*texts))]
 
 
@@ -726,18 +755,24 @@ def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
 
 
 # Per-shape tables indexed by position in the total index order, shared
-# by every chain on the shape.  Each ev_k table is one reverse slide per
-# tableau on top of ev_{k-1}'s, and the per-J table is composed from
-# those and the cell's peel keys.
+# by every chain on the shape.  Each ev_k table for k <= n-1 is read off
+# the shapes one box smaller, ev_n's is one reverse slide per tableau on
+# top of ev_{n-1}'s, and the per-J table is composed from those and the
+# cell's peel keys.
 
 @lru_cache(maxsize=None)
 def _evacuation_table(shape: Partition, k: int) -> tuple[int, ...]:
-    """ev_k(tableaux[i]) = tableaux[table[i]].  ev_1 is the identity, and
-    ev_k for k >= 2 is ev_{k-1} after one reverse slide of 1..k, so the
-    table takes one slide per tableau and the table of ev_{k-1}."""
+    """ev_k(tableaux[i]) = tableaux[table[i]].  ev_1 is the identity.  ev_k
+    for 2 <= k <= n-1 fixes n, so on each index class, SYT(lambda - box i)
+    with n at box i, it is that shape's table shifted by the class's first
+    position.  ev_n is ev_{n-1} after one reverse slide of 1..n, so only
+    ev_n slides, once per tableau."""
     cl = cell(shape)
     if k == 1:
         return tuple(range(len(cl.tableaux)))
+    if k < sum(shape):
+        return tuple(start + e for start, small in cl.smaller
+                     for e in _evacuation_table(small, k))
     prev = _evacuation_table(shape, k - 1)
     return tuple(prev[cl.position[_inverse_promote(t, k)]] for t in cl.tableaux)
 
@@ -751,20 +786,30 @@ def _phi_table(shape: Partition, p: int, q: int) -> tuple[int, ...]:
     return tuple(map(evq.__getitem__, map(evm.__getitem__, evq)))
 
 
+def _j_keys(shape: Partition, p: int, q: int) -> list[tuple[int, ...]]:
+    """The `preorder_connected` key of J = {p, ..., q-1} at each position:
+    the first n-m labels of the cell's peel keys of ev_q, with no tableau
+    work of their own."""
+    peel, cut = cell(shape).peels, sum(shape) - (q - p + 1)
+    return [peel[e][:cut] for e in _evacuation_table(shape, q)]
+
+
 @lru_cache(maxsize=None)
 def _j_table(shape: Partition, p: int, q: int
-             ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[str, ...]]:
+             ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For J = {p, ..., q-1}, at i: the position of phi_J(tableaux[i])
-    (`_phi_table`), and the dense rank and str of its `preorder_connected`
-    key among the keys of the shape.  Ranks compare as the keys do.  The
-    keys are the first n-m labels of the cell's peel keys of ev_q, with
-    no tableau work of their own."""
-    m = q - p + 1
-    peel = cell(shape).peels
-    keys = [peel[e][:sum(shape) - m] for e in _evacuation_table(shape, q)]
+    (`_phi_table`), and the dense rank of its key (`_j_keys`) among the
+    keys of the shape.  Ranks compare as the keys do."""
+    keys = _j_keys(shape, p, q)
     rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return (_phi_table(shape, p, q), tuple(rank[key] for key in keys),
-            tuple(str(key) for key in keys))
+    return _phi_table(shape, p, q), tuple(rank[key] for key in keys)
+
+
+@lru_cache(maxsize=None)
+def _j_texts(shape: Partition, p: int, q: int) -> tuple[str, ...]:
+    """The str of J's key at each position (`_j_keys`), built on first
+    read: only a class label reads it (`_class_labels`)."""
+    return tuple(map(str, _j_keys(shape, p, q)))
 
 
 def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
@@ -814,6 +859,33 @@ def _pick_ranks(terms: _Terms, rank: Sequence[int]) -> Iterator[Iterator[int]]:
 
 
 @lru_cache(maxsize=None)
+def _branches(shape: Partition, j: int) -> bool:
+    """B(lambda, j) for j <= n-2, read off the picks of s_j: no entry sits
+    in a row of larger index than its column, and on each index class,
+    shifted by the class's first position, each row has exactly the
+    (column, entry) pairs of s_j on lambda - box i.  These are the
+    filtration and the branching to S_{n-1} (`specht.check_branching`)."""
+    cl = cell(shape)
+    terms = cl.generator_terms(j)
+    for start, small in cl.smaller:
+        sub = cell(small).generator_terms(j)
+        end = start + len(sub.picks)
+        for row, want in zip(terms.picks[start:end], sub.picks):
+            pairs = [_entry(terms, x) for x in row]
+            if (any(k < start for k, _ in pairs)
+                    or sorted((k - start, x) for k, x in pairs if k < end)
+                    != sorted(_entry(sub, x) for x in want)):
+                return False
+    return True
+
+
+def _inherits(shape: Partition, p: int, q: int) -> bool:
+    """Whether J = {p, ..., q-1} is decided on the shapes one box smaller:
+    q <= n-1 and B(shape, j) for every j in J (see "Block structure")."""
+    return q < sum(shape) and all(_branches(shape, j) for j in range(p, q))
+
+
+@lru_cache(maxsize=None)
 def _j_signs(shape: Partition, p: int, q: int) -> tuple[int, ...] | None:
     """For J = {p, ..., q-1}, the sign of M(w_J) at (phi_J(c), c) in each
     column c, by position, or None unless the block structure that decides
@@ -824,9 +896,15 @@ def _j_signs(shape: Partition, p: int, q: int) -> tuple[int, ...] | None:
         only entries are +-1 at (phi_J(c), c);
     (b) every s_j with j in J is block upper triangular;
     (c) phi_{J'} keeps the rank for every connected J' <= J.
-    (a) is `_block_signs` on `_block_factor`, which also finds each sign;
-    with (c), phi_J keeps the rank, so row phi_J(c) lies in c's block."""
-    phi, rank, _ = _j_table(shape, p, q)
+    A J that `_inherits` has the concatenation of its signs on the shapes
+    one box smaller, None when any is None (see "Block structure").
+    Otherwise (a) is `_block_signs` on `_block_factor`, which also finds
+    each sign; with (c), phi_J keeps the rank, so row phi_J(c) lies in c's
+    block."""
+    if _inherits(shape, p, q):
+        parts = [_j_signs(small, p, q) for _, small in cell(shape).smaller]
+        return None if None in parts else sum(parts, ())
+    phi, rank = _j_table(shape, p, q)
     if any(tuple(map(rank.__getitem__, _phi_table(shape, a, b))) != rank
            for a in range(p, q) for b in range(a + 1, q + 1)):
         return None  # (c)
@@ -856,7 +934,11 @@ def _j_verdict(shape: Partition, p: int, q: int) -> bool:
     """Whether (a)-(c) hold for J = {p, ..., q-1} (`_j_signs`) and each
     sign is the one-member rule's (`_one_member_sign`), evaluated once per
     class of J's rank: then every chain whose members all have this
-    verdict passes (see `verify_thm4_chain`)."""
+    verdict passes (see `verify_thm4_chain`).  A J that `_inherits` has it
+    when it has it on every shape one box smaller (see "Block
+    structure")."""
+    if _inherits(shape, p, q):
+        return all(_j_verdict(small, p, q) for _, small in cell(shape).smaller)
     rank, sign = _j_table(shape, p, q)[1], _one_member_sign(shape, p, q)
     # the rule at one position of each class: the last, r -> x
     want = {r: sign(x) for r, x in dict(zip(rank, range(len(rank)))).items()}
@@ -893,7 +975,7 @@ def _chain_state(shape: Partition,
     no matrix; otherwise it is the pivot test of `_chain_matrix`.  The
     result is shared with the cache: callers must not change it."""
     p, q = blocks[-1]
-    phi_j, rank_j, _ = _j_table(shape, p, q)
+    phi_j, rank_j = _j_table(shape, p, q)
     signs = _j_signs(shape, p, q)
     if len(blocks) == 1:
         perm = sorted(range(len(rank_j)), key=rank_j.__getitem__)

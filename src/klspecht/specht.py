@@ -323,6 +323,8 @@ class _Cell:
       columns 1..c-1, since box i is the foot of column c;
     - peel key(T) = (i,) + peel key(T'), the total index key of T
       without its last label.
+    `smaller` keeps the first position and the shape lambda - box i of
+    each class, for the tables read off the smaller cells.
     Labels are rendered on first read: a passing check never reads one."""
 
     def __init__(self, shape: Partition):
@@ -337,6 +339,8 @@ class _Cell:
             self.peels: list[tuple[int, ...]] = [()]
             # index -> cell positions of that index, keys ascending
             self.classes: dict[int, list[int]] = {1: [0]}
+            # (first position, lambda - box i) of each index class i
+            self.smaller: list[tuple[int, Partition]] = []
         else:
             self._grow(sum(shape))
         self._kl: tuple[hecke._Tables, list[int]] | None = None
@@ -347,10 +351,11 @@ class _Cell:
         one index class at a time, in label order (see `_Cell`)."""
         tabs: list[Tableau] = []
         self.descents, self.indexes, self.words, self.peels = [], [], [], []
-        self.classes = {}
+        self.classes, self.smaller = {}, []
         for i, (r, c) in enumerate(_removable_boxes(self.shape), start=1):
             rest = _remove_box(self.shape, r)
             small = cell(rest)
+            self.smaller.append((len(tabs), rest))
             self.classes[i] = list(range(len(tabs), len(tabs) + len(small.tableaux)))
             self.indexes += [i] * len(small.tableaux)
             # n-1 sits in the index box of T', and this is its row

@@ -492,13 +492,15 @@ def test_w_j_factors_equal_the_fold_of_a_reduced_word(n):
 
 
 def test_w_j_factors_take_one_product_per_generator(monkeypatch, cold_caches):
-    """On cold caches, the w_J of an n = 6 shape cost 35 products in all:
-    each J costs |J| products on the factor of J minus its largest member
-    (the identity for |J| = 1), not the 70 of folding each reduced word.
-    Only the 6 factors of |J| >= 2 that a larger J's fold starts from are
-    read into picks: never the factor of J = {p, ..., 5}, and the fold of
-    J = {p, p + 1} starts from the terms of s_p."""
-    shape = (3, 2, 1)
+    """On cold caches, the w_J that an n = 6 shape builds, those of
+    J = {p, ..., 5}, cost n(n - 1)/2 = 15 products in all: each J costs |J|
+    products on the factor of J minus its smallest member (the identity
+    for |J| = 1), not the 35 of every J, each on the factor of J minus its
+    largest member.  Only the 3 factors that a larger J's fold starts from
+    and that are not s_5 are read into picks, those of p = 2, 3, 4: the
+    fold of J = {4, 5} starts from the terms of s_5, and the factor of
+    J = {1, ..., 5} starts no fold."""
+    shape, n = (3, 2, 1), 6
     specht.cell(shape).generator_terms(1)
     calls, read = [], []
     real, real_read = specht._times, qrkit._read_terms
@@ -513,12 +515,10 @@ def test_w_j_factors_take_one_product_per_generator(monkeypatch, cold_caches):
 
     monkeypatch.setattr(specht, '_times', counting)
     monkeypatch.setattr(qrkit, '_read_terms', reading)
-    for j_set in _connected_sets(6):
-        qrkit._block_factor(shape, min(j_set), max(j_set) + 1)
-    assert len(calls) == sum(map(len, _connected_sets(6))) == 35
-    assert read == [qrkit._block_factor(shape, min(j), max(j) + 1)
-                    for j in _connected_sets(6) if len(j) > 1 and max(j) < 5]
-    assert len(read) == 6
+    for p in range(1, n):
+        qrkit._block_factor(shape, p, n)
+    assert len(calls) == n * (n - 1) // 2 == 15
+    assert read == [qrkit._block_factor(shape, p, n) for p in (4, 3, 2)]
 
 
 @pytest.mark.parametrize('n', range(2, 8))
@@ -752,20 +752,23 @@ def test_the_one_member_sign_is_constant_on_classes(n):
 
 def test_a_sign_flip_inside_a_class_takes_the_full_route(monkeypatch,
                                                          cold_caches):
-    """J = {1, 2} on (3, 2) with its sign flipped at position 0, whose
-    class of J holds position 1 too: (a)-(c) still hold, but `_j_verdict`
-    refuses J.  Every chain with J as a member is then decided on its
-    state, and only those; the one-member chain J and three chains that
-    start with it fail, each naming a class where the sign flips; and
+    """J = {2, 3, 4} on (3, 2) with its sign flipped at position 3, whose
+    class of J holds position 4 too: (a)-(c) still hold, but `_j_verdict`
+    refuses J.  J ends at n, so it is decided on (3, 2) itself, not on the
+    shapes one box smaller.  Every chain with J as a member is then
+    decided on its state, and only those; the six where positions 3 and 4
+    share a class fail (J alone, J after {2, 3} or {3, 4}, each also with
+    {1, 2, 3, 4} last), each naming a class where the sign flips; and
     every verdict and record equals the one decided on the state for
     every chain."""
-    shape, (p, q) = (3, 2), (1, 3)
+    shape, (p, q) = (3, 2), (2, 5)
     real = qrkit._j_signs
-    assert qrkit._j_table(shape, p, q)[1][:2] == (0, 0)
+    assert qrkit._j_table(shape, p, q)[1][3:] == (0, 0)
 
     def flipped(*args):
         signs = real(*args)
-        return (-signs[0],) + signs[1:] if args == (shape, p, q) else signs
+        return signs[:3] + (-signs[3],) + signs[4:] if args == (shape, p, q) \
+            else signs
 
     chains = all_connected_chains(5)
     checks = [(shape, chain) for chain in chains]
@@ -773,21 +776,25 @@ def test_a_sign_flip_inside_a_class_takes_the_full_route(monkeypatch,
         patch.setattr(qrkit, '_j_signs', flipped)
         decided = _checked_matrices(patch)
         fast = _decided_on_states(checks)
+        assert not qrkit._inherits(shape, p, q)
         assert not qrkit._j_verdict(shape, p, q)
-        assert len(decided) == sum(frozenset({1, 2}) in chain
-                                   for chain in chains) == 12
+        assert len(decided) == sum(frozenset({2, 3, 4}) in chain
+                                   for chain in chains) == 20
         patch.setattr(qrkit, '_j_verdict', lambda *args: False)
         assert _decided_on_states(checks) == fast
     failing = {tuple(tuple(sorted(j)) for j in chain): failures
                for chain, (passed, failures) in zip(chains, fast[0])
                if not passed}
     assert failing == {
-        ((1, 2),): ['sign flips inside class ((1, 1),)',
-                    'class ((1, 1),) has sign +1, expected -1'],
-        ((1, 2), (1, 2, 3)): ['sign flips inside class ((1,), (1, 1))'],
-        ((1, 2), (1, 2, 3), (1, 2, 3, 4)): [
-            'sign flips inside class ((), (1,), (1, 1))'],
-        ((1, 2), (1, 2, 3, 4)): ['sign flips inside class ((), (1, 1))']}
+        ((2, 3, 4),): ['sign flips inside class ((1,),)',
+                       'class ((1,),) has sign -1, expected +1'],
+        ((2, 3, 4), (1, 2, 3, 4)): ['sign flips inside class ((), (1,))'],
+        ((2, 3), (2, 3, 4)): ['sign flips inside class ((1,), (2, 1))'],
+        ((2, 3), (2, 3, 4), (1, 2, 3, 4)): [
+            'sign flips inside class ((), (1,), (2, 1))'],
+        ((3, 4), (2, 3, 4)): ['sign flips inside class ((1,), (1, 1))'],
+        ((3, 4), (2, 3, 4), (1, 2, 3, 4)): [
+            'sign flips inside class ((), (1,), (1, 1))']}
 
 
 def _pick_below_its_block(shape, patch):
@@ -803,27 +810,31 @@ def _pick_below_its_block(shape, patch):
 
 
 def _rows_swapped(shape, patch):
-    """Rows 0 and 2 of the factor of J = {1, 2} swapped: row 0 has no
-    entry in its diagonal block, so (a) fails."""
+    """Rows 0 and 3 of the factor of J = {2, 3, 4}, whose classes are
+    {0, 1, 2} and {3, 4}, swapped: row 3 has no entry in its diagonal
+    block, so (a) fails.  The factor of {1, 2, 3, 4}, which folds on it,
+    is built first."""
     real = qrkit._block_factor
-    rows = list(real(shape, 1, 3).rows)
-    rows[0], rows[2] = rows[2], rows[0]
-    faulty = real(shape, 1, 3)._replace(rows=rows)
+    real(shape, 1, 5)
+    rows = list(real(shape, 2, 5).rows)
+    rows[0], rows[3] = rows[3], rows[0]
+    faulty = real(shape, 2, 5)._replace(rows=rows)
     patch.setattr(qrkit, '_block_factor', lambda *args: faulty
-                  if args == (shape, 1, 3) else real(*args))
-    return 1, 3
+                  if args == (shape, 2, 5) else real(*args))
+    return 2, 5
 
 
 def _phi_across_a_class(shape, patch):
-    """phi_{1} sending position 1 to 2 and 2 to 1, which lie in different
-    classes of J = {1, 2, 3}: (c) fails."""
+    """phi_{3, 4} with the images of positions 2 and 3 exchanged, so that
+    it sends 2 to 4, which lie in different classes of J = {2, 3, 4}:
+    (c) fails."""
     real = qrkit._phi_table
-    phi = real(shape, 1, 2)
-    assert phi[1:3] == (1, 2)
-    faulty = phi[:1] + (2, 1) + phi[3:]
+    phi = real(shape, 3, 5)
+    assert phi[2:4] == (0, 4)
+    faulty = phi[:2] + (4, 0) + phi[4:]
     patch.setattr(qrkit, '_phi_table', lambda *args: faulty
-                  if args == (shape, 1, 2) else real(*args))
-    return 1, 4
+                  if args == (shape, 3, 5) else real(*args))
+    return 2, 5
 
 
 @pytest.mark.parametrize(
@@ -884,14 +895,19 @@ def _generator_pick_below_its_block(shape, patch):
     _generator_pick_below_its_block, _phi_across_a_class])
 def test_j_signs_refuses_each_broken_condition(monkeypatch, cold_caches,
                                                fault):
-    """Each fault breaks one condition of `_j_signs` for J = {1, 2, 3} on
-    (3, 2) and keeps the others: a second pick in a row of the factor,
-    below or inside its diagonal block (a), an s_1 pick below its block
-    (b), or phi_{1} across a class (c).  `_j_signs` refuses J."""
+    """Each fault breaks one condition of `_j_signs` for a J on (3, 2)
+    and keeps the others: a second pick in a row of the factor of
+    J = {1, 2, 3}, below or inside its diagonal block (a), an s_1 pick
+    below its block of {1, 2, 3} (b), or phi_{3, 4} across a class of
+    {2, 3, 4} (c).  `_j_signs` refuses J on the route that checks (a)-(c)
+    on (3, 2) itself, which J = {2, 3, 4} takes as it ends at n, and
+    J = {1, 2, 3} in a module that fails B (here `_branches` refuses)."""
     shape = (3, 2)
-    assert qrkit._j_signs(shape, 1, 4) is not None
-    qrkit._j_signs.cache_clear()
     with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_branches', lambda *args: False)
+        assert all(qrkit._j_signs(shape, min(j), max(j) + 1) is not None
+                   for j in _connected_sets(5))
+        qrkit._j_signs.cache_clear()
         assert qrkit._j_signs(shape, *fault(shape, patch)) is None
 
 
@@ -899,7 +915,7 @@ def _block_signs_both_ways(shape, p, q):
     """`_block_signs` on the factor of J = {p, ..., q-1}, and the reference
     reading of the same condition off the factor's picks."""
     factor = qrkit._block_factor(shape, p, q)
-    phi, rank, _ = qrkit._j_table(shape, p, q)
+    phi, rank = qrkit._j_table(shape, p, q)
     return (qrkit._block_signs(factor, phi, rank),
             pick_rank_signs(specht._read_terms(factor), phi, rank))
 
@@ -934,6 +950,120 @@ def test_block_signs_equal_the_pick_rank_reading_under_faults(
         broken = _block_signs_both_ways(shape, p, q)
     if fault in (_rows_swapped, *_FACTOR_PICK_ADDED):
         assert broken == (None, None)
+
+
+def _direct(patch):
+    """Every J decided on its own shape: B refuses every (shape, j)."""
+    patch.setattr(qrkit, '_branches', lambda *args: False)
+
+
+@pytest.mark.parametrize('n', range(2, 8))
+def test_inherited_verdicts_equal_the_direct_route(monkeypatch, cold_caches,
+                                                   n):
+    """On every (shape, J) with n <= 7, B holds for every j in J that is at
+    most n - 2, and the verdict and signs of J read off the shapes one box
+    smaller (for J up to n - 1) equal those of (a)-(c) checked on the
+    shape itself."""
+    js = [(min(j), max(j) + 1) for j in _connected_sets(n)]
+    assert all(qrkit._branches(shape, j) for shape in partitions(n)
+               for j in range(1, n - 1))
+    inherited = [(qrkit._j_verdict(shape, *j), qrkit._j_signs(shape, *j))
+                 for shape in partitions(n) for j in js]
+    assert sum(qrkit._inherits(shape, *j) for shape in partitions(n)
+               for j in js) == len(partitions(n)) * (n - 1) * (n - 2) // 2
+    clear_caches(qrkit)
+    with monkeypatch.context() as patch:
+        _direct(patch)
+        assert [(qrkit._j_verdict(shape, *j), qrkit._j_signs(shape, *j))
+                for shape in partitions(n) for j in js] == inherited
+    assert all(verdict for verdict, _ in inherited)
+
+
+def _thm4_records(shape):
+    """The records of every thm4 chain of the shape."""
+    return [verify_thm4_chain(shape, chain).record()
+            for chain in all_connected_chains(sum(shape))]
+
+
+def _s1_row_changed(row, want, picks):
+    """s_1 on (3, 2, 1) with the picks of one row replaced."""
+    def fault(shape, patch):
+        s1 = _generator_terms(specht.cell(shape), 1)
+        assert s1.picks[row] == want
+        faulty = s1._replace(picks=(*s1.picks[:row], picks,
+                                    *s1.picks[row + 1:]))
+        patch.setattr(specht._Cell, 'generator_terms', lambda self, j: faulty
+                      if (self.shape, j) == (shape, 1)
+                      else _generator_terms(self, j))
+    return fault
+
+
+# (3, 2, 1) has index classes at positions 0-4, 5-10 and 11-15, the SYT of
+# (2, 2, 1), (3, 1, 1) and (3, 2).  Row 3 of s_1 holds -1 at 3 and +1 at
+# 4 and 10; row 5 holds -1 at 5 and +1 at 12.
+_SAME_INDEX_PICK_NEGATED = _s1_row_changed(3, (19, 4, 10), (19, 20, 10))
+_PICK_BELOW_THE_FILTRATION = _s1_row_changed(5, (21, 12), (21, 4, 12))
+
+
+@pytest.mark.parametrize('fault, failing', [
+    (_SAME_INDEX_PICK_NEGATED, 89), (_PICK_BELOW_THE_FILTRATION, 164)])
+def test_a_generator_that_fails_b_takes_the_direct_route(
+        monkeypatch, cold_caches, fault, failing):
+    """s_1 on (3, 2, 1) with the entry in row 3, column 4 (both of index 1)
+    negated, so that its index-1 block is no longer s_1 on (2, 2, 1), or
+    with a pick in row 5 at column 4, of a smaller index: B refuses j = 1
+    and holds for j = 2, 3, 4.  Every J with 1 in it is then decided on
+    (3, 2, 1) itself, and every record of (3, 2, 1) equals the one with
+    every J decided there; the fault fails some checks."""
+    shape = (3, 2, 1)
+    with monkeypatch.context() as patch:
+        fault(shape, patch)
+        assert [qrkit._branches(shape, j) for j in range(1, 5)] \
+            == [False, True, True, True]
+        inherited = _thm4_records(shape)
+        clear_caches(qrkit)
+        _direct(patch)
+        assert _thm4_records(shape) == inherited
+    assert sum(not r['passed'] for r in inherited) == failing
+
+
+def _sign_flipped(shape, p, q, x):
+    """`_j_signs` with the sign of J = {p, ..., q-1} on this shape negated
+    at position x."""
+    real = qrkit._j_signs
+
+    def flipped(*args):
+        signs = real(*args)
+        return (signs[:x] + (-signs[x],) + signs[x + 1:]
+                if args == (shape, p, q) else signs)
+    return flipped
+
+
+def test_a_sign_flip_one_box_smaller_reaches_the_inherited_verdict(
+        monkeypatch, cold_caches):
+    """J = {2, 3, 4} on (3, 2) with its sign flipped at position 3, inside
+    its class {3, 4} (see the test above): `_j_verdict` refuses J there,
+    and so on (3, 2, 1), whose index-3 class, from position 11 on, is
+    SYT(3, 2), and which reads J off the shapes one box smaller.  Every
+    record of (3, 2, 1) equals the one with J decided on (3, 2, 1) itself
+    and its sign flipped at the same tableau, position 14."""
+    shape, small, (p, q) = (3, 2, 1), (3, 2), (2, 5)
+    assert specht.cell(shape).smaller[2] == (11, small)
+    with monkeypatch.context() as patch:
+        patch.setattr(qrkit, '_j_signs', _sign_flipped(small, p, q, 3))
+        assert qrkit._inherits(shape, p, q)
+        assert not qrkit._j_verdict(small, p, q)
+        assert not qrkit._j_verdict(shape, p, q)
+        inherited = _thm4_records(shape)
+    cold_caches()
+    with monkeypatch.context() as patch:
+        _direct(patch)
+        patch.setattr(qrkit, '_j_signs', _sign_flipped(shape, p, q, 14))
+        assert _thm4_records(shape) == inherited
+    failures = [r['failures'] for r in inherited if not r['passed']]
+    assert failures and all(line.startswith('sign flips inside class')
+                            or line.endswith('expected +1')
+                            for lines in failures for line in lines)
 
 
 def test_thm4_checks_the_sign_value_of_w0(cold_caches):
@@ -1090,7 +1220,9 @@ def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
     by s_{n-j} (the pivot test fails, and `exact_qr` names why).  The
     records of the second fault have the sha256 they had when each check
     built its labels and class strings at once, and each thm4 chain its
-    own matrix."""
+    own matrix.  Under the first fault every J is decided on its own
+    shape (`_branches` refuses): a J read off the shapes one box smaller
+    would concatenate their negated signs, a different fault."""
     real = qrkit._j_signs
 
     def last_negated(shape, p, q):
@@ -1102,6 +1234,8 @@ def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
                              (specht._Cell, 'generator_terms', _twisted)):
         with monkeypatch.context() as patch:
             patch.setattr(obj, name, fault)
+            if fault is last_negated:
+                patch.setattr(qrkit, '_branches', lambda *args: False)
             records = [verify_thm4_chain(shape, chain).record()
                        for n in (4, 5) for shape in partitions(n)
                        for chain in all_connected_chains(n)]

@@ -8,6 +8,7 @@ functions must still reject a non-standard tableau; and the verifiers
 must validate a caller's basis order once, by cell position.
 """
 
+from operator import le
 from random import Random
 
 import pytest
@@ -117,10 +118,12 @@ def test_thm4_tables_match_phi_and_preorder(shape):
     """The per-J table, composed from the evacuation tables and peel keys,
     against `phi_connected`/`preorder_connected`, which evacuate and peel
     each tableau themselves: phi, and the ranks and strings of the keys
-    (the strings pin the keys themselves)."""
+    (the strings, built on first read, pin the keys themselves)."""
     tabs = specht.cell(shape).tableaux
     for j_set in connected_sets(sum(shape)):
-        phi, ranks, strs = qrkit._j_table(shape, min(j_set), max(j_set) + 1)
+        p, q = min(j_set), max(j_set) + 1
+        phi, ranks = qrkit._j_table(shape, p, q)
+        strs = qrkit._j_texts(shape, p, q)
         assert [tabs[i] for i in phi] == [phi_connected(j_set, t) for t in tabs]
         keys = preorder_connected(j_set, shape)
         want = tuple(keys[t] for t in tabs)
@@ -153,11 +156,15 @@ def test_evacuation_and_peel_tables(shape):
 
 def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch,
                                                             cold_caches):
-    """On cold caches, ev_2, ..., ev_n of an n = 6 shape cost (n - 1) d
-    reverse slides: each ev_k is one slide per tableau on top of
-    ev_{k-1}, not the k - 1 slides of evacuating each tableau afresh."""
+    """On cold caches, ev_2, ..., ev_n of an n = 6 shape cost one reverse
+    slide per tableau of each shape of 2 to n boxes inside it, 46 in all,
+    not the (n - 1) d = 80 of sliding every tableau of the shape once per
+    k: ev_k for k <= n - 1 is read off the shapes one box smaller, and
+    only ev_n slides, each tableau once, on top of ev_{n-1}."""
     shape = (3, 2, 1)
     n, d = 6, len(specht.cell(shape).tableaux)
+    inside = [mu for k in range(2, n + 1) for mu in partitions(k)
+              if len(mu) <= len(shape) and all(map(le, mu, shape))]
     calls = []
     real = jdt._reverse_slide
 
@@ -168,7 +175,8 @@ def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch,
     monkeypatch.setattr(jdt, '_reverse_slide', counting)
     for k in range(2, n + 1):
         qrkit._evacuation_table(shape, k)
-    assert len(calls) == (n - 1) * d
+    assert len(calls) == sum(map(count_syt, inside)) == 46
+    assert (n - 1) * d == 80
 
 
 def test_random_orders_read_the_cell_indexes():
