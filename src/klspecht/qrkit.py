@@ -62,11 +62,12 @@ The verifiers check matrices of the Specht module action:
   preorder; a one-member chain also checks the value of each class's
   sign, by a rule observed up to n = 8 (see `verify_thm4_chain`).
   Everything a check shares with other checks is derived once (see
-  "Shared thm4 state" below).  Every chain, of one member or more, then
-  costs one cached verdict per member (`_j_verdict`): it passes when each
-  member has the block structure below and the signs of that rule.  Only
-  in a module that fails that does a chain cost one extension of the
-  state of the chain without J_k and the decision.
+  "Shared thm4 state" below).  A chain, of one member or more, then
+  costs its cached record and one probe per member of its shape's
+  verdict table (`_Verdicts`): it passes when each member has the block
+  structure below and the signs of that rule.  Only in a module that
+  fails that does a chain cost one extension of the state of the chain
+  without J_k and the decision.
 * `verify_counterexample`: for the non-separable w = 2413 on shape
   (3, 1), no basis order at all yields a signed-permutation Q.
 * `search_ordering`: brute-force the basis orders of a small module for
@@ -101,7 +102,7 @@ and one shift (`_pivot_test`).
 Validation happens at the boundary.  `verify_thm1` checks a caller's
 order once, by cell position (it must list every tableau of the shape
 exactly once, weakly increasing in index); `verify_thm4_chain` validates
-a chain once per n (`_chain_data`); `phi_connected` and
+a chain once per n (its record, `_chain_data`); `phi_connected` and
 `preorder_connected` check their tableau or shape.  A shape the caches
 cannot hash (a list) gets `check_partition`'s ValueError from
 `specht.cell`, which `verify_thm4_chain` calls when its own caches fail
@@ -121,9 +122,11 @@ Shared thm4 state.  None of it depends on the order in which chains are
 checked, so a sweep in DFS order and a caller checking single chains in
 any order take the same path and get the same reports.
 
-* Chain data, per (chain, n): the blocks (p, q) of the chain, validated
-  in one pass, and the product w of their longest elements, read off the
-  blocks (`_chain_data`).  Reports get fresh lists.
+* The chain record, per (chain, n): the blocks (p, q), each validated
+  once per (J, n) by its min, max and size (`_block`), the product w of
+  their longest elements, read off the blocks, and each J as a tuple
+  shared by every record (`_member`), which reports copy into fresh
+  lists (`_chain_data`).
 * Per-shape tables, by position in the total index order: promotion for
   thm1 (`_promotion_table`) and ev_k for each k (`_evacuation_table`).
   ev_k for k <= n-1 fixes n, so it is read off the shapes one box
@@ -160,7 +163,8 @@ any order take the same path and get the same reports.
   Stembridge.  `_j_signs` returns the sign of each column's
   diagonal-block entry, or None, and `_j_verdict` whether each of those
   signs is the one-member rule's, evaluated once per class of the rank:
-  the verdict that passes every chain whose members all have it.
+  the verdict that passes every chain whose members all have it, kept in
+  one table per shape, keyed by (p, q) (`_Verdicts`).
   Every J = {p, ..., q-1} with q <= n-1 lies in S_{n-1}, and is decided
   on the shapes mu_i = lambda - box i when B(lambda, j) holds for each j
   in J (`_inherits`).  B (`_branches`), read off the picks of s_j: no
@@ -176,10 +180,10 @@ any order take the same path and get the same reports.
   as their diagonal blocks, and an entry above those blocks lies in a
   row of smaller rank.  So (a)-(c) and the rule hold on lambda exactly
   when they hold on every mu_i: J's signs are the concatenation of the
-  mu_i's signs and its verdict the AND of theirs, with no table, factor
-  or slide of lambda's.  Only J = {p, ..., n-1}, and a J of a module
-  that fails B, is checked on lambda itself: n-1 factors per shape, not
-  n(n-1)/2.
+  mu_i's signs and its verdict the AND of theirs, with no rank table,
+  factor or slide of lambda's.  Only J = {p, ..., n-1}, and a J of a
+  module that fails B, is checked on lambda itself: n-1 factors per
+  shape, not n(n-1)/2.
 * Chain states: per (shape, blocks of a chain), the basis order, an int
   class key per position, the composite phi and the pivots (None when
   the chain fails), all by position (`_ChainState`).  Only equality of
@@ -388,13 +392,9 @@ def as_signed_permutation(m: Matrix) -> SignedPermutation | None:
         if len(hits) != 1:
             return None
         r = hits[0]
-        v = m[r][c]
-        if v == 1:
-            signs.append(1)
-        elif v == -1:
-            signs.append(-1)
-        else:
+        if m[r][c] not in (1, -1):
             return None
+        signs.append(1 if m[r][c] > 0 else -1)
         target.append(r)
     if sorted(target) != list(range(d)):
         return None
@@ -709,15 +709,17 @@ def thm1_shape_reports(shape: Partition, seed: int = 0) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 # connected subsets, partial evacuation symmetries, chains
 
-def _block(j_set: Iterable[int], n: int) -> tuple[int, int]:
-    js = sorted(set(j_set))
+@lru_cache(maxsize=None)
+def _block(js: frozenset[int], n: int) -> tuple[int, int]:
+    """The block (p, q) of J = {p, ..., q-1}, validated once per n."""
     if not js:
         raise ValueError('J must be a nonempty set of generator indices')
-    if js[0] < 1 or js[-1] > n - 1:
-        raise ValueError(f'J must lie in 1..{n - 1}: {js}')
-    if js != list(range(js[0], js[-1] + 1)):
-        raise ValueError(f'J must be connected: {js}')
-    return js[0], js[-1] + 1
+    p, q = min(js), max(js) + 1
+    if p < 1 or q > n:
+        raise ValueError(f'J must lie in 1..{n - 1}: {sorted(js)}')
+    if q - p != len(js):
+        raise ValueError(f'J must be connected: {sorted(js)}')
+    return p, q
 
 
 def phi_connected(j_set: Iterable[int], t: Tableau) -> Tableau:
@@ -727,7 +729,7 @@ def phi_connected(j_set: Iterable[int], t: Tableau) -> Tableau:
     m = q-p+1, this is ev_q ev_m ev_q.
     """
     check_standard(t)
-    p, q = _block(j_set, sum(shape_of(t)))
+    p, q = _block(frozenset(j_set), sum(shape_of(t)))
     return _phi(t, p, q)
 
 
@@ -746,7 +748,7 @@ def preorder_connected(j_set: Iterable[int], shape: Partition) -> dict[Tableau, 
     blocks refine down to the total index order).
     """
     check_partition(shape)
-    p, q = _block(j_set, sum(shape))
+    p, q = _block(frozenset(j_set), sum(shape))
     return {t: _preorder_key(t, p, q) for t in total_index_order(shape)}
 
 
@@ -836,11 +838,11 @@ def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
 
 
 @lru_cache(maxsize=None)
-def _chain_data(js: tuple[frozenset[int], ...], n: int
-                ) -> tuple[tuple[tuple[int, int], ...], Perm]:
-    """The blocks (p, q) of each J = {p, ..., q-1} of the validated chain,
-    and w = w_{J_k} ... w_{J_1}: w_J reverses p..q, x -> p + q - x, so
-    w is read off the blocks, J_1 first."""
+def _chain_data(js: tuple[frozenset[int], ...], n: int) -> tuple:
+    """The record of the validated chain: the block (p, q) of each J =
+    {p, ..., q-1}, w = w_{J_k} ... w_{J_1} and each J as the tuple
+    (p, ..., q-1), which reports copy.  w_J reverses p..q, x -> p + q - x,
+    so w is read off the blocks, J_1 first."""
     if not js:
         raise ValueError('chain must be nonempty')
     if not all(a < b for a, b in zip(js, js[1:])):
@@ -849,7 +851,13 @@ def _chain_data(js: tuple[frozenset[int], ...], n: int
     w = range(1, n + 1)
     for p, q in blocks:
         w = [p + q - x if p <= x <= q else x for x in w]
-    return blocks, tuple(w)
+    return blocks, tuple(w), tuple(_member(p, q) for p, q in blocks)
+
+
+@lru_cache(maxsize=None)
+def _member(p: int, q: int) -> tuple[int, ...]:
+    """(p, ..., q-1), one tuple shared by every chain record holding J."""
+    return tuple(range(p, q))
 
 
 def _pick_ranks(terms: _Terms, rank: Sequence[int]) -> Iterator[Iterator[int]]:
@@ -929,20 +937,33 @@ def _one_member_sign(shape: Partition, p: int, q: int) -> Callable[[int], int]:
                                      repeat(m)))
 
 
-@lru_cache(maxsize=None)
 def _j_verdict(shape: Partition, p: int, q: int) -> bool:
     """Whether (a)-(c) hold for J = {p, ..., q-1} (`_j_signs`) and each
     sign is the one-member rule's (`_one_member_sign`), evaluated once per
     class of J's rank: then every chain whose members all have this
-    verdict passes (see `verify_thm4_chain`).  A J that `_inherits` has it
-    when it has it on every shape one box smaller (see "Block
-    structure")."""
+    verdict passes (see `verify_thm4_chain`).  Uncached: it fills the
+    shape's verdict table (`_Verdicts`) on first read.  A J that
+    `_inherits` has it when the tables of the shapes one box smaller do
+    (see "Block structure")."""
     if _inherits(shape, p, q):
-        return all(_j_verdict(small, p, q) for _, small in cell(shape).smaller)
+        return all(_Verdicts(small)[p, q] for _, small in cell(shape).smaller)
     rank, sign = _j_table(shape, p, q)[1], _one_member_sign(shape, p, q)
     # the rule at one position of each class: the last, r -> x
     want = {r: sign(x) for r, x in dict(zip(rank, range(len(rank)))).items()}
     return _j_signs(shape, p, q) == tuple(map(want.__getitem__, rank))
+
+
+@lru_cache(maxsize=None)  # one table per shape
+class _Verdicts(dict):
+    """The thm4 verdicts of one shape, keyed by the block (p, q) of J =
+    {p, ..., q-1}, each `_j_verdict` on first read."""
+
+    def __init__(self, shape: Partition):
+        self.shape = cell(shape).shape  # a bad shape raises, and is not kept
+
+    def __missing__(self, block: tuple[int, int]) -> bool:
+        verdict = self[block] = _j_verdict(self.shape, *block)
+        return verdict
 
 
 def _chain_matrix(shape: Partition,
@@ -1020,8 +1041,9 @@ def verify_thm4_chain(shape: Partition,
     (Berenstein-Zelevinsky; Stembridge, Duke Math. J. 82, 1996).  A longer
     chain's signs are products of its members' (see `_chain_state`).
 
-    A chain passes, with no state and no decision, when every member J
-    has its verdict (`_j_verdict`): (a)-(c) hold, and J's sign at each
+    A chain passes, with no state and no decision, when the verdict
+    table of its shape (`_Verdicts`) holds at each block of its record
+    (`_chain_data`): for each member J, (a)-(c) hold, and J's sign at each
     position is the one-member rule's, which depends only on the class of
     J's rank.  By (a)-(c) its pivot test passes, and the pivot of C + J
     at x is J's sign at phi_C(x) times C's pivot at x (see
@@ -1037,9 +1059,9 @@ def verify_thm4_chain(shape: Partition,
     its state only when it renders.  A chain with a member that
     lacks the verdict is decided on its state, which names its failures."""
     t0 = time.perf_counter()
-    blocks, w = _chain_data(tuple(map(frozenset, chain)), sum(shape))
+    blocks, w, members = _chain_data(tuple(map(frozenset, chain)), sum(shape))
     try:
-        passed = all(_j_verdict(shape, p, q) for p, q in blocks)
+        passed = all(map(_Verdicts(shape).__getitem__, blocks))
     except TypeError:
         cell(shape)  # a shape the caches cannot hash: the boundary's error
         raise
@@ -1047,21 +1069,15 @@ def verify_thm4_chain(shape: Partition,
         failures, state = [], None
     else:
         state = _thm4_state(shape, blocks)
-        pivots = state.pivots
         failures = _decide(
-            shape, None if pivots is not None else _chain_matrix(shape, blocks),
-            state.perm, state.phi, state.key, pivots, 'the composite symmetry',
-            blocks, _one_member_sign(shape, *blocks[0]) if len(blocks) == 1
-            else None)
-    return CheckReport(
-        theorem='thm4',
-        passed=not failures,
-        shape=tuple(shape),
-        witness={'chain': [list(range(p, q)) for p, q in blocks]},
-        failures=failures,
-        timing=time.perf_counter() - t0,
-        render=(_thm4_fields, shape, blocks, w, state),
-    )
+            shape, _chain_matrix(shape, blocks) if state.pivots is None
+            else None, state.perm, state.phi, state.key, state.pivots,
+            'the composite symmetry', blocks,
+            _one_member_sign(shape, *blocks[0]) if len(blocks) == 1 else None)
+    return CheckReport('thm4', not failures, tuple(shape), None,
+                       {'chain': list(map(list, members))}, None, failures,
+                       time.perf_counter() - t0,
+                       render=(_thm4_fields, shape, blocks, w, state))
 
 
 def _thm4_fields(shape: Partition, blocks: tuple[tuple[int, int], ...],

@@ -390,7 +390,7 @@ class _Cell:
         if order is None:
             return list(range(d))
         try:
-            ids = [self.position.get(t, -1) for t in order]
+            ids = list(map(self.position.get, order, repeat(-1)))
         except TypeError:  # a tableau the dict cannot hash: a list, say
             ids = []
         if sorted(ids) != list(range(d)):

@@ -705,7 +705,7 @@ def _decided_on_states(checks):
     """The verdicts (passed, failures) of these thm4 checks, read before
     any record renders, and then their records, each on an empty store;
     each chain is decided from its members' verdicts unless `_j_verdict`
-    is patched to False."""
+    is patched to False on empty verdict tables (`_Verdicts`)."""
     qrkit._chain_state.cache_clear()
     reports = [verify_thm4_chain(*check) for check in checks]
     verdicts = [(r.passed, r.failures) for r in reports]
@@ -718,16 +718,21 @@ def test_chains_passed_from_their_members_keep_every_record(monkeypatch,
                                                             cold_caches):
     """Every thm4 verdict and record for n <= 6, and for a seeded sample
     at n = 7, equals the one decided on the chain's state, with
-    `_j_verdict` patched to False.  It holds on every (shape, J) with
+    `_j_verdict` patched to False on empty verdict tables, where every
+    check is decided on its state.  It holds on every (shape, J) with
     n <= 7, so every chain there, of one member or more, passes from its
     members' verdicts."""
     checks = _thm4_checks(6) + Random(32).sample(
         [(shape, chain) for shape in partitions(7)
          for chain in all_connected_chains(7)], 400)
     fast = _decided_on_states(checks)
+    qrkit._Verdicts.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(qrkit, '_j_verdict', lambda *args: False)
+        decided = _checked_matrices(patch)
         assert _decided_on_states(checks) == fast
+    qrkit._Verdicts.cache_clear()
+    assert len(decided) == len(checks)
     assert all(passed for passed, _ in fast[0])
     assert all(qrkit._j_verdict(shape, min(j), max(j) + 1)
                for n in range(2, 8) for shape in partitions(n)
@@ -760,7 +765,8 @@ def test_a_sign_flip_inside_a_class_takes_the_full_route(monkeypatch,
     share a class fail (J alone, J after {2, 3} or {3, 4}, each also with
     {1, 2, 3, 4} last), each naming a class where the sign flips; and
     every verdict and record equals the one decided on the state for
-    every chain."""
+    every chain, with `_j_verdict` patched to False on empty verdict
+    tables."""
     shape, (p, q) = (3, 2), (2, 5)
     real = qrkit._j_signs
     assert qrkit._j_table(shape, p, q)[1][3:] == (0, 0)
@@ -780,8 +786,10 @@ def test_a_sign_flip_inside_a_class_takes_the_full_route(monkeypatch,
         assert not qrkit._j_verdict(shape, p, q)
         assert len(decided) == sum(frozenset({2, 3, 4}) in chain
                                    for chain in chains) == 20
+        qrkit._Verdicts.cache_clear()
         patch.setattr(qrkit, '_j_verdict', lambda *args: False)
         assert _decided_on_states(checks) == fast
+        assert len(decided) == 20 + len(checks)
     failing = {tuple(tuple(sorted(j)) for j in chain): failures
                for chain, (passed, failures) in zip(chains, fast[0])
                if not passed}
@@ -979,6 +987,39 @@ def test_inherited_verdicts_equal_the_direct_route(monkeypatch, cold_caches,
     assert all(verdict for verdict, _ in inherited)
 
 
+def test_verdict_tables_fill_each_entry_once(monkeypatch, cold_caches):
+    """From cold caches, read from n = 6 down: each shape's verdict table
+    (`_Verdicts`) runs `_j_verdict` on the first read of an entry only,
+    and an inherited J fills the tables of the shapes one box smaller.
+    Every entry for n <= 6 equals the verdict body's value, and an
+    inherited one the AND of the smaller shapes' entries."""
+    real, calls = qrkit._j_verdict, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qrkit, '_j_verdict', counted)
+    got = {}
+    for n in range(6, 1, -1):
+        for shape in partitions(n):
+            table = qrkit._Verdicts(shape)
+            for j in _connected_sets(n):
+                block = min(j), max(j) + 1
+                got[shape, block] = table[block]
+                if qrkit._inherits(shape, *block):
+                    assert all(block in qrkit._Verdicts(small)
+                               for _, small in specht.cell(shape).smaller)
+    assert sorted(calls) == sorted((shape, *block) for shape, block in got)
+    for (shape, block), verdict in got.items():
+        assert qrkit._Verdicts(shape)[block] is verdict
+        assert verdict == real(shape, *block)
+        if qrkit._inherits(shape, *block):
+            assert verdict == all(qrkit._Verdicts(small)[block]
+                                  for _, small in specht.cell(shape).smaller)
+    assert len(calls) == len(got) == 276 and all(got.values())
+
+
 def _thm4_records(shape):
     """The records of every thm4 chain of the shape."""
     return [verify_thm4_chain(shape, chain).record()
@@ -1124,7 +1165,7 @@ def test_narrow_slots_raise_instead_of_truncating():
     width = 5
     raised = 0
     for chain in all_connected_chains(6):
-        blocks, w = qrkit._chain_data(chain, 6)
+        blocks, w, _ = qrkit._chain_data(chain, 6)
         try:
             m = specht._pack(_factor_terms(shape, *blocks[0]), width)
             for p, q in blocks[1:]:
@@ -1459,7 +1500,7 @@ def n6_chain_matrices(count=40, seed=13):
     pairs = [(shape, chain) for shape in partitions(6)
              for chain in all_connected_chains(6)]
     for shape, chain in rng.sample(pairs, count):
-        blocks, w = qrkit._chain_data(chain, 6)
+        blocks, w, _ = qrkit._chain_data(chain, 6)
         tableaux = specht.cell(shape).tableaux
         perm = qrkit._chain_state(shape, blocks).perm
         yield matrix_of(shape, w, [tableaux[i] for i in perm])
