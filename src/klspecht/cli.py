@@ -41,7 +41,6 @@ import signal
 import sys
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import lru_cache, partial
 from random import Random
@@ -438,6 +437,8 @@ def _run_jobs(worker, jobs: list, workers: int) -> Iterator:
     # a fork-started pool forks all of its workers at the first submit
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here: a serial run does without concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(worker, jobs)
     else:

@@ -55,9 +55,16 @@ anything: S_9 would need about 8.2 GB.
 mu(v, w) is the coefficient of degree (len(w)-len(v)-1)/2 in P_{v,w},
 symmetrized so the arguments may come in either order; it feeds both the
 W-graph edges and the Specht module matrices built on top of this module.
-`mu_ids` puts its arguments in Bruhat order and reads 0 (incomparable or
-even length gap), 1 (gap 1) or the top coefficient of the memoized
-`kl`; it keeps no memo of its own and does not call itself.
+`mu_ids` puts its arguments in length order and reads 0 (even length
+gap), 1 or 0 (gap 1, by Bruhat order) or the top coefficient of the
+memoized `kl`; it keeps no memo of its own and does not call itself.
+Before that last step comes the descent rule: for a gap d >= 3, mu(v, w)
+is 0 when some left or right descent s of w is not one of v.  Then
+P_{v,w} = P_{sv,w} (the raising above, Kazhdan-Lusztig, Invent. Math.
+53, 1979, section 2), and the degree bound of P_{sv,w}, (d - 2)/2, lies
+below the degree (d - 1)/2 that mu reads, so the rule is exact and no
+polynomial is computed.  `kl`'s correction scan applies the same rule to
+each mu(z, u) with a gap of 3 or more.
 
 Memo tables, one set per n: `kl_memo` holds the production polynomials,
 keyed by (v, w) after the descent raising; `r_memo` and `oracle_memo`
@@ -382,18 +389,21 @@ class _Tables:
             # the correction z: s a left descent, odd len(u) - len(z) and
             # v <= z, so len(z) >= len(v) and id(z) >= id(v); bit k of the
             # scan is id(v) + k.  The scan already has z < u with an odd
-            # gap, so mu(z, u) is 1 for gap 1 and otherwise the top
-            # coefficient of P_{z,u}
+            # gap, so mu(z, u) is 1 for gap 1, 0 by the descent rule of
+            # `mu_ids`, and otherwise the top coefficient of P_{z,u}
             down = self.down
+            ldu, rdu = ldesc[uid], rdesc[uid]
             low = lengths[vid] + (d & 1)
             rest = (down[uid] & self.smask[s] & self.scan[low]) >> vid
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 zid = vid + bit.bit_length() - 1
+                gap = lu - lengths[zid]
+                if gap > 1 and (ldu & ~ldesc[zid] or rdu & ~rdesc[zid]):
+                    continue  # mu(z, u) = 0 by the descent rule
                 if not (down[zid] >> vid) & 1:
                     continue
-                gap = lu - lengths[zid]
                 m = 1 if gap == 1 else qp_coeff(self.kl(zid, uid), gap >> 1)
                 if m:
                     shift = (lengths[wid] - lengths[zid]) // 2
@@ -408,16 +418,22 @@ class _Tables:
         return p
 
     def mu_ids(self, vid: int, wid: int) -> int:
-        if self.leq(wid, vid):
+        """mu(v, w) in either order.  A gap d >= 3 reads 0 by the descent
+        rule when w has a left or right descent s that v lacks: then
+        P_{v,w} = P_{sv,w}, of degree at most (d - 2)/2, also when v and w
+        are incomparable (see the module docstring)."""
+        lengths = self.lengths
+        if lengths[vid] > lengths[wid]:
             vid, wid = wid, vid
-        elif not self.leq(vid, wid):
-            return 0
-        d = self.lengths[wid] - self.lengths[vid]
+        d = lengths[wid] - lengths[vid]
         if not d & 1:
             return 0
         if d == 1:
-            return 1
-        return qp_coeff(self.kl(vid, wid), (d - 1) // 2)
+            return int(self.leq(vid, wid))
+        if (self.ldesc[wid] & ~self.ldesc[vid]
+                or self.rdesc[wid] & ~self.rdesc[vid]):
+            return 0
+        return qp_coeff(self.kl(vid, wid), d >> 1)
 
     # oracle route ------------------------------------------------------
 

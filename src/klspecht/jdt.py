@@ -24,8 +24,10 @@ All three operations preserve standardness and the shape.
 The public functions validate their tableau with `check_standard` and
 then call a `_`-prefixed worker (`_promote`, `_inverse_promote`,
 `_partial_evacuate`), which assumes a standard tableau and checks
-nothing.  Per-shape tables built from the tableaux of a `specht` cell
-call the workers directly.
+nothing.  The `lemma-pr` sweep worker calls them directly on the
+tableaux of a `specht` cell; the verifiers' per-shape tables are read
+off the smaller shapes' instead and call none, so these slides stay the
+independent route the tests compare those tables with.
 """
 
 from __future__ import annotations
@@ -114,14 +116,13 @@ def inverse_promote(tableau: Tableau) -> Tableau:
     ((1, 3, 4), (2, 5))
     """
     check_standard(tableau)
-    return _inverse_promote(tableau, sum(shape_of(tableau)))
+    return _inverse_promote(tableau)
 
 
-def _inverse_promote(tableau: Tableau, m: int) -> Tableau:
-    """Inverse promotion of the entries 1..m (one reverse slide); entries
-    > m stay put.  ev_m is ev_{m-1} after this."""
+def _inverse_promote(tableau: Tableau) -> Tableau:
+    """One reverse slide of every entry."""
     grid = [list(row) for row in tableau]
-    _reverse_slide(grid, m)
+    _reverse_slide(grid, sum(shape_of(tableau)))
     return tuple(tuple(row) for row in grid)
 
 

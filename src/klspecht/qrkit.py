@@ -107,9 +107,9 @@ a chain once per n (its record, `_chain_data`); `phi_connected` and
 cannot hash (a list) gets `check_partition`'s ValueError from
 `specht.cell`, which `verify_thm4_chain` calls when its own caches fail
 to hash it.  The per-shape tables
-are built from the cell's tableaux, which are standard by construction,
-with the unchecked `_` workers of `jdt` and `tableaux`; the verifiers
-then work on positions only.
+are read off the cells of the shape and of the shapes one box smaller,
+with no tableau work and no check; the verifiers then work on positions
+only.
 
 For a connected J = {p, ..., q-1} (positions p..q, block size
 m = q-p+1), the tableau symmetry is phi_J = ev_q ev_m ev_q and the
@@ -127,14 +127,25 @@ any order take the same path and get the same reports.
   their longest elements, read off the blocks, and each J as a tuple
   shared by every record (`_member`), which reports copy into fresh
   lists (`_chain_data`).
-* Per-shape tables, by position in the total index order: promotion for
-  thm1 (`_promotion_table`) and ev_k for each k (`_evacuation_table`).
-  ev_k for k <= n-1 fixes n, so it is read off the shapes one box
-  smaller, one index class at a time, and ev_n is ev_{n-1} after one
-  reverse slide of 1..n: each tableau slides once per shape, whatever
-  the number of J.  The index labels of each tableau peeled down to one
-  box (the total index key without its last label) are the cell's
-  `peels`, kept as the cell is assembled.
+* Per-shape tables, by position in the total index order: inverse
+  promotion (`_inverse_promotion_table`), promotion for thm1, its
+  inverse permutation (`_promotion_table`), and ev_k for each k
+  (`_evacuation_table`).  All are read off the shapes one box smaller,
+  and none slides a tableau.  ev_k for k <= n-1 fixes n, so it is the
+  smaller shapes' table, one index class at a time, and ev_n is ev_{n-1}
+  after pr^-1.  For pr^-1, let T be in index class i, with n at box b,
+  T' = T - n in lambda - b, and u = pr^-1(T'), which writes n-1 at a
+  corner c of lambda - b.  n is the largest entry, so the hole of the
+  reverse slide on T follows its path on T' to c.  If b is directly
+  right of or below c, the hole moves on into b: pr^-1(T) is u with n
+  at b, at class i's first position plus u's.  Otherwise the hole stops
+  at c, and pr^-1(T) has n at c and n-1 at b: it lies in class c of
+  lambda, at the first position of class b of lambda - c, plus u's
+  position in lambda - b - c, which is u's less the first position of
+  class c of lambda - b.  So each index class of lambda - b maps by one
+  shift.  The index labels of each tableau peeled down to one box (the
+  total index key without its last label) are the cell's `peels`, kept
+  as the cell is assembled.
 * Per (shape, J), one table composed from those and the peel keys
   (`_j_table`): phi_J = ev_q ev_m ev_q (`_phi_table`, which (c) below
   reads alone), and the dense rank of the preorder key, the first n-m
@@ -236,7 +247,7 @@ from operator import le, mul
 from random import Random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .jdt import _inverse_promote, _partial_evacuate, _promote
+from .jdt import _partial_evacuate
 from .reports import CheckReport
 from .specht import (
     Matrix,
@@ -257,6 +268,7 @@ from .tableaux import (
     Partition,
     Tableau,
     _removable_boxes,
+    _remove_box,
     _total_index_key,
     check_partition,
     check_standard,
@@ -581,10 +593,35 @@ def _signs(names: Sequence, ids: Sequence[int], keys: Sequence[int],
 
 
 @lru_cache(maxsize=None)
-def _promotion_table(shape: Partition) -> tuple[int, ...]:
-    """pr(tableaux[i]) = tableaux[table[i]]."""
+def _inverse_promotion_table(shape: Partition) -> tuple[int, ...]:
+    """pr^-1(tableaux[i]) = tableaux[table[i]], read off the shapes one
+    box smaller with no slide: on index class i, box b of lambda, each
+    index class k of lambda - b, box c, maps by one shift (see the module
+    docstring)."""
     cl = cell(shape)
-    return tuple(cl.position[_promote(t)] for t in cl.tableaux)
+    boxes = _removable_boxes(shape)
+    table: list[int] = []
+    for (start, small), b in zip(cl.smaller, boxes):
+        sub = cell(small)
+        shift = {}
+        for k, (r, c) in enumerate(_removable_boxes(small), start=1):
+            if b in ((r, c + 1), (r + 1, c)):
+                shift[k] = start
+            else:
+                rest = cell(_remove_box(shape, r))
+                at = rest.classes[_removable_boxes(rest.shape).index(b) + 1][0]
+                shift[k] = (cl.classes[boxes.index((r, c)) + 1][0] + at
+                            - sub.classes[k][0])
+        table += [u + shift[sub.indexes[u]]
+                  for u in _inverse_promotion_table(small)]
+    return tuple(table) or (0,)  # (1,): the identity
+
+
+@lru_cache(maxsize=None)
+def _promotion_table(shape: Partition) -> tuple[int, ...]:
+    """pr(tableaux[i]) = tableaux[table[i]]: the inverse permutation of
+    `_inverse_promotion_table`."""
+    return tuple(_inverse(_inverse_promotion_table(shape)))
 
 
 def _thm1_sign(shape: Partition) -> Callable[[int], int]:
@@ -758,8 +795,8 @@ def _preorder_key(t: Tableau, p: int, q: int) -> tuple[int, ...]:
 
 # Per-shape tables indexed by position in the total index order, shared
 # by every chain on the shape.  Each ev_k table for k <= n-1 is read off
-# the shapes one box smaller, ev_n's is one reverse slide per tableau on
-# top of ev_{n-1}'s, and the per-J table is composed from those and the
+# the shapes one box smaller, ev_n's is ev_{n-1}'s after the inverse
+# promotion table, and the per-J table is composed from those and the
 # cell's peel keys.
 
 @lru_cache(maxsize=None)
@@ -767,8 +804,9 @@ def _evacuation_table(shape: Partition, k: int) -> tuple[int, ...]:
     """ev_k(tableaux[i]) = tableaux[table[i]].  ev_1 is the identity.  ev_k
     for 2 <= k <= n-1 fixes n, so on each index class, SYT(lambda - box i)
     with n at box i, it is that shape's table shifted by the class's first
-    position.  ev_n is ev_{n-1} after one reverse slide of 1..n, so only
-    ev_n slides, once per tableau."""
+    position.  ev_n is ev_{n-1} after pr^-1, one reverse slide of 1..n,
+    whose table is read off the smaller shapes in two cases (see the
+    module docstring): no ev_k slides a tableau."""
     cl = cell(shape)
     if k == 1:
         return tuple(range(len(cl.tableaux)))
@@ -776,7 +814,7 @@ def _evacuation_table(shape: Partition, k: int) -> tuple[int, ...]:
         return tuple(start + e for start, small in cl.smaller
                      for e in _evacuation_table(small, k))
     prev = _evacuation_table(shape, k - 1)
-    return tuple(prev[cl.position[_inverse_promote(t, k)]] for t in cl.tableaux)
+    return tuple(map(prev.__getitem__, _inverse_promotion_table(shape)))
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,12 @@
+import concurrent.futures
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -269,8 +272,27 @@ class _SerialPool:
         return map(fn, jobs)
 
 
+def test_serial_verify_leaves_concurrent_futures_unloaded():
+    """Only a sweep with more than one worker imports the process pool,
+    so a serial `verify` does not pay for `concurrent.futures` at
+    start-up."""
+    script = '''
+import contextlib, io, sys
+from klspecht.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(['verify', 'thm1', '--max-n', '4'])
+print(code, 'concurrent.futures' in sys.modules)
+'''
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, '-c', script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '0 False'
+
+
 def test_jobs_start_no_more_workers_than_jobs(capsys, monkeypatch):
-    monkeypatch.setattr(cli, 'ProcessPoolExecutor', _SerialPool)
+    monkeypatch.setattr(concurrent.futures, 'ProcessPoolExecutor', _SerialPool)
     monkeypatch.setattr(_SerialPool, 'requested', [])
     base = ('--format', 'structured', 'verify', 'thm1', '--max-n', '3')
     code_one, out_one, _ = invoke(capsys, '--jobs', '1', *base)
@@ -701,7 +723,7 @@ class _SpyPool(_SerialPool):
 
 @pytest.mark.parametrize('fmt', ['text', 'structured'])
 def test_sweep_workers_send_text(capsys, monkeypatch, fmt):
-    monkeypatch.setattr(cli, 'ProcessPoolExecutor', _SpyPool)
+    monkeypatch.setattr(concurrent.futures, 'ProcessPoolExecutor', _SpyPool)
     monkeypatch.setattr(_SpyPool, 'returned', [])
     code, _, _ = invoke(capsys, '--format', fmt, '--jobs', '2',
                         'verify', 'thm4', '--max-n', '3')

@@ -8,7 +8,6 @@ functions must still reject a non-standard tableau; and the verifiers
 must validate a caller's basis order once, by cell position.
 """
 
-from operator import le
 from random import Random
 
 import pytest
@@ -106,11 +105,31 @@ def test_passing_checks_format_no_tableau(monkeypatch, cold_caches):
     assert sorted(reports[-1].record()['ordering']) == sorted(labels)
 
 
-@pytest.mark.parametrize('shape', SHAPES)
+@pytest.mark.parametrize('shape', SHAPES + list(partitions(7))
+                         + list(partitions(8)))
 def test_promotion_table_matches_promote(shape):
+    """Both tables, read off the smaller shapes, against the slides of
+    `jdt`."""
     tabs = specht.cell(shape).tableaux
     table = qrkit._promotion_table(shape)
     assert [tabs[i] for i in table] == [promote(t) for t in tabs]
+    table = qrkit._inverse_promotion_table(shape)
+    assert [tabs[i] for i in table] == [inverse_promote(t) for t in tabs]
+
+
+def test_cold_promotion_table_calls_no_jdt(monkeypatch, cold_caches):
+    """On cold caches the promotion tables of every shape up to n = 7 are
+    read off the smaller shapes' without a single call into `jdt`."""
+    def refuse(*args):
+        raise AssertionError('a promotion table called jdt')
+
+    # jdt's functions, also under the names qrkit imports them by
+    for mod in (jdt, qrkit):
+        for name, value in list(vars(mod).items()):
+            if callable(value) and getattr(value, '__module__', '') == jdt.__name__:
+                monkeypatch.setattr(mod, name, refuse)
+    for shape in partitions(7):
+        qrkit._promotion_table(shape)
 
 
 @pytest.mark.parametrize('shape', SHAPES + list(partitions(7)))
@@ -154,29 +173,17 @@ def test_evacuation_and_peel_tables(shape):
     assert specht.cell(shape).peels == [total_index_key(t)[:-1] for t in tabs]
 
 
-def test_evacuation_tables_take_one_slide_per_tableau_and_k(monkeypatch,
-                                                            cold_caches):
-    """On cold caches, ev_2, ..., ev_n of an n = 6 shape cost one reverse
-    slide per tableau of each shape of 2 to n boxes inside it, 46 in all,
-    not the (n - 1) d = 80 of sliding every tableau of the shape once per
-    k: ev_k for k <= n - 1 is read off the shapes one box smaller, and
-    only ev_n slides, each tableau once, on top of ev_{n-1}."""
-    shape = (3, 2, 1)
-    n, d = 6, len(specht.cell(shape).tableaux)
-    inside = [mu for k in range(2, n + 1) for mu in partitions(k)
-              if len(mu) <= len(shape) and all(map(le, mu, shape))]
-    calls = []
-    real = jdt._reverse_slide
+def test_evacuation_tables_take_no_slide(monkeypatch, cold_caches):
+    """On cold caches, ev_2, ..., ev_n of an n = 6 shape run no reverse
+    slide at all: ev_k for k <= n - 1 is read off the shapes one box
+    smaller, and ev_n is ev_{n-1} after the inverse promotion table, which
+    is read off them too."""
+    def refuse(grid, m):
+        raise AssertionError('an evacuation table slid a tableau')
 
-    def counting(grid, m):
-        calls.append(m)
-        real(grid, m)
-
-    monkeypatch.setattr(jdt, '_reverse_slide', counting)
-    for k in range(2, n + 1):
-        qrkit._evacuation_table(shape, k)
-    assert len(calls) == sum(map(count_syt, inside)) == 46
-    assert (n - 1) * d == 80
+    monkeypatch.setattr(jdt, '_reverse_slide', refuse)
+    for k in range(2, 7):
+        qrkit._evacuation_table((3, 2, 1), k)
 
 
 def test_random_orders_read_the_cell_indexes():
