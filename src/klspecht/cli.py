@@ -381,7 +381,7 @@ def _sep_desc_jobs(args, max_n: int) -> list[int]:
 # swept families, which take --max-n: name -> (jobs builder, worker run
 # on each job, default --max-n, largest --max-n, or None where the checks
 # compute mu, which bounds --max-n by hecke.MAX_N).  The other two grow
-# fourfold or more per n: on a 2-core VM sep-desc takes ~80 s up to
+# fourfold or more per n: on a 2-core VM sep-desc takes ~50 s up to
 # n = 9 and lemma-pr ~100 s up to n = 13, so their bounds stop there
 _SWEEPS = {
     'thm1': (_thm1_jobs, _thm1_job, 6, None),
@@ -476,7 +476,9 @@ def _report_text(report: CheckReport) -> str:
         bits.append(_shape_text(report.shape))
     witness = report._witness
     if 'chain' in witness:
-        bits.append(_chain_text(tuple(map(tuple, witness['chain']))))
+        chain = witness['chain']  # the record's tuples, or rendered lists
+        bits.append(_chain_text(chain if chain.__class__ is tuple
+                                else tuple(map(tuple, chain))))
     if 'n' in witness:
         bits.append(f'n={witness["n"]}')
     if 'scope' in witness:

@@ -122,11 +122,15 @@ Shared thm4 state.  None of it depends on the order in which chains are
 checked, so a sweep in DFS order and a caller checking single chains in
 any order take the same path and get the same reports.
 
-* The chain record, per (chain, n): the blocks (p, q), each validated
-  once per (J, n) by its min, max and size (`_block`), the product w of
-  their longest elements, read off the blocks, and each J as a tuple
-  shared by every record (`_member`), which reports copy into fresh
-  lists (`_chain_data`).
+* The chain record, per (chain, n) (`_chain_data`): the blocks (p, q),
+  each validated once per (J, n) by its members' integer values, min,
+  max and size (`_block`), the product w of their longest elements,
+  read off the blocks, and each J as a tuple shared by every record
+  (`_member`).  It is cached on the chain as the caller gives it, so a
+  sweep's tuple of frozensets is its own key; a list, or a tuple the
+  cache cannot hash, is converted to a tuple of frozensets first.  A
+  report holds the record's member tuples as its chain until it
+  renders, which gives it fresh lists.
 * Per-shape tables, by position in the total index order: inverse
   promotion (`_inverse_promotion_table`), promotion for thm1, its
   inverse permutation (`_promotion_table`), and ev_k for each k
@@ -748,10 +752,18 @@ def thm1_shape_reports(shape: Partition, seed: int = 0) -> list[CheckReport]:
 
 @lru_cache(maxsize=None)
 def _block(js: frozenset[int], n: int) -> tuple[int, int]:
-    """The block (p, q) of J = {p, ..., q-1}, validated once per n."""
+    """The block (p, q) of J = {p, ..., q-1}, validated once per n.  The
+    members are read by value, as the caches compare them (1.0 and True
+    mean 1), so the answer never depends on which form was cached first."""
     if not js:
         raise ValueError('J must be a nonempty set of generator indices')
-    p, q = min(js), max(js) + 1
+    try:
+        ints = frozenset(map(int, js))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != js:
+        raise ValueError(f'J must be a set of integers: {set(js)}')
+    p, q = min(ints), max(ints) + 1
     if p < 1 or q > n:
         raise ValueError(f'J must lie in 1..{n - 1}: {sorted(js)}')
     if q - p != len(js):
@@ -876,11 +888,13 @@ def all_connected_chains(n: int) -> list[tuple[frozenset[int], ...]]:
 
 
 @lru_cache(maxsize=None)
-def _chain_data(js: tuple[frozenset[int], ...], n: int) -> tuple:
-    """The record of the validated chain: the block (p, q) of each J =
+def _chain_data(chain: tuple[Iterable[int], ...], n: int) -> tuple:
+    """The record of the validated chain, cached on the chain as given (a
+    tuple of frozensets, or of tuples): the block (p, q) of each J =
     {p, ..., q-1}, w = w_{J_k} ... w_{J_1} and each J as the tuple
-    (p, ..., q-1), which reports copy.  w_J reverses p..q, x -> p + q - x,
-    so w is read off the blocks, J_1 first."""
+    (p, ..., q-1), which a report holds until it renders.  w_J reverses
+    p..q, x -> p + q - x, so w is read off the blocks, J_1 first."""
+    js = tuple(map(frozenset, chain))
     if not js:
         raise ValueError('chain must be nonempty')
     if not all(a < b for a, b in zip(js, js[1:])):
@@ -1095,9 +1109,21 @@ def verify_thm4_chain(shape: Partition,
     rank_J(phi_C(x)) = rank_J(x) = rank_J(y) = rank_J(phi_C(y)): J's signs
     there agree too.  So nothing else is decided, and the report builds
     its state only when it renders.  A chain with a member that
-    lacks the verdict is decided on its state, which names its failures."""
+    lacks the verdict is decided on its state, which names its failures.
+
+    The record is looked up on `chain` itself when it is a tuple the
+    cache can hash; any other chain is converted to a tuple of frozensets
+    first.  The report's witness holds the record's tuple of members
+    until it renders, when the chain becomes fresh lists
+    (`_thm4_fields`), so a passing check allocates only its report."""
     t0 = time.perf_counter()
-    blocks, w, members = _chain_data(tuple(map(frozenset, chain)), sum(shape))
+    n = sum(shape)
+    if chain.__class__ is not tuple:  # a list, or an iterable read once
+        chain = tuple(map(frozenset, chain))
+    try:
+        blocks, w, members = _chain_data(chain, n)
+    except TypeError:  # members the cache cannot hash, such as sets
+        blocks, w, members = _chain_data(tuple(map(frozenset, chain)), n)
     try:
         passed = all(map(_Verdicts(shape).__getitem__, blocks))
     except TypeError:
@@ -1113,7 +1139,7 @@ def verify_thm4_chain(shape: Partition,
             'the composite symmetry', blocks,
             _one_member_sign(shape, *blocks[0]) if len(blocks) == 1 else None)
     return CheckReport('thm4', not failures, tuple(shape), None,
-                       {'chain': list(map(list, members))}, None, failures,
+                       {'chain': members}, None, failures,
                        time.perf_counter() - t0,
                        render=(_thm4_fields, shape, blocks, w, state))
 
@@ -1122,14 +1148,15 @@ def _thm4_fields(shape: Partition, blocks: tuple[tuple[int, int], ...],
                  w: Perm, state: _ChainState | None) -> tuple:
     """The ordering, signs and the rest of the witness of a thm4 report
     (see `CheckReport`), read off the chain's state, which a chain that
-    passed with no state builds here."""
+    passed with no state builds here.  The chain's members, which the
+    report held as its record's shared tuples, become fresh lists."""
     if state is None:
         state = _thm4_state(shape, blocks)
     labels = cell(shape).labels
     signs = None if state.pivots is None else _signs(
         _class_labels(shape, blocks), state.perm, state.key, state.pivots)
     return (tuple(map(labels.__getitem__, state.perm)), signs,
-            {'w': list(w),
+            {'chain': [list(range(p, q)) for p, q in blocks], 'w': list(w),
              'symmetry': dict(zip(labels, map(labels.__getitem__, state.phi)))})
 
 

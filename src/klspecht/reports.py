@@ -42,7 +42,9 @@ class CheckReport:
     renders them, once; a report then compares, prints and pickles as
     one built with them.  `passed`, `failures`, `shape`, `timing` and
     `_witness`, the witness as given, are kept at once: a text line reads
-    only those, so it never renders.
+    only those, so it never renders.  Rendering may replace an entry of
+    the witness as given: thm4's chain is given as its record's shared
+    tuples and renders as fresh lists, and a text line reads either form.
     """
 
     __slots__ = ('theorem', 'passed', 'shape', '_ordering', '_witness',

@@ -309,18 +309,38 @@ BAD_CHAINS = [
 def test_thm4_rejects_bad_chains(cold_caches):
     """Each chain extends the validated data of its prefix, so a bad
     member or pair anywhere must raise, on cold caches and once every
-    valid prefix is cached."""
+    valid prefix is cached.  The record is cached on the chain as given:
+    every form of a chain (`_chain_forms`, and a tuple of sets, which the
+    cache cannot hash) raises the same ValueError, or passes.  A chain of
+    non-sets raises the TypeError of its conversion, and a list shape
+    gets the boundary's ValueError with a chain the cache can hash too."""
     shape = (2, 1, 1)
     for _ in range(2):  # cold, then with every valid chain of n = 4 cached
         for chain in BAD_CHAINS:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as want:
                 qrkit._chain_data(tuple(map(frozenset, chain)), 4)
-            with pytest.raises(ValueError):
-                verify_thm4_chain(shape, chain)
+            for form in [*_chain_forms(chain), tuple(map(set, chain))]:
+                with pytest.raises(ValueError) as got:
+                    verify_thm4_chain(shape, form)
+                assert str(got.value) == str(want.value)
         for chain in all_connected_chains(4):
-            assert verify_thm4_chain(shape, chain).passed
+            for form in [*_chain_forms(chain), tuple(map(set, chain))]:
+                assert verify_thm4_chain(shape, form).passed
     with pytest.raises(ValueError):
         verify_thm4_chain((2, 1), [{1, 2}, {2}])
+    for chain in ((1, 2), [1, 2]):
+        with pytest.raises(TypeError, match='not iterable'):
+            verify_thm4_chain(shape, chain)
+    for chain in ((frozenset({1}),), ((1,), (1, 2))):
+        with pytest.raises(ValueError, match='not a nonempty partition tuple'):
+            verify_thm4_chain([2, 1, 1], chain)
+
+
+def _chain_forms(chain):
+    """One chain as a tuple of frozensets, a tuple of tuples, a list of
+    sets and a list of lists."""
+    return [tuple(map(frozenset, chain)), tuple(tuple(sorted(j)) for j in chain),
+            [set(j) for j in chain], [sorted(j) for j in chain]]
 
 
 def _checked_matrices(monkeypatch):
@@ -1211,6 +1231,100 @@ def test_thm4_reports_get_fresh_witness_lists():
     first.witness['w'].reverse()
     first.witness['w'].append(0)
     assert verify_thm4_chain(shape, chain).record() == want
+
+
+def _text(report):
+    """The report's text line, untimed."""
+    report.timing = None  # a plain field: setting it renders nothing
+    return cli._report_text(report)
+
+
+def test_thm4_chain_forms_give_one_record_and_one_text_line(cold_caches):
+    """The chain record is cached on the chain as given.  Each form of a
+    chain gives an equal record and an equal text line, whichever form is
+    checked first."""
+    shape = (3, 2, 1)
+    for first in range(4):
+        cold_caches()
+        for chain in all_connected_chains(6):
+            forms = _chain_forms(chain)
+            reports = [verify_thm4_chain(shape, form)
+                       for form in forms[first:] + forms[:first]]
+            assert len({_text(r) for r in reports}) == 1  # before any renders
+            assert all(r.record() == reports[0].record() for r in reports)
+    line = _text(verify_thm4_chain(shape, [[2], [1, 2, 3]]))
+    assert line == 'PASS thm4 shape=3,2,1 chain={2}<{1,2,3}\n'
+
+
+def test_an_unread_thm4_report_holds_its_records_tuple():
+    """A passing report holds its record's tuple of member tuples, and no
+    list, until it renders; reading its witness gives fresh lists."""
+    shape = (3, 2, 1)
+    for chain in ((frozenset({2}), frozenset({1, 2, 3})), [{2}, {1, 2, 3}]):
+        report = verify_thm4_chain(shape, chain)
+        members = qrkit._chain_data(tuple(map(frozenset, chain)), 6)[2]
+        assert report.passed and report._witness == {'chain': members}
+        assert report._witness['chain'] is members
+        assert members == ((2,), (1, 2, 3))
+        assert report.witness['chain'] == [[2], [1, 2, 3]]
+        assert list(report._witness) == ['chain', 'w', 'symmetry']
+        assert report._witness['chain'] is not verify_thm4_chain(
+            shape, chain).witness['chain']
+
+
+def test_a_read_thm4_report_prints_its_unread_text_line():
+    """A report whose witness was read, which holds the chain as lists,
+    prints the same text line as one never read."""
+    for shape in partitions(4) + partitions(5):
+        for chain in all_connected_chains(sum(shape)):
+            unread, read = (verify_thm4_chain(shape, chain) for _ in range(2))
+            assert isinstance(read.witness['chain'], list)
+            assert isinstance(unread._witness['chain'], tuple)
+            assert _text(read) == _text(unread)
+
+
+def _block_answers(j):
+    """What every entry point that validates J answers for J on n = 5."""
+    t, shape = parse_tableau('1,2,4/3,5'), (3, 2)
+    return [
+        lambda: phi_connected(j, t),
+        lambda: preorder_connected(j, shape),
+        lambda: verify_thm4_chain(shape, [j]).record(),
+        lambda: verify_thm4_chain(shape, [{2}, j]).record(),
+    ]
+
+
+@pytest.mark.parametrize('first', range(4))
+def test_integral_members_are_read_by_value_in_any_call_order(
+        cold_caches, first):
+    """`_block` and the chain records are cached on J's members, and
+    1.0 == 1 == True as keys.  Read by value, {1.0, 2}, {True, 2} and
+    {1, 2} get one answer through every entry point, whichever form and
+    entry point come first: a float never reaches a later answer."""
+    want = [call() for call in _block_answers({1, 2})]
+    for forms in ([{1.0, 2}, {True, 2}, {1, 2}], [{1, 2}, {2, 1.0}, {True, 2.0}]):
+        cold_caches()
+        for j in forms:
+            calls = _block_answers(j)
+            got = [call() for call in calls[first:] + calls[:first]]
+            assert got == want[first:] + want[:first]
+    cold_caches()
+    verify_thm4_chain((3, 2), [{2, 1.0}])
+    assert [call() for call in _block_answers({1, 2})] == want
+
+
+def test_non_integral_members_name_j(cold_caches):
+    """A member that is no integer's value gets a ValueError naming J,
+    through every entry point, and is cached nowhere."""
+    want = [call() for call in _block_answers({1, 2})]
+    for j in ({1.5}, {'a'}, {1, 2.5}, {'1'}, {None}, {float('nan')},
+              {float('inf')}):
+        for call in _block_answers(j)[:3]:  # {2} < J fails first otherwise
+            with pytest.raises(ValueError, match='J must be a set of integers'
+                               ) as err:
+                call()
+            assert all(repr(x) in str(err.value) for x in j)
+    assert [call() for call in _block_answers({1, 2})] == want
 
 
 # ---------------------------------------------------------------------------
