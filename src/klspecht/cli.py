@@ -43,6 +43,7 @@ import tempfile
 import time
 from contextlib import nullcontext
 from functools import lru_cache, partial
+from itertools import combinations
 from random import Random
 from typing import Iterator, Sequence
 
@@ -256,27 +257,23 @@ def _branching_job(shape: tuple[int, ...]) -> list[CheckReport]:
 
 def _dmu_job(shape: tuple[int, ...]) -> list[CheckReport]:
     cl = specht.cell(shape)
-    rows = [r for r, _ in tableaux._removable_boxes(shape)]
     failures = []
     pairs = 0
-    for i, members in cl.classes.items():
-        if len(members) < 2:
-            continue
-        # the index-i class lists SYT(shape - box i) in order, so deleting
-        # the largest entry of its a-th member leaves the tableau at
-        # position a of the smaller cell
-        small = specht.cell(tableaux._remove_box(shape, rows[i - 1]))
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs += 1
-                before = cl.mu(members[a], members[b])
-                after = small.mu(a, b)
-                if before != after:
-                    failures.append(
-                        f'mu changes under deletion for '
-                        f'{cl.labels[members[a]]}, {cl.labels[members[b]]}'
-                        f' (index {i}): {before} vs {after}'
-                    )
+    # the index-i class lists SYT(shape - box i) in order from its first
+    # position, so deleting the largest entry of its a-th member leaves the
+    # tableau at position a of the smaller cell
+    for i, (start, rest) in enumerate(cl.smaller, start=1):
+        small = specht.cell(rest)
+        for a, b in combinations(range(len(small.tableaux)), 2):
+            pairs += 1
+            before = cl.mu(start + a, start + b)
+            after = small.mu(a, b)
+            if before != after:
+                failures.append(
+                    f'mu changes under deletion for '
+                    f'{cl.labels[start + a]}, {cl.labels[start + b]}'
+                    f' (index {i}): {before} vs {after}'
+                )
     return [CheckReport(theorem='prop-dmu', passed=not failures, shape=shape,
                         witness={'same_index_pairs': pairs},
                         failures=failures)]
@@ -485,7 +482,7 @@ def _report_text(report: CheckReport) -> str:
         bits.append(witness['scope'])
     if report.timing is not None:
         bits.append(f'({report.timing:.3f}s)')
-    return '\n'.join([' '.join(bits), *(f'  {f}' for f in report.failures), ''])
+    return '\n  '.join([' '.join(bits), *report.failures]) + '\n'
 
 
 def run(argv: Sequence[str] | None = None) -> int:

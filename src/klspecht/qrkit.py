@@ -172,7 +172,7 @@ any order take the same path and get the same reports.
   (c) phi_{J'} keeps the rank for every connected J' <= J.
   Given (c), phi_J keeps the rank, and (a) is `_block_signs` of M(w_J)
   with phi_J in that rank.  For J = {1, ..., n-2} the rank is the
-  tableau index, and (a) is the filtration that `specht.check_branching`
+  tableau index, and (a) is the filtration whose blocks B (below)
   compares with S_{n-1}.  For J = {1, ..., n-1}, one class, (a) says
   M(w0) = eps P_ev, the signed evacuation of Berenstein-Zelevinsky and
   Stembridge.  `_j_signs` returns the sign of each column's
@@ -182,10 +182,11 @@ any order take the same path and get the same reports.
   one table per shape, keyed by (p, q) (`_Verdicts`).
   Every J = {p, ..., q-1} with q <= n-1 lies in S_{n-1}, and is decided
   on the shapes mu_i = lambda - box i when B(lambda, j) holds for each j
-  in J (`_inherits`).  B (`_branches`), read off the picks of s_j: no
-  entry sits in a row of larger index than its column, and each
-  diagonal index block, shifted by its class's first position, has
-  exactly the (column, entry) pairs of s_j on mu_i.  Index class i is
+  in J (`_inherits`).  B, which `specht._b_failures` tests once per
+  (shape, j) for this module and for both specht reports: no entry of
+  s_j sits in a row of larger index than its column, and each diagonal
+  index block, shifted by its class's first position, has exactly the
+  (column, entry) pairs of s_j on mu_i.  Index class i is
   SYT(mu_i) with n at box i (`specht._Cell`), and ev_k for k <= n-1
   never moves n, so on class i phi_J is mu_i's, shifted, and the
   one-member rule, which reads only the entries <= m of ev_q(T), is
@@ -256,7 +257,7 @@ from .reports import CheckReport
 from .specht import (
     Matrix,
     QRInvariantError,
-    _entry,
+    _b_failures,
     _Packed,
     _read_terms,
     _reindexed,
@@ -918,31 +919,13 @@ def _pick_ranks(terms: _Terms, rank: Sequence[int]) -> Iterator[Iterator[int]]:
     return map(map, repeat(ranks), terms.picks)
 
 
-@lru_cache(maxsize=None)
-def _branches(shape: Partition, j: int) -> bool:
-    """B(lambda, j) for j <= n-2, read off the picks of s_j: no entry sits
-    in a row of larger index than its column, and on each index class,
-    shifted by the class's first position, each row has exactly the
-    (column, entry) pairs of s_j on lambda - box i.  These are the
-    filtration and the branching to S_{n-1} (`specht.check_branching`)."""
-    cl = cell(shape)
-    terms = cl.generator_terms(j)
-    for start, small in cl.smaller:
-        sub = cell(small).generator_terms(j)
-        end = start + len(sub.picks)
-        for row, want in zip(terms.picks[start:end], sub.picks):
-            pairs = [_entry(terms, x) for x in row]
-            if (any(k < start for k, _ in pairs)
-                    or sorted((k - start, x) for k, x in pairs if k < end)
-                    != sorted(_entry(sub, x) for x in want)):
-                return False
-    return True
-
-
 def _inherits(shape: Partition, p: int, q: int) -> bool:
     """Whether J = {p, ..., q-1} is decided on the shapes one box smaller:
-    q <= n-1 and B(shape, j) for every j in J (see "Block structure")."""
-    return q < sum(shape) and all(_branches(shape, j) for j in range(p, q))
+    q <= n-1 and B(shape, j) holds for every j in J, that is, specht's
+    cached `_b_failures` finds nothing that fails it (see "Block
+    structure").  qrkit holds no B code of its own."""
+    return q < sum(shape) and not any(any(_b_failures(shape, j))
+                                      for j in range(p, q))
 
 
 @lru_cache(maxsize=None)
@@ -956,8 +939,10 @@ def _j_signs(shape: Partition, p: int, q: int) -> tuple[int, ...] | None:
         only entries are +-1 at (phi_J(c), c);
     (b) every s_j with j in J is block upper triangular;
     (c) phi_{J'} keeps the rank for every connected J' <= J.
-    A J that `_inherits` has the concatenation of its signs on the shapes
-    one box smaller, None when any is None (see "Block structure").
+    A J that `_inherits`, B holding for each j in J by specht's
+    `_b_failures`, has the concatenation of its signs on the shapes one
+    box smaller, None when any is None (see "Block structure").  A J of a
+    module that fails B takes the route below, on the shape itself.
     Otherwise (a) is `_block_signs` on `_block_factor`, which also finds
     each sign; with (c), phi_J keeps the rank, so row phi_J(c) lies in c's
     block."""

@@ -34,8 +34,9 @@ nothing is left) is written once, in `_total_index_key`, which
 `total_index_key`, `total_index_cmp` and `qrkit._preorder_key` read.
 The shape one step of it leaves, lambda less removable box i, is written
 once too, in `_remove_box`, which `specht._Cell._grow` (the cell one box
-smaller, and with it each tableau's peel key), `specht.check_branching`
-and the prop-dmu sweep in `cli` read.
+smaller, and with it each tableau's peel key) and `specht.check_branching`
+read.  The cell keeps that shape and the first position of each index
+class (`_Cell.smaller`), and the prop-dmu sweep in `cli` reads it there.
 """
 
 from __future__ import annotations

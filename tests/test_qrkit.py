@@ -929,10 +929,10 @@ def test_j_signs_refuses_each_broken_condition(monkeypatch, cold_caches,
     below its block of {1, 2, 3} (b), or phi_{3, 4} across a class of
     {2, 3, 4} (c).  `_j_signs` refuses J on the route that checks (a)-(c)
     on (3, 2) itself, which J = {2, 3, 4} takes as it ends at n, and
-    J = {1, 2, 3} in a module that fails B (here `_branches` refuses)."""
+    J = {1, 2, 3} in a module that fails B (here `_direct`)."""
     shape = (3, 2)
     with monkeypatch.context() as patch:
-        patch.setattr(qrkit, '_branches', lambda *args: False)
+        _direct(patch)
         assert all(qrkit._j_signs(shape, min(j), max(j) + 1) is not None
                    for j in _connected_sets(5))
         qrkit._j_signs.cache_clear()
@@ -981,8 +981,9 @@ def test_block_signs_equal_the_pick_rank_reading_under_faults(
 
 
 def _direct(patch):
-    """Every J decided on its own shape: B refuses every (shape, j)."""
-    patch.setattr(qrkit, '_branches', lambda *args: False)
+    """Every J decided on its own shape: the specht result qrkit reads for
+    B (`_b_failures`) names class 1 as differing on every (shape, j)."""
+    patch.setattr(qrkit, '_b_failures', lambda shape, j: ((), (1,)))
 
 
 @pytest.mark.parametrize('n', range(2, 8))
@@ -993,8 +994,8 @@ def test_inherited_verdicts_equal_the_direct_route(monkeypatch, cold_caches,
     smaller (for J up to n - 1) equal those of (a)-(c) checked on the
     shape itself."""
     js = [(min(j), max(j) + 1) for j in _connected_sets(n)]
-    assert all(qrkit._branches(shape, j) for shape in partitions(n)
-               for j in range(1, n - 1))
+    assert all(specht._b_failures(shape, j) == ((), ())
+               for shape in partitions(n) for j in range(1, n - 1))
     inherited = [(qrkit._j_verdict(shape, *j), qrkit._j_signs(shape, *j))
                  for shape in partitions(n) for j in js]
     assert sum(qrkit._inherits(shape, *j) for shape in partitions(n)
@@ -1005,6 +1006,24 @@ def test_inherited_verdicts_equal_the_direct_route(monkeypatch, cold_caches,
         assert [(qrkit._j_verdict(shape, *j), qrkit._j_signs(shape, *j))
                 for shape in partitions(n) for j in js] == inherited
     assert all(verdict for verdict, _ in inherited)
+
+
+def test_branching_then_thm4_computes_b_once_per_shape_and_j(cold_caches):
+    """A branching sweep, then thm4 on the same shapes (2 <= n <= 6),
+    computes what fails B once per (shape, j) with j <= n - 2: both specht
+    reports and thm4's `_inherits` read one cache (`_b_failures`)."""
+    shapes = [shape for n in range(2, 7) for shape in partitions(n)]
+    for shape in shapes:
+        assert specht.check_filtration_invariance(shape).passed
+        assert specht.check_branching(shape).passed
+    swept = specht._b_failures.cache_info()
+    for shape in shapes:
+        assert all(verify_thm4_chain(shape, chain).passed
+                   for chain in all_connected_chains(sum(shape)))
+    info = specht._b_failures.cache_info()
+    pairs = sum(sum(shape) - 2 for shape in shapes)
+    assert swept.misses == info.misses == info.currsize == pairs == 78
+    assert swept.hits == pairs and info.hits > swept.hits
 
 
 def test_verdict_tables_fill_each_entry_once(monkeypatch, cold_caches):
@@ -1079,8 +1098,12 @@ def test_a_generator_that_fails_b_takes_the_direct_route(
     shape = (3, 2, 1)
     with monkeypatch.context() as patch:
         fault(shape, patch)
-        assert [qrkit._branches(shape, j) for j in range(1, 5)] \
+        assert [not any(specht._b_failures(shape, j)) for j in range(1, 5)] \
             == [False, True, True, True]
+        # the negated entry differs inside class 1; the added pick sits
+        # below the filtration at (column 4, row 5), outside class 2's block
+        assert specht._b_failures(shape, 1) \
+            == {89: ((), (1,)), 164: (((4, 5),), ())}[failing]
         inherited = _thm4_records(shape)
         clear_caches(qrkit)
         _direct(patch)
@@ -1376,7 +1399,7 @@ def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
     records of the second fault have the sha256 they had when each check
     built its labels and class strings at once, and each thm4 chain its
     own matrix.  Under the first fault every J is decided on its own
-    shape (`_branches` refuses): a J read off the shapes one box smaller
+    shape (`_direct`): a J read off the shapes one box smaller
     would concatenate their negated signs, a different fault."""
     real = qrkit._j_signs
 
@@ -1390,7 +1413,7 @@ def test_failing_chains_keep_their_records(monkeypatch, cold_caches):
         with monkeypatch.context() as patch:
             patch.setattr(obj, name, fault)
             if fault is last_negated:
-                patch.setattr(qrkit, '_branches', lambda *args: False)
+                _direct(patch)
             records = [verify_thm4_chain(shape, chain).record()
                        for n in (4, 5) for shape in partitions(n)
                        for chain in all_connected_chains(n)]
@@ -1421,20 +1444,22 @@ def _negated(terms):
 
 @contextmanager
 def _negated_generators(shape):
-    """Every generator of the shape negated, and every cache of qrkit
-    emptied on entry and on exit, so none keeps what it read off the
-    module it no longer acts on.  specht's caches stay: the cell holds the
-    negated generators."""
+    """Every generator of the shape negated, and every cache of qrkit and
+    specht's B results (`_b_failures`) emptied on entry and on exit, so
+    none keeps what it read off the module it no longer acts on.  The
+    cells stay: this one holds the negated generators."""
     cl = specht.cell(shape)
     cl.generator_terms(1)
     real = cl._generator_terms
     cl._generator_terms = tuple(map(_negated, real))
     clear_caches(qrkit)
+    specht._b_failures.cache_clear()
     try:
         yield
     finally:
         cl._generator_terms = real
         clear_caches(qrkit)
+        specht._b_failures.cache_clear()
 
 
 def test_thm1_checks_the_value_of_each_class_sign(cold_caches):

@@ -468,7 +468,7 @@ def test_branching_quotients_match_smaller_modules_exactly():
         assert mat_eq(m, generator_matrix((3, 1), j))
 
 
-def test_failing_filtration_and_branching_reports(monkeypatch):
+def test_failing_filtration_and_branching_reports(monkeypatch, cold_caches):
     """Under two faults in `_Cell.generator_terms`, where every reader
     takes s_j, the filtration report names each entry of the dense
     generator that lies below the index order, column by column, and the
@@ -477,7 +477,9 @@ def test_failing_filtration_and_branching_reports(monkeypatch):
     by index.  No generator has two failing entries whose rows run against
     their columns, so a second fault fills s_j with entries from -2 to 2,
     which takes every kind of pick and pins the column-major order.  Each
-    fault fails both checks on some shape."""
+    fault fails both checks on some shape.  What fails B(shape, j)
+    (`_b_failures`, cached, so emptied with each fault) is non-empty
+    exactly where either report names s_j."""
     real = specht._Cell.generator_terms
 
     def filled(cl, j):
@@ -491,6 +493,7 @@ def test_failing_filtration_and_branching_reports(monkeypatch):
     for name, fault in faults.items():
         monkeypatch.setattr(specht._Cell, 'generator_terms', fault)
         monkeypatch.setattr(specht, 'cell', lru_cache(maxsize=None)(specht._Cell))
+        cold_caches()
         for n in range(1, 7):
             for shape in partitions(n):
                 tabs = enumerate_syt(shape)
@@ -504,6 +507,7 @@ def test_failing_filtration_and_branching_reports(monkeypatch):
                 report = check_filtration_invariance(shape)
                 assert (report.passed, report.failures) == (not want, want), shape
                 failed[name, 'filtration'] += not report.passed
+                named = report.failures
                 want = []
                 for i, (row, _) in enumerate(removable_boxes(shape), start=1):
                     small = tuple(p - (k == row) for k, p in enumerate(shape, 1)
@@ -516,6 +520,9 @@ def test_failing_filtration_and_branching_reports(monkeypatch):
                 report = check_branching(shape)
                 assert (report.passed, report.failures) == (not want, want), shape
                 failed[name, 'branching'] += not report.passed
+                named = ' '.join(named + report.failures).split()
+                assert [any(specht._b_failures(shape, j)) for j in range(1, n - 1)] \
+                    == [f's_{j}' in named for j in range(1, n - 1)], shape
     assert len(failed) == 4 and all(failed.values()), failed
 
 
