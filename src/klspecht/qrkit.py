@@ -204,27 +204,32 @@ any order take the same path and get the same reports.
   class key per position, the composite phi and the pivots (None when
   the chain fails), all by position (`_ChainState`).  Only equality of
   keys is read: two positions are in one class when all their ranks
-  agree.  A chain C + J grows from the state of C in O(d) small steps:
-  the order is C's order sorted stably on the rank of J, each key is C's
-  key times d plus J's rank (ranks are below d), and phi is phi_J after
-  C's phi.  When (a)-(c) hold for J and C passed, C + J passes with the
+  agree.  The empty chain's state is the identity: the total index
+  order, key 0 everywhere, phi = id and every pivot +1.  Every chain
+  C + J grows from the state of C by one rule, in O(d) small steps: the
+  order is C's order sorted stably on the rank of J, each key is C's key
+  times d plus J's rank (ranks are below d), and phi is phi_J after C's
+  phi.  When (a)-(c) hold for J and C passed, C + J passes with the
   pivot at x equal to J's sign at phi_C(x) times C's pivot at x.  By (b),
   M(C) is block upper in J's rank, and by (c) phi_C keeps that rank, so
   in C + J's order row phi_J phi_C(x) of M(w_J) M(C) vanishes on every
-  column before x and is that product at x.  A one-member chain (C empty)
-  has J's signs as its pivots.  Otherwise, only in a module that fails
-  (a)-(c), the state runs the pivot test on `_chain_matrix`.  A check
-  builds the state of a chain only when a member lacks its verdict, and
-  decides on it; any other chain's report builds its state when it
-  renders (`_thm4_fields`), so a text sweep builds none.
-* Store: the states of the chains that extend further, in an lru_cache
-  of 2048 entries on `_chain_state`.  A chain ending in J = {1, ..., n-1}
-  extends no other and is built uncached (`_thm4_state`).  A sweep that
-  reads no record stores none.  One that renders every record stores 1547
-  up to n = 6, so in any order it builds each once there; one shape's
-  states fit at n = 7 and 8 (at most 395 and 1351), so a sweep shape by
-  shape builds each once there too, and a state an eviction drops is
-  rebuilt from its own prefix's, also when a report renders late.
+  column before x and is that product at x.  So a one-member chain has
+  J's rank order, J's rank as its keys and J's signs as its pivots, and
+  J = {1, ..., n-1}, whose rank is 0 everywhere, keeps C's order and
+  classes.  Otherwise, only in a module that fails (a)-(c), the state
+  runs the pivot test on `_chain_matrix`.  A check builds the state of a
+  chain only when a member lacks its verdict, and decides on it; any
+  other chain's report builds its state when it renders
+  (`_thm4_fields`), so a text sweep builds none.
+* Store: the states of the chains that extend further, the empty chain
+  among them, in an lru_cache of 2048 entries on `_chain_state`.  A
+  chain ending in J = {1, ..., n-1} extends no other and is built
+  uncached (`_thm4_state`).  A sweep that reads no record stores none.
+  One that renders every record stores 1575 up to n = 6, so in any order
+  it builds each once there; one shape's states fit at n = 7 and 8 (at
+  most 396 and 1352), so a sweep shape by shape builds each once there
+  too, and a state an eviction drops is rebuilt from its own prefix's,
+  also when a report renders late.
 
 Reports.  A check decided on its own (`_decide`) works on positions and
 integer class keys.  Each order lists every class contiguously (thm4's
@@ -260,11 +265,13 @@ from .specht import (
     _b_failures,
     _Packed,
     _read_terms,
+    _refuse_unordered,
     _reindexed,
     _Terms,
     _words,
     cell,
     mat_reindex,
+    matrix_entries,
     matrix_of,
     total_index_order,
 )
@@ -330,8 +337,13 @@ class SignedPermutation(NamedTuple):
 
 
 def _cleared(m: Matrix) -> tuple[int, list[list[int]]]:
-    """L = lcm of the denominators of m's int or Fraction entries, and L m."""
-    scale = lcm(*(x.denominator for row in m for x in row))
+    """L = lcm of the denominators of m's int or Fraction entries, and L m.
+    An entry with no denominator, a float say, raises TypeError."""
+    try:
+        scale = lcm(*(x.denominator for row in m for x in row))
+    except AttributeError:
+        matrix_entries(m)  # raises the TypeError naming that entry
+        raise
     return scale, [[x.numerator * (scale // x.denominator) for x in row]
                    for row in m]
 
@@ -1014,7 +1026,8 @@ def _chain_matrix(shape: Partition,
 class _ChainState(NamedTuple):
     """What a chain's check reads, by position in the total index order.
     A chain's state grows from the state of the chain without its
-    outermost member (see "Shared thm4 state")."""
+    outermost member, and the empty chain's is the identity (see "Shared
+    thm4 state")."""
 
     perm: list[int]  # the basis order
     key: Sequence[int]  # the composite class key: equal keys, one class
@@ -1025,31 +1038,27 @@ class _ChainState(NamedTuple):
 @lru_cache(maxsize=2048)
 def _chain_state(shape: Partition,
                  blocks: tuple[tuple[int, int], ...]) -> _ChainState:
-    """The state of the chain C + J of these blocks, J = J_k, grown from
-    the (cached) state of C: C's order sorted stably on the rank of J, C's
-    key times d plus J's rank, and phi_J after C's phi.  When (a)-(c) hold
-    for J (`_j_signs`) and C's pivot test passed, the pivot at x is J's
-    sign at phi_C(x) times C's pivot at x (C empty: J's sign at x), with
-    no matrix; otherwise it is the pivot test of `_chain_matrix`.  The
-    result is shared with the cache: callers must not change it."""
-    p, q = blocks[-1]
-    phi_j, rank_j = _j_table(shape, p, q)
-    signs = _j_signs(shape, p, q)
-    if len(blocks) == 1:
-        perm = sorted(range(len(rank_j)), key=rank_j.__getitem__)
-        key, phi, pivots = rank_j, phi_j, signs
-    else:
-        prefix = _chain_state(shape, blocks[:-1])
-        if q - p == sum(shape) - 1:
-            # J = {1, ..., n-1} has one class: C's order and classes
-            perm, key = prefix.perm, prefix.key
-        else:
-            d = len(rank_j)
-            perm = sorted(prefix.perm, key=rank_j.__getitem__)
-            key = [k * d + r for k, r in zip(prefix.key, rank_j)]
-        phi = list(map(phi_j.__getitem__, prefix.phi))
-        pivots = None if signs is None or prefix.pivots is None else list(
-            map(mul, map(signs.__getitem__, prefix.phi), prefix.pivots))
+    """The state of the chain of these blocks.  The empty chain's is the
+    identity: the total index order, one class, phi = id and every pivot
+    +1.  A chain C + J, J = J_k, grows from the (cached) state of C: C's
+    order sorted stably on the rank of J, C's key times d plus J's rank,
+    and phi_J after C's phi.  When (a)-(c) hold for J (`_j_signs`) and C's
+    pivot test passed, the pivot at x is J's sign at phi_C(x) times C's
+    pivot at x, with no matrix; otherwise it is the pivot test of
+    `_chain_matrix`.  The result is shared with the cache: callers must
+    not change it."""
+    if not blocks:
+        ids = list(range(len(cell(shape).tableaux)))
+        return _ChainState(ids, [0] * len(ids), ids, [1] * len(ids))
+    prefix = _chain_state(shape, blocks[:-1])
+    phi_j, rank_j = _j_table(shape, *blocks[-1])
+    signs = _j_signs(shape, *blocks[-1])
+    d = len(rank_j)
+    perm = sorted(prefix.perm, key=rank_j.__getitem__)
+    key = [k * d + r for k, r in zip(prefix.key, rank_j)]
+    phi = list(map(phi_j.__getitem__, prefix.phi))
+    pivots = None if signs is None or prefix.pivots is None else list(
+        map(mul, map(signs.__getitem__, prefix.phi), prefix.pivots))
     if pivots is None:
         pivots = _pivot_test(_chain_matrix(shape, blocks), perm, phi)
     return _ChainState(perm, key, phi, pivots)
@@ -1084,26 +1093,29 @@ def verify_thm4_chain(shape: Partition,
     position is the one-member rule's, which depends only on the class of
     J's rank.  By (a)-(c) its pivot test passes, and the pivot of C + J
     at x is J's sign at phi_C(x) times C's pivot at x (see
-    `_chain_state`).  A one-member chain's pivots are then J's signs: the
-    rule's at every position, so constant on classes and of the value the
-    check expects.  A longer chain checks no sign value, and its signs are
-    constant on classes by induction on the chain.  Let x and y share a
-    class of C + J.  C's keys at x and y agree, so C's pivots there have
-    one sign (for C = J_1, as its signs are the rule's).  By (c), each
-    phi_{J_i} with J_i < J keeps rank_J, so phi_C does, and
-    rank_J(phi_C(x)) = rank_J(x) = rank_J(y) = rank_J(phi_C(y)): J's signs
-    there agree too.  So nothing else is decided, and the report builds
-    its state only when it renders.  A chain with a member that
-    lacks the verdict is decided on its state, which names its failures.
+    `_chain_state`), C possibly empty, with phi = id and every pivot +1.
+    A one-member chain's pivots are then J's signs: the rule's at every
+    position, so constant on classes and of the value the check expects.
+    A longer chain checks no sign value, and its signs are constant on
+    classes by induction on the chain, from the empty chain's one class.
+    Let x and y share a class of C + J.  C's keys at x and y agree, so
+    C's pivots there have one sign.  By (c), each phi_{J_i} with J_i < J
+    keeps rank_J, so phi_C does, and rank_J(phi_C(x)) = rank_J(x) =
+    rank_J(y) = rank_J(phi_C(y)): J's signs there agree too.  So nothing
+    else is decided, and the report builds its state only when it
+    renders.  A chain with a member that lacks the verdict is decided on
+    its state, which names its failures.
 
     The record is looked up on `chain` itself when it is a tuple the
     cache can hash; any other chain is converted to a tuple of frozensets
-    first.  The report's witness holds the record's tuple of members
-    until it renders, when the chain becomes fresh lists
+    first, except a set or a dict of members, which lists no order and
+    raises ValueError.  The report's witness holds the record's tuple of
+    members until it renders, when the chain becomes fresh lists
     (`_thm4_fields`), so a passing check allocates only its report."""
     t0 = time.perf_counter()
     n = sum(shape)
     if chain.__class__ is not tuple:  # a list, or an iterable read once
+        _refuse_unordered(chain, 'chain')
         chain = tuple(map(frozenset, chain))
     try:
         blocks, w, members = _chain_data(chain, n)

@@ -129,20 +129,25 @@ def mat_reindex(a: Sequence[Sequence], ids: Sequence[int]) -> Matrix:
 
 
 def matrix_entries(a: Matrix) -> list[list[int | str]]:
-    """Row-major entries for serialization: ints, or 'p/q' strings."""
-    out: list[list[int | str]] = []
-    for row in a:
-        line: list[int | str] = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator == 1:
-                    line.append(int(x))
-                else:
-                    line.append(f'{x.numerator}/{x.denominator}')
-            else:
-                line.append(int(x))
-        out.append(line)
-    return out
+    """Row-major entries for serialization: ints, or 'p/q' strings.  An
+    entry that is neither an int nor a Fraction, a float say, raises
+    TypeError."""
+    return [[_entry(x) for x in row] for row in a]
+
+
+def _entry(x: object) -> int | str:
+    """An int or Fraction entry as an int, or else as a 'p/q' string."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f'matrix entry {x!r} is not an int or a Fraction')
+    return int(x) if x.denominator == 1 else f'{x.numerator}/{x.denominator}'
+
+
+def _refuse_unordered(xs: object, what: str) -> None:
+    """Refuse a set or a dict where the caller must list an order (a basis
+    order, a chain): it would give its iteration order, which nobody
+    chose."""
+    if isinstance(xs, (set, frozenset, dict)):
+        raise ValueError(f'{what} must be a sequence, not a {type(xs).__name__}')
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +395,13 @@ class _Cell:
     def positions(self, order: Sequence[Tableau] | None) -> list[int]:
         """Cell position of each tableau of a basis order (None: the total
         index order).  This is where a caller's order is validated: it
-        must list every tableau of the shape exactly once."""
+        must list every tableau of the shape exactly once, in a sequence
+        (a set or a dict raises)."""
         d = len(self.tableaux)
         if order is None:
             return list(range(d))
+        if order.__class__ is not tuple:
+            _refuse_unordered(order, 'order')
         try:
             ids = list(map(self.position.get, order, repeat(-1)))
         except TypeError:  # a tableau the dict cannot hash: a list, say

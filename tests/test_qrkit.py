@@ -92,6 +92,15 @@ def test_singular_input_rejected():
         exact_qr([[0, 0], [0, 0]])
 
 
+def test_exact_qr_refuses_inexact_entries():
+    """An entry that is neither an int nor a Fraction raises TypeError
+    naming it, not the AttributeError of its missing denominator."""
+    for bad in (0.5, 1.0, '1'):
+        with pytest.raises(TypeError, match=f'matrix entry {bad!r} is not'):
+            exact_qr([[1, 0], [0, bad]])
+    assert exact_qr([[1, 0], [0, Fraction(1, 2)]]).r[1][1] == Fraction(1, 2)
+
+
 def test_irrational_norm_reported_with_position():
     with pytest.raises(IrrationalNormError) as info:
         exact_qr([[1, 0], [1, 1]])
@@ -334,6 +343,20 @@ def test_thm4_rejects_bad_chains(cold_caches):
     for chain in ((frozenset({1}),), ((1,), (1, 2))):
         with pytest.raises(ValueError, match='not a nonempty partition tuple'):
             verify_thm4_chain([2, 1, 1], chain)
+
+
+def test_thm4_refuses_an_unordered_chain(cold_caches):
+    """A set or a dict of members has no order the caller chose: it
+    raises at the boundary, whether its iteration order happens to
+    increase or not, and the same members as a list pass."""
+    for chain in ([frozenset({1, 2}), frozenset({1, 2, 3})],
+                  [frozenset({1}), frozenset({1, 2})]):
+        for unordered in (set(chain), frozenset(chain), dict.fromkeys(chain)):
+            with pytest.raises(ValueError,
+                               match=f'chain must be a sequence, not a '
+                                     f'{type(unordered).__name__}$'):
+                verify_thm4_chain((3, 1), unordered)
+        assert verify_thm4_chain((3, 1), chain).passed
 
 
 def _chain_forms(chain):
@@ -614,28 +637,27 @@ def _is_full(chain, n):
 
 def _stored_states(max_n):
     """The chains up to max_n, on every shape, whose states the store
-    holds: those not ending in J = {1, ..., n-1}."""
-    return sum(len(partitions(n)) * sum(not _is_full(c, n)
-                                        for c in all_connected_chains(n))
+    holds: the empty chain, and those not ending in J = {1, ..., n-1}."""
+    return sum(len(partitions(n)) * (1 + sum(not _is_full(c, n)
+                                             for c in all_connected_chains(n)))
                for n in range(2, max_n + 1))
 
 
 def _prefix_reads(max_n):
-    """The checks up to max_n of a chain of two or more members: each
-    builds its state, when its record renders, from its prefix's, read
-    from the store once."""
-    return sum(len(partitions(n)) * sum(len(c) >= 2
-                                        for c in all_connected_chains(n))
+    """The checks up to max_n, less one per shape: each builds its state,
+    when its record renders, from its prefix's, read from the store once,
+    and only a shape's first read of the empty chain's state builds it."""
+    return sum(len(partitions(n)) * (len(all_connected_chains(n)) - 1)
                for n in range(2, max_n + 1))
 
 
 def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
     """A sweep shuffled within each n, as the benchmark runs it, decides
     every chain from its members' verdicts: reading no record, it builds
-    no state.  Its records then build them: the store holds the 1547
-    states up to n = 6 of the chains that extend further, within its 2048
-    entries, builds each once, evicts none, and reads every prefix from
-    the store."""
+    no state.  Its records then build them: the store holds the 1575
+    states up to n = 6 of the chains that extend further, the empty chain
+    of each shape among them, within its 2048 entries, builds each once,
+    evicts none, and reads every prefix from the store."""
     rng = Random(24)
     reports = []
     for n in range(2, 7):
@@ -650,19 +672,19 @@ def test_shuffled_thm4_sweep_never_empties_the_store(cold_caches):
         r.record()
     info = qrkit._chain_state.cache_info()
     assert info.maxsize == 2048
-    assert info.misses == info.currsize == _stored_states(6) == 1547
-    assert info.hits == _prefix_reads(6)
+    assert info.misses == info.currsize == _stored_states(6) == 1575
+    assert info.hits == _prefix_reads(6) == 3094
 
 
 def test_dfs_thm4_sweep_builds_each_state_once(cold_caches):
     """A text sweep shape by shape in DFS order, as `cli` runs it, builds
     no state up to n = 7.  A structured sweep renders each record as it
-    goes and builds 7472 states, more than the store's 2048 entries, but
-    one shape's states fit (at most 395 at n = 7, and 1351 at n = 8): it
-    evicts only states of shapes it has finished, and builds each state
-    once."""
+    goes and builds 7515 states, the empty chain's of each shape among
+    them, more than the store's 2048 entries, but one shape's states fit
+    (at most 396 at n = 7, and 1352 at n = 8): it evicts only states of
+    shapes it has finished, and builds each state once."""
     for structured, misses, size, hits in (
-            (False, 0, 0, 0), (True, 7472, 2048, _prefix_reads(7))):
+            (False, 0, 0, 0), (True, 7515, 2048, _prefix_reads(7))):
         qrkit._chain_state.cache_clear()
         for n in range(2, 8):
             for shape in partitions(n):
@@ -672,7 +694,27 @@ def test_dfs_thm4_sweep_builds_each_state_once(cold_caches):
         assert info.misses == misses
         assert info.currsize == size
         assert info.hits == hits
-    assert _stored_states(7) == 7472
+    assert _stored_states(7) == 7515
+    assert _prefix_reads(7) == 14944
+
+
+def test_one_member_states_grow_from_the_identity(cold_caches):
+    """The empty chain's state is the identity, and every one-member chain
+    grown from it has J's rank order, J's rank as its key, phi_J and J's
+    signs as its pivots, for every shape and J with n <= 6."""
+    for n in range(2, 7):
+        for shape in partitions(n):
+            ids = list(range(len(specht.cell(shape).tableaux)))
+            assert qrkit._chain_state(shape, ()) == (
+                ids, [0] * len(ids), ids, [1] * len(ids))
+            for p in range(1, n):
+                for q in range(p + 1, n + 1):
+                    phi, rank = qrkit._j_table(shape, p, q)
+                    signs = qrkit._j_signs(shape, p, q)
+                    assert signs is not None
+                    assert qrkit._chain_state(shape, ((p, q),)) == (
+                        sorted(ids, key=rank.__getitem__), list(rank),
+                        list(phi), list(signs))
 
 
 def _records_both_ways(monkeypatch, checks):

@@ -532,3 +532,12 @@ def test_matrix_entries_serialization():
 
     got = matrix_entries([[Fraction(1, 2), Fraction(3, 1)]])
     assert got == [['1/2', 3]]
+
+
+def test_matrix_entries_refuse_inexact_entries():
+    """A float, even one with an integral value, or a str raises TypeError
+    naming it, and is never rounded to an int."""
+    for bad in (0.5, 1.0, '1'):
+        with pytest.raises(TypeError, match=f'matrix entry {bad!r} is not'):
+            matrix_entries([[1, bad]])
+    assert matrix_entries([[True, -1]]) == [[1, -1]]

@@ -372,3 +372,27 @@ def test_an_order_of_list_tableaux_gets_the_boundary_error(call):
     with pytest.raises(ValueError, match='not a basis order'):
         call([[[1, 3], [2]], [[1, 2], [3]]])
     call((((1, 3), (2,)), ((1, 2), (3,))))
+
+
+# every entry point taking a basis order refuses a set or a dict of the
+# shape's tableaux, whose iteration order nobody chose, on every shape,
+# and accepts the same tableaux as a tuple or a list
+
+@pytest.mark.parametrize('call', [
+    lambda shape, order: verify_thm1(shape, order).ordering,
+    lambda shape, order: specht.generator_matrix(shape, 1, order),
+    lambda shape, order: specht.matrix_of(shape, (2, 1, 3, 4)[:sum(shape)],
+                                          order),
+    lambda shape, order: specht.matrix_from_generator_word(shape, [1, 2],
+                                                           order),
+], ids=['verify_thm1', 'generator_matrix', 'matrix_of',
+        'matrix_from_generator_word'])
+@pytest.mark.parametrize('shape', [(2, 1), (3, 1), (2, 2)])
+def test_an_unordered_basis_order_gets_the_boundary_error(call, shape):
+    order = specht.total_index_order(shape)
+    for unordered in (set(order), frozenset(order), dict.fromkeys(order)):
+        with pytest.raises(ValueError,
+                           match=f'order must be a sequence, not a '
+                                 f'{type(unordered).__name__}$'):
+            call(shape, unordered)
+    assert call(shape, order) == call(shape, list(order))
